@@ -4,32 +4,43 @@ Subcommands: ``ft`` (transform on a grid or on test-set samples, from a JSON
 config), ``annihilate`` (build and verify a certificate), ``fourlines``
 (fiber classification and coefficient systems), ``bessel``, ``verdict``.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric failure (the failing
-point goes to stderr), 4 certificate verification failure.  Identical
-invocations produce byte-identical output; HUPLAB_THREADS caps internal
-parallelism without affecting results.
+Configs and the certificates ``annihilate`` prints share one JSON schema:
+``_CURVES``, ``_DECAYS`` and ``_LAMBDAS`` map each kind to its constructor and
+its fields, and ``_load`` / ``_dump`` read those tables in both directions.
+The curve kinds are the keys of ``geometry.CURVE_KINDS``; an unknown kind is
+reported with the list of known ones, and a key that the named kind does not
+have is rejected.
+
+Exit codes: 0 ok, 2 configuration error (a density that exceeds its declared
+decay envelope is one), 3 numeric failure (a quadrature failure names its
+point on stderr; an expression evaluated outside its domain exits 3 too),
+4 certificate verification failure.  Identical invocations produce
+byte-identical output; HUPLAB_THREADS caps internal parallelism without
+affecting results.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Optional
 
 from . import bessel as bessel_mod
 from . import fourlines as fl
 from . import witnesses
 from .bessel import AllIntegers, EvenHalfIntegers, BesselError
-from .expr import ExprSyntaxError, parse, pretty
+from .expr import EvalDomainError, ExprSyntaxError, parse, pretty
 from .geometry import (
+    CURVE_KINDS,
     CircleSet,
     CompactSupport,
     CurveSet,
-    Decay,
-    EmptyIntersectionError,
     ExpDecay,
     FiberList,
     GaussianDecay,
@@ -38,12 +49,10 @@ from .geometry import (
     Lines,
     Measure,
     ParamCurve,
-    PlanarSet,
-    parallel_lines,
     sample_set,
 )
 from .quadrature import QuadOpts, QuadratureError
-from .transform import mu_hat, mu_hat_at_points
+from .transform import mu_hat_at_points
 from .witnesses import Certificate, verify_certificate
 
 SCHEMA_VERSION = 1
@@ -56,14 +65,6 @@ EXIT_CERTIFICATE = 4
 
 class ConfigError(ValueError):
     pass
-
-
-class PointFailure(QuadratureError):
-    """Quadrature failure tagged with the (xi, eta) point that triggered it."""
-
-    def __init__(self, point: tuple[float, float], inner: Exception):
-        super().__init__(f"at point (xi, eta) = ({point[0]:.17g}, {point[1]:.17g}): {inner}")
-        self.point = point
 
 
 def _fmt(x: float) -> str:
@@ -81,83 +82,116 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _parse_curve(desc: dict) -> ParamCurve:
-    _check_keys(desc, {"kind", "heights", "x", "y", "domain"}, {"kind"}, "curve")
-    kind = desc["kind"]
-    if kind == "parallel-lines":
-        return parallel_lines([float(h) for h in desc.get("heights", [])])
-    if kind == "expr":
-        for key in ("x", "y", "domain"):
-            if key not in desc:
-                raise ConfigError(f"expr curve needs {key!r}")
-        dom = desc["domain"]
-        return ParamCurve(
-            "expr",
-            x_expr=parse(desc["x"]),
-            y_expr=parse(desc["y"]),
-            expr_domain=(float(dom[0]), float(dom[1])),
-        )
+# ---------------------------------------------------------------------------
+# JSON schema: one table per object type, read by _load and _dump
+
+
+@dataclasses.dataclass(frozen=True)
+class _Field:
+    """One JSON key, the constructor argument and attribute it maps to, and its conversions."""
+
+    key: str
+    load: Callable[[Any], Any] = float
+    dump: Callable[[Any], Any] = lambda value: value
+    attr: str = ""  # defaults to ``key``
+    optional: bool = False  # when absent, the constructor's default applies
+
+    def __post_init__(self):
+        if not self.attr:
+            object.__setattr__(self, "attr", self.key)
+
+
+def _pair(value: Any) -> tuple[float, float]:
+    x, y = map(float, value)
+    return x, y
+
+
+def _floats(value: Any) -> tuple[float, ...]:
+    return tuple(map(float, value))
+
+
+def _load_fields(
+    ctor: Callable, fields: tuple[_Field, ...], obj: Any, where: str, extra: frozenset = frozenset()
+) -> Any:
+    """Call ``ctor`` on the fields of the JSON object ``obj``, which must also hold the ``extra`` keys."""
+    required = {f.key for f in fields if not f.optional} | extra
+    _check_keys(obj, {f.key for f in fields} | extra, required, where)
     try:
-        return ParamCurve(kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return ctor(**{f.attr: f.load(obj[f.key]) for f in fields if f.key in obj})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
 
 
-def _parse_decay(desc: Optional[dict]) -> Optional[Decay]:
-    if desc is None:
-        return None
-    _check_keys(desc, {"kind", "lo", "hi", "rate", "amplitude"}, {"kind"}, "decay")
-    kind = desc["kind"]
-    try:
-        if kind == "compact":
-            return CompactSupport(float(desc["lo"]), float(desc["hi"]))
-        if kind == "exp":
-            return ExpDecay(float(desc["rate"]), float(desc.get("amplitude", 1.0)))
-        if kind == "gaussian":
-            return GaussianDecay(float(desc.get("rate", 1.0)), float(desc.get("amplitude", 1.0)))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad decay: {exc}") from None
-    raise ConfigError(f"unknown decay kind {kind!r}")
+def _dump_fields(obj: Any, fields: tuple[_Field, ...]) -> dict:
+    return {f.key: f.dump(getattr(obj, f.attr)) for f in fields}
 
 
-def _parse_set(desc: dict) -> PlanarSet:
-    _check_keys(
-        desc,
-        {"kind", "point", "direction", "radius", "alpha", "beta", "lines", "curve", "fibers", "periodic2"},
-        {"kind"},
-        "lambda",
+def _load(table: dict, desc: Any, where: str) -> Any:
+    """Build the object that a ``{"kind": ..., ...}`` description names in ``table``."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {where} kind {kind!r} (known: {', '.join(table)})")
+    ctor, fields = table[kind]
+    return _load_fields(ctor, fields, desc, where, frozenset({"kind"}))
+
+
+def _dump(table: dict, obj: Any) -> dict:
+    """The description of ``obj`` that ``_load`` with the same table turns back into it."""
+    # curves share one class and carry their kind; every other kind is a class of its own
+    kind = obj.kind if isinstance(obj, ParamCurve) else next(k for k in table if table[k][0] is type(obj))
+    return {"kind": kind, **_dump_fields(obj, table[kind][1])}
+
+
+def _list_of(ctor: Callable, fields: tuple[_Field, ...], where: str) -> tuple[Callable, Callable]:
+    """Load and dump conversions for a JSON list of objects without a kind."""
+    return (
+        lambda items: tuple(_load_fields(ctor, fields, item, where) for item in items),
+        lambda objs: [_dump_fields(obj, fields) for obj in objs],
     )
-    kind = desc["kind"]
+
+
+_CURVE_FIELDS = {
+    "heights": _Field("heights", _floats, list),
+    "x_expr": _Field("x", parse, pretty, attr="x_expr"),
+    "y_expr": _Field("y", parse, pretty, attr="y_expr"),
+    "expr_domain": _Field("domain", _pair, list, attr="expr_domain"),
+}
+_CURVES = {
+    kind: (partial(ParamCurve, kind), tuple(_CURVE_FIELDS[name] for name in spec.fields))
+    for kind, spec in CURVE_KINDS.items()
+}
+_DECAYS = {
+    "compact": (CompactSupport, (_Field("lo"), _Field("hi"))),
+    "exp": (ExpDecay, (_Field("rate"), _Field("amplitude", optional=True))),
+    "gaussian": (GaussianDecay, (_Field("rate", optional=True), _Field("amplitude", optional=True))),
+}
+_LINE = (_Field("point", _pair, list), _Field("direction", _pair, list))
+_FIBERS = _Field("fibers", *_list_of(fl.Fiber, (_Field("xi"), _Field("sigma", _floats, list)), "fiber"))
+_LAMBDAS = {
+    "line": (Line, _LINE),
+    "lines": (Lines, (_Field("lines", *_list_of(Line, _LINE, "line")),)),
+    "circle": (CircleSet, (_Field("radius"),)),
+    "lattice-cross": (LatticeCross, (_Field("alpha"), _Field("beta"))),
+    "curve": (CurveSet, (_Field("curve", lambda d: _load(_CURVES, d, "curve"), partial(_dump, _CURVES)),)),
+    "fibers": (FiberList, (_FIBERS, _Field("periodic2", bool, optional=True))),
+}
+_QUAD = (_Field("abs_tol", optional=True), _Field("rel_tol", optional=True))
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document in the file ``path``, or on stdin when ``path`` is ``-``."""
     try:
-        if kind == "line":
-            return Line(tuple(map(float, desc["point"])), tuple(map(float, desc["direction"])))
-        if kind == "lines":
-            return Lines(
-                tuple(
-                    Line(tuple(map(float, item["point"])), tuple(map(float, item["direction"])))
-                    for item in desc["lines"]
-                )
-            )
-        if kind == "circle":
-            return CircleSet(float(desc["radius"]))
-        if kind == "lattice-cross":
-            return LatticeCross(float(desc["alpha"]), float(desc["beta"]))
-        if kind == "curve":
-            return CurveSet(_parse_curve(desc["curve"]))
-        if kind == "fibers":
-            fibers = tuple(fl.Fiber(float(f["xi"]), tuple(map(float, f["sigma"]))) for f in desc["fibers"])
-            return FiberList(fibers, bool(desc.get("periodic2", False)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lambda: {exc}") from None
-    raise ConfigError(f"unknown lambda kind {kind!r}")
+        return json.loads(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
 def _load_config(path: str) -> dict:
-    try:
-        raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-        cfg = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+    cfg = _read_json(path, "config")
     _check_keys(
         cfg,
         {"curve", "density", "decay", "lambda", "grid", "samples", "window", "quad", "output"},
@@ -188,7 +222,7 @@ def _grid_points(grid: dict) -> list[tuple[float, float]]:
 
 def cmd_ft(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    curve = _parse_curve(cfg["curve"])
+    curve = _load(_CURVES, cfg["curve"], "curve")
     density_sources = cfg["density"]
     if not isinstance(density_sources, list) or not all(isinstance(d, str) for d in density_sources):
         raise ConfigError("density must be a list of expression strings")
@@ -196,48 +230,19 @@ def cmd_ft(args: argparse.Namespace) -> int:
         densities = tuple(parse(d) for d in density_sources)
     except ExprSyntaxError as exc:
         raise ConfigError(f"bad density: {exc}") from None
-    decay = _parse_decay(cfg.get("decay"))
-    try:
-        measure = Measure(curve, densities, decay)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if decay is None:
-        for comp in range(curve.n_components):
-            lo, hi = curve.domain(comp)
-            if math.isinf(lo) or math.isinf(hi):
-                raise ConfigError(
-                    f"curve {curve.kind!r} has an unbounded domain: the config must declare a decay envelope"
-                )
-    quad = cfg.get("quad", {})
-    _check_keys(quad, {"abs_tol", "rel_tol"}, set(), "quad")
-    try:
-        opts = QuadOpts(
-            abs_tol=float(quad.get("abs_tol", 1e-10)), rel_tol=float(quad.get("rel_tol", 1e-10))
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    decay = None if cfg.get("decay") is None else _load(_DECAYS, cfg["decay"], "decay")
+    measure = Measure(curve, densities, decay)
+    measure.check_envelope()
+    opts = _load_fields(QuadOpts, _QUAD, cfg.get("quad", {}), "quad")
     if "grid" in cfg:
         points = _grid_points(cfg["grid"])
     else:
-        lam = _parse_set(cfg["lambda"])
+        lam = _load(_LAMBDAS, cfg["lambda"], "lambda")
         window = cfg.get("window")
         if not (isinstance(window, list) and len(window) == 4):
             raise ConfigError("lambda evaluation needs 'window': [xmin, xmax, ymin, ymax]")
-        n = int(cfg.get("samples", 256))
-        try:
-            points = sample_set(lam, n, tuple(map(float, window)))
-        except (ValueError, EmptyIntersectionError) as exc:
-            raise ConfigError(str(exc)) from None
-    try:
-        values = mu_hat_at_points(measure, points, opts)
-    except QuadratureError:
-        # rerun sequentially to find and report the failing point
-        values = []
-        for x, y in points:
-            try:
-                values.append(mu_hat(measure, x, y, opts))
-            except QuadratureError as exc:
-                raise PointFailure((x, y), exc) from exc
+        points = sample_set(lam, int(cfg.get("samples", 256)), tuple(map(float, window)))
+    values = mu_hat_at_points(measure, points, opts)
     output = args.output or cfg.get("output", "csv")
     if output not in ("csv", "json"):
         raise ConfigError(f"unknown output format {output!r}")
@@ -261,56 +266,14 @@ def cmd_ft(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _curve_to_dict(curve: ParamCurve) -> dict:
-    out: dict[str, Any] = {"kind": curve.kind}
-    if curve.kind == "parallel-lines":
-        out["heights"] = list(curve.heights)
-    if curve.kind == "expr":
-        out["x"] = pretty(curve.x_expr)
-        out["y"] = pretty(curve.y_expr)
-        out["domain"] = list(curve.expr_domain)
-    return out
-
-
-def _decay_to_dict(decay: Optional[Decay]) -> Optional[dict]:
-    if decay is None:
-        return None
-    if isinstance(decay, CompactSupport):
-        return {"kind": "compact", "lo": decay.lo, "hi": decay.hi}
-    if isinstance(decay, ExpDecay):
-        return {"kind": "exp", "rate": decay.rate, "amplitude": decay.amplitude}
-    return {"kind": "gaussian", "rate": decay.rate, "amplitude": decay.amplitude}
-
-
-def _set_to_dict(lam: PlanarSet) -> dict:
-    if isinstance(lam, Line):
-        return {"kind": "line", "point": list(lam.point), "direction": list(lam.direction)}
-    if isinstance(lam, Lines):
-        return {
-            "kind": "lines",
-            "lines": [{"point": list(l.point), "direction": list(l.direction)} for l in lam.lines],
-        }
-    if isinstance(lam, CircleSet):
-        return {"kind": "circle", "radius": lam.radius}
-    if isinstance(lam, LatticeCross):
-        return {"kind": "lattice-cross", "alpha": lam.alpha, "beta": lam.beta}
-    if isinstance(lam, CurveSet):
-        return {"kind": "curve", "curve": _curve_to_dict(lam.curve)}
-    return {
-        "kind": "fibers",
-        "fibers": [{"xi": f.xi, "sigma": list(f.sigma)} for f in lam.fibers],
-        "periodic2": lam.periodic2,
-    }
-
-
 def _certificate_to_dict(cert: Certificate) -> dict:
     return {
         "measure": {
-            "curve": _curve_to_dict(cert.measure.curve),
+            "curve": _dump(_CURVES, cert.measure.curve),
             "densities": [pretty(d) for d in cert.measure.densities],
-            "decay": _decay_to_dict(cert.measure.decay),
+            "decay": None if cert.measure.decay is None else _dump(_DECAYS, cert.measure.decay),
         },
-        "lambda": _set_to_dict(cert.lam),
+        "lambda": _dump(_LAMBDAS, cert.lam),
         "window": list(cert.window),
         "witness_point": list(cert.witness_point),
         "residual_on_lambda": cert.residual_on_lambda,
@@ -320,36 +283,26 @@ def _certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+# each annihilate case builds its certificate from the parsed arguments
+_CASES = {
+    "circle-line": lambda args: witnesses.circle_line_annihilator(),
+    "circle-lines": lambda args: witnesses.circle_rational_lines_annihilator(args.j),
+    "circle-bessel": lambda args: witnesses.circle_bessel_circle_annihilator(args.k, args.n),
+    "hyperbola-line": lambda args: witnesses.hyperbola_line_annihilator(),
+    "expcurve-vline": lambda args: witnesses.expcurve_vertical_line_annihilator(),
+    "fourlines": lambda args: witnesses.fourlines_annihilator(args.p, args.eta0),
+}
+
+
 def cmd_annihilate(args: argparse.Namespace) -> int:
-    case = args.case
-    if case == "circle-line":
-        cert = witnesses.circle_line_annihilator()
-    elif case == "circle-lines":
-        cert = witnesses.circle_rational_lines_annihilator(args.j)
-    elif case == "circle-bessel":
-        cert = witnesses.circle_bessel_circle_annihilator(args.k, args.n)
-    elif case == "hyperbola-line":
-        cert = witnesses.hyperbola_line_annihilator()
-    elif case == "expcurve-vline":
-        cert = witnesses.expcurve_vertical_line_annihilator()
-    elif case == "fourlines":
-        cert = witnesses.fourlines_annihilator(args.p, args.eta0)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown case {case!r}")
+    cert = _CASES[args.case](args)
     report = verify_certificate(cert, n_lambda=args.samples, tol=args.tol)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "annihilate",
-        "case": case,
+        "case": args.case,
         "certificate": _certificate_to_dict(cert),
-        "verification": {
-            "ok": report.ok,
-            "residual": report.residual,
-            "witness_magnitude": report.witness_magnitude,
-            "samples_used": report.samples_used,
-            "tol": report.tol,
-            "message": report.message,
-        },
+        "verification": dataclasses.asdict(report),
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK if report.ok else EXIT_CERTIFICATE
@@ -371,23 +324,15 @@ def cmd_fourlines(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": f"fourlines {verb}"}
     if verb == "classify":
         cfg = fl.FourLinesConfig(args.p)
-        if args.fibers:
-            raw = sys.stdin.read() if args.fibers == "-" else open(args.fibers, "r", encoding="utf-8").read()
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad fibers JSON: {exc}") from None
-            if isinstance(doc, dict) and "points" in doc:
-                fibers = fl.periodize([(float(x), float(y)) for x, y in doc["points"]])
-            elif isinstance(doc, dict) and "fibers" in doc:
-                try:
-                    fibers = [fl.Fiber(float(f["xi"]), tuple(map(float, f["sigma"]))) for f in doc["fibers"]]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad fiber: {exc}") from None
-            else:
-                raise ConfigError("fibers JSON must contain 'points' or 'fibers'")
-        else:
+        if not args.fibers:
             raise ConfigError("classify needs --fibers FILE (or - for stdin)")
+        doc = _read_json(args.fibers, "fibers")
+        if isinstance(doc, dict) and "points" in doc:
+            fibers = fl.periodize([(float(x), float(y)) for x, y in doc["points"]])
+        elif isinstance(doc, dict) and "fibers" in doc:
+            fibers = _FIBERS.load(doc["fibers"])
+        else:
+            raise ConfigError("fibers JSON must contain 'points' or 'fibers'")
         payload["p"] = args.p
         payload["results"] = [
             {
@@ -485,8 +430,6 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         verdict = witnesses.known_pair_verdict(args.pair, **params)
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc} for pair {args.pair!r}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verdict",
@@ -514,17 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.set_defaults(func=cmd_ft)
 
     p_ann = sub.add_parser("annihilate", help="construct and verify an annihilating-measure certificate")
-    p_ann.add_argument(
-        "case",
-        choices=(
-            "circle-line",
-            "circle-lines",
-            "circle-bessel",
-            "hyperbola-line",
-            "expcurve-vline",
-            "fourlines",
-        ),
-    )
+    p_ann.add_argument("case", choices=_CASES)
     p_ann.add_argument("--j", type=int, default=3, help="number of concurrent lines (circle-lines)")
     p_ann.add_argument("--k", type=int, default=0, help="circle coefficient order (circle-bessel)")
     p_ann.add_argument("--n", type=int, default=1, help="zero index (circle-bessel)")
@@ -569,30 +502,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception types -> stderr label and exit code
+_FAILURES = {
+    (ValueError, OSError): ("config error", EXIT_CONFIG),
+    (QuadratureError, BesselError, EvalDomainError): ("numeric failure", EXIT_NUMERIC),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ExprSyntaxError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EmptyIntersectionError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except QuadratureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except BesselError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return code
+        return args.func(args)
+    except tuple(t for types in _FAILURES for t in types) as exc:
+        label, code = next(outcome for types, outcome in _FAILURES.items() if isinstance(exc, types))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

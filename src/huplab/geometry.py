@@ -19,6 +19,8 @@ from .expr import Expr
 from .fourlines import Fiber
 
 __all__ = [
+    "CURVE_KINDS",
+    "CurveKind",
     "CompactSupport",
     "ExpDecay",
     "GaussianDecay",
@@ -98,21 +100,11 @@ Decay = Union[CompactSupport, ExpDecay, GaussianDecay]
 # ---------------------------------------------------------------------------
 # parametric curves
 
-_CURVE_KINDS = (
-    "circle",
-    "hyperbola-branch",
-    "hyperbola-full",
-    "spiral",
-    "anti-spiral",
-    "exp-curve",
-    "parabola",
-    "parallel-lines",
-    "expr",
-)
-
 
 @dataclass(frozen=True)
 class ParamCurve:
+    """A curve of one of the kinds in ``CURVE_KINDS``; ``kind`` selects its record."""
+
     kind: str
     heights: tuple[float, ...] = ()
     x_expr: Optional[Expr] = None
@@ -120,89 +112,139 @@ class ParamCurve:
     expr_domain: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if self.kind not in _CURVE_KINDS:
+        if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "parallel-lines" and not self.heights:
-            raise ValueError("parallel-lines needs at least one height")
-        if self.kind == "expr" and (self.x_expr is None or self.y_expr is None or self.expr_domain is None):
-            raise ValueError("expr curve needs x_expr, y_expr and expr_domain")
+        needs = CURVE_KINDS[self.kind].fields
+        for name in ("heights", "x_expr", "y_expr", "expr_domain"):
+            if bool(getattr(self, name)) != (name in needs):
+                raise ValueError(f"{self.kind} curve {'needs' if name in needs else 'takes no'} {name}")
 
     @property
     def n_components(self) -> int:
-        return len(self.heights) if self.kind == "parallel-lines" else 1
+        return len(self.heights) or 1
 
-    def domain(self, component: int = 0) -> tuple[float, float]:
-        self._check_component(component)
-        return {
-            "circle": (-math.pi, math.pi),
-            "hyperbola-branch": (0.0, INF),
-            "hyperbola-full": (-INF, INF),
-            "spiral": (0.0, INF),
-            "anti-spiral": (-INF, 0.0),
-            "exp-curve": (-INF, INF),
-            "parabola": (-INF, INF),
-            "parallel-lines": (-INF, INF),
-            "expr": self.expr_domain,
-        }[self.kind]
-
-    def _check_component(self, component: int) -> None:
+    def _kind(self, component: int) -> CurveKind:
         if not 0 <= component < self.n_components:
             raise ValueError(f"component {component} out of range for {self.kind}")
+        return CURVE_KINDS[self.kind]
+
+    def domain(self, component: int = 0) -> tuple[float, float]:
+        return self._kind(component).domain(self)
 
     def xy(self, component: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized curve coordinates; t is trusted to lie in the domain."""
-        self._check_component(component)
-        k = self.kind
-        if k == "circle":
-            return np.cos(t), np.sin(t)
-        if k in ("hyperbola-branch", "hyperbola-full"):
-            return np.cosh(t), np.sinh(t)
-        if k == "spiral":
-            r = np.exp(-t)
-            return r * np.cos(t), r * np.sin(t)
-        if k == "anti-spiral":
-            r = np.exp(t)
-            return r * np.cos(t), r * np.sin(t)
-        if k == "exp-curve":
-            return np.asarray(t, dtype=float), np.exp(t * t)
-        if k == "parabola":
-            return np.asarray(t, dtype=float), np.asarray(t, dtype=float) ** 2
-        if k == "parallel-lines":
-            tt = np.asarray(t, dtype=float)
-            return tt, np.full_like(tt, self.heights[component])
-        xs = expr_mod.evaluate_array(self.x_expr, t)
-        ys = expr_mod.evaluate_array(self.y_expr, t)
-        return xs.real, ys.real
+        return self._kind(component).xy(self, component, t)
 
     def deriv_sup(self, component: int, lo: float, hi: float) -> tuple[float, float]:
         """Upper bounds for |x'| and |y'| over [lo, hi] (oscillation hints)."""
-        self._check_component(component)
-        k = self.kind
+        return self._kind(component).deriv_sup(self, component, lo, hi)
+
+
+@dataclass(frozen=True)
+class CurveKind:
+    """Everything that depends on a curve's kind; ``c`` is the curve, ``k`` a component index."""
+
+    domain: Callable  # (c) -> parameter interval
+    xy: Callable  # (c, k, t) -> vectorized coordinates
+    deriv_sup: Callable  # (c, k, lo, hi) -> upper bounds for |x'| and |y'| over [lo, hi]
+    # (c, k, w) -> for the window w = (xmin, xmax, ymin, ymax), a parameter interval, before
+    # clipping to the domain, that holds every parameter whose point lies in w; empty
+    # (lo > hi) when there is none
+    window_range: Callable
+    fields: tuple[str, ...] = ()  # the optional ParamCurve fields the kind needs; the rest stay unset
+
+
+def _hyperbola(domain: tuple[float, float]) -> CurveKind:
+    """(cosh t, sinh t): the right branch of x^2 - y^2 = 1 over the given domain."""
+
+    def deriv_sup(c, k, lo, hi):
         m = max(abs(lo), abs(hi))
-        if k == "circle":
-            return 1.0, 1.0
-        if k in ("hyperbola-branch", "hyperbola-full"):
-            return math.sinh(m), math.cosh(m)
-        if k == "spiral":
-            peak = math.sqrt(2.0) * math.exp(-lo)
-            return peak, peak
-        if k == "anti-spiral":
-            peak = math.sqrt(2.0) * math.exp(hi)
-            return peak, peak
-        if k == "exp-curve":
-            return 1.0, 2.0 * m * math.exp(min(m * m, 700.0))
-        if k == "parabola":
-            return 1.0, 2.0 * m
-        if k == "parallel-lines":
-            return 1.0, 0.0
-        # expr curve: coarse sampled finite-difference bound
-        ts = np.linspace(lo, hi, 257)
-        xs, ys = self.xy(component, ts)
-        dt = ts[1] - ts[0]
-        return (
-            float(np.max(np.abs(np.diff(xs)) / dt)) * 2.0,
-            float(np.max(np.abs(np.diff(ys)) / dt)) * 2.0,
-        )
+        return math.sinh(m), math.cosh(m)
+
+    def window_range(c, k, w):
+        xmin, xmax, ymin, ymax = w
+        if xmax < 1.0:
+            return INF, -INF
+        tx = math.acosh(xmax)
+        return max(-tx, math.asinh(ymin)), min(tx, math.asinh(ymax))
+
+    return CurveKind(lambda c: domain, lambda c, k, t: (np.cosh(t), np.sinh(t)), deriv_sup, window_range)
+
+
+def _log_spiral(s: int, domain: tuple[float, float]) -> CurveKind:
+    """e^{s t} (cos t, sin t): the spiral for s = -1, the anti-spiral for s = +1."""
+
+    def xy(c, k, t):
+        r = np.exp(s * t)
+        return r * np.cos(t), r * np.sin(t)
+
+    def deriv_sup(c, k, lo, hi):
+        peak = math.sqrt(2.0) * math.exp(max(s * lo, s * hi))
+        return peak, peak
+
+    def window_range(c, k, w):
+        xmin, xmax, ymin, ymax = w
+        gap_x = 0.0 if xmin <= 0.0 <= xmax else min(abs(xmin), abs(xmax))
+        gap_y = 0.0 if ymin <= 0.0 <= ymax else min(abs(ymin), abs(ymax))
+        t_near = s * math.log(max(math.hypot(gap_x, gap_y), 1e-8))
+        t_far = s * math.log(max(math.hypot(cx, cy) for cx in (xmin, xmax) for cy in (ymin, ymax)))
+        return (t_near, t_far) if s > 0 else (t_far, t_near)
+
+    return CurveKind(lambda c: domain, xy, deriv_sup, window_range)
+
+
+def _exp_curve_deriv_sup(c: ParamCurve, k: int, lo: float, hi: float) -> tuple[float, float]:
+    m = max(abs(lo), abs(hi))
+    return 1.0, 2.0 * m * math.exp(min(m * m, 700.0))
+
+
+def _expr_deriv_sup(c: ParamCurve, k: int, lo: float, hi: float) -> tuple[float, float]:
+    # coarse sampled finite-difference bound
+    ts = np.linspace(lo, hi, 257)
+    xs, ys = c.xy(k, ts)
+    dt = ts[1] - ts[0]
+    return float(np.max(np.abs(np.diff(xs)) / dt)) * 2.0, float(np.max(np.abs(np.diff(ys)) / dt)) * 2.0
+
+
+CURVE_KINDS: dict[str, CurveKind] = {
+    "circle": CurveKind(
+        lambda c: (-math.pi, math.pi),
+        lambda c, k, t: (np.cos(t), np.sin(t)),
+        lambda c, k, lo, hi: (1.0, 1.0),
+        lambda c, k, w: (-INF, INF),
+    ),
+    "hyperbola-branch": _hyperbola((0.0, INF)),
+    "hyperbola-full": _hyperbola((-INF, INF)),
+    "spiral": _log_spiral(-1, (0.0, INF)),
+    "anti-spiral": _log_spiral(1, (-INF, 0.0)),
+    "exp-curve": CurveKind(
+        lambda c: (-INF, INF),
+        lambda c, k, t: (np.asarray(t, dtype=float), np.exp(t * t)),
+        _exp_curve_deriv_sup,
+        lambda c, k, w: (w[0], w[1]),
+    ),
+    "parabola": CurveKind(
+        lambda c: (-INF, INF),
+        lambda c, k, t: (np.asarray(t, dtype=float), np.asarray(t, dtype=float) ** 2),
+        lambda c, k, lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi))),
+        lambda c, k, w: (w[0], w[1]),
+    ),
+    "parallel-lines": CurveKind(
+        lambda c: (-INF, INF),
+        lambda c, k, t: (np.asarray(t, dtype=float), np.full(np.shape(t), c.heights[k])),
+        lambda c, k, lo, hi: (1.0, 0.0),
+        lambda c, k, w: (w[0], w[1]) if w[2] <= c.heights[k] <= w[3] else (INF, -INF),
+        fields=("heights",),
+    ),
+    "expr": CurveKind(
+        lambda c: c.expr_domain,
+        lambda c, k, t: (expr_mod.evaluate_array(c.x_expr, t).real,
+                         expr_mod.evaluate_array(c.y_expr, t).real),
+        _expr_deriv_sup,
+        lambda c, k, w: (-INF, INF),
+        fields=("x_expr", "y_expr", "expr_domain"),
+    ),
+}
 
 
 def circle() -> ParamCurve:
@@ -310,14 +352,17 @@ class Measure:
     def check_envelope(self, n: int = 4096, slack: float = 1e-12) -> None:
         """Spot-check |g(t)| <= envelope(t) on a deterministic sample grid.
 
-        Raises ValueError on the first violating component.  With a compact
-        support the density must vanish outside it.
+        Raises ValueError on the first violating component, or when a
+        component domain is unbounded and no decay is declared.  With a
+        compact support the density must vanish outside it.
         """
-        if self.decay is None:
-            return
         decay = self.decay
         for comp in range(self.curve.n_components):
             lo, hi = self.curve.domain(comp)
+            if decay is None:
+                if math.isinf(lo) or math.isinf(hi):
+                    raise ValueError(f"the {self.curve.kind} curve is unbounded: it needs a decay envelope")
+                continue
             if isinstance(decay, CompactSupport):
                 span = decay.hi - decay.lo
                 grid_lo, grid_hi = decay.lo - 0.5 * span, decay.hi + 0.5 * span
@@ -435,37 +480,6 @@ def _line_samples(line: Line, n: int, window: Window) -> list[tuple[float, float
     return [(px + s * dx, py + s * dy) for s in ss]
 
 
-def _curve_param_range(curve: ParamCurve, component: int, window: Window) -> Optional[tuple[float, float]]:
-    xmin, xmax, ymin, ymax = window
-    lo, hi = curve.domain(component)
-    k = curve.kind
-    if k == "circle":
-        return lo, hi
-    if k == "parallel-lines":
-        if not ymin <= curve.heights[component] <= ymax:
-            return None
-        return max(lo, xmin), min(hi, xmax)
-    if k in ("exp-curve", "parabola"):
-        return max(lo, xmin), min(hi, xmax)
-    if k in ("hyperbola-branch", "hyperbola-full"):
-        if xmax < 1.0:
-            return None
-        tx = math.acosh(max(xmax, 1.0))
-        ty_lo = math.asinh(ymin)
-        ty_hi = math.asinh(ymax)
-        return max(lo, -tx, ty_lo), min(hi, tx, ty_hi)
-    corners = [(xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax)]
-    r_max = max(math.hypot(cx, cy) for cx, cy in corners)
-    gap_x = 0.0 if xmin <= 0.0 <= xmax else min(abs(xmin), abs(xmax))
-    gap_y = 0.0 if ymin <= 0.0 <= ymax else min(abs(ymin), abs(ymax))
-    r_min = max(math.hypot(gap_x, gap_y), 1e-8)
-    if k == "spiral":
-        return max(lo, -math.log(r_max)), min(hi, -math.log(r_min))
-    if k == "anti-spiral":
-        return max(lo, math.log(r_min)), min(hi, math.log(r_max))
-    return lo, hi  # expr curve: domain already finite
-
-
 def sample_set(lam: PlanarSet, n: int, window: Window) -> list[tuple[float, float]]:
     """Deterministic sample of the set intersected with a closed window.
 
@@ -512,10 +526,12 @@ def sample_set(lam: PlanarSet, n: int, window: Window) -> list[tuple[float, floa
         curve = lam.curve
         per = max(2, -(-n // curve.n_components))
         for comp in range(curve.n_components):
-            rng = _curve_param_range(curve, comp, window)
-            if rng is None or rng[0] >= rng[1]:
+            lo, hi = curve.domain(comp)
+            w_lo, w_hi = CURVE_KINDS[curve.kind].window_range(curve, comp, window)
+            lo, hi = max(lo, w_lo), min(hi, w_hi)
+            if lo >= hi:
                 continue
-            ts = np.linspace(rng[0], rng[1], per)
+            ts = np.linspace(lo, hi, per)
             xs, ys = curve.xy(comp, ts)
             for x, y in zip(xs, ys):
                 if _inside(float(x), float(y), window):

@@ -20,11 +20,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Measure, density_fn
-from .quadrature import QuadOpts, QuadResult, integrate, truncate_interval
+from .geometry import Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
+from .quadrature import QuadOpts, QuadratureError, QuadResult, integrate, truncate_interval
 
 __all__ = [
     "FTValue",
+    "PointFailure",
     "mu_hat",
     "mu_hat_at_points",
     "circle_coeff",
@@ -41,6 +42,14 @@ class FTValue:
     value: complex
     err_estimate: float
     truncation_window: tuple[float, float]
+
+
+class PointFailure(QuadratureError):
+    """Quadrature failure tagged with the (xi, eta) point that triggered it."""
+
+    def __init__(self, point: tuple[float, float], inner: Exception):
+        super().__init__(f"at point (xi, eta) = ({point[0]:.17g}, {point[1]:.17g}): {inner}")
+        self.point = point
 
 
 def _component_quad(
@@ -118,13 +127,21 @@ def mu_hat_at_points(
     """Transform at many points; parallelism capped by HUPLAB_THREADS.
 
     Output order always matches the input order, so results do not depend on
-    the thread count.
+    the thread count.  A quadrature failure is raised as a
+    :class:`PointFailure` for the first failing point in input order.
     """
+
+    def at(point: tuple[float, float]) -> FTValue:
+        try:
+            return mu_hat(measure, point[0], point[1], opts)
+        except QuadratureError as exc:
+            raise PointFailure(point, exc) from exc
+
     workers = min(_thread_count(), max(1, len(points)))
     if workers == 1 or len(points) < 4:
-        return [mu_hat(measure, x, y, opts) for x, y in points]
+        return [at(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: mu_hat(measure, p[0], p[1], opts), points))
+        return list(pool.map(at, points))
 
 
 def circle_coeff(
@@ -175,8 +192,8 @@ def convolution_identity(
     integral_0^inf K(s - t) g(t) dt analytically; they are computed by
     independent quadratures here.
     """
-    kind = measure.curve.kind
-    if kind == "spiral":
+    curve = measure.curve
+    if curve == spiral():
         point = (math.exp(s) * math.cos(s), math.exp(s) * math.sin(s))
 
         def kernel(u: np.ndarray) -> np.ndarray:
@@ -185,7 +202,7 @@ def convolution_identity(
         def kernel_rate(u_lo: float, u_hi: float) -> float:
             return math.sqrt(2.0) * math.pi * math.exp(u_hi)
 
-    elif kind == "hyperbola-branch":
+    elif curve == hyperbola_branch():
         point = (math.cosh(s), -math.sinh(s))
 
         def kernel(u: np.ndarray) -> np.ndarray:
@@ -195,7 +212,7 @@ def convolution_identity(
             return math.pi * math.sinh(max(abs(u_lo), abs(u_hi)))
 
     else:
-        raise ValueError(f"convolution identity needs a spiral or hyperbola-branch measure, got {kind}")
+        raise ValueError(f"convolution identity needs a spiral or hyperbola-branch measure, got {curve.kind}")
     direct = mu_hat(measure, point[0], point[1], opts)
     window = truncate_interval(measure.curve.domain(0), measure.decay, opts)
     if window is None:
@@ -228,16 +245,16 @@ def substitution_identity(
     The substituted side is computed under u = 1 + v^2, which removes the
     u -> 1+ endpoint singularity analytically.
     """
-    kind = measure.curve.kind
-    if kind not in ("exp-curve", "hyperbola-full"):
-        raise ValueError(f"substitution identity needs exp-curve or hyperbola-full, got {kind}")
+    curve = measure.curve
+    if curve not in (exp_curve(), hyperbola_full()):
+        raise ValueError(f"substitution identity needs exp-curve or hyperbola-full, got {curve.kind}")
     g = measure.density(0)
     window = truncate_interval((-math.inf, math.inf), measure.decay, opts)
     if window is None:
         return 0j, 0j
     t_max = max(abs(window[0]), abs(window[1]))
 
-    if kind == "exp-curve":
+    if curve == exp_curve():
         def alpha(t):
             return np.exp(t * t)
 

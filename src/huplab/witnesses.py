@@ -249,18 +249,11 @@ def anti_certificate_midpoint_radius(k: int, n: int) -> Certificate:
     good = circle_bessel_circle_annihilator(k, n)
     mid_radius = 0.5 * (bessel_zero(k, n) + bessel_zero(k, n + 1)) / math.pi
     witness = (0.5 * (bessel_zero(k, n + 1) + bessel_zero(k, n + 2)) / math.pi, 0.0)
-    opts = _quad_opts(RESIDUAL_TOL)
-    points = sample_set(CircleSet(mid_radius), _BUILD_SAMPLES, good.window)
-    residual = max(abs(ft.value) for ft in mu_hat_at_points(good.measure, points, opts))
-    witness_mag = abs(mu_hat(good.measure, witness[0], witness[1], opts).value)
-    return Certificate(
+    return _measure_certificate(
         good.measure,
         CircleSet(mid_radius),
         good.window,
         witness,
-        residual,
-        witness_mag,
-        len(points),
         "anti-certificate: radius between zeros, residual must not vanish",
     )
 
@@ -274,17 +267,17 @@ def verify_certificate(cert: Certificate, n_lambda: int = 512, tol: float = RESI
     """
     if n_lambda < 1:
         raise ValueError("n_lambda must be >= 1")
-    opts = _quad_opts(tol)
-    points = sample_set(cert.lam, n_lambda, cert.window)
-    residual = max(abs(ft.value) for ft in mu_hat_at_points(cert.measure, points, opts))
-    witness = abs(mu_hat(cert.measure, cert.witness_point[0], cert.witness_point[1], opts).value)
+    fresh = _measure_certificate(
+        cert.measure, cert.lam, cert.window, cert.witness_point, cert.basis, n_samples=n_lambda, tol=tol
+    )
+    residual, witness = fresh.residual_on_lambda, fresh.witness_magnitude
     ok = residual < tol and witness > WITNESS_THRESHOLD
     msg = ""
     if residual >= tol:
         msg = f"residual {residual:.3g} >= tol {tol:.3g}"
     elif witness <= WITNESS_THRESHOLD:
         msg = f"witness magnitude {witness:.3g} <= {WITNESS_THRESHOLD}"
-    return VerifyReport(ok, residual, witness, len(points), tol, msg)
+    return VerifyReport(ok, residual, witness, fresh.samples_used, tol, msg)
 
 
 # ---------------------------------------------------------------------------

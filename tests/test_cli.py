@@ -6,6 +6,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_expr import _any_tree
+
+from huplab import cli
+from huplab.expr import BinOp, Num, Var
+from huplab.fourlines import Fiber
+from huplab.geometry import (
+    CURVE_KINDS,
+    CircleSet,
+    CompactSupport,
+    CurveSet,
+    ExpDecay,
+    FiberList,
+    GaussianDecay,
+    LatticeCross,
+    Line,
+    Lines,
+    ParamCurve,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -125,16 +145,66 @@ class TestFt:
         for line in res.stdout.strip().splitlines()[1:]:
             assert float(line.split(",")[4]) < 1e-10
 
-    def test_quadrature_failure_exits_3_with_point(self, tmp_path):
-        # megahertz density oscillation exhausts the panel budget
-        cfg = {
-            "curve": {"kind": "circle"},
-            "density": ["sin(1000000*t)"],
-            "grid": {"xi": [0.5, 0.5, 1], "eta": [0.7, 0.7, 1]},
-        }
+    @pytest.mark.parametrize(
+        "cfg, point",
+        [
+            # megahertz density oscillation exhausts the panel budget
+            (
+                {
+                    "curve": {"kind": "circle"},
+                    "density": ["sin(1000000*t)"],
+                    "grid": {"xi": [0.5, 0.5, 1], "eta": [0.7, 0.7, 1]},
+                },
+                (0.5, 0.7),
+            ),
+            # of the two points only the second fails: the e^{t^2} phase outruns the budget at eta = 1
+            (
+                {
+                    "curve": {"kind": "exp-curve"},
+                    "density": ["exp(-(t^2))"],
+                    "decay": {"kind": "gaussian"},
+                    "grid": {"xi": [0.0, 0.0, 1], "eta": [0.0, 1.0, 2]},
+                },
+                (0.0, 1.0),
+            ),
+        ],
+        ids=["circle", "exp-curve-two-points"],
+    )
+    def test_quadrature_failure_exits_3_with_point(self, tmp_path, cfg, point):
         res = run_cli("ft", "--config", write_config(tmp_path, cfg))
         assert res.returncode == 3
-        assert "(xi, eta)" in res.stderr and "0.5" in res.stderr
+        assert f"numeric failure: at point (xi, eta) = ({point[0]:.17g}, {point[1]:.17g}):" in res.stderr
+
+    def test_expression_domain_error_exits_3(self, tmp_path):
+        cfg = dict(CIRCLE_GRID_CONFIG, density=["log(t)"])
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 3
+        assert "numeric failure" in res.stderr and "log of nonpositive real" in res.stderr
+
+    def test_density_above_declared_envelope_exits_2(self, tmp_path):
+        # exp(-t^2/100) is not bounded by exp(-t^2): accepted, the transform at the origin
+        # would come out near 9.03 instead of sqrt(100 pi) = 17.72
+        cfg = {
+            "curve": {"kind": "parabola"},
+            "density": ["exp(-(t^2)/100)"],
+            "decay": {"kind": "gaussian", "rate": 1.0},
+            "grid": {"xi": [0.0, 0.0, 1], "eta": [0.0, 0.0, 1]},
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 2
+        assert "exceeds its declared envelope near t=" in res.stderr
+        assert res.stdout == ""
+
+    def test_key_foreign_to_kind_rejected(self, tmp_path):
+        cfg = {
+            "curve": {"kind": "circle"},
+            "density": ["1"],
+            "lambda": {"kind": "circle", "radius": 1, "alpha": 2},
+            "window": [-2.0, 2.0, -2.0, 2.0],
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert res.returncode == 2
+        assert "unknown key(s) ['alpha'] in lambda" in res.stderr
 
 
 class TestAnnihilate:
@@ -305,3 +375,137 @@ def test_thread_cap_does_not_change_output(tmp_path):
         for env in (env_one, env_four)
     ]
     assert runs[0].stdout == runs[1].stdout
+
+
+# ---------------------------------------------------------------------------
+# JSON schema: _load and _dump are inverse on every kind of every table
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_pair = st.tuples(_finite, _finite)
+_CURVE_FIELD_VALUES = {
+    "heights": st.lists(_finite, min_size=1, max_size=4).map(tuple),
+    "x_expr": _any_tree,
+    "y_expr": _any_tree,
+    "expr_domain": _pair,
+}
+
+
+def _curve(kind):
+    fields = {name: _CURVE_FIELD_VALUES[name] for name in CURVE_KINDS[kind].fields}
+    return st.builds(ParamCurve, st.just(kind), **fields)
+
+
+_any_curve = st.sampled_from(sorted(CURVE_KINDS)).flatmap(_curve)
+_line = st.builds(Line, _pair, _pair.filter(lambda d: d != (0.0, 0.0)))
+# heights on a 1/8 grid in [0, 2) are distinct and separated modulo 2
+_sigma = st.sets(st.integers(0, 15), min_size=1).map(lambda ks: tuple(sorted(k / 8 for k in ks)))
+_DECAYS = {
+    "compact": st.tuples(_finite, _finite).filter(lambda p: p[0] < p[1]).map(lambda p: CompactSupport(*p)),
+    "exp": st.builds(ExpDecay, _positive, _positive),
+    "gaussian": st.builds(GaussianDecay, _positive, _positive),
+}
+_LAMBDAS = {
+    "line": _line,
+    "lines": st.lists(_line, min_size=1, max_size=3).map(lambda ls: Lines(tuple(ls))),
+    "circle": st.builds(CircleSet, _positive),
+    "lattice-cross": st.builds(LatticeCross, _positive, _positive),
+    "curve": st.builds(CurveSet, _any_curve),
+    "fibers": st.builds(
+        FiberList, st.lists(st.builds(Fiber, _finite, _sigma), min_size=1, max_size=3).map(tuple), st.booleans()
+    ),
+}
+
+
+def _assert_round_trip(table, where, obj):
+    dumped = json.loads(json.dumps(cli._dump(table, obj)))
+    loaded = cli._load(table, dumped, where)
+    assert loaded == obj
+    assert cli._dump(table, loaded) == dumped
+
+
+def test_strategies_cover_every_kind():
+    assert set(_DECAYS) == set(cli._DECAYS)
+    assert set(_LAMBDAS) == set(cli._LAMBDAS)
+    assert set(cli._CURVES) == set(CURVE_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(CURVE_KINDS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_curve_round_trip(kind, data):
+    _assert_round_trip(cli._CURVES, "curve", data.draw(_curve(kind)))
+
+
+@pytest.mark.parametrize("kind", sorted(_DECAYS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_decay_round_trip(kind, data):
+    _assert_round_trip(cli._DECAYS, "decay", data.draw(_DECAYS[kind]))
+
+
+@pytest.mark.parametrize("kind", sorted(_LAMBDAS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_lambda_round_trip(kind, data):
+    _assert_round_trip(cli._LAMBDAS, "lambda", data.draw(_LAMBDAS[kind]))
+
+
+@pytest.mark.parametrize(
+    "table, obj, expected",
+    [
+        (cli._CURVES, ParamCurve("circle"), {"kind": "circle"}),
+        (
+            cli._CURVES,
+            ParamCurve("parallel-lines", heights=(0.0, 1.5)),
+            {"kind": "parallel-lines", "heights": [0.0, 1.5]},
+        ),
+        (
+            cli._CURVES,
+            ParamCurve("expr", x_expr=Var(), y_expr=BinOp("^", Var(), Num(3.0)), expr_domain=(-1.0, 1.0)),
+            {"kind": "expr", "x": "t", "y": "t^3.0", "domain": [-1.0, 1.0]},
+        ),
+        (cli._DECAYS, CompactSupport(-1.0, 2.0), {"kind": "compact", "lo": -1.0, "hi": 2.0}),
+        (cli._DECAYS, ExpDecay(2.0, 3.0), {"kind": "exp", "rate": 2.0, "amplitude": 3.0}),
+        (cli._DECAYS, GaussianDecay(2.0, 3.0), {"kind": "gaussian", "rate": 2.0, "amplitude": 3.0}),
+        (
+            cli._LAMBDAS,
+            Line((0.0, 1.0), (1.0, 0.0)),
+            {"kind": "line", "point": [0.0, 1.0], "direction": [1.0, 0.0]},
+        ),
+        (
+            cli._LAMBDAS,
+            Lines((Line((0.0, 1.0), (1.0, 0.0)),)),
+            {"kind": "lines", "lines": [{"point": [0.0, 1.0], "direction": [1.0, 0.0]}]},
+        ),
+        (cli._LAMBDAS, CircleSet(0.5), {"kind": "circle", "radius": 0.5}),
+        (cli._LAMBDAS, LatticeCross(1.0, 2.0), {"kind": "lattice-cross", "alpha": 1.0, "beta": 2.0}),
+        (cli._LAMBDAS, CurveSet(ParamCurve("spiral")), {"kind": "curve", "curve": {"kind": "spiral"}}),
+        (
+            cli._LAMBDAS,
+            FiberList((Fiber(0.5, (0.0, 1.25)),), True),
+            {"kind": "fibers", "fibers": [{"xi": 0.5, "sigma": [0.0, 1.25]}], "periodic2": True},
+        ),
+    ],
+)
+def test_dump_writes_the_documented_keys_in_order(table, obj, expected):
+    # a key renamed consistently in both directions still round-trips; this pins the format
+    assert json.dumps(cli._dump(table, obj)) == json.dumps(expected)
+
+
+@pytest.mark.parametrize(
+    "table, where, desc, message",
+    [
+        (cli._LAMBDAS, "lambda", {"kind": "circle", "radius": 1, "alpha": 2}, "unknown key"),
+        (cli._LAMBDAS, "lambda", {"kind": "lattice-cross", "alpha": 1}, "missing key"),
+        (cli._CURVES, "curve", {"kind": "circle", "heights": [1.0]}, "unknown key"),
+        (cli._CURVES, "curve", {"kind": "parallel-lines", "heights": []}, "needs heights"),
+        (cli._CURVES, "curve", {"kind": "expr", "x": "t", "y": "t", "domain": [0, 1, 2]}, "unpack"),
+        (cli._CURVES, "curve", {"kind": "ellipse"}, "unknown curve kind 'ellipse'"),
+        (cli._DECAYS, "decay", {"rate": 1.0}, "unknown decay kind None"),
+        (cli._DECAYS, "decay", {"kind": "exp", "rate": "fast"}, "bad decay"),
+    ],
+)
+def test_load_rejects_malformed_descriptions(table, where, desc, message):
+    with pytest.raises(cli.ConfigError, match=message):
+        cli._load(table, desc, where)

@@ -19,6 +19,7 @@ from huplab.geometry import (
     Line,
     Lines,
     Measure,
+    ParamCurve,
     circle,
     curve_point,
     exp_curve,
@@ -47,6 +48,19 @@ class TestCurvePoint:
             curve_point(hyperbola_branch(), 0, -1.0)
         with pytest.raises(ValueError, match="outside domain"):
             curve_point(circle(), 0, 4.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "ellipse"}, "unknown curve kind"),
+            ({"kind": "parallel-lines"}, "parallel-lines curve needs heights"),
+            ({"kind": "circle", "heights": (1.0,)}, "circle curve takes no heights"),
+            ({"kind": "expr", "x_expr": parse("t"), "y_expr": parse("t")}, "expr curve needs expr_domain"),
+        ],
+    )
+    def test_fields_must_match_kind(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ParamCurve(**kwargs)
 
     def test_parallel_lines_components(self):
         pl = parallel_lines([0.0, 1.0, 2.0, 5.0])
@@ -192,6 +206,12 @@ class TestMeasure:
         leaking = Measure(hyperbola_full(), (parse("exp(-(t^2))"),), CompactSupport(-1.0, 1.0))
         with pytest.raises(ValueError, match="envelope"):
             leaking.check_envelope()
+
+    def test_envelope_check_needs_decay_only_on_unbounded_domains(self):
+        Measure(circle(), (parse("1"),)).check_envelope()
+        Measure(expr_curve(parse("t"), parse("t"), (-1.0, 1.0)), (parse("1"),)).check_envelope()
+        with pytest.raises(ValueError, match="spiral curve is unbounded: it needs a decay envelope"):
+            Measure(spiral(), (parse("exp(-t)"),)).check_envelope()
 
     def test_parabola(self):
         assert curve_point(parabola(), 0, 3.0) == pytest.approx((3.0, 9.0))

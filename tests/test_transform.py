@@ -18,12 +18,14 @@ from huplab.geometry import (
     hyperbola_full,
     spiral,
 )
-from huplab.quadrature import QuadOpts, integrate
+from huplab.quadrature import NonconvergenceError, QuadOpts, integrate
 from huplab.transform import (
+    PointFailure,
     circle_coeff,
     convolution_identity,
     lines_mu_hat,
     mu_hat,
+    mu_hat_at_points,
     substitution_identity,
     total_variation,
     translation_phase_check,
@@ -36,6 +38,16 @@ UNIFORM_CIRCLE = Measure(circle(), (parse("1/(2*pi)"),))
 
 
 class TestMuHat:
+    @pytest.mark.parametrize("threads", ["1", "2"])  # the sequential path and the pool
+    def test_failure_names_first_failing_point_in_input_order(self, threads, monkeypatch):
+        monkeypatch.setenv("HUPLAB_THREADS", threads)
+        measure = Measure(exp_curve(), (parse("exp(-(t^2))"),), GaussianDecay(1.0, 1.0))
+        points = [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 2.0)]
+        with pytest.raises(PointFailure, match=r"at point \(xi, eta\) = \(0, 1\)") as exc:
+            mu_hat_at_points(measure, points, QuadOpts(max_subdivisions=64))
+        assert exc.value.point == (0.0, 1.0)
+        assert isinstance(exc.value.__cause__, NonconvergenceError)
+
     def test_total_mass(self):
         assert mu_hat(UNIFORM_CIRCLE, 0.0, 0.0).value == pytest.approx(1.0, abs=1e-12)
 
