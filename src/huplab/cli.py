@@ -15,8 +15,7 @@ Exit codes: 0 ok, 2 configuration error (a density that exceeds its declared
 decay envelope is one), 3 numeric failure (a quadrature failure names its
 point on stderr; an expression evaluated outside its domain exits 3 too),
 4 certificate verification failure.  Identical invocations produce
-byte-identical output; HUPLAB_THREADS caps internal parallelism without
-affecting results.
+byte-identical output.
 """
 
 from __future__ import annotations

@@ -13,6 +13,10 @@ from sampling: the cutoff T is chosen so the envelope's tail integral is
 below abs_tol/10.  Exactly symmetric intervals [-b, b] are folded to
 [0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
 pointwise and integrates to zero regardless of how wild its phase is.
+
+:func:`integrate_rows` runs these stages for many integrands that share
+their nodes (the transform at many frequency points); :func:`integrate` is
+its batch of one.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "NonconvergenceError",
     "MissingEnvelopeError",
     "integrate",
+    "integrate_rows",
     "truncate_interval",
 ]
 
@@ -171,7 +176,7 @@ def _tail_bound(envelope: Decay, t: float) -> float:
     return 0.0
 
 
-def _truncation_error(interval: Tuple[float, float], window: Tuple[float, float], envelope: Optional[Decay]) -> float:
+def truncation_error(interval: Tuple[float, float], window: Tuple[float, float], envelope: Optional[Decay]) -> float:
     if envelope is None or isinstance(envelope, CompactSupport):
         return 0.0
     err = 0.0
@@ -182,73 +187,67 @@ def _truncation_error(interval: Tuple[float, float], window: Tuple[float, float]
     return err
 
 
-def _panel_batch(f, lo: np.ndarray, hi: np.ndarray, folded: bool):
+# the integrand values of a batch are built in blocks of at most this many
+# complex entries (256 KiB), and one pass over the pre-splits keeps at most
+# this many panel sums (32 bytes each, 8 MiB) unless a single row needs more,
+# so the memory of a batch does not grow with its number of rows; 2^16-entry
+# blocks ran no faster and raised the peak memory of a certificate 2 MB more
+_CHUNK = 1 << 14
+_PASS_PANELS = 1 << 18
+# a pre-split of more than _PROBE_PANELS panels is first probed, on that many
+# panels, for a null integrand, and then sized block by block from the
+# oscillation rate on each of _RATE_BLOCKS equal blocks of the range
+_PROBE_PANELS = 64
+_RATE_BLOCKS = 16
+
+
+def _row_sums(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndarray):
+    """Kronrod sums of the panels [lo_j, hi_j] for each of ``rows``.
+
+    Returns values and error estimates (rows x panels), each row's null mass
+    and, by position in ``rows``, the error of each row whose integrand is not
+    finite.
+    """
     center = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     x = center + half * NODES[None, :]
-    if folded:
-        flat = x.ravel()
-        both = np.asarray(f(np.concatenate([flat, -flat])), dtype=np.complex128)
-        pos = both[: flat.size].reshape(x.shape)
-        neg = both[flat.size :].reshape(x.shape)
-        fx = pos + neg
-        raw = np.abs(pos) + np.abs(neg)
-    else:
-        fx = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
-        raw = np.abs(fx)
-    if not np.all(np.isfinite(fx.view(np.float64))):
-        bad = np.argwhere(~np.isfinite(fx))
-        raise QuadratureError(f"integrand returned a nonfinite value near t={x[tuple(bad[0])]}")
     h = half[:, 0]
-    i15 = (fx * WEIGHTS_K).sum(axis=1) * h
-    i7 = (fx * WEIGHTS_G).sum(axis=1) * h
-    # roundoff floor scales with the unfolded magnitudes; the null-mass column
-    # measures the folded integrand and drives the early-accept probe
-    null_mass = (np.abs(fx) * WEIGHTS_K).sum(axis=1) * h
-    err = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=1) * h
-    return i15, err, null_mass
+    flat = x.ravel()
+    values_at = at_nodes(np.concatenate([flat, -flat]) if folded else flat)
+    shape = (len(rows), len(lo))
+    values, errs, mass = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
+    bad = {}
+    step = max(1, _CHUNK // (flat.size * (2 if folded else 1)))
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        fs = np.asarray(values_at(rows[part]), dtype=np.complex128)
+        if folded:
+            fx = fs[:, : flat.size] + fs[:, flat.size :]
+            raw = np.abs(fs[:, : flat.size])
+            raw += np.abs(fs[:, flat.size :])
+        else:
+            fx, raw = fs, np.abs(fs)
+        del fs
+        fx, raw = fx.reshape((-1,) + x.shape), raw.reshape((-1,) + x.shape)
+        for k in np.flatnonzero(~np.isfinite(fx).all(axis=(1, 2))):
+            first = tuple(np.argwhere(~np.isfinite(fx[k]))[0])
+            bad[start + k] = QuadratureError(f"integrand returned a nonfinite value near t={x[first]}")
+        i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
+        i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
+        # roundoff floor scales with the unfolded magnitudes; the null-mass column
+        # measures the folded integrand and drives the early-accept probe
+        mass[part] = (np.abs(fx) * WEIGHTS_K).sum(axis=-1) * h
+        errs[part] = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
+        values[part] = i15
+    return values, errs, np.sum(mass, axis=1), bad
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    interval: Tuple[float, float],
-    opts: QuadOpts = QuadOpts(),
-    envelope: Optional[Decay] = None,
-) -> QuadResult:
-    """Integrate a complex-valued integrand over a possibly unbounded interval.
-
-    ``f`` receives a float64 sample array and must return matching complex
-    values.  The result satisfies ``|value - true| <= err_estimate`` on
-    smooth integrands, with ``err_estimate`` driven below
-    ``max(abs_tol, rel_tol*|value|)`` or :class:`NonconvergenceError` raised.
-    """
-    window = truncate_interval(interval, envelope, opts)
-    if window is None:
-        return QuadResult(0j, 0.0, (0.0, 0.0), 0)
-    tail_err = _truncation_error(interval, window, envelope)
-    a, b = window
-    folded = a == -b and b > 0
-    if folded:
-        a = 0.0
-    n0 = 8
-    if opts.oscillation_hint:
-        n0 = int(min(max(8, math.ceil((b - a) * opts.oscillation_hint / math.pi)), _PRESPLIT_CAP))
-    n0 = min(n0, opts.max_subdivisions)
-    if n0 > 64:
-        # cheap probe: a numerically null integrand (e.g. an odd density after
-        # folding) never justifies the full oscillation pre-split
-        probe_edges = np.linspace(a, b, 65)
-        p_vals, p_errs, p_mass = _panel_batch(f, probe_edges[:-1], probe_edges[1:], folded)
-        mass = float(np.sum(p_mass))
-        if mass <= opts.abs_tol / 10.0:
-            value = complex(np.sum(p_vals))
-            err = tail_err + mass + float(np.sum(p_errs))
-            return QuadResult(value, err, (float(window[0]), float(window[1])), 64)
-    edges = np.linspace(a, b, n0 + 1)
-    values, errs, _ = _panel_batch(f, edges[:-1], edges[1:], folded)
-    heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(n0)]
+def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
+    """Bisect the worst panels of one row's pre-split until its error meets
+    tolerance; returns value, error estimate and panel count."""
+    heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(values))]
     heapq.heapify(heap)
-    n_panels = n0
+    n_panels = len(heap)
     while True:
         total = complex(sum(item[3] for item in heap))
         total_err = -math.fsum(item[0] for item in heap)
@@ -269,11 +268,169 @@ def integrate(
         mid = 0.5 * (lo + hi)
         new_lo = np.concatenate([lo, mid])
         new_hi = np.concatenate([mid, hi])
-        values, errs, _ = _panel_batch(f, new_lo, new_hi, folded)
+        new_values, new_errs, _, bad = _row_sums(at_nodes, new_lo, new_hi, folded, np.array([row]))
+        if bad:
+            raise bad[0]
         for i in range(len(new_lo)):
-            heapq.heappush(heap, (-errs[i], new_lo[i], new_hi[i], values[i]))
+            heapq.heappush(heap, (-new_errs[0, i], new_lo[i], new_hi[i], new_values[0, i]))
         n_panels += batch
     ordered = sorted(heap, key=lambda item: item[1])
     value = complex(np.sum(np.array([item[3] for item in ordered])))
-    err = tail_err - math.fsum(item[0] for item in heap)
-    return QuadResult(value, err, (float(window[0]), float(window[1])), n_panels)
+    return value, tail_err - math.fsum(item[0] for item in heap), n_panels
+
+
+def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, rows: np.ndarray) -> list:
+    """Each row's pre-split of [a, b], as segments (lo, hi, panels).
+
+    The uniform pre-split of ``n0`` panels is sized for the fastest
+    oscillation anywhere in the range.  Where it has more than _PROBE_PANELS
+    panels, each of _RATE_BLOCKS equal blocks instead gets panels no wider
+    than pi over the rate on that block, when that takes fewer panels in all.
+    """
+    splits = [((a, b, int(n0[r])),) for r in rows]
+    wide = [k for k, r in enumerate(rows) if n0[r] > _PROBE_PANELS]
+    if not wide:
+        return splits
+    blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
+    spans = list(zip(blocks[:-1], blocks[1:]))
+    rates = np.array([rate(lo, hi) for lo, hi in spans])
+    if folded:  # a block stands for its mirror image too
+        rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
+    counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / math.pi))
+    for k in wide:
+        column = counts[:, rows[k]]
+        if column.sum() < n0[rows[k]]:
+            splits[k] = tuple((lo, hi, int(c)) for (lo, hi), c in zip(spans, column))
+    return splits
+
+
+def _finish(at_nodes, row: int, parts: list, folded: bool, tail_err: float, opts: QuadOpts):
+    """Value, error estimate and panel count of one row from the panels
+    (edges, values, errors) of its pre-split, refined if they miss tolerance."""
+    if len(parts) == 1:
+        edges, values, errs = parts[0]
+    else:
+        edges = np.concatenate([p[0][:-1] for p in parts] + [parts[-1][0][-1:]])
+        values = np.concatenate([p[1] for p in parts])
+        errs = np.concatenate([p[2] for p in parts])
+    total, total_err = np.sum(values), math.fsum(errs.tolist())
+    if total_err <= max(opts.abs_tol, opts.rel_tol * abs(total)):
+        return total, tail_err + total_err, len(values)
+    return _refine(at_nodes, row, edges, values, errs, folded, tail_err, opts)
+
+
+def integrate_rows(
+    at_nodes: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    rate: Callable[[float, float], np.ndarray],
+    n_rows: int,
+    window: Tuple[float, float],
+    tail_err: float,
+    opts: QuadOpts,
+):
+    """Integrate ``n_rows`` integrands that share their nodes over one finite window.
+
+    ``at_nodes(t)`` evaluates what the integrands share at the parameters
+    ``t`` and returns a function from an array of row indices to the rows'
+    values at ``t`` (rows x len(t)); those values are built for at most
+    _CHUNK entries at a time.  ``rate(lo, hi)`` bounds each row's oscillation
+    rate on [lo, hi].  Each row is pre-split into panels no wider than pi
+    over its rate, at least 8 and at most ``_PRESPLIT_CAP`` and
+    ``max_subdivisions``; rows that share a pre-split share its nodes.  A
+    pre-split of more than 64 panels is first probed on 64 panels for a null
+    integrand (an odd density after folding, say), and then sized block by
+    block from ``rate`` (see ``_presplits``).  Rows that miss tolerance are
+    refined alone by bisecting their worst panels first.  Pre-splits are
+    evaluated in passes that keep at most _PASS_PANELS panel sums.
+
+    Returns each row's value, error estimate (``tail_err`` included) and
+    panel count, and {row: QuadratureError} for the rows that failed.  Rows
+    after the first failure are not refined; their entries are meaningless.
+    """
+    a, b = window
+    folded = a == -b and b > 0
+    if folded:
+        a = 0.0
+    hint = rate(*window)
+    n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
+    n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
+    value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
+    panels = np.zeros(n_rows, dtype=np.int64)
+    failures: dict = {}
+    rest = np.ones(n_rows, dtype=bool)
+    edges = np.linspace(a, b, _PROBE_PANELS + 1)
+    wide = np.flatnonzero(n0 > _PROBE_PANELS)
+    for start in range(0, wide.size, _PASS_PANELS // _PROBE_PANELS):
+        probe = wide[start : start + _PASS_PANELS // _PROBE_PANELS]
+        vals, errs, mass, bad = _row_sums(at_nodes, edges[:-1], edges[1:], folded, probe)
+        for k, exc in bad.items():
+            failures[int(probe[k])] = exc
+            rest[probe[k]] = False
+        null = np.flatnonzero(mass <= opts.abs_tol / 10.0)
+        value[probe[null]] = np.sum(vals[null], axis=1)
+        err[probe[null]] = tail_err + mass[null] + np.sum(errs[null], axis=1)
+        panels[probe[null]] = _PROBE_PANELS
+        rest[probe[null]] = False
+    rest = np.flatnonzero(rest)
+    splits = _presplits(rate, a, b, folded, n0, rest)
+    sizes = [sum(segment[2] for segment in split) for split in splits]
+    start = 0
+    while start < len(rest) and rest[start] <= min(failures, default=n_rows):
+        stop, held = start + 1, sizes[start]
+        while stop < len(rest) and held + sizes[stop] <= _PASS_PANELS:
+            held += sizes[stop]
+            stop += 1
+        rows_of: dict = {}
+        for r, split in zip(rest[start:stop], splits[start:stop]):
+            for segment in split:
+                rows_of.setdefault(segment, []).append(r)
+        pieces: dict = {r: {} for r in rest[start:stop]}
+        for (lo, hi, n), rows in rows_of.items():
+            seg_edges = np.linspace(lo, hi, n + 1)
+            vals, errs, _, bad = _row_sums(at_nodes, seg_edges[:-1], seg_edges[1:], folded, np.array(rows))
+            for k, r in enumerate(rows):
+                pieces[r][lo, hi, n] = (seg_edges, vals[k], errs[k], bad.get(k))
+        for r, split in zip(rest[start:stop], splits[start:stop]):
+            if r > min(failures, default=r):
+                continue
+            parts = [pieces[r][segment] for segment in split]
+            bad = [p[3] for p in parts if p[3] is not None]
+            if bad:
+                failures[int(r)] = bad[0]
+                continue
+            try:
+                value[r], err[r], panels[r] = _finish(at_nodes, r, [p[:3] for p in parts], folded, tail_err, opts)
+            except QuadratureError as exc:
+                failures[int(r)] = exc
+        start = stop
+    return value, err, panels, failures
+
+
+def integrate(
+    f: Callable[[np.ndarray], np.ndarray],
+    interval: Tuple[float, float],
+    opts: QuadOpts = QuadOpts(),
+    envelope: Optional[Decay] = None,
+) -> QuadResult:
+    """Integrate a complex-valued integrand over a possibly unbounded interval.
+
+    ``f`` receives a float64 sample array and must return matching complex
+    values.  The result satisfies ``|value - true| <= err_estimate`` on
+    smooth integrands, with ``err_estimate`` driven below
+    ``max(abs_tol, rel_tol*|value|)`` or :class:`NonconvergenceError` raised.
+    This is :func:`integrate_rows` for one row, with ``oscillation_hint`` as
+    its rate.
+    """
+    window = truncate_interval(interval, envelope, opts)
+    if window is None:
+        return QuadResult(0j, 0.0, (0.0, 0.0), 0)
+    hint = np.array([opts.oscillation_hint or 0.0])
+
+    def at_nodes(t: np.ndarray):
+        fs = np.asarray(f(t), dtype=np.complex128)
+        return lambda rows: fs[None, :]
+
+    tail_err = truncation_error(interval, window, envelope)
+    value, err, panels, failures = integrate_rows(at_nodes, lambda lo, hi: hint, 1, window, tail_err, opts)
+    if failures:
+        raise failures[0]
+    return QuadResult(complex(value[0]), float(err[0]), (float(window[0]), float(window[1])), int(panels[0]))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ class TestValues:
         for k in range(0, 6):
             for x in (12.5, 16.0, 20.0):
                 assert bessel_j(k, x) == pytest.approx(bessel_series(k, x), abs=1e-7)
+
+    def test_integer_orders_match_mpmath_in_miller_range(self):
+        # the documented target, 1e-12 relative to max(1, |J|), where the
+        # Miller recurrence runs: integer orders n <= 40 at max(12, n) < x <= 50
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261018)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for _ in range(2000):
+                n = rng.randint(0, 40)
+                x = rng.uniform(max(12.0, n), 50.0)
+                want = float(mpmath.besselj(n, x))
+                worst = max(worst, abs(bessel_j(n, x) - want) / max(1.0, abs(want)))
+        assert worst <= 1e-12
 
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):

@@ -360,23 +360,6 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
-def test_thread_cap_does_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, CIRCLE_GRID_CONFIG)
-    env_one = dict(os.environ, PYTHONPATH=SRC, HUPLAB_THREADS="1")
-    env_four = dict(os.environ, PYTHONPATH=SRC, HUPLAB_THREADS="4")
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "huplab", "ft", "--config", cfg],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        for env in (env_one, env_four)
-    ]
-    assert runs[0].stdout == runs[1].stdout
-
-
 # ---------------------------------------------------------------------------
 # JSON schema: _load and _dump are inverse on every kind of every table
 

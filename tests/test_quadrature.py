@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from huplab.quadrature import (
     QuadOpts,
     QuadResult,
     integrate,
+    integrate_rows,
     truncate_interval,
 )
 
-from conftest import bessel_series
+from conftest import bessel_series, reference_integrate
 
 OPTS = QuadOpts()
 
@@ -50,6 +52,27 @@ def test_closed_form_corpus(f, interval, envelope, hint, exact):
     true_err = abs(res.value - exact)
     assert true_err <= max(opts.abs_tol, opts.rel_tol * abs(res.value))
     assert res.err_estimate >= true_err
+    assert res == reference_integrate(f, interval, opts, envelope, hint)
+
+
+@pytest.mark.parametrize(
+    "f, hint, max_subdivisions",
+    [
+        (lambda t: np.sin(t) * np.exp(40j * t * t), 240.0, 1 << 16),  # folded to a null integrand: the probe
+        (lambda t: np.exp(40j * t * t), 240.0, 1 << 16),  # the probe, then a 230-panel pre-split
+        (lambda t: np.exp(1000j * t), None, 256),  # bisection runs out of panels
+    ],
+    ids=["null-probe", "wide-presplit", "nonconvergence"],
+)
+def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
+    opts = QuadOpts(oscillation_hint=hint, max_subdivisions=max_subdivisions)
+    try:
+        want = reference_integrate(f, (-3.0, 3.0), opts, None, hint)
+    except NonconvergenceError as exc:
+        with pytest.raises(NonconvergenceError, match=re.escape(str(exc))):
+            integrate(f, (-3.0, 3.0), opts)
+        return
+    assert integrate(f, (-3.0, 3.0), opts) == want
 
 
 def test_trivial_sine():
@@ -165,3 +188,23 @@ def test_nonfinite_integrand_reported():
 
     with pytest.raises(Exception, match="nonfinite"):
         integrate(f, (0.0, 1.0))
+
+
+def test_presplit_sized_by_local_rate():
+    # e^{i w t^2} on [0, 4]: the rate 2 w t is highest at t = 4, so blocks near
+    # 0 need fewer panels than the uniform pre-split sized for t = 4
+    w = np.array([50.0, 50.0])
+    slow_start = lambda lo, hi: 2.0 * w * max(abs(lo), abs(hi))  # noqa: E731
+    constant = lambda lo, hi: 2.0 * w * 4.0  # noqa: E731
+
+    def at_nodes(t):
+        return lambda rows: np.exp(1j * np.multiply.outer(w[rows], t * t))
+
+    uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / math.pi)
+    for rate, most in ((slow_start, 0.6 * uniform), (constant, uniform)):
+        values, errs, panels, failures = integrate_rows(at_nodes, rate, 2, (0.0, 4.0), 0.0, QuadOpts())
+        assert not failures
+        assert panels[0] <= most
+        want = integrate(lambda t: np.exp(1j * 50.0 * t * t), (0.0, 4.0), QuadOpts(oscillation_hint=400.0))
+        assert want.panels == uniform
+        assert abs(values[0] - want.value) <= errs[0] + want.err_estimate

@@ -16,9 +16,10 @@ from huplab.geometry import (
     exp_curve,
     hyperbola_branch,
     hyperbola_full,
+    parallel_lines,
     spiral,
 )
-from huplab.quadrature import NonconvergenceError, QuadOpts, integrate
+from huplab.quadrature import NonconvergenceError, QuadOpts, QuadratureError, integrate
 from huplab.transform import (
     PointFailure,
     circle_coeff,
@@ -31,22 +32,64 @@ from huplab.transform import (
     translation_phase_check,
 )
 
-from conftest import simpson
+from conftest import reference_mu_hat, simpson
 
 OPTS = QuadOpts()
 UNIFORM_CIRCLE = Measure(circle(), (parse("1/(2*pi)"),))
 
 
+# at max_subdivisions 64, (3, 0.5) converges on a pre-split of 16 panels;
+# (20, 0.5) and (80, 0.5) share a later pre-split of 64 panels, and (20, 0.5)
+# fails only in component 1, (80, 0.5) already in component 0
+TWO_LINES = Measure(
+    parallel_lines([0.0, 1.0]),
+    (parse("0.000001*exp(-(t^2))"), parse("exp(-(t^2))")),
+    GaussianDecay(1.0, 1.0),
+)
+
+
 class TestMuHat:
-    @pytest.mark.parametrize("threads", ["1", "2"])  # the sequential path and the pool
-    def test_failure_names_first_failing_point_in_input_order(self, threads, monkeypatch):
-        monkeypatch.setenv("HUPLAB_THREADS", threads)
+    def test_failure_names_first_failing_point_in_input_order(self):
         measure = Measure(exp_curve(), (parse("exp(-(t^2))"),), GaussianDecay(1.0, 1.0))
         points = [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 2.0)]
         with pytest.raises(PointFailure, match=r"at point \(xi, eta\) = \(0, 1\)") as exc:
             mu_hat_at_points(measure, points, QuadOpts(max_subdivisions=64))
         assert exc.value.point == (0.0, 1.0)
         assert isinstance(exc.value.__cause__, NonconvergenceError)
+
+    @pytest.mark.parametrize(
+        "points, first",
+        [
+            ([(3.0, 0.5), (20.0, 0.5), (3.0, 0.5), (80.0, 0.5)], (20.0, 0.5)),
+            ([(3.0, 0.5), (80.0, 0.5), (20.0, 0.5)], (80.0, 0.5)),
+        ],
+        ids=["fails-in-later-component", "fails-in-first-component"],
+    )
+    def test_first_failure_in_input_order_across_groups_and_components(self, points, first):
+        opts = QuadOpts(max_subdivisions=64)
+        with pytest.raises(PointFailure) as exc:
+            mu_hat_at_points(TWO_LINES, points, opts)
+        assert exc.value.point == first
+        assert isinstance(exc.value.__cause__, NonconvergenceError)
+        # the same failure as the point alone, and as the per-point path
+        with pytest.raises(NonconvergenceError) as alone:
+            mu_hat(TWO_LINES, *first, opts)
+        with pytest.raises(NonconvergenceError) as per_point:
+            reference_mu_hat(TWO_LINES, *first, opts)
+        assert str(exc.value.__cause__) == str(alone.value) == str(per_point.value)
+        assert mu_hat_at_points(TWO_LINES, points[:1], opts)[0] == reference_mu_hat(TWO_LINES, *points[0], opts)
+
+    def test_nonfinite_integrand_names_its_point_in_a_later_phase_block(self):
+        # 126-panel pre-splits go through the 64-panel probe, whose phase
+        # blocks hold 8 points; the phase of the last point overflows
+        points = [(20.0, 20.0)] * 40 + [(1.5e308, 1.5e308)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(PointFailure, match="nonfinite value near t=") as exc:
+                mu_hat_at_points(UNIFORM_CIRCLE, points, OPTS)
+            with pytest.raises(QuadratureError) as alone:
+                mu_hat(UNIFORM_CIRCLE, *points[-1], OPTS)
+        assert exc.value.point == points[-1]
+        assert str(exc.value.__cause__) == str(alone.value)
 
     def test_total_mass(self):
         assert mu_hat(UNIFORM_CIRCLE, 0.0, 0.0).value == pytest.approx(1.0, abs=1e-12)
