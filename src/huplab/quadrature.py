@@ -4,9 +4,12 @@ Every panel is scored with a nested Gauss(7)/Kronrod(15) pair; the embedded
 difference plus a roundoff floor is the panel error estimate.  Refinement
 bisects the worst panels first (a heap keyed on the estimate, ties broken by
 position, so results are bit-reproducible).  When the caller supplies an
-oscillation hint w, the interval is pre-split into panels no wider than pi/w
-(capped) before adaptivity begins, which keeps highly oscillatory phases
-resolved from the start.
+oscillation rate w, the interval is pre-split before adaptivity begins, which
+keeps highly oscillatory phases resolved from the start.  A panel spans at
+most pi of phase, or up to 4 pi where a declared decay envelope is so small
+that the Gauss-7 error model allows it; long pre-splits are sized block by
+block from the local rate, after a probe for a null integrand.  The envelope
+only picks the first panels: every error estimate is the panels' own.
 
 Unbounded intervals are truncated from declared decay envelopes only, never
 from sampling: the cutoff T is chosen so the envelope's tail integral is
@@ -100,6 +103,15 @@ class MissingEnvelopeError(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadOpts:
+    """Tolerances, panel budget and oscillation hint of an integration.
+
+    ``oscillation_hint`` bounds how fast the integrand's phase turns, in
+    radians per unit of the parameter.  :func:`integrate` pre-splits the
+    window by it; the transforms (``mu_hat``, ``mu_hat_at_points``) take it
+    as a floor on each point's own phase rate, so a large hint only adds
+    panels.
+    """
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 1 << 16
@@ -196,50 +208,133 @@ _CHUNK = 1 << 14
 _PASS_PANELS = 1 << 18
 # a pre-split of more than _PROBE_PANELS panels is first probed, on that many
 # panels, for a null integrand, and then sized block by block from the
-# oscillation rate on each of _RATE_BLOCKS equal blocks of the range
+# oscillation rate and the envelope on each of _RATE_BLOCKS equal blocks
 _PROBE_PANELS = 64
 _RATE_BLOCKS = 16
+# the probe scores every _PROBE_STRIDE-th panel first; a row whose mass there
+# exceeds the null threshold by more than the rounding margin is not null and
+# skips the other panels
+_PROBE_STRIDE = 8
+_PROBE_GROUPS = _PROBE_PANELS // _PROBE_STRIDE
+_PROBE_FIRST = np.arange(0, _PROBE_PANELS, _PROBE_STRIDE)
+_PROBE_REST = np.flatnonzero(np.arange(_PROBE_PANELS) % _PROBE_STRIDE)
+_PROBE_MARGIN = 1e-9
+# Gauss-7 error on a panel of width h: c7 h^15 |f^(14)|.  For an integrand of
+# amplitude A whose phase turns by theta over the panel that is about
+# c7 A h theta^14; blocks ask _SAFETY times less of it than their share of
+# abs_tol, since g and a curving phase add to the derivative
+_C7 = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+_SAFETY = 1e3
+_THETA_MAX = 4.0 * math.pi
 
 
-def _row_sums(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndarray):
-    """Kronrod sums of the panels [lo_j, hi_j] for each of ``rows``.
-
-    Returns values and error estimates (rows x panels), each row's null mass
-    and, by position in ``rows``, the error of each row whose integrand is not
-    finite.
-    """
+def _nodes(lo: np.ndarray, hi: np.ndarray):
+    """Kronrod nodes of the panels [lo_j, hi_j] (panels x 15) and their half-widths."""
     center = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    x = center + half * NODES[None, :]
-    h = half[:, 0]
+    return center + half * NODES[None, :], half[:, 0]
+
+
+def _nonfinite(t) -> QuadratureError:
+    return QuadratureError(f"integrand returned a nonfinite value near t={t}")
+
+
+def _params(x: np.ndarray, folded: bool) -> np.ndarray:
+    """The parameters to evaluate the nodes ``x`` at: the nodes, then their mirror images when folded."""
     flat = x.ravel()
-    values_at = at_nodes(np.concatenate([flat, -flat]) if folded else flat)
-    shape = (len(rows), len(lo))
+    return np.concatenate([flat, -flat]) if folded else flat
+
+
+def _row_sums(values_at, x: np.ndarray, h: np.ndarray, folded: bool, rows: np.ndarray, cols=slice(None)):
+    """Kronrod sums of the panels with nodes ``x`` and half-widths ``h`` for each of ``rows``.
+
+    ``values_at(rows, cols)`` gives the rows' values at the slice ``cols``
+    of its node set, which holds ``_params(x, folded)`` there.  Returns
+    values, error estimates and null masses (rows x panels) and, by position
+    in ``rows``, the first node of each row whose integrand is not finite
+    there.
+    """
+    n = x.size
+    shape = (len(rows), len(h))
     values, errs, mass = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
     bad = {}
-    step = max(1, _CHUNK // (flat.size * (2 if folded else 1)))
+    step = max(1, _CHUNK // (n * (2 if folded else 1)))
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
-        fs = np.asarray(values_at(rows[part]), dtype=np.complex128)
+        fs = np.asarray(values_at(rows[part], cols), dtype=np.complex128)
         if folded:
-            fx = fs[:, : flat.size] + fs[:, flat.size :]
-            raw = np.abs(fs[:, : flat.size])
-            raw += np.abs(fs[:, flat.size :])
+            fx = fs[:, :n] + fs[:, n:]
+            raw = np.abs(fs[:, :n])
+            raw += np.abs(fs[:, n:])
         else:
             fx, raw = fs, np.abs(fs)
         del fs
         fx, raw = fx.reshape((-1,) + x.shape), raw.reshape((-1,) + x.shape)
         for k in np.flatnonzero(~np.isfinite(fx).all(axis=(1, 2))):
-            first = tuple(np.argwhere(~np.isfinite(fx[k]))[0])
-            bad[start + k] = QuadratureError(f"integrand returned a nonfinite value near t={x[first]}")
+            bad[start + k] = x[tuple(np.argwhere(~np.isfinite(fx[k]))[0])]
         i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
         i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
-        # roundoff floor scales with the unfolded magnitudes; the null-mass column
+        # roundoff floor scales with the unfolded magnitudes; the null mass
         # measures the folded integrand and drives the early-accept probe
         mass[part] = (np.abs(fx) * WEIGHTS_K).sum(axis=-1) * h
         errs[part] = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
         values[part] = i15
-    return values, errs, np.sum(mass, axis=1), bad
+    return values, errs, mass, bad
+
+
+def _score(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndarray):
+    """``_row_sums`` of the panels [lo_j, hi_j], evaluating ``at_nodes`` on their nodes."""
+    x, h = _nodes(lo, hi)
+    return _row_sums(at_nodes(_params(x, folded)), x, h, folded, rows)
+
+
+def _probe(at_nodes, a: float, b: float, folded: bool, rows: np.ndarray, limit: float):
+    """Probe ``rows`` for a null integrand on _PROBE_PANELS equal panels of [a, b].
+
+    Returns the rows whose folded mass is at most ``limit``, with their
+    values and error estimates (their mass included), and {row: t} for the
+    rows whose integrand is not finite at t.  Every _PROBE_STRIDE-th panel
+    is scored first, and only the rows whose mass there stays within
+    ``limit`` (or that are not finite) score the other panels, on the same
+    node set.  The sums of a row that scores all panels are those of scoring
+    them at once, and the first nonfinite node is the lowest one.
+    """
+    edges = np.linspace(a, b, _PROBE_PANELS + 1)
+    x, h = _nodes(edges[:-1], edges[1:])
+    # the strided panels' nodes come first, so that each pass reads one slice
+    first, rest = (x[_PROBE_FIRST], h[_PROBE_FIRST]), (x[_PROBE_REST], h[_PROBE_REST])
+    head = _params(first[0], folded)
+    values_at = at_nodes(np.concatenate([head, _params(rest[0], folded)]))
+    head, tail = slice(0, head.size), slice(head.size, None)
+    null_rows, null_values, null_errs, bad = [], [], [], {}
+    # passes of 256 rows kept the memory lower but made every certificate op
+    # about 10% slower in a fresh process, untouched paths included
+    for start in range(0, rows.size, _PASS_PANELS // _PROBE_PANELS):
+        part = rows[start : start + _PASS_PANELS // _PROBE_PANELS]
+        shape = (part.size, _PROBE_PANELS)
+        vals, errs, mass = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
+        # panel p sits at [p // _PROBE_STRIDE, p % _PROBE_STRIDE] of these views
+        blocks = [out.reshape(part.size, _PROBE_GROUPS, _PROBE_STRIDE) for out in (vals, errs, mass)]
+        *sums, bad_first = _row_sums(values_at, *first, folded, part, head)
+        for block, first_sums in zip(blocks, sums):
+            block[:, :, 0] = first_sums
+        undecided = ~(np.sum(sums[2], axis=1) > limit * (1.0 + _PROBE_MARGIN))
+        undecided[list(bad_first)] = True
+        undecided = np.flatnonzero(undecided)
+        *sums, bad_rest = _row_sums(values_at, *rest, folded, part[undecided], tail)
+        for block, rest_sums in zip(blocks, sums):
+            block[undecided, :, 1:] = rest_sums.reshape(undecided.size, _PROBE_GROUPS, _PROBE_STRIDE - 1)
+        found = dict(bad_first)
+        for k, t in bad_rest.items():
+            found[undecided[k]] = min(t, found.get(undecided[k], t))
+        bad.update({int(part[k]): t for k, t in found.items()})
+        total = np.sum(mass[undecided], axis=1)
+        is_null = total <= limit
+        null = undecided[is_null]
+        null_rows.append(part[null])
+        null_values.append(np.sum(vals[null], axis=1))
+        null_errs.append(total[is_null] + np.sum(errs[null], axis=1))
+    return np.concatenate(null_rows), np.concatenate(null_values), np.concatenate(null_errs), bad
 
 
 def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
@@ -268,9 +363,9 @@ def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: flo
         mid = 0.5 * (lo + hi)
         new_lo = np.concatenate([lo, mid])
         new_hi = np.concatenate([mid, hi])
-        new_values, new_errs, _, bad = _row_sums(at_nodes, new_lo, new_hi, folded, np.array([row]))
+        new_values, new_errs, _, bad = _score(at_nodes, new_lo, new_hi, folded, np.array([row]))
         if bad:
-            raise bad[0]
+            raise _nonfinite(bad[0])
         for i in range(len(new_lo)):
             heapq.heappush(heap, (-new_errs[0, i], new_lo[i], new_hi[i], new_values[0, i]))
         n_panels += batch
@@ -279,13 +374,35 @@ def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: flo
     return value, tail_err - math.fsum(item[0] for item in heap), n_panels
 
 
-def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, rows: np.ndarray) -> list:
+def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, width: float, abs_tol: float) -> float:
+    """The phase a panel of the block [lo, hi] of a range ``width`` long may span.
+
+    The largest theta in [pi, _THETA_MAX] for which the Gauss-7 error model
+    c7 A w theta^14 of the block's w stays within w/width of abs_tol, with
+    _SAFETY to spare; A is the envelope's sup on the block, doubled when the
+    range is folded.  Without a decaying envelope theta is pi.
+    """
+    near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    if isinstance(envelope, ExpDecay):
+        decay = envelope.rate * near
+    elif isinstance(envelope, GaussianDecay):
+        decay = envelope.rate * near * near
+    else:
+        return math.pi
+    amplitude = envelope.amplitude * (2.0 if folded else 1.0)
+    log_theta = (math.log(abs_tol / (width * _SAFETY * _C7 * amplitude)) + decay) / 14.0
+    return max(math.pi, math.exp(min(log_theta, math.log(_THETA_MAX))))
+
+
+def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, rows: np.ndarray, envelope, abs_tol: float) -> list:
     """Each row's pre-split of [a, b], as segments (lo, hi, panels).
 
     The uniform pre-split of ``n0`` panels is sized for the fastest
     oscillation anywhere in the range.  Where it has more than _PROBE_PANELS
-    panels, each of _RATE_BLOCKS equal blocks instead gets panels no wider
-    than pi over the rate on that block, when that takes fewer panels in all.
+    panels, each of _RATE_BLOCKS equal blocks instead gets panels spanning
+    at most theta of phase at the rate on that block, when that takes fewer
+    panels in all.  theta is pi, or up to 4 pi where the declared envelope
+    is small enough for the Gauss-7 error model (see ``_panel_phase``).
     """
     splits = [((a, b, int(n0[r])),) for r in rows]
     wide = [k for k, r in enumerate(rows) if n0[r] > _PROBE_PANELS]
@@ -296,7 +413,8 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, rows: np.
     rates = np.array([rate(lo, hi) for lo, hi in spans])
     if folded:  # a block stands for its mirror image too
         rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
-    counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / math.pi))
+    theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
+    counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
     for k in wide:
         column = counts[:, rows[k]]
         if column.sum() < n0[rows[k]]:
@@ -320,27 +438,36 @@ def _finish(at_nodes, row: int, parts: list, folded: bool, tail_err: float, opts
 
 
 def integrate_rows(
-    at_nodes: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    at_nodes: Callable[[np.ndarray], Callable[[np.ndarray, slice], np.ndarray]],
     rate: Callable[[float, float], np.ndarray],
     n_rows: int,
     window: Tuple[float, float],
     tail_err: float,
     opts: QuadOpts,
+    envelope: Optional[Decay] = None,
 ):
     """Integrate ``n_rows`` integrands that share their nodes over one finite window.
 
     ``at_nodes(t)`` evaluates what the integrands share at the parameters
-    ``t`` and returns a function from an array of row indices to the rows'
-    values at ``t`` (rows x len(t)); those values are built for at most
-    _CHUNK entries at a time.  ``rate(lo, hi)`` bounds each row's oscillation
-    rate on [lo, hi].  Each row is pre-split into panels no wider than pi
-    over its rate, at least 8 and at most ``_PRESPLIT_CAP`` and
-    ``max_subdivisions``; rows that share a pre-split share its nodes.  A
-    pre-split of more than 64 panels is first probed on 64 panels for a null
-    integrand (an odd density after folding, say), and then sized block by
-    block from ``rate`` (see ``_presplits``).  Rows that miss tolerance are
-    refined alone by bisecting their worst panels first.  Pre-splits are
-    evaluated in passes that keep at most _PASS_PANELS panel sums.
+    ``t`` and returns a function ``values(rows, cols)`` from an array of row
+    indices and a slice of ``t`` to the rows' values there (rows x columns);
+    those values are built for at most _CHUNK entries at a time.
+    ``rate(lo, hi)`` bounds each row's oscillation rate on [lo, hi], and
+    ``envelope`` is the decay the integrands declare, if any.
+
+    A row whose rate over the whole window asks for at most 64 panels of pi
+    phase each (at least 8, at most ``max_subdivisions``) gets that uniform
+    pre-split; rows that share a pre-split share its nodes.  A longer one is
+    first probed on 64 panels for a null integrand (an odd density after
+    folding, say); a row whose every 8th probe panel already carries more
+    than the null mass abs_tol/10 skips the other 56.  It is then sized block
+    by block from ``rate`` and ``envelope``, each panel spanning pi of phase,
+    or up to 4 pi where the envelope is small (see ``_presplits``), unless
+    the uniform pre-split (at most ``_PRESPLIT_CAP`` panels) is shorter.  The
+    envelope only picks the first panels; every error estimate comes from
+    the panels' Kronrod sums, and rows that miss tolerance are refined alone
+    by bisecting their worst panels first.  Pre-splits are evaluated in
+    passes that keep at most _PASS_PANELS panel sums.
 
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and {row: QuadratureError} for the rows that failed.  Rows
@@ -357,21 +484,17 @@ def integrate_rows(
     panels = np.zeros(n_rows, dtype=np.int64)
     failures: dict = {}
     rest = np.ones(n_rows, dtype=bool)
-    edges = np.linspace(a, b, _PROBE_PANELS + 1)
     wide = np.flatnonzero(n0 > _PROBE_PANELS)
-    for start in range(0, wide.size, _PASS_PANELS // _PROBE_PANELS):
-        probe = wide[start : start + _PASS_PANELS // _PROBE_PANELS]
-        vals, errs, mass, bad = _row_sums(at_nodes, edges[:-1], edges[1:], folded, probe)
-        for k, exc in bad.items():
-            failures[int(probe[k])] = exc
-            rest[probe[k]] = False
-        null = np.flatnonzero(mass <= opts.abs_tol / 10.0)
-        value[probe[null]] = np.sum(vals[null], axis=1)
-        err[probe[null]] = tail_err + mass[null] + np.sum(errs[null], axis=1)
-        panels[probe[null]] = _PROBE_PANELS
-        rest[probe[null]] = False
+    if wide.size:
+        null, null_values, null_errs, bad = _probe(at_nodes, a, b, folded, wide, opts.abs_tol / 10.0)
+        failures.update({r: _nonfinite(t) for r, t in bad.items()})
+        rest[list(bad)] = False
+        value[null] = null_values
+        err[null] = tail_err + null_errs
+        panels[null] = _PROBE_PANELS
+        rest[null] = False
     rest = np.flatnonzero(rest)
-    splits = _presplits(rate, a, b, folded, n0, rest)
+    splits = _presplits(rate, a, b, folded, n0, rest, envelope, opts.abs_tol)
     sizes = [sum(segment[2] for segment in split) for split in splits]
     start = 0
     while start < len(rest) and rest[start] <= min(failures, default=n_rows):
@@ -386,7 +509,7 @@ def integrate_rows(
         pieces: dict = {r: {} for r in rest[start:stop]}
         for (lo, hi, n), rows in rows_of.items():
             seg_edges = np.linspace(lo, hi, n + 1)
-            vals, errs, _, bad = _row_sums(at_nodes, seg_edges[:-1], seg_edges[1:], folded, np.array(rows))
+            vals, errs, _, bad = _score(at_nodes, seg_edges[:-1], seg_edges[1:], folded, np.array(rows))
             for k, r in enumerate(rows):
                 pieces[r][lo, hi, n] = (seg_edges, vals[k], errs[k], bad.get(k))
         for r, split in zip(rest[start:stop], splits[start:stop]):
@@ -395,7 +518,7 @@ def integrate_rows(
             parts = [pieces[r][segment] for segment in split]
             bad = [p[3] for p in parts if p[3] is not None]
             if bad:
-                failures[int(r)] = bad[0]
+                failures[int(r)] = _nonfinite(bad[0])
                 continue
             try:
                 value[r], err[r], panels[r] = _finish(at_nodes, r, [p[:3] for p in parts], folded, tail_err, opts)
@@ -427,10 +550,10 @@ def integrate(
 
     def at_nodes(t: np.ndarray):
         fs = np.asarray(f(t), dtype=np.complex128)
-        return lambda rows: fs[None, :]
+        return lambda rows, cols: fs[None, cols]
 
     tail_err = truncation_error(interval, window, envelope)
-    value, err, panels, failures = integrate_rows(at_nodes, lambda lo, hi: hint, 1, window, tail_err, opts)
+    value, err, panels, failures = integrate_rows(at_nodes, lambda lo, hi: hint, 1, window, tail_err, opts, envelope)
     if failures:
         raise failures[0]
     return QuadResult(complex(value[0]), float(err[0]), (float(window[0]), float(window[1])), int(panels[0]))

@@ -68,22 +68,22 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
         x, y = curve.xy(comp, t)
         cx, cy, gt = x + ox, y + oy, g(t)
 
-        def values(rows: np.ndarray) -> np.ndarray:
+        def values(rows: np.ndarray, cols) -> np.ndarray:
             # in place: the same operations as e^{-i pi (x xi + y eta)} g, with fewer temporaries
-            phase = np.multiply.outer(xi[rows], cx)
-            phase += np.multiply.outer(eta[rows], cy)
+            phase = np.multiply.outer(xi[rows], cx[cols])
+            phase += np.multiply.outer(eta[rows], cy[cols])
             z = np.multiply(-1j * math.pi, phase)
             np.exp(z, out=z)
-            z *= gt
+            z *= gt[cols]
             return z
 
         return values
 
     def rate(lo: float, hi: float) -> np.ndarray:
         dx_sup, dy_sup = curve.deriv_sup(comp, lo, hi)
-        return math.pi * (np.abs(xi) * dx_sup + np.abs(eta) * dy_sup)
+        return np.maximum(math.pi * (np.abs(xi) * dx_sup + np.abs(eta) * dy_sup), opts.oscillation_hint or 0.0)
 
-    return integrate_rows(at_nodes, rate, len(xi), window, tail, opts)
+    return integrate_rows(at_nodes, rate, len(xi), window, tail, opts, measure.decay)
 
 
 def _transform(
@@ -171,11 +171,15 @@ def mu_hat_at_points(
     are the only temporaries of that size, and the pre-splits are evaluated
     in passes that keep at most 2^18 panel sums (8 MiB) unless one point
     needs more, so memory does not grow with the number of points.  A
-    pre-split of more than 64 panels is sized from the phase rate on each of
-    16 blocks of the window, after a 64-panel probe for a null integrand.
-    Points that miss tolerance are refined one at a time.  The stages are
-    those of :func:`quadrature.integrate_rows`.  A component whose density
-    is the constant 0 is skipped.
+    pre-split of more than 64 panels follows a 64-panel probe for a null
+    integrand; a point skips 56 of its panels when the other 8, every 8th,
+    already carry more than the null mass.  It is sized on each of 16
+    blocks of the window from the phase rate there, each panel spanning pi
+    of phase, or up to 4 pi where the declared decay envelope is small.
+    ``oscillation_hint``, if set, is a floor on every point's rate.  Points
+    that miss tolerance are refined one at a time.  The stages are those of
+    :func:`quadrature.integrate_rows`.  A component whose density is the
+    constant 0 is skipped.
 
     Output order matches the input order.  A quadrature failure is raised as
     a :class:`PointFailure` for the first failing point in input order.

@@ -2,9 +2,10 @@
 
 import struct
 
+import numpy as np
 import pytest
 
-from huplab import expr
+from huplab import expr, quadrature, transform
 from huplab.expr import Num, parse
 from huplab.geometry import ExpDecay, GaussianDecay, Measure, hyperbola_full, parabola, sample_set, spiral
 from huplab.quadrature import QuadOpts
@@ -35,6 +36,18 @@ GRIDS = {
     "spiral": (Measure(spiral(), (parse("exp(-t)*cos(t)"),), ExpDecay(1.0)), 10.0),
 }
 
+# total panels and refined rows of each GRIDS measure on its 7x7 grid.  Sizing
+# panels by phase rate alone took 20,282, 17,188 and 2,520 panels, refining
+# 0, 0 and 8 rows
+GRID_PANELS_MAX = {"hyperbola": 10_368, "parabola": 11_806, "spiral": 2_520}
+GRID_REFINED_MAX = {"hyperbola": 0, "parabola": 0, "spiral": 8}
+
+
+def _grid(name):
+    measure, half = GRIDS[name]
+    axis = [-half + 2.0 * half * i / 6 for i in range(7)]
+    return measure, [(xi, eta) for xi in axis for eta in axis]
+
 
 @pytest.fixture(scope="module")
 def certificates():
@@ -57,9 +70,7 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
 
 @pytest.mark.parametrize("name", GRIDS)
 def test_within_error_bars_of_per_point_path_on_grids(name):
-    measure, half = GRIDS[name]
-    axis = [-half + 2.0 * half * i / 6 for i in range(7)]
-    points = [(xi, eta) for xi in axis for eta in axis]
+    measure, points = _grid(name)
     opts = QuadOpts()
     for (xi, eta), got in zip(points, mu_hat_at_points(measure, points, opts)):
         want = reference_mu_hat(measure, xi, eta, opts)
@@ -81,3 +92,55 @@ def test_evaluate_array_calls_per_verification(certificates, case, monkeypatch):
     assert len(nodes) <= EVALUATE_ARRAY_CALLS_MAX[case]
     # a component whose density is the constant 0 is skipped
     assert Num(0.0) not in nodes
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_panels_and_refined_rows_on_grids(name, monkeypatch):
+    panels, refined = [], []
+    integrate_rows, refine = transform.integrate_rows, quadrature._refine
+
+    def counting_rows(*args):
+        out = integrate_rows(*args)
+        panels.append(int(out[2].sum()))
+        return out
+
+    def counting_refine(*args):
+        refined.append(args[1])
+        return refine(*args)
+
+    monkeypatch.setattr(transform, "integrate_rows", counting_rows)
+    monkeypatch.setattr(quadrature, "_refine", counting_refine)
+    measure, points = _grid(name)
+    mu_hat_at_points(measure, points, QuadOpts())
+    assert sum(panels) <= GRID_PANELS_MAX[name]
+    assert len(refined) <= GRID_REFINED_MAX[name]
+
+
+def test_wide_row_that_is_not_null_skips_most_of_the_probe(monkeypatch):
+    # on the hyperbola, sin(t) e^{-t^2} folds to a null integrand at eta = 0
+    # only; both points need a pre-split far wider than the 64-panel probe
+    scored = []  # per node set: its size and the node columns scored per row
+    integrate_rows = transform.integrate_rows
+
+    def spying(at_nodes, *args):
+        def spy(t):
+            values, cols = at_nodes(t), {}
+            scored.append((t.size, cols))
+
+            def counted(rows, c):
+                for r in rows.tolist():
+                    cols.setdefault(r, set()).update(np.arange(t.size)[c].tolist())
+                return values(rows, c)
+
+            return counted
+
+        return integrate_rows(spy, *args)
+
+    monkeypatch.setattr(transform, "integrate_rows", spying)
+    measure, half = GRIDS["hyperbola"]
+    mu_hat_at_points(measure, [(half, half), (half, 0.0)], QuadOpts())
+    probe_nodes, cols = scored[0]
+    per_panel = 15 * 2  # Kronrod nodes, and their mirror images: the range is folded
+    assert probe_nodes == quadrature._PROBE_PANELS * per_panel
+    assert len(cols[0]) < probe_nodes  # not null: most probe panels are skipped
+    assert len(cols[1]) == probe_nodes  # null: every probe panel is scored

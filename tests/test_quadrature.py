@@ -9,6 +9,7 @@ from huplab.quadrature import (
     MissingEnvelopeError,
     NonconvergenceError,
     QuadOpts,
+    QuadratureError,
     QuadResult,
     integrate,
     integrate_rows,
@@ -73,6 +74,29 @@ def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
             integrate(f, (-3.0, 3.0), opts)
         return
     assert integrate(f, (-3.0, 3.0), opts) == want
+
+
+def test_relative_tolerance_stops_refinement():
+    # abs_tol lies far below the roundoff floor of a 1e8-sized integrand, so
+    # only rel_tol * |total| can stop the bisection of the sqrt endpoint
+    opts = QuadOpts(abs_tol=1e-30, rel_tol=1e-10, max_subdivisions=4096)
+    res = integrate(lambda t: 1e8 * np.sqrt(t + 0j), (0.0, 1.0), opts)
+    assert res.panels > 8
+    assert res.err_estimate <= opts.rel_tol * abs(res.value)
+    assert abs(res.value - 2e8 / 3.0) <= res.err_estimate
+
+
+def test_nonfinite_probe_names_its_lowest_node():
+    # the probe scores every 8th of its 64 panels first: NaN from t = 1 on
+    # shows there in panel 16, and lower, in panel 10, only when it scores the rest
+    def f(t):
+        return np.where(t < 1.0, 1.0 + 0j, complex("nan"))
+
+    opts = QuadOpts(oscillation_hint=100.0)
+    with pytest.raises(QuadratureError) as want:
+        reference_integrate(f, (0.0, 6.4), opts, None, 100.0)
+    with pytest.raises(QuadratureError, match=re.escape(str(want.value))):
+        integrate(f, (0.0, 6.4), opts)
 
 
 def test_trivial_sine():
@@ -198,7 +222,7 @@ def test_presplit_sized_by_local_rate():
     constant = lambda lo, hi: 2.0 * w * 4.0  # noqa: E731
 
     def at_nodes(t):
-        return lambda rows: np.exp(1j * np.multiply.outer(w[rows], t * t))
+        return lambda rows, cols: np.exp(1j * np.multiply.outer(w[rows], (t * t)[cols]))
 
     uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / math.pi)
     for rate, most in ((slow_start, 0.6 * uniform), (constant, uniform)):

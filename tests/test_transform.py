@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from huplab.bessel import bessel_j, bessel_zero
+from huplab import transform
 from huplab.expr import parse
 from huplab.geometry import (
     CompactSupport,
@@ -16,6 +17,7 @@ from huplab.geometry import (
     exp_curve,
     hyperbola_branch,
     hyperbola_full,
+    parabola,
     parallel_lines,
     spiral,
 )
@@ -90,6 +92,26 @@ class TestMuHat:
                 mu_hat(UNIFORM_CIRCLE, *points[-1], OPTS)
         assert exc.value.point == points[-1]
         assert str(exc.value.__cause__) == str(alone.value)
+
+    def test_oscillation_hint_is_a_floor_on_each_points_rate(self, monkeypatch):
+        panels = []
+        integrate_rows = transform.integrate_rows
+
+        def counting(*args):
+            out = integrate_rows(*args)
+            panels.append(out[2].tolist())
+            return out
+
+        monkeypatch.setattr(transform, "integrate_rows", counting)
+        plain = mu_hat(UNIFORM_CIRCLE, 1.0, 0.0)
+        hinted = QuadOpts(oscillation_hint=1e4)
+        one = mu_hat(UNIFORM_CIRCLE, 1.0, 0.0, hinted)
+        both = mu_hat_at_points(UNIFORM_CIRCLE, [(1.0, 0.0), (0.0, 0.0)], hinted)
+        assert panels[0] == [8]
+        assert panels[1][0] > 1000 and panels[2][0] == panels[1][0]
+        assert panels[2][1] > 1000  # a floor for every point, even one whose rate is 0
+        assert abs(one.value - plain.value) <= one.err_estimate + plain.err_estimate
+        assert both[0] == one
 
     def test_total_mass(self):
         assert mu_hat(UNIFORM_CIRCLE, 0.0, 0.0).value == pytest.approx(1.0, abs=1e-12)
@@ -268,6 +290,18 @@ def test_reflection_identity_full_hyperbola():
             opts,
         ).value
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_parabola_gaussian_within_error_estimate(tol):
+    # integral of e^{-i pi (t xi + t^2 eta)} e^{-t^2} dt = sqrt(pi/a) e^{-(pi xi)^2/(4a)}, a = 1 + i pi eta
+    rng = random.Random(4)
+    points = [(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)) for _ in range(400)]
+    m = Measure(parabola(), (parse("exp(-(t^2))"),), GaussianDecay(1.0))
+    for (xi, eta), ft in zip(points, mu_hat_at_points(m, points, QuadOpts(abs_tol=tol, rel_tol=tol))):
+        a = 1.0 + 1j * math.pi * eta
+        exact = cmath.sqrt(math.pi / a) * cmath.exp(-((math.pi * xi) ** 2) / (4.0 * a))
+        assert abs(ft.value - exact) <= ft.err_estimate, (xi, eta)
 
 
 def test_total_variation_of_sine_density():
