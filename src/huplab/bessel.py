@@ -1,10 +1,11 @@
 """Bessel functions J_nu for integer and half-integer orders, and their zeros.
 
 Evaluation strategy: the ascending power series (summed with ``math.fsum``)
-for x <= max(12, nu); for larger x, a normalized downward (Miller)
-recurrence at integer orders and the spherical-function downward recursion,
-anchored to the closed forms of j_0/j_1, at half-integer orders.  Targets
-1e-12 accuracy relative to max(1, |J|) for x <= 50, nu <= 40.
+for x <= 12; for larger x, one normalized downward (Miller) recurrence,
+which yields every order of the same parity at once.  Integer orders are
+normalized by J_0 + 2 sum J_2k = 1, half-integer orders by the closed forms
+of J_{1/2} and J_{3/2}.  Targets 1e-12 accuracy relative to max(1, |J|) for
+x <= 50, nu <= 40.
 
 Zeros are bracketed by a pi/4 scan starting at max(nu, 0.5) and bisected to
 1e-13.  The finiteness of the all-orders nonvanishing check rests on the
@@ -29,9 +30,10 @@ __all__ = [
 ]
 
 _SERIES_MAX_TERMS = 400
+_SERIES_MAX_X = 12.0
 _ZERO_SCAN_STEP = math.pi / 4.0
 _ZERO_BISECT_TOL = 1e-13
-# orders above max(x, n) where the Miller recurrence starts: the smallest margin
+# orders above max(x, nu) where the Miller recurrence starts: the smallest margin
 # that keeps integer orders n <= 40 at 12 < x <= 50 within 1e-12 of mpmath
 # (worst 5.7e-13 on a 41 x 400 grid; 22 gave 1.4e-11, 24 gave 1.5e-12)
 _MILLER_MARGIN = 25
@@ -109,58 +111,37 @@ def _series(twice_nu: int, x: float) -> float:
     return math.fsum(terms)
 
 
-def _miller_integer(n: int, x: float) -> float:
-    # downward recurrence normalized by J_0 + 2*sum J_{2k} = 1
-    m = int(max(x, n)) + _MILLER_MARGIN + int(1.3 * math.sqrt(x))
-    if m % 2:
-        m += 1
-    jp1, j = 0.0, 1e-300
-    wanted = 0.0
-    norm_terms = []
-    for k in range(m, 0, -1):
-        jm1 = (2.0 * k / x) * j - jp1
-        jp1, j = j, jm1
-        if k - 1 == n:
-            wanted = j
-        if (k - 1) % 2 == 0:
-            norm_terms.append(j if k - 1 == 0 else 2.0 * j)
-        if abs(j) > 1e280:
-            j *= 1e-280
-            jp1 *= 1e-280
-            wanted *= 1e-280
-            norm_terms = [v * 1e-280 for v in norm_terms]
-    norm = math.fsum(norm_terms)
+def _downward(twice_nu: int, x: float) -> list[float]:
+    """J at every order of the parity of ``twice_nu`` up to nu, lowest first, for x > 0.
+
+    One downward recurrence J_{mu-1} = (2 mu / x) J_mu - J_{mu+1} from a tiny
+    value well above max(x, nu) (Miller's algorithm), normalized by
+    J_0 + 2 sum J_{2k} = 1 at integer orders and by the closed forms of
+    J_{1/2} and J_{3/2} at half-integer orders.
+    """
+    half = twice_nu % 2
+    start = int(max(x, twice_nu // 2)) + _MILLER_MARGIN + int(1.3 * math.sqrt(x))
+    start += start % 2
+    prev, cur = 0.0, 1e-300
+    values = []  # from twice order 2 * start + half - 2 down to half
+    for twice in range(2 * start + half, half + 1, -2):
+        prev, cur = cur, (twice / x) * cur - prev
+        values.append(cur)
+        if abs(cur) > 1e280:
+            prev *= 1e-280
+            values = [v * 1e-280 for v in values]
+            cur = values[-1]
+    values.reverse()
+    if half:
+        s = math.sqrt(2.0 / (math.pi * x))
+        anchors = (s * math.sin(x), s * (math.sin(x) / x - math.cos(x)))
+        k = 0 if abs(anchors[0]) >= abs(anchors[1]) else 1
+        scale = anchors[k] / values[k]
+        return [v * scale for v in values[: twice_nu // 2 + 1]]
+    norm = math.fsum([values[0], *(2.0 * v for v in values[2::2])])
     if norm == 0.0:  # pragma: no cover
         raise BesselError(f"Miller normalization vanished at x={x}")
-    return wanted / norm
-
-
-def _spherical_half(twice_nu: int, x: float) -> float:
-    # J_{n+1/2}(x) = sqrt(2x/pi) j_n(x); downward recursion anchored to j_0/j_1
-    n = (twice_nu - 1) // 2
-    m = n + 22 + int(x) + int(1.3 * math.sqrt(x))
-    sp1, s = 0.0, 1e-300
-    keep = [0.0, 0.0]
-    wanted = 0.0
-    for k in range(m, 0, -1):
-        sm1 = ((2.0 * k + 1.0) / x) * s - sp1
-        sp1, s = s, sm1
-        if k - 1 == n:
-            wanted = s
-        if k - 1 <= 1:
-            keep[k - 1] = s
-        if abs(s) > 1e280:
-            s *= 1e-280
-            sp1 *= 1e-280
-            wanted *= 1e-280
-            keep = [v * 1e-280 for v in keep]
-    j0 = math.sin(x) / x
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    if abs(j0) >= abs(j1):
-        scale = j0 / keep[0]
-    else:
-        scale = j1 / keep[1]
-    return math.sqrt(2.0 * x / math.pi) * wanted * scale
+    return [v / norm for v in values[: twice_nu // 2 + 1]]
 
 
 def bessel_j(order: Union[Order, int, float, str], x: float) -> float:
@@ -168,13 +149,9 @@ def bessel_j(order: Union[Order, int, float, str], x: float) -> float:
     o = Order.of(order)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0 if o.twice_nu == 0 else 0.0
-    if x <= max(12.0, o.nu):
+    if x <= _SERIES_MAX_X:
         return _series(o.twice_nu, x)
-    if o.is_integer:
-        return _miller_integer(o.twice_nu // 2, x)
-    return _spherical_half(o.twice_nu, x)
+    return _downward(o.twice_nu, x)[-1]
 
 
 def bessel_zero(order: Union[Order, int, float, str], n: int) -> float:
@@ -220,21 +197,18 @@ def bessel_zero(order: Union[Order, int, float, str], n: int) -> float:
 def all_orders_nonzero(x: float, parity: Union[AllIntegers, EvenHalfIntegers]) -> bool:
     """True iff J_nu(x) is bounded away from zero for every required order.
 
-    Only orders nu <= ceil(x) are evaluated: the first positive zero of
-    J_nu exceeds nu, so larger orders cannot vanish at x.
+    Only orders nu <= ceil(x) are evaluated, all by one downward recurrence:
+    the first positive zero of J_nu exceeds nu, so larger orders cannot
+    vanish at x.
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    bound = math.ceil(x)
-    if isinstance(parity, AllIntegers):
-        orders = [Order(2 * k) for k in range(bound + 1)]
-    else:
-        orders = []
-        twice = parity.n - 2  # twice the starting order (n + 2k - 2)/2 at k=0
-        while twice <= 2 * bound:
-            orders.append(Order(twice))
-            twice += 2
-    for o in orders:
-        if abs(bessel_j(o, x)) <= NONZERO_THRESHOLD:
-            return False
-    return True
+    first = 0 if isinstance(parity, AllIntegers) else parity.n - 2  # twice the lowest order
+    top = 2 * math.ceil(x) - first % 2  # twice the highest order of that parity <= ceil(x)
+    if top < first:
+        return True
+    # below x = 1e-20 every answer is the one at 1e-20 (J_0 ~ 1, and J_{1/2}, J_1 are far
+    # below the threshold); the floor keeps each step's factor 2 mu / x below 1e28, so a
+    # single step cannot overflow past the 1e280 rescaling
+    values = _downward(top, max(x, 1e-20))[first // 2 :]
+    return all(abs(v) > NONZERO_THRESHOLD for v in values)

@@ -21,6 +21,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -33,7 +34,7 @@ from typing import Any, Callable, Optional
 from . import bessel as bessel_mod
 from . import fourlines as fl
 from . import witnesses
-from .bessel import AllIntegers, EvenHalfIntegers, BesselError
+from .bessel import AllIntegers, BesselError, EvenHalfIntegers, Order
 from .expr import EvalDomainError, ExprSyntaxError, parse, pretty
 from .geometry import (
     CURVE_KINDS,
@@ -219,6 +220,12 @@ def _grid_points(grid: dict) -> list[tuple[float, float]]:
     return [(x, y) for x in axes[0] for y in axes[1]]
 
 
+def _emit(command: str, fields: dict, code: int = EXIT_OK) -> int:
+    """Print a command's JSON document and return its exit code."""
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command, **fields}, indent=2))
+    return code
+
+
 def cmd_ft(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     curve = _load(_CURVES, cfg["curve"], "curve")
@@ -249,19 +256,12 @@ def cmd_ft(args: argparse.Namespace) -> int:
         (x, y, ft.value.real, ft.value.imag, abs(ft.value), ft.err_estimate)
         for (x, y), ft in zip(points, values)
     ]
-    if output == "csv":
-        print("xi,eta,re,im,abs,err")
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "ft",
-            "rows": [
-                {"xi": r[0], "eta": r[1], "re": r[2], "im": r[3], "abs": r[4], "err": r[5]} for r in rows
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+    if output == "json":
+        keys = ("xi", "eta", "re", "im", "abs", "err")
+        return _emit("ft", {"rows": [dict(zip(keys, row)) for row in rows]})
+    print("xi,eta,re,im,abs,err")
+    for row in rows:
+        print(",".join(_fmt(v) for v in row))
     return EXIT_OK
 
 
@@ -296,97 +296,82 @@ _CASES = {
 def cmd_annihilate(args: argparse.Namespace) -> int:
     cert = _CASES[args.case](args)
     report = verify_certificate(cert, n_lambda=args.samples, tol=args.tol)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "annihilate",
-        "case": args.case,
-        "certificate": _certificate_to_dict(cert),
-        "verification": dataclasses.asdict(report),
-    }
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK if report.ok else EXIT_CERTIFICATE
+    fields = {"case": args.case, "certificate": _certificate_to_dict(cert), "verification": dataclasses.asdict(report)}
+    return _emit("annihilate", fields, EXIT_OK if report.ok else EXIT_CERTIFICATE)
 
 
 def _cx(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _etas(text: str, count: int) -> list[float]:
-    vals = [float(v) for v in text.split(",") if v.strip()]
-    if len(vals) != count:
-        raise ConfigError(f"expected {count} comma-separated heights, got {len(vals)}")
-    return vals
+def _named(prefix: str, values) -> dict:
+    return {f"{prefix}{i}": _cx(v) for i, v in enumerate(values)}
 
 
-def cmd_fourlines(args: argparse.Namespace) -> int:
-    verb = args.verb
-    payload: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": f"fourlines {verb}"}
-    if verb == "classify":
-        cfg = fl.FourLinesConfig(args.p)
-        if not args.fibers:
-            raise ConfigError("classify needs --fibers FILE (or - for stdin)")
-        doc = _read_json(args.fibers, "fibers")
+# each coefficient system: the number of heights it takes, and its output fields
+# from the unit points e^{i pi eta} and --p.  The solvers are looked up in ``fl``
+# on each call, so a wrapper bound there (perfbench's tracer) sees the call.
+_SOLVERS = {
+    "tau": (3, lambda z, p: {"p": p, **_named("tau", fl.solve_tau(*z, p))}),
+    "delta": (2, lambda z, p: _named("delta", fl.solve_delta(*z))),
+    "e": (3, lambda z, p: _named("e", fl.solve_e(*z))),
+    "rho": (3, lambda z, p: {"rho": _cx(fl.rho(*z))}),
+}
+
+
+def _classify(args: argparse.Namespace) -> dict:
+    cfg = fl.FourLinesConfig(args.p)
+    if not args.fibers:
+        raise ConfigError("classify needs --fibers FILE (or - for stdin)")
+    doc = _read_json(args.fibers, "fibers")
+    try:
         if isinstance(doc, dict) and "points" in doc:
-            fibers = fl.periodize([(float(x), float(y)) for x, y in doc["points"]])
+            fibers = fl.periodize([_pair(point) for point in doc["points"]])
         elif isinstance(doc, dict) and "fibers" in doc:
             fibers = _FIBERS.load(doc["fibers"])
         else:
             raise ConfigError("fibers JSON must contain 'points' or 'fibers'")
-        payload["p"] = args.p
-        payload["results"] = [
-            {
-                "xi": fiber.xi,
-                "sigma": list(fiber.sigma),
-                "class": (cls := fl.classify(fiber, cfg)).tag,
-                "witness": list(cls.witness),
-            }
-            for fiber in fibers
-        ]
-    else:
-        import cmath
+    except TypeError as exc:  # a value of the wrong JSON type; other bad values raise ValueError
+        raise ConfigError(f"bad fibers JSON: {exc}") from None
+    results = []
+    for fiber in fibers:
+        cls = fl.classify(fiber, cfg)
+        results.append({"xi": fiber.xi, "sigma": list(fiber.sigma), "class": cls.tag, "witness": list(cls.witness)})
+    return {"p": args.p, "results": results}
 
-        if verb == "delta":
-            e0, e1 = _etas(args.etas, 2)
-            a, b = cmath.exp(1j * math.pi * e0), cmath.exp(1j * math.pi * e1)
-            d0, d1 = fl.solve_delta(a, b)
-            payload.update({"etas": [e0, e1], "delta0": _cx(d0), "delta1": _cx(d1)})
-        else:
-            e0, e1, e2 = _etas(args.etas, 3)
-            a, b, c = (cmath.exp(1j * math.pi * e) for e in (e0, e1, e2))
-            payload["etas"] = [e0, e1, e2]
-            if verb == "tau":
-                t0, t1, t2 = fl.solve_tau(a, b, c, args.p)
-                payload.update({"p": args.p, "tau0": _cx(t0), "tau1": _cx(t1), "tau2": _cx(t2)})
-            elif verb == "e":
-                v0, v1, v2 = fl.solve_e(a, b, c)
-                payload.update({"e0": _cx(v0), "e1": _cx(v1), "e2": _cx(v2)})
-            else:  # rho
-                payload["rho"] = _cx(fl.rho(a, b, c))
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+
+def cmd_fourlines(args: argparse.Namespace) -> int:
+    if args.verb == "classify":
+        return _emit("fourlines classify", _classify(args))
+    count, solve = _SOLVERS[args.verb]
+    if args.etas is None:
+        raise ConfigError(f"{args.verb} needs --etas with {count} comma-separated heights")
+    etas = [float(v) for v in args.etas.split(",") if v.strip()]
+    if len(etas) != count:
+        raise ConfigError(f"expected {count} comma-separated heights, got {len(etas)}")
+    points = [cmath.exp(1j * math.pi * eta) for eta in etas]
+    return _emit(f"fourlines {args.verb}", {"etas": etas, **solve(points, args.p)})
+
+
+def _nonzero(args: argparse.Namespace) -> dict:
+    parity = AllIntegers() if args.parity == "integers" else EvenHalfIntegers(args.dim)
+    nonzero = bessel_mod.all_orders_nonzero(args.x, parity)
+    fields = {"x": args.x, "parity": args.parity, "nonzero_for_all_orders": nonzero}
+    return {**fields, "dim": args.dim} if args.parity == "half" else fields
+
+
+# the output fields of each bessel verb
+_BESSEL = {
+    "j": lambda args: {"order": str(o := Order.of(args.order)), "x": args.x, "value": bessel_mod.bessel_j(o, args.x)},
+    "zero": lambda args: {
+        "order": str(o := Order.of(args.order)), "n": args.n, "zero": bessel_mod.bessel_zero(o, args.n)
+    },
+    "nonzero": _nonzero,
+}
 
 
 def cmd_bessel(args: argparse.Namespace) -> int:
-    payload: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": f"bessel {args.verb}"}
-    if args.verb == "j":
-        order = bessel_mod.Order.of(args.order)
-        payload.update({"order": str(order), "x": args.x, "value": bessel_mod.bessel_j(order, args.x)})
-    elif args.verb == "zero":
-        order = bessel_mod.Order.of(args.order)
-        payload.update({"order": str(order), "n": args.n, "zero": bessel_mod.bessel_zero(order, args.n)})
-    else:  # nonzero
-        parity = AllIntegers() if args.parity == "integers" else EvenHalfIntegers(args.dim)
-        payload.update(
-            {
-                "x": args.x,
-                "parity": args.parity,
-                "nonzero_for_all_orders": bessel_mod.all_orders_nonzero(args.x, parity),
-            }
-        )
-        if args.parity == "half":
-            payload["dim"] = args.dim
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return _emit(f"bessel {args.verb}", _BESSEL[args.verb](args))
 
 
 def _parse_angle(text: str):
@@ -405,41 +390,37 @@ def _parse_angle(text: str):
         raise ConfigError(f"bad angle {text!r}") from None
 
 
+def _components(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# verdict flags in output order: argparse options, and the conversion of a text flag
+# into the catalog's parameter (None: argparse's type converts it)
+_VERDICT_PARAMS: dict[str, tuple[dict, Optional[Callable[[str], Any]]]] = {
+    "alpha": ({"type": float}, None),
+    "beta": ({"type": float}, None),
+    "radius": ({"type": float}, None),
+    "angle": ({"help": "exact rational like 1/3 for rationality checks; floats give Unknown"}, _parse_angle),
+    "direction": ({"help": "dx,dy"}, _components),
+    "normal": ({"help": "comma-separated components"}, _components),
+    "dim": ({"type": int}, None),
+    "p": ({"type": int}, None),
+    "eta0": ({"type": float}, None),
+}
+
+
 def cmd_verdict(args: argparse.Namespace) -> int:
-    params: dict[str, Any] = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.radius is not None:
-        params["radius"] = args.radius
-    if args.angle is not None:
-        params["angle"] = _parse_angle(args.angle)
-    if args.direction is not None:
-        params["direction"] = tuple(float(v) for v in args.direction.split(","))
-    if args.normal is not None:
-        params["normal"] = tuple(float(v) for v in args.normal.split(","))
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.p is not None:
-        params["p"] = args.p
-    if args.eta0 is not None:
-        params["eta0"] = args.eta0
+    params = {
+        name: value if convert is None else convert(value)
+        for name, (_, convert) in _VERDICT_PARAMS.items()
+        if (value := getattr(args, name)) is not None
+    }
     try:
         verdict = witnesses.known_pair_verdict(args.pair, **params)
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc} for pair {args.pair!r}") from None
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verdict",
-        "pair": args.pair,
-        "params": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()},
-        "answer": verdict.answer,
-        "source": verdict.source,
-        "condition": verdict.condition,
-    }
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    shown = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
+    return _emit("verdict", {"pair": args.pair, "params": shown, **dataclasses.asdict(verdict)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ann.set_defaults(func=cmd_annihilate)
 
     p_fl = sub.add_parser("fourlines", help="fiber classification and coefficient systems")
-    p_fl.add_argument("verb", choices=("classify", "tau", "delta", "e", "rho"))
+    p_fl.add_argument("verb", choices=("classify", *_SOLVERS))
     p_fl.add_argument("--p", type=int, default=3)
     p_fl.add_argument("--fibers", help="JSON file with 'fibers' or raw 'points' (- for stdin)")
     p_fl.add_argument("--etas", help="comma-separated heights in [0,2), e.g. 0,0.5,1")
@@ -476,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl.set_defaults(func=cmd_fourlines)
 
     p_b = sub.add_parser("bessel", help="Bessel values, zeros, and all-orders checks")
-    p_b.add_argument("verb", choices=("j", "zero", "nonzero"))
+    p_b.add_argument("verb", choices=_BESSEL)
     p_b.add_argument("--order", default="0", help="integer or half-integer, e.g. 3 or 1/2")
     p_b.add_argument("--x", type=float, default=1.0)
     p_b.add_argument("--n", type=int, default=1)
@@ -487,15 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verdict", help="HUP / NotHUP / Unknown for cataloged pairs")
     p_v.add_argument("pair")
-    p_v.add_argument("--alpha", type=float)
-    p_v.add_argument("--beta", type=float)
-    p_v.add_argument("--radius", type=float)
-    p_v.add_argument("--angle", help="exact rational like 1/3 for rationality checks; floats give Unknown")
-    p_v.add_argument("--direction", help="dx,dy")
-    p_v.add_argument("--normal", help="comma-separated components")
-    p_v.add_argument("--dim", type=int)
-    p_v.add_argument("--p", type=int)
-    p_v.add_argument("--eta0", type=float)
+    for name, (options, _) in _VERDICT_PARAMS.items():
+        p_v.add_argument(f"--{name}", **options)
     p_v.add_argument("--output", choices=("json",), default="json")
     p_v.set_defaults(func=cmd_verdict)
     return parser

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Union
 
 import numpy as np
 
@@ -281,144 +282,139 @@ def verify_certificate(cert: Certificate, n_lambda: int = 512, tol: float = RESI
 
 
 # ---------------------------------------------------------------------------
-# verdict catalog
+# verdict catalog: a pair maps to a constant Verdict or to a function of the
+# parameters; a missing parameter is a KeyError, and extra parameters are ignored
 
 
-def _bessel_orders_checked(x: float, parity) -> str:
-    bound = math.ceil(x)
-    if isinstance(parity, AllIntegers):
-        return f"integer orders 0..{bound}"
-    start = (parity.n - 2) / 2.0
-    return f"orders {start}, {start + 1}, ... up to {bound}"
+def _finite(params: dict, *names: str) -> list[float]:
+    values = [float(params[name]) for name in names]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{' and '.join(names)} must be finite")
+    return values
+
+
+def _lattice_cross(params: dict) -> Verdict:
+    alpha, beta = _finite(params, "alpha", "beta")
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
+    product = alpha * beta
+    hup = product <= 1.0
+    condition = f"alpha*beta = {product:.17g} {'<=' if hup else '>'} 1"
+    return Verdict("HUP" if hup else "NotHUP", "Hedenmalm-Montes-Rodriguez lattice-cross characterization", condition)
+
+
+def _bessel_criterion(params: dict, parity: Callable, symbol: str, criterion: str) -> Verdict:
+    """HUP iff J_nu(pi r) vanishes for no order nu that ``parity()`` requires."""
+    (radius,) = _finite(params, "radius")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    arg, orders = math.pi * radius, parity()
+    ok = bessel_mod.all_orders_nonzero(arg, orders)
+    if isinstance(orders, AllIntegers):
+        checked = f"integer orders 0..{math.ceil(arg)}"
+    else:
+        start = (orders.n - 2) / 2.0
+        checked = f"orders {start}, {start + 1}, ... up to {math.ceil(arg)}"
+    condition = f"{symbol}({arg:.17g}) {'all nonzero' if ok else 'vanishes'} over {checked}"
+    source = f"{criterion} (argument pi*r under the pi-convention transform)"
+    return Verdict("HUP" if ok else "NotHUP", source, condition)
+
+
+def _parallel(source: str, vector: tuple, axis: int, subject: str, target: str) -> Verdict:
+    """HUP iff ``vector`` is nonzero at ``axis`` only: the test set is parallel to ``target``."""
+    parallel = [i for i, v in enumerate(vector) if v != 0.0] == [axis]
+    word = "parallel" if parallel else "not parallel"
+    return Verdict("HUP" if parallel else "NotHUP", source, f"{subject} is {word} to {target}")
+
+
+def _parabola_line(params: dict) -> Verdict:
+    dx, dy = params["direction"]
+    return _parallel("Sjolin parabola results", (float(dx), float(dy)), 0, f"line direction ({dx}, {dy})", "the x-axis")
+
+
+def _paraboloid_hyperplane(params: dict) -> Verdict:
+    normal = tuple(float(v) for v in params["normal"])
+    subject = f"hyperplane with normal {normal}"
+    return _parallel("Gonzalez Vieli paraboloid criterion", normal, len(normal) - 1, subject, "the base hyperplane")
+
+
+def _circle_lines(params: dict) -> Verdict:
+    angle, source = params["angle"], "Lev-Sjolin concurrent-lines criterion"
+    if isinstance(angle, (Fraction, int)):
+        return Verdict("NotHUP", source, f"angle/pi = {Fraction(angle)} is rational: sin(j theta) annihilator exists")
+    undecided = "rationality of a floating-point angle is not decidable; pass a Fraction for an exact verdict"
+    return Verdict("Unknown", source, undecided)
+
+
+def _hyperbola_angled_lines(params: dict) -> Verdict:
+    (alpha,) = _finite(params, "alpha")
+    if 0.0 < alpha < math.pi / 4.0:
+        return Verdict("HUP", "reflection argument: the density becomes periodic and integrable, hence zero",
+                       f"angle {alpha:.17g} lies in (0, pi/4)")
+    return Verdict("Unknown", "reflection argument covers angles in (0, pi/4) only",
+                   f"angle {alpha:.17g} outside (0, pi/4)")
+
+
+def _constant_fiber(params: dict) -> Verdict:
+    p, eta0 = int(params["p"]), float(params.get("eta0", 0.0))
+    if p < 3:  # as fourlines_annihilator, which builds this measure
+        raise ValueError("p must be an integer >= 3")
+    return Verdict("NotHUP", "constant-fiber cancellation on four parallel lines",
+                   f"constructive annihilator with weights (-e^(-i pi {eta0} {p}), 0, 0, 1)")
+
+
+_HALF_LINE_KERNEL = "kernel supported on a half-line has full spectral support"
+_CATALOG: dict[str, Union[Verdict, Callable[[dict], Verdict]]] = {
+    "lattice-cross": _lattice_cross,
+    "hyperbola-lattice-cross": _lattice_cross,
+    "circle-circle": lambda params: _bessel_criterion(params, AllIntegers, "J_k", "Lev-Sjolin circle criterion"),
+    "circle-line": Verdict("NotHUP", "Lev-Sjolin: a single line never suffices for the circle",
+                           "constructive annihilator: sin(theta) density"),
+    "circle-parallel-lines": Verdict("HUP", "Lev-Sjolin: two parallel lines suffice for the circle",
+                                     "two distinct parallel lines"),
+    "circle-lines": _circle_lines,
+    "circle-spiral": Verdict("HUP", "real-analytic continuation from the spiral accumulation point",
+                             "spiral reaches the origin: zero set forces the analytic transform to vanish"),
+    "parabola-line": _parabola_line,
+    "parabola-two-lines": Verdict("HUP", "Sjolin parabola results",
+                                  "two distinct lines always suffice for the parabola"),
+    # dim is read before radius, so a call missing both names dim
+    "sphere-sphere": lambda params: _bessel_criterion(
+        params, partial(EvenHalfIntegers, int(params["dim"])), "J_nu", "Gonzalez Vieli sphere criterion"
+    ),
+    "paraboloid-hyperplane": _paraboloid_hyperplane,
+    "spiral-antispiral": Verdict("HUP", "one-sided convolution support argument for the spiral pair",
+                                 _HALF_LINE_KERNEL),
+    "expcurve-hline": Verdict("HUP", "horizontal line reads off the full one-dimensional transform of the density",
+                              "line parallel to the x-axis"),
+    "expcurve-vline": Verdict("NotHUP", "odd-density argument against the even e^{t^2} phase",
+                              "constructive annihilator: sin(t) e^{-t^2} density"),
+    "expcurve-two-vlines": Verdict("HUP", "two vertical lines force oddness twice, leaving only the zero density",
+                                   "two distinct vertical lines"),
+    "hyperbola-branch-reflected": Verdict("HUP", "one-sided convolution support argument on the reflected branch",
+                                          _HALF_LINE_KERNEL),
+    "hyperbola-hline": Verdict("NotHUP", "odd-density argument against the even cosh phase",
+                               "constructive annihilator: sqrt(cosh 2t) sin(t) chi_(-pi,pi) density"),
+    "hyperbola-two-hlines": Verdict("HUP", "two horizontal lines force oddness twice, leaving only the zero density",
+                                    "two distinct horizontal lines"),
+    "hyperbola-angled-lines": _hyperbola_angled_lines,
+    "fourlines-constant-fiber": _constant_fiber,
+}
 
 
 def known_pair_verdict(pair: str, **params) -> Verdict:
     """HUP / NotHUP / Unknown for a cataloged (curve, test-set) pair.
 
-    Pair names and parameters:
-
-    - ``hyperbola-lattice-cross`` (alpha, beta)
-    - ``circle-circle`` (radius)
-    - ``circle-line``; ``circle-parallel-lines``
-    - ``circle-lines`` (angle: Fraction for N concurrent lines at angle*pi)
-    - ``circle-spiral``
-    - ``parabola-line`` (direction=(dx, dy)); ``parabola-two-lines``
-    - ``sphere-sphere`` (dim, radius)
-    - ``paraboloid-hyperplane`` (dim, normal)
-    - ``spiral-antispiral``
-    - ``expcurve-hline``; ``expcurve-vline``; ``expcurve-two-vlines``
-    - ``hyperbola-branch-reflected``; ``hyperbola-hline``;
-      ``hyperbola-two-hlines``; ``hyperbola-angled-lines`` (alpha radians)
-    - ``fourlines-constant-fiber`` (p, eta0)
+    The pairs are the keys of ``_CATALOG``; underscores and case in ``pair``
+    are ignored.  Parameters: alpha, beta (lattice-cross); radius
+    (circle-circle, and sphere-sphere with dim); angle (circle-lines: a
+    Fraction or int for N concurrent lines at angle*pi); direction=(dx, dy)
+    (parabola-line); normal (paraboloid-hyperplane); alpha in radians
+    (hyperbola-angled-lines); p, eta0 (fourlines-constant-fiber).  A missing
+    parameter raises ``KeyError``; a non-finite alpha, beta or radius and
+    p < 3 raise ``ValueError``.
     """
-    name = pair.replace("_", "-").lower()
-    if name in ("lattice-cross", "hyperbola-lattice-cross"):
-        alpha, beta = float(params["alpha"]), float(params["beta"])
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        product = alpha * beta
-        answer = "HUP" if product <= 1.0 else "NotHUP"
-        return Verdict(
-            answer,
-            "Hedenmalm-Montes-Rodriguez lattice-cross characterization",
-            f"alpha*beta = {product:.17g} {'<=' if product <= 1.0 else '>'} 1",
-        )
-    if name == "circle-circle":
-        radius = float(params["radius"])
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        arg = math.pi * radius
-        ok = bessel_mod.all_orders_nonzero(arg, AllIntegers())
-        return Verdict(
-            "HUP" if ok else "NotHUP",
-            "Lev-Sjolin circle criterion (argument pi*r under the pi-convention transform)",
-            f"J_k({arg:.17g}) {'all nonzero' if ok else 'vanishes'} over {_bessel_orders_checked(arg, AllIntegers())}",
-        )
-    if name == "circle-line":
-        return Verdict("NotHUP", "Lev-Sjolin: a single line never suffices for the circle",
-                       "constructive annihilator: sin(theta) density")
-    if name == "circle-parallel-lines":
-        return Verdict("HUP", "Lev-Sjolin: two parallel lines suffice for the circle", "two distinct parallel lines")
-    if name == "circle-lines":
-        angle = params["angle"]
-        if isinstance(angle, Fraction) or isinstance(angle, int):
-            return Verdict(
-                "NotHUP",
-                "Lev-Sjolin concurrent-lines criterion",
-                f"angle/pi = {Fraction(angle)} is rational: sin(j theta) annihilator exists",
-            )
-        return Verdict(
-            "Unknown",
-            "Lev-Sjolin concurrent-lines criterion",
-            "rationality of a floating-point angle is not decidable; pass a Fraction for an exact verdict",
-        )
-    if name == "circle-spiral":
-        return Verdict("HUP", "real-analytic continuation from the spiral accumulation point",
-                       "spiral reaches the origin: zero set forces the analytic transform to vanish")
-    if name == "parabola-line":
-        dx, dy = params["direction"]
-        parallel = float(dy) == 0.0 and float(dx) != 0.0
-        return Verdict(
-            "HUP" if parallel else "NotHUP",
-            "Sjolin parabola results",
-            f"line direction ({dx}, {dy}) is {'parallel' if parallel else 'not parallel'} to the x-axis",
-        )
-    if name == "parabola-two-lines":
-        return Verdict("HUP", "Sjolin parabola results", "two distinct lines always suffice for the parabola")
-    if name == "sphere-sphere":
-        dim, radius = int(params["dim"]), float(params["radius"])
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        arg = math.pi * radius
-        parity = EvenHalfIntegers(dim)
-        ok = bessel_mod.all_orders_nonzero(arg, parity)
-        return Verdict(
-            "HUP" if ok else "NotHUP",
-            "Gonzalez Vieli sphere criterion (argument pi*r under the pi-convention transform)",
-            f"J_nu({arg:.17g}) {'all nonzero' if ok else 'vanishes'} over {_bessel_orders_checked(arg, parity)}",
-        )
-    if name == "paraboloid-hyperplane":
-        normal = tuple(float(v) for v in params["normal"])
-        parallel = all(v == 0.0 for v in normal[:-1]) and normal[-1] != 0.0
-        return Verdict(
-            "HUP" if parallel else "NotHUP",
-            "Gonzalez Vieli paraboloid criterion",
-            f"hyperplane with normal {normal} is {'parallel' if parallel else 'not parallel'} to the base hyperplane",
-        )
-    if name == "spiral-antispiral":
-        return Verdict("HUP", "one-sided convolution support argument for the spiral pair",
-                       "kernel supported on a half-line has full spectral support")
-    if name == "expcurve-hline":
-        return Verdict("HUP", "horizontal line reads off the full one-dimensional transform of the density",
-                       "line parallel to the x-axis")
-    if name == "expcurve-vline":
-        return Verdict("NotHUP", "odd-density argument against the even e^{t^2} phase",
-                       "constructive annihilator: sin(t) e^{-t^2} density")
-    if name == "expcurve-two-vlines":
-        return Verdict("HUP", "two vertical lines force oddness twice, leaving only the zero density",
-                       "two distinct vertical lines")
-    if name == "hyperbola-branch-reflected":
-        return Verdict("HUP", "one-sided convolution support argument on the reflected branch",
-                       "kernel supported on a half-line has full spectral support")
-    if name == "hyperbola-hline":
-        return Verdict("NotHUP", "odd-density argument against the even cosh phase",
-                       "constructive annihilator: sqrt(cosh 2t) sin(t) chi_(-pi,pi) density")
-    if name == "hyperbola-two-hlines":
-        return Verdict("HUP", "two horizontal lines force oddness twice, leaving only the zero density",
-                       "two distinct horizontal lines")
-    if name == "hyperbola-angled-lines":
-        alpha = float(params["alpha"])
-        if 0.0 < alpha < math.pi / 4.0:
-            return Verdict("HUP", "reflection argument: the density becomes periodic and integrable, hence zero",
-                           f"angle {alpha:.17g} lies in (0, pi/4)")
-        return Verdict("Unknown", "reflection argument covers angles in (0, pi/4) only",
-                       f"angle {alpha:.17g} outside (0, pi/4)")
-    if name == "fourlines-constant-fiber":
-        p = int(params["p"])
-        eta0 = float(params.get("eta0", 0.0))
-        return Verdict(
-            "NotHUP",
-            "constant-fiber cancellation on four parallel lines",
-            f"constructive annihilator with weights (-e^(-i pi {eta0} {p}), 0, 0, 1)",
-        )
-    return Verdict("Unknown", "", f"pair {pair!r} is outside the verdict catalog")
+    entry = _CATALOG.get(pair.replace("_", "-").lower())
+    if entry is None:
+        return Verdict("Unknown", "", f"pair {pair!r} is outside the verdict catalog")
+    return entry if isinstance(entry, Verdict) else entry(params)

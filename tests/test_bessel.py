@@ -79,6 +79,22 @@ class TestValues:
                 worst = max(worst, abs(bessel_j(n, x) - want) / max(1.0, abs(want)))
         assert worst <= 1e-12
 
+    def test_both_parities_match_mpmath(self):
+        # the documented target over its whole range: nu <= 40 in both parities,
+        # 0 < x <= 50.  J_{71/2}(35.42179100127359) was 1.4e-10 off when the power
+        # series ran up to x = nu; it is the first point.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        points = [(71, 35.42179100127359), (80, 12.0), (79, 12.000000001), (1, 50.0)]
+        points += [(rng.randint(0, 80), rng.uniform(1e-3, 50.0)) for _ in range(1500)]
+        worst = (0.0, (0, 0.0))
+        with mpmath.workdps(30):
+            for twice_nu, x in points:
+                want = float(mpmath.besselj(mpmath.mpf(twice_nu) / 2, x))
+                error = abs(bessel_j(Order(twice_nu), x) - want) / max(1.0, abs(want))
+                worst = max(worst, (error, (twice_nu, x)))
+        assert worst[0] <= 1e-12, worst
+
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)

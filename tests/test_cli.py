@@ -1,6 +1,9 @@
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -492,3 +495,55 @@ def test_dump_writes_the_documented_keys_in_order(table, obj, expected):
 def test_load_rejects_malformed_descriptions(table, where, desc, message):
     with pytest.raises(cli.ConfigError, match=message):
         cli._load(table, desc, where)
+
+
+def run_main(capsys, *argv):
+    """Exit code, stdout and stderr of ``huplab ARGV`` run in-process."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestConfigErrorsExit2:
+    def test_solver_without_etas(self, capsys):
+        code, out, err = run_main(capsys, "fourlines", "tau")
+        assert (code, out) == (2, "")
+        assert err == "config error: tau needs --etas with 3 comma-separated heights\n"
+
+    @pytest.mark.parametrize("doc", [{"points": 5}, {"points": [5]}, {"points": [[0.0, None]]}, {"fibers": 5}])
+    def test_classify_on_values_of_the_wrong_type(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_main(capsys, "fourlines", "classify", "--fibers", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: bad fibers JSON: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("lattice-cross", "--alpha", "1", "--beta", "nan"), "alpha and beta must be finite"),
+            (("hyperbola-lattice-cross", "--alpha", "inf", "--beta", "0.5"), "alpha and beta must be finite"),
+            (("circle-circle", "--radius", "inf"), "radius must be finite"),
+            (("circle-circle", "--radius", "nan"), "radius must be finite"),
+            (("sphere-sphere", "--dim", "3", "--radius=-inf"), "radius must be finite"),
+            (("hyperbola-angled-lines", "--alpha", "nan"), "alpha must be finite"),
+            (("fourlines-constant-fiber", "--p", "2"), "p must be an integer >= 3"),
+        ],
+    )
+    def test_verdict_inputs_outside_the_contract(self, capsys, argv, message):
+        code, out, err = run_main(capsys, "verdict", *argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_readme_catalog_examples_run(tmp_path, monkeypatch, capsys):
+    # every `huplab verdict|bessel|fourlines` line of the README's shell examples
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    examples = [argv[1:] for argv in lines if argv[:1] == ["huplab"] and argv[1] in ("verdict", "bessel", "fourlines")]
+    assert len(examples) >= 15
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fibers.json").write_text(json.dumps({"fibers": [{"xi": 0.0, "sigma": [0.0, 0.5]}]}))
+    for argv in examples:
+        code, out, err = run_main(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert json.loads(out)["schema_version"] == 1

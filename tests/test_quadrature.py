@@ -232,3 +232,13 @@ def test_presplit_sized_by_local_rate():
         want = integrate(lambda t: np.exp(1j * 50.0 * t * t), (0.0, 4.0), QuadOpts(oscillation_hint=400.0))
         assert want.panels == uniform
         assert abs(values[0] - want.value) <= errs[0] + want.err_estimate
+
+
+def test_nonfinite_value_met_during_bisection_is_raised():
+    # the pre-split nodes miss the NaN hole around 0.3; bisecting the kink there reaches it
+    def integrand(t):
+        return np.where(np.abs(t - 0.3) < 1e-7, np.nan, np.sqrt(np.abs(t - 0.3))) + 0j
+
+    with pytest.raises(QuadratureError, match="nonfinite value near t=0.3") as info:
+        integrate(integrand, (0.0, 1.0), QuadOpts(abs_tol=1e-13, rel_tol=1e-13))
+    assert not isinstance(info.value, NonconvergenceError)

@@ -21,7 +21,7 @@ from huplab.geometry import (
     parallel_lines,
     spiral,
 )
-from huplab.quadrature import NonconvergenceError, QuadOpts, QuadratureError, integrate
+from huplab.quadrature import MissingEnvelopeError, NonconvergenceError, QuadOpts, QuadratureError, integrate
 from huplab.transform import (
     PointFailure,
     circle_coeff,
@@ -320,3 +320,17 @@ def test_mu_hat_with_tabulated_density():
     got = mu_hat(m, 0.7, 0.0).value
     want = (math.sin(math.pi * 0.7 / 2.0) / (math.pi * 0.7 / 2.0)) ** 2
     assert got == pytest.approx(want, abs=1e-6)  # interpolation-limited
+
+
+def test_unbounded_curve_without_envelope_fails_at_the_first_point():
+    measure = Measure(spiral(), (parse("1"),))
+    with pytest.raises(PointFailure) as info:
+        mu_hat_at_points(measure, [(1.0, 2.0), (3.0, 4.0)])
+    assert info.value.point == (1.0, 2.0)
+    assert isinstance(info.value.__cause__, MissingEnvelopeError)
+
+
+def test_support_disjoint_from_the_domain_gives_exact_zero():
+    # the spiral's parameter domain is (0, inf); [-2, -1] misses it entirely
+    ft = mu_hat(Measure(spiral(), (parse("1"),), CompactSupport(-2.0, -1.0)), 1.0, 2.0)
+    assert (ft.value, ft.err_estimate, ft.truncation_window) == (0j, 0.0, (0.0, 0.0))

@@ -231,6 +231,30 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             known_pair_verdict("circle-circle", radius=0.0)
 
+    @pytest.mark.parametrize(
+        "pair, params",
+        [
+            ("lattice-cross", {"alpha": 1.0, "beta": math.nan}),
+            ("lattice-cross", {"alpha": math.inf, "beta": 0.5}),
+            ("circle-circle", {"radius": math.inf}),
+            ("sphere-sphere", {"dim": 3, "radius": math.nan}),
+            ("hyperbola-angled-lines", {"alpha": math.inf}),
+            ("fourlines-constant-fiber", {"p": 2}),
+        ],
+    )
+    def test_inputs_outside_the_contract_raise(self, pair, params):
+        with pytest.raises(ValueError):
+            known_pair_verdict(pair, **params)
+
+    def test_parameter_lookup(self):
+        # a missing parameter is a KeyError naming it, dim before radius; extras are ignored
+        with pytest.raises(KeyError, match="dim"):
+            known_pair_verdict("sphere-sphere")
+        with pytest.raises(KeyError, match="radius"):
+            known_pair_verdict("sphere-sphere", dim=3)
+        assert known_pair_verdict("circle-line", radius=3.0) == known_pair_verdict("circle-line")
+        assert known_pair_verdict("Lattice_Cross", alpha=1.0, beta=1.0, p=9).answer == "HUP"
+
 
 def test_not_hup_verdicts_are_backed_by_certificates():
     # catalog <-> constructor consistency for every NotHUP entry with a builder
