@@ -147,6 +147,8 @@ def _downward(twice_nu: int, x: float) -> list[float]:
 def bessel_j(order: Union[Order, int, float, str], x: float) -> float:
     """J_nu(x) for x >= 0 and nu a nonnegative integer or half-integer."""
     o = Order.of(order)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x <= _SERIES_MAX_X:
@@ -201,6 +203,8 @@ def all_orders_nonzero(x: float, parity: Union[AllIntegers, EvenHalfIntegers]) -
     the first positive zero of J_nu exceeds nu, so larger orders cannot
     vanish at x.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x <= 0:
         raise ValueError("x must be positive")
     first = 0 if isinstance(parity, AllIntegers) else parity.n - 2  # twice the lowest order

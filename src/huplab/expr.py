@@ -45,6 +45,10 @@ __all__ = [
     "pretty",
     "evaluate",
     "evaluate_array",
+    "EVEN",
+    "ODD",
+    "UNKNOWN",
+    "parity",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "cosh", "sinh", "sqrt", "log", "abs")
@@ -305,13 +309,16 @@ def _eval(node: Expr, t):
             if np.any(right == 0):
                 raise EvalDomainError("division by zero", pretty(node))
             return _check_finite(left / right, node)
-        return _check_finite(np.power(left, right), node)
+        # + 0.0 turns a -0 imaginary part into +0, here and in sqrt: on the
+        # negative real axis both then take the principal branch
+        return _check_finite(np.power(left + 0.0, right), node)
     if isinstance(node, Call):
         arg = _eval(node.arg, t)
         if node.func == "abs":
             return np.abs(arg)
         if node.func == "sqrt":
-            return np.sqrt(np.asarray(arg, dtype=np.complex128)) if np.ndim(arg) else complex(np.sqrt(complex(arg)))
+            root = np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0)
+            return root if np.ndim(arg) else complex(root)
         if node.func == "log":
             bad = (np.imag(arg) == 0) & (np.real(arg) <= 0)
             if np.any(bad):
@@ -348,3 +355,40 @@ def evaluate_array(node: Expr, t: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = _eval(node, np.asarray(t, dtype=np.float64))
     return np.asarray(out, dtype=np.complex128) + np.zeros(np.shape(t), dtype=np.complex128)
+
+
+# how a tree's value at -t relates to its value at t; as numbers they
+# multiply like the signs they stand for
+EVEN, ODD, UNKNOWN = 1, -1, 0
+
+
+def parity(node) -> int:
+    """EVEN, ODD or UNKNOWN, from the tree alone: sound rules, not complete ones.
+
+    ``chi(a,b)(u)`` is even when a, b and u are, or when u is odd and the
+    bounds are -b and an even b.  Anything but a tree is UNKNOWN.
+    """
+    if isinstance(node, (Num, Const, Var)):
+        return ODD if isinstance(node, Var) else EVEN
+    if isinstance(node, Neg):
+        return parity(node.arg)
+    if isinstance(node, BinOp):
+        left, right = parity(node.left), parity(node.right)
+        if node.op in ("+", "-"):
+            return left if left == right else UNKNOWN
+        if node.op in ("*", "/") or left == right == EVEN:
+            return left * right
+        if isinstance(node.right, Num) and float(node.right.value).is_integer():
+            return left if node.right.value % 2 else left * left
+        return UNKNOWN
+    if isinstance(node, Call):
+        arg = parity(node.arg)
+        if node.func in ("sin", "sinh"):
+            return arg
+        return arg * arg if node.func in ("cos", "cosh", "abs") or arg == EVEN else UNKNOWN
+    if isinstance(node, Chi):
+        arg = parity(node.arg)
+        mirrored = Neg(node.hi) == node.lo or Neg(node.lo) == node.hi
+        even_bounds = parity(node.lo) == parity(node.hi) == EVEN
+        return EVEN if even_bounds and (arg == EVEN or arg == ODD and mirrored) else UNKNOWN
+    return UNKNOWN

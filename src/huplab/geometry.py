@@ -9,13 +9,13 @@ is the only truncation authority for downstream quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import Expr
+from .expr import EVEN, ODD, UNKNOWN, Expr
 from .fourlines import Fiber
 
 __all__ = [
@@ -152,6 +152,8 @@ class CurveKind:
     # (lo > hi) when there is none
     window_range: Callable
     fields: tuple[str, ...] = ()  # the optional ParamCurve fields the kind needs; the rest stay unset
+    # (c) -> the expr.parity of x and of y in t, for a component whose domain is symmetric
+    parity: Callable = lambda c: (UNKNOWN, UNKNOWN)
 
 
 def _hyperbola(domain: tuple[float, float]) -> CurveKind:
@@ -212,9 +214,10 @@ CURVE_KINDS: dict[str, CurveKind] = {
         lambda c, k, t: (np.cos(t), np.sin(t)),
         lambda c, k, lo, hi: (1.0, 1.0),
         lambda c, k, w: (-INF, INF),
+        parity=lambda c: (EVEN, ODD),
     ),
     "hyperbola-branch": _hyperbola((0.0, INF)),
-    "hyperbola-full": _hyperbola((-INF, INF)),
+    "hyperbola-full": replace(_hyperbola((-INF, INF)), parity=lambda c: (EVEN, ODD)),
     "spiral": _log_spiral(-1, (0.0, INF)),
     "anti-spiral": _log_spiral(1, (-INF, 0.0)),
     "exp-curve": CurveKind(
@@ -222,12 +225,14 @@ CURVE_KINDS: dict[str, CurveKind] = {
         lambda c, k, t: (np.asarray(t, dtype=float), np.exp(t * t)),
         _exp_curve_deriv_sup,
         lambda c, k, w: (w[0], w[1]),
+        parity=lambda c: (ODD, EVEN),
     ),
     "parabola": CurveKind(
         lambda c: (-INF, INF),
         lambda c, k, t: (np.asarray(t, dtype=float), np.asarray(t, dtype=float) ** 2),
         lambda c, k, lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi))),
         lambda c, k, w: (w[0], w[1]),
+        parity=lambda c: (ODD, EVEN),
     ),
     "parallel-lines": CurveKind(
         lambda c: (-INF, INF),
@@ -235,6 +240,7 @@ CURVE_KINDS: dict[str, CurveKind] = {
         lambda c, k, lo, hi: (1.0, 0.0),
         lambda c, k, w: (w[0], w[1]) if w[2] <= c.heights[k] <= w[3] else (INF, -INF),
         fields=("heights",),
+        parity=lambda c: (ODD, EVEN),
     ),
     "expr": CurveKind(
         lambda c: c.expr_domain,
@@ -243,6 +249,7 @@ CURVE_KINDS: dict[str, CurveKind] = {
         _expr_deriv_sup,
         lambda c, k, w: (-INF, INF),
         fields=("x_expr", "y_expr", "expr_domain"),
+        parity=lambda c: (expr_mod.parity(c.x_expr), expr_mod.parity(c.y_expr)),
     ),
 }
 

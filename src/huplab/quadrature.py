@@ -8,14 +8,15 @@ oscillation rate w, the interval is pre-split before adaptivity begins, which
 keeps highly oscillatory phases resolved from the start.  A panel spans at
 most pi of phase, or up to 4 pi where a declared decay envelope is so small
 that the Gauss-7 error model allows it; long pre-splits are sized block by
-block from the local rate, after a probe for a null integrand.  The envelope
-only picks the first panels: every error estimate is the panels' own.
+block from the local rate.  The envelope only picks the first panels: every
+error estimate is the panels' own.
 
 Unbounded intervals are truncated from declared decay envelopes only, never
 from sampling: the cutoff T is chosen so the envelope's tail integral is
 below abs_tol/10.  Exactly symmetric intervals [-b, b] are folded to
 [0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
 pointwise and integrates to zero regardless of how wild its phase is.
+A caller that knows an integrand to be odd takes it as 0 with :func:`null_err`.
 
 :func:`integrate_rows` runs these stages for many integrands that share
 their nodes (the transform at many frequency points); :func:`integrate` is
@@ -41,6 +42,7 @@ __all__ = [
     "MissingEnvelopeError",
     "integrate",
     "integrate_rows",
+    "null_err",
     "truncate_interval",
 ]
 
@@ -201,24 +203,17 @@ def truncation_error(interval: Tuple[float, float], window: Tuple[float, float],
 
 # the integrand values of a batch are built in blocks of at most this many
 # complex entries (256 KiB), and one pass over the pre-splits keeps at most
-# this many panel sums (32 bytes each, 8 MiB) unless a single row needs more,
+# this many panel sums (24 bytes each, 6 MiB) unless a single row needs more,
 # so the memory of a batch does not grow with its number of rows; 2^16-entry
 # blocks ran no faster and raised the peak memory of a certificate 2 MB more
 _CHUNK = 1 << 14
 _PASS_PANELS = 1 << 18
-# a pre-split of more than _PROBE_PANELS panels is first probed, on that many
-# panels, for a null integrand, and then sized block by block from the
-# oscillation rate and the envelope on each of _RATE_BLOCKS equal blocks
-_PROBE_PANELS = 64
+# a pre-split of more than _BLOCKWISE_PANELS panels is sized block by block
+# from the oscillation rate and the envelope on each of _RATE_BLOCKS equal blocks
+_BLOCKWISE_PANELS = 64
 _RATE_BLOCKS = 16
-# the probe scores every _PROBE_STRIDE-th panel first; a row whose mass there
-# exceeds the null threshold by more than the rounding margin is not null and
-# skips the other panels
-_PROBE_STRIDE = 8
-_PROBE_GROUPS = _PROBE_PANELS // _PROBE_STRIDE
-_PROBE_FIRST = np.arange(0, _PROBE_PANELS, _PROBE_STRIDE)
-_PROBE_REST = np.flatnonzero(np.arange(_PROBE_PANELS) % _PROBE_STRIDE)
-_PROBE_MARGIN = 1e-9
+# the roundoff floor of a null integrand is measured on this many equal panels
+_NULL_PANELS = 64
 # Gauss-7 error on a panel of width h: c7 h^15 |f^(14)|.  For an integrand of
 # amplitude A whose phase turns by theta over the panel that is about
 # c7 A h theta^14; blocks ask _SAFETY times less of it than their share of
@@ -228,40 +223,31 @@ _SAFETY = 1e3
 _THETA_MAX = 4.0 * math.pi
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray):
-    """Kronrod nodes of the panels [lo_j, hi_j] (panels x 15) and their half-widths."""
-    center = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    return center + half * NODES[None, :], half[:, 0]
-
-
 def _nonfinite(t) -> QuadratureError:
     return QuadratureError(f"integrand returned a nonfinite value near t={t}")
 
 
-def _params(x: np.ndarray, folded: bool) -> np.ndarray:
-    """The parameters to evaluate the nodes ``x`` at: the nodes, then their mirror images when folded."""
-    flat = x.ravel()
-    return np.concatenate([flat, -flat]) if folded else flat
+def _score(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndarray):
+    """Kronrod sums of the panels [lo_j, hi_j] for each of ``rows``.
 
-
-def _row_sums(values_at, x: np.ndarray, h: np.ndarray, folded: bool, rows: np.ndarray, cols=slice(None)):
-    """Kronrod sums of the panels with nodes ``x`` and half-widths ``h`` for each of ``rows``.
-
-    ``values_at(rows, cols)`` gives the rows' values at the slice ``cols``
-    of its node set, which holds ``_params(x, folded)`` there.  Returns
-    values, error estimates and null masses (rows x panels) and, by position
-    in ``rows``, the first node of each row whose integrand is not finite
-    there.
+    ``at_nodes`` is evaluated once on the panels' nodes (see
+    ``integrate_rows``).  Returns values and error estimates (rows x panels)
+    and, by position in ``rows``, the first node of each row whose integrand
+    is not finite there.
     """
+    # the Kronrod nodes (panels x 15) and half-widths; evaluated at the nodes,
+    # then at their mirror images when folded
+    h = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + h[:, None] * NODES
     n = x.size
+    values_at = at_nodes(np.concatenate([x.ravel(), -x.ravel()]) if folded else x.ravel())
     shape = (len(rows), len(h))
-    values, errs, mass = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
+    values, errs = np.empty(shape, dtype=np.complex128), np.empty(shape)
     bad = {}
     step = max(1, _CHUNK // (n * (2 if folded else 1)))
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
-        fs = np.asarray(values_at(rows[part], cols), dtype=np.complex128)
+        fs = np.asarray(values_at(rows[part]), dtype=np.complex128)
         if folded:
             fx = fs[:, :n] + fs[:, n:]
             raw = np.abs(fs[:, :n])
@@ -274,67 +260,35 @@ def _row_sums(values_at, x: np.ndarray, h: np.ndarray, folded: bool, rows: np.nd
             bad[start + k] = x[tuple(np.argwhere(~np.isfinite(fx[k]))[0])]
         i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
         i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
-        # roundoff floor scales with the unfolded magnitudes; the null mass
-        # measures the folded integrand and drives the early-accept probe
-        mass[part] = (np.abs(fx) * WEIGHTS_K).sum(axis=-1) * h
+        # roundoff floor scales with the unfolded magnitudes
         errs[part] = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
         values[part] = i15
-    return values, errs, mass, bad
+    return values, errs, bad
 
 
-def _score(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndarray):
-    """``_row_sums`` of the panels [lo_j, hi_j], evaluating ``at_nodes`` on their nodes."""
-    x, h = _nodes(lo, hi)
-    return _row_sums(at_nodes(_params(x, folded)), x, h, folded, rows)
+def _one_row(f: Callable[[np.ndarray], np.ndarray]):
+    """The ``at_nodes`` of ``integrate_rows`` for the single integrand ``f``."""
+
+    def at_nodes(t: np.ndarray):
+        fs = np.asarray(f(t), dtype=np.complex128)[None]
+        return lambda rows: fs
+
+    return at_nodes
 
 
-def _probe(at_nodes, a: float, b: float, folded: bool, rows: np.ndarray, limit: float):
-    """Probe ``rows`` for a null integrand on _PROBE_PANELS equal panels of [a, b].
+def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
+    """Error estimate of the integral of an odd ``f`` over [-b, b] taken as exactly 0.
 
-    Returns the rows whose folded mass is at most ``limit``, with their
-    values and error estimates (their mass included), and {row: t} for the
-    rows whose integrand is not finite at t.  Every _PROBE_STRIDE-th panel
-    is scored first, and only the rows whose mass there stays within
-    ``limit`` (or that are not finite) score the other panels, on the same
-    node set.  The sums of a row that scores all panels are those of scoring
-    them at once, and the first nonfinite node is the lowest one.
+    That is the Kronrod error of f(t) + f(-t) on _NULL_PANELS equal panels of
+    [0, b]: the roundoff floor 10 eps sum (|f(t)| + |f(-t)|) w h where f is
+    odd to the last bit.  A nonfinite ``f`` raises :class:`QuadratureError`
+    naming its lowest node there.
     """
-    edges = np.linspace(a, b, _PROBE_PANELS + 1)
-    x, h = _nodes(edges[:-1], edges[1:])
-    # the strided panels' nodes come first, so that each pass reads one slice
-    first, rest = (x[_PROBE_FIRST], h[_PROBE_FIRST]), (x[_PROBE_REST], h[_PROBE_REST])
-    head = _params(first[0], folded)
-    values_at = at_nodes(np.concatenate([head, _params(rest[0], folded)]))
-    head, tail = slice(0, head.size), slice(head.size, None)
-    null_rows, null_values, null_errs, bad = [], [], [], {}
-    # passes of 256 rows kept the memory lower but made every certificate op
-    # about 10% slower in a fresh process, untouched paths included
-    for start in range(0, rows.size, _PASS_PANELS // _PROBE_PANELS):
-        part = rows[start : start + _PASS_PANELS // _PROBE_PANELS]
-        shape = (part.size, _PROBE_PANELS)
-        vals, errs, mass = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
-        # panel p sits at [p // _PROBE_STRIDE, p % _PROBE_STRIDE] of these views
-        blocks = [out.reshape(part.size, _PROBE_GROUPS, _PROBE_STRIDE) for out in (vals, errs, mass)]
-        *sums, bad_first = _row_sums(values_at, *first, folded, part, head)
-        for block, first_sums in zip(blocks, sums):
-            block[:, :, 0] = first_sums
-        undecided = ~(np.sum(sums[2], axis=1) > limit * (1.0 + _PROBE_MARGIN))
-        undecided[list(bad_first)] = True
-        undecided = np.flatnonzero(undecided)
-        *sums, bad_rest = _row_sums(values_at, *rest, folded, part[undecided], tail)
-        for block, rest_sums in zip(blocks, sums):
-            block[undecided, :, 1:] = rest_sums.reshape(undecided.size, _PROBE_GROUPS, _PROBE_STRIDE - 1)
-        found = dict(bad_first)
-        for k, t in bad_rest.items():
-            found[undecided[k]] = min(t, found.get(undecided[k], t))
-        bad.update({int(part[k]): t for k, t in found.items()})
-        total = np.sum(mass[undecided], axis=1)
-        is_null = total <= limit
-        null = undecided[is_null]
-        null_rows.append(part[null])
-        null_values.append(np.sum(vals[null], axis=1))
-        null_errs.append(total[is_null] + np.sum(errs[null], axis=1))
-    return np.concatenate(null_rows), np.concatenate(null_values), np.concatenate(null_errs), bad
+    edges = np.linspace(0.0, b, _NULL_PANELS + 1)
+    _, errs, bad = _score(_one_row(f), edges[:-1], edges[1:], True, np.zeros(1, dtype=np.int64))
+    if bad:
+        raise _nonfinite(bad[0])
+    return math.fsum(errs[0].tolist())
 
 
 def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
@@ -363,7 +317,7 @@ def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: flo
         mid = 0.5 * (lo + hi)
         new_lo = np.concatenate([lo, mid])
         new_hi = np.concatenate([mid, hi])
-        new_values, new_errs, _, bad = _score(at_nodes, new_lo, new_hi, folded, np.array([row]))
+        new_values, new_errs, bad = _score(at_nodes, new_lo, new_hi, folded, np.array([row]))
         if bad:
             raise _nonfinite(bad[0])
         for i in range(len(new_lo)):
@@ -394,19 +348,19 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
     return max(math.pi, math.exp(min(log_theta, math.log(_THETA_MAX))))
 
 
-def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, rows: np.ndarray, envelope, abs_tol: float) -> list:
+def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope, abs_tol: float) -> list:
     """Each row's pre-split of [a, b], as segments (lo, hi, panels).
 
     The uniform pre-split of ``n0`` panels is sized for the fastest
-    oscillation anywhere in the range.  Where it has more than _PROBE_PANELS
-    panels, each of _RATE_BLOCKS equal blocks instead gets panels spanning
-    at most theta of phase at the rate on that block, when that takes fewer
-    panels in all.  theta is pi, or up to 4 pi where the declared envelope
+    oscillation anywhere in the range.  Where it has more than
+    _BLOCKWISE_PANELS panels, each of _RATE_BLOCKS equal blocks instead gets
+    panels spanning at most theta of phase at the rate on that block, when
+    that takes fewer panels in all.  theta is pi, or up to 4 pi where the declared envelope
     is small enough for the Gauss-7 error model (see ``_panel_phase``).
     """
-    splits = [((a, b, int(n0[r])),) for r in rows]
-    wide = [k for k, r in enumerate(rows) if n0[r] > _PROBE_PANELS]
-    if not wide:
+    splits = [((a, b, int(n)),) for n in n0]
+    wide = np.flatnonzero(n0 > _BLOCKWISE_PANELS)
+    if not wide.size:
         return splits
     blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
     spans = list(zip(blocks[:-1], blocks[1:]))
@@ -416,9 +370,8 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, rows: np.
     theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
     counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
     for k in wide:
-        column = counts[:, rows[k]]
-        if column.sum() < n0[rows[k]]:
-            splits[k] = tuple((lo, hi, int(c)) for (lo, hi), c in zip(spans, column))
+        if counts[:, k].sum() < n0[k]:
+            splits[k] = tuple((lo, hi, int(c)) for (lo, hi), c in zip(spans, counts[:, k]))
     return splits
 
 
@@ -449,25 +402,23 @@ def integrate_rows(
     """Integrate ``n_rows`` integrands that share their nodes over one finite window.
 
     ``at_nodes(t)`` evaluates what the integrands share at the parameters
-    ``t`` and returns a function ``values(rows, cols)`` from an array of row
-    indices and a slice of ``t`` to the rows' values there (rows x columns);
-    those values are built for at most _CHUNK entries at a time.
+    ``t`` and returns a function ``values(rows)`` from an array of row
+    indices to the rows' values at ``t`` (rows x len(t)); those values are
+    built for at most _CHUNK entries at a time.
     ``rate(lo, hi)`` bounds each row's oscillation rate on [lo, hi], and
     ``envelope`` is the decay the integrands declare, if any.
 
     A row whose rate over the whole window asks for at most 64 panels of pi
     phase each (at least 8, at most ``max_subdivisions``) gets that uniform
     pre-split; rows that share a pre-split share its nodes.  A longer one is
-    first probed on 64 panels for a null integrand (an odd density after
-    folding, say); a row whose every 8th probe panel already carries more
-    than the null mass abs_tol/10 skips the other 56.  It is then sized block
-    by block from ``rate`` and ``envelope``, each panel spanning pi of phase,
-    or up to 4 pi where the envelope is small (see ``_presplits``), unless
-    the uniform pre-split (at most ``_PRESPLIT_CAP`` panels) is shorter.  The
-    envelope only picks the first panels; every error estimate comes from
-    the panels' Kronrod sums, and rows that miss tolerance are refined alone
-    by bisecting their worst panels first.  Pre-splits are evaluated in
-    passes that keep at most _PASS_PANELS panel sums.
+    sized block by block from ``rate`` and ``envelope``, each panel spanning
+    pi of phase, or up to 4 pi where the envelope is small (see
+    ``_presplits``), unless the uniform pre-split (at most ``_PRESPLIT_CAP``
+    panels) is shorter.  The envelope only picks the first panels; every
+    error estimate comes from the panels' Kronrod sums, and rows that miss
+    tolerance are refined alone by bisecting their worst panels first.
+    Pre-splits are evaluated in passes that keep at most _PASS_PANELS panel
+    sums.
 
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and {row: QuadratureError} for the rows that failed.  Rows
@@ -483,47 +434,36 @@ def integrate_rows(
     value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
     panels = np.zeros(n_rows, dtype=np.int64)
     failures: dict = {}
-    rest = np.ones(n_rows, dtype=bool)
-    wide = np.flatnonzero(n0 > _PROBE_PANELS)
-    if wide.size:
-        null, null_values, null_errs, bad = _probe(at_nodes, a, b, folded, wide, opts.abs_tol / 10.0)
-        failures.update({r: _nonfinite(t) for r, t in bad.items()})
-        rest[list(bad)] = False
-        value[null] = null_values
-        err[null] = tail_err + null_errs
-        panels[null] = _PROBE_PANELS
-        rest[null] = False
-    rest = np.flatnonzero(rest)
-    splits = _presplits(rate, a, b, folded, n0, rest, envelope, opts.abs_tol)
+    splits = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
     sizes = [sum(segment[2] for segment in split) for split in splits]
     start = 0
-    while start < len(rest) and rest[start] <= min(failures, default=n_rows):
+    while start < n_rows and start <= min(failures, default=start):
         stop, held = start + 1, sizes[start]
-        while stop < len(rest) and held + sizes[stop] <= _PASS_PANELS:
+        while stop < n_rows and held + sizes[stop] <= _PASS_PANELS:
             held += sizes[stop]
             stop += 1
         rows_of: dict = {}
-        for r, split in zip(rest[start:stop], splits[start:stop]):
+        for r, split in zip(range(start, stop), splits[start:stop]):
             for segment in split:
                 rows_of.setdefault(segment, []).append(r)
-        pieces: dict = {r: {} for r in rest[start:stop]}
+        pieces: dict = {r: {} for r in range(start, stop)}
         for (lo, hi, n), rows in rows_of.items():
             seg_edges = np.linspace(lo, hi, n + 1)
-            vals, errs, _, bad = _score(at_nodes, seg_edges[:-1], seg_edges[1:], folded, np.array(rows))
+            vals, errs, bad = _score(at_nodes, seg_edges[:-1], seg_edges[1:], folded, np.array(rows))
             for k, r in enumerate(rows):
                 pieces[r][lo, hi, n] = (seg_edges, vals[k], errs[k], bad.get(k))
-        for r, split in zip(rest[start:stop], splits[start:stop]):
+        for r, split in zip(range(start, stop), splits[start:stop]):
             if r > min(failures, default=r):
                 continue
             parts = [pieces[r][segment] for segment in split]
             bad = [p[3] for p in parts if p[3] is not None]
             if bad:
-                failures[int(r)] = _nonfinite(bad[0])
+                failures[r] = _nonfinite(bad[0])
                 continue
             try:
                 value[r], err[r], panels[r] = _finish(at_nodes, r, [p[:3] for p in parts], folded, tail_err, opts)
             except QuadratureError as exc:
-                failures[int(r)] = exc
+                failures[r] = exc
         start = stop
     return value, err, panels, failures
 
@@ -547,13 +487,8 @@ def integrate(
     if window is None:
         return QuadResult(0j, 0.0, (0.0, 0.0), 0)
     hint = np.array([opts.oscillation_hint or 0.0])
-
-    def at_nodes(t: np.ndarray):
-        fs = np.asarray(f(t), dtype=np.complex128)
-        return lambda rows, cols: fs[None, cols]
-
     tail_err = truncation_error(interval, window, envelope)
-    value, err, panels, failures = integrate_rows(at_nodes, lambda lo, hi: hint, 1, window, tail_err, opts, envelope)
+    value, err, panels, failures = integrate_rows(_one_row(f), lambda lo, hi: hint, 1, window, tail_err, opts, envelope)
     if failures:
         raise failures[0]
     return QuadResult(complex(value[0]), float(err[0]), (float(window[0]), float(window[1])), int(panels[0]))

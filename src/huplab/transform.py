@@ -18,13 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Num
-from .geometry import Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
+from .expr import EVEN, ODD, Num, parity
+from .geometry import CURVE_KINDS, Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
 from .quadrature import (
     QuadOpts,
     QuadratureError,
     integrate,
     integrate_rows,
+    null_err,
     truncate_interval,
     truncation_error,
 )
@@ -68,13 +69,13 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
         x, y = curve.xy(comp, t)
         cx, cy, gt = x + ox, y + oy, g(t)
 
-        def values(rows: np.ndarray, cols) -> np.ndarray:
+        def values(rows: np.ndarray) -> np.ndarray:
             # in place: the same operations as e^{-i pi (x xi + y eta)} g, with fewer temporaries
-            phase = np.multiply.outer(xi[rows], cx[cols])
-            phase += np.multiply.outer(eta[rows], cy[cols])
+            phase = np.multiply.outer(xi[rows], cx)
+            phase += np.multiply.outer(eta[rows], cy)
             z = np.multiply(-1j * math.pi, phase)
             np.exp(z, out=z)
-            z *= gt[cols]
+            z *= gt
             return z
 
         return values
@@ -121,6 +122,18 @@ def _transform(
             # they did when the zero was integrated
             err[live] += tail
             continue
+        # on a folded window an odd density against a phase x xi + y eta that is
+        # even in t, each coordinate even or meeting a zero frequency, gives
+        # exactly 0: no phase is evaluated there, only g for the roundoff floor
+        px, py = CURVE_KINDS[measure.curve.kind].parity(measure.curve)
+        odd = window[0] == -window[1] and parity(density) == ODD
+        null = odd & ((xi[live] == 0.0) | (px == EVEN)) & ((eta[live] == 0.0) | (py == EVEN))
+        if null.any():
+            try:
+                err[live[null]] += tail + null_err(measure.density(comp), window[1])
+            except QuadratureError as exc:
+                failures.update(dict.fromkeys(live[null].tolist(), exc))
+            live = live[~null]
         v, e, _, failed = _component(measure, comp, window, tail, xi[live], eta[live], opts, offset)
         failures.update({int(live[row]): exc for row, exc in failed.items()})
         value[live] += v
@@ -169,17 +182,17 @@ def mu_hat_at_points(
     and the phase e^{-i pi (x xi + y eta)} is formed as a (points x nodes)
     matrix in blocks of at most 2^14 complex entries (256 KiB).  Those blocks
     are the only temporaries of that size, and the pre-splits are evaluated
-    in passes that keep at most 2^18 panel sums (8 MiB) unless one point
+    in passes that keep at most 2^18 panel sums (6 MiB) unless one point
     needs more, so memory does not grow with the number of points.  A
-    pre-split of more than 64 panels follows a 64-panel probe for a null
-    integrand; a point skips 56 of its panels when the other 8, every 8th,
-    already carry more than the null mass.  It is sized on each of 16
-    blocks of the window from the phase rate there, each panel spanning pi
-    of phase, or up to 4 pi where the declared decay envelope is small.
-    ``oscillation_hint``, if set, is a floor on every point's rate.  Points
-    that miss tolerance are refined one at a time.  The stages are those of
+    pre-split of more than 64 panels is sized on each of 16 blocks of the
+    window from the phase rate there, each panel spanning pi of phase, or up
+    to 4 pi where the declared decay envelope is small.  ``oscillation_hint``,
+    if set, is a floor on every point's rate.  Points that miss tolerance are
+    refined one at a time.  The stages are those of
     :func:`quadrature.integrate_rows`.  A component whose density is the
-    constant 0 is skipped.
+    constant 0 is skipped, and so are the points where the parity of its
+    expression tree and of the curve show it to integrate to exactly 0;
+    tabulated and callable densities are never taken as odd.
 
     Output order matches the input order.  A quadrature failure is raised as
     a :class:`PointFailure` for the first failing point in input order.

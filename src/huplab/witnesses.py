@@ -42,7 +42,7 @@ from .geometry import (
     sample_set,
 )
 from .quadrature import QuadOpts
-from .transform import mu_hat, mu_hat_at_points
+from .transform import mu_hat_at_points
 
 __all__ = [
     "Certificate",
@@ -111,11 +111,11 @@ def _measure_certificate(
     n_samples: int = _BUILD_SAMPLES,
     tol: float = RESIDUAL_TOL,
 ) -> Certificate:
-    opts = _quad_opts(tol)
     points = sample_set(lam, n_samples, window)
-    residual = max(abs(ft.value) for ft in mu_hat_at_points(measure, points, opts))
-    witness = abs(mu_hat(measure, witness_point[0], witness_point[1], opts).value)
-    return Certificate(measure, lam, window, witness_point, residual, witness, len(points), basis)
+    # one batch: each point's value is the same as in a batch of its own
+    *on_lambda, witness = mu_hat_at_points(measure, points + [witness_point], _quad_opts(tol))
+    residual = max(abs(ft.value) for ft in on_lambda)
+    return Certificate(measure, lam, window, witness_point, residual, abs(witness.value), len(points), basis)
 
 
 def circle_line_annihilator() -> Certificate:
@@ -286,9 +286,10 @@ def verify_certificate(cert: Certificate, n_lambda: int = 512, tol: float = RESI
 # parameters; a missing parameter is a KeyError, and extra parameters are ignored
 
 
-def _finite(params: dict, *names: str) -> list[float]:
-    values = [float(params[name]) for name in names]
-    if not all(map(math.isfinite, values)):
+def _finite(params: dict, *names: str) -> list:
+    """The named parameters as floats, or as tuples of floats where they are vectors."""
+    values = [tuple(map(float, v)) if np.ndim(v) else float(v) for v in map(params.__getitem__, names)]
+    if not np.all(np.isfinite(np.hstack(values))):
         raise ValueError(f"{' and '.join(names)} must be finite")
     return values
 
@@ -329,11 +330,12 @@ def _parallel(source: str, vector: tuple, axis: int, subject: str, target: str) 
 
 def _parabola_line(params: dict) -> Verdict:
     dx, dy = params["direction"]
-    return _parallel("Sjolin parabola results", (float(dx), float(dy)), 0, f"line direction ({dx}, {dy})", "the x-axis")
+    (direction,) = _finite(params, "direction")
+    return _parallel("Sjolin parabola results", direction, 0, f"line direction ({dx}, {dy})", "the x-axis")
 
 
 def _paraboloid_hyperplane(params: dict) -> Verdict:
-    normal = tuple(float(v) for v in params["normal"])
+    (normal,) = _finite(params, "normal")
     subject = f"hyperplane with normal {normal}"
     return _parallel("Gonzalez Vieli paraboloid criterion", normal, len(normal) - 1, subject, "the base hyperplane")
 
@@ -356,7 +358,7 @@ def _hyperbola_angled_lines(params: dict) -> Verdict:
 
 
 def _constant_fiber(params: dict) -> Verdict:
-    p, eta0 = int(params["p"]), float(params.get("eta0", 0.0))
+    p, (eta0,) = int(params["p"]), _finite({"eta0": 0.0, **params}, "eta0")
     if p < 3:  # as fourlines_annihilator, which builds this measure
         raise ValueError("p must be an integer >= 3")
     return Verdict("NotHUP", "constant-fiber cancellation on four parallel lines",
@@ -411,8 +413,8 @@ def known_pair_verdict(pair: str, **params) -> Verdict:
     Fraction or int for N concurrent lines at angle*pi); direction=(dx, dy)
     (parabola-line); normal (paraboloid-hyperplane); alpha in radians
     (hyperbola-angled-lines); p, eta0 (fourlines-constant-fiber).  A missing
-    parameter raises ``KeyError``; a non-finite alpha, beta or radius and
-    p < 3 raise ``ValueError``.
+    parameter raises ``KeyError``; a non-finite alpha, beta, radius, eta0 or
+    component of direction or normal, and p < 3, raise ``ValueError``.
     """
     entry = _CATALOG.get(pair.replace("_", "-").lower())
     if entry is None:

@@ -73,15 +73,13 @@ def _reference_panels(f, lo, hi, folded):
     h = half[:, 0]
     i15 = (fx * WEIGHTS_K).sum(axis=1) * h
     i7 = (fx * WEIGHTS_G).sum(axis=1) * h
-    null_mass = (np.abs(fx) * WEIGHTS_K).sum(axis=1) * h
     err = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=1) * h
-    return i15, err, null_mass
+    return i15, err
 
 
 def reference_integrate(f, interval, opts, envelope=None, hint=None) -> QuadResult:
     """One adaptive integration: a uniform pre-split of panels no wider than
-    pi/hint, a 64-panel probe for a null integrand when that pre-split is
-    wider, then bisection of the worst panels."""
+    pi/hint, then bisection of the worst panels."""
     window = truncate_interval(interval, envelope, opts)
     if window is None:
         return QuadResult(0j, 0.0, (0.0, 0.0), 0)
@@ -94,16 +92,8 @@ def reference_integrate(f, interval, opts, envelope=None, hint=None) -> QuadResu
     if hint:
         n0 = int(min(max(8, math.ceil((b - a) * hint / math.pi)), 8192))
     n0 = min(n0, opts.max_subdivisions)
-    if n0 > 64:
-        probe_edges = np.linspace(a, b, 65)
-        p_vals, p_errs, p_mass = _reference_panels(f, probe_edges[:-1], probe_edges[1:], folded)
-        mass = float(np.sum(p_mass))
-        if mass <= opts.abs_tol / 10.0:
-            value = complex(np.sum(p_vals))
-            err = tail_err + mass + float(np.sum(p_errs))
-            return QuadResult(value, err, (float(window[0]), float(window[1])), 64)
     edges = np.linspace(a, b, n0 + 1)
-    values, errs, _ = _reference_panels(f, edges[:-1], edges[1:], folded)
+    values, errs = _reference_panels(f, edges[:-1], edges[1:], folded)
     heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(n0)]
     heapq.heapify(heap)
     n_panels = n0
@@ -127,7 +117,7 @@ def reference_integrate(f, interval, opts, envelope=None, hint=None) -> QuadResu
         mid = 0.5 * (lo + hi)
         new_lo = np.concatenate([lo, mid])
         new_hi = np.concatenate([mid, hi])
-        values, errs, _ = _reference_panels(f, new_lo, new_hi, folded)
+        values, errs = _reference_panels(f, new_lo, new_hi, folded)
         for i in range(len(new_lo)):
             heapq.heappush(heap, (-errs[i], new_lo[i], new_hi[i], values[i]))
         n_panels += batch

@@ -2,7 +2,6 @@
 
 import struct
 
-import numpy as np
 import pytest
 
 from huplab import expr, quadrature, transform
@@ -17,15 +16,26 @@ from conftest import reference_mu_hat
 CASES = ["circle-line", "circle-lines", "circle-bessel", "hyperbola-line", "expcurve-vline", "fourlines"]
 
 # evaluate_array calls per verify_certificate at 512 samples.  The batch makes
-# one per node set; the per-point path made one per point and component, 513
-# for each certificate here and 2,056 for fourlines.
+# one per node set, and one per component for the roundoff floor of its null
+# rows; the per-point path made one per point and component, 513 for each
+# certificate here and 2,056 for fourlines.
 EVALUATE_ARRAY_CALLS_MAX = {
-    "circle-line": 26,
+    "circle-line": 2,
     "circle-lines": 44,
-    "circle-bessel": 2,
-    "hyperbola-line": 52,
+    "circle-bessel": 1,
+    "hyperbola-line": 2,
     "expcurve-vline": 2,
-    "fourlines": 8,
+    "fourlines": 6,
+}
+
+# the points at which each certificate's density is odd against an even phase
+NULL_AT = {
+    "circle-line": lambda xi, eta: eta == 0.0,
+    "circle-lines": lambda xi, eta: eta == 0.0,
+    "circle-bessel": lambda xi, eta: False,
+    "hyperbola-line": lambda xi, eta: eta == 0.0,
+    "expcurve-vline": lambda xi, eta: xi == 0.0,
+    "fourlines": lambda xi, eta: False,
 }
 
 # the curves, densities and envelopes of the ft grids in perfbench, on a
@@ -64,8 +74,54 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
     opts = _quad_opts(RESIDUAL_TOL)
     points = sample_set(cert.lam, 512, cert.window) + [cert.witness_point]
     got = mu_hat_at_points(cert.measure, points, opts)
-    want = [reference_mu_hat(cert.measure, xi, eta, opts) for xi, eta in points]
-    assert [_bits(ft) for ft in got] == [_bits(ft) for ft in want]
+    null = [k for k, point in enumerate(points) if NULL_AT[case](*point)]
+    live = [k for k in range(len(points)) if k not in null]
+    assert [_bits(got[k]) for k in live] == [_bits(reference_mu_hat(cert.measure, *points[k], opts)) for k in live]
+    # rows decided from parity are exactly 0 and share one error bar: the tail
+    # and the roundoff floor, measured on other panels than the reference's.
+    # At xi = 0 on the exp-curve the reference pays 8,192 panels a point, so
+    # it is checked on every 16th of them
+    assert all(got[k].value == 0j and got[k].err_estimate == got[null[0]].err_estimate for k in null)
+    for k in null[::16]:
+        ref = reference_mu_hat(cert.measure, *points[k], opts)
+        assert abs(ref.value) <= ref.err_estimate
+        assert got[k].err_estimate == pytest.approx(ref.err_estimate, rel=1e-3)
+        assert got[k].truncation_window == ref.truncation_window
+
+
+def _built_entries(monkeypatch) -> dict:
+    """Count, per row of the ``integrate_rows`` calls to come, the integrand entries built for it."""
+    built = {}
+    integrate_rows = transform.integrate_rows
+
+    def spying(at_nodes, *args):
+        def spy(t):
+            values = at_nodes(t)
+
+            def counted(rows):
+                for r in rows.tolist():
+                    built[r] = built.get(r, 0) + t.size
+                return values(rows)
+
+            return counted
+
+        return integrate_rows(spy, *args)
+
+    monkeypatch.setattr(transform, "integrate_rows", spying)
+    return built
+
+
+@pytest.mark.parametrize("case", ["circle-line", "hyperbola-line", "expcurve-vline"])
+def test_lambda_rows_of_odd_densities_evaluate_no_phase(certificates, case, monkeypatch):
+    # a null row missed would pay its full pre-split: on the exp-curve at
+    # xi = 0 that is seconds per certificate
+    built = _built_entries(monkeypatch)
+    cert = certificates[case]
+    points = sample_set(cert.lam, 512, cert.window)
+    opts = _quad_opts(RESIDUAL_TOL)
+    got = mu_hat_at_points(cert.measure, points, opts)
+    assert not built
+    assert all(ft.value == 0j and 0.0 < ft.err_estimate <= opts.abs_tol for ft in got)
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -116,31 +172,15 @@ def test_panels_and_refined_rows_on_grids(name, monkeypatch):
     assert len(refined) <= GRID_REFINED_MAX[name]
 
 
-def test_wide_row_that_is_not_null_skips_most_of_the_probe(monkeypatch):
-    # on the hyperbola, sin(t) e^{-t^2} folds to a null integrand at eta = 0
-    # only; both points need a pre-split far wider than the 64-panel probe
-    scored = []  # per node set: its size and the node columns scored per row
-    integrate_rows = transform.integrate_rows
-
-    def spying(at_nodes, *args):
-        def spy(t):
-            values, cols = at_nodes(t), {}
-            scored.append((t.size, cols))
-
-            def counted(rows, c):
-                for r in rows.tolist():
-                    cols.setdefault(r, set()).update(np.arange(t.size)[c].tolist())
-                return values(rows, c)
-
-            return counted
-
-        return integrate_rows(spy, *args)
-
-    monkeypatch.setattr(transform, "integrate_rows", spying)
+def test_null_row_is_decided_without_node_columns(monkeypatch):
+    # on the hyperbola, sin(t) e^{-t^2} against the even cosh phase is null at
+    # eta = 0 only; both points would need a pre-split of hundreds of panels
+    built = _built_entries(monkeypatch)
     measure, half = GRIDS["hyperbola"]
-    mu_hat_at_points(measure, [(half, half), (half, 0.0)], QuadOpts())
-    probe_nodes, cols = scored[0]
-    per_panel = 15 * 2  # Kronrod nodes, and their mirror images: the range is folded
-    assert probe_nodes == quadrature._PROBE_PANELS * per_panel
-    assert len(cols[0]) < probe_nodes  # not null: most probe panels are skipped
-    assert len(cols[1]) == probe_nodes  # null: every probe panel is scored
+    live, null = mu_hat_at_points(measure, [(half, half), (half, 0.0)], QuadOpts())
+    assert list(built) == [0]  # the live point only, as row 0 of the rows integrated
+    assert built[0] > quadrature._BLOCKWISE_PANELS * 15 * 2  # Kronrod nodes and their mirror images
+    assert null.value == 0j and live.value != 0j
+    want = reference_mu_hat(measure, half, 0.0, QuadOpts())
+    assert abs(want.value) <= want.err_estimate
+    assert null.err_estimate == pytest.approx(want.err_estimate, rel=1e-3)

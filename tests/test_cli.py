@@ -184,6 +184,14 @@ class TestFt:
         assert res.returncode == 3
         assert "numeric failure" in res.stderr and "log of nonpositive real" in res.stderr
 
+    def test_odd_density_with_a_domain_error_exits_3_at_eta_0(self, capsys, tmp_path):
+        # sin(t) log(cos(t)) is odd, so every grid point, at eta = 0, is null by
+        # parity and evaluates no phase; the density is still evaluated
+        cfg = dict(CIRCLE_GRID_CONFIG, density=["sin(t)*log(cos(t))"])
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: ") and "log of nonpositive real" in err
+
     def test_density_above_declared_envelope_exits_2(self, tmp_path):
         # exp(-t^2/100) is not bounded by exp(-t^2): accepted, the transform at the origin
         # would come out near 9.03 instead of sqrt(100 pi) = 17.72
@@ -527,11 +535,22 @@ class TestConfigErrorsExit2:
             (("sphere-sphere", "--dim", "3", "--radius=-inf"), "radius must be finite"),
             (("hyperbola-angled-lines", "--alpha", "nan"), "alpha must be finite"),
             (("fourlines-constant-fiber", "--p", "2"), "p must be an integer >= 3"),
+            # each printed a verdict with a NaN or Infinity token, which is not JSON
+            (("parabola-line", "--direction", "nan,0"), "direction must be finite"),
+            (("paraboloid-hyperplane", "--normal", "0,inf"), "normal must be finite"),
+            (("fourlines-constant-fiber", "--p", "3", "--eta0", "nan"), "eta0 must be finite"),
         ],
     )
     def test_verdict_inputs_outside_the_contract(self, capsys, argv, message):
         code, out, err = run_main(capsys, "verdict", *argv)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("verb", ["j", "nonzero"])
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_bessel_x_must_be_finite(self, capsys, verb, x):
+        # inf was an OverflowError traceback with exit 1, nan a message about integers
+        code, out, err = run_main(capsys, "bessel", verb, f"--x={x}")
+        assert (code, out, err) == (2, "", f"config error: x must be finite, got {float(x)}\n")
 
 
 def test_readme_catalog_examples_run(tmp_path, monkeypatch, capsys):

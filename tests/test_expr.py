@@ -1,11 +1,15 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from huplab.expr import (
+    EVEN,
+    ODD,
+    UNKNOWN,
     BinOp,
     Call,
     Chi,
@@ -17,6 +21,7 @@ from huplab.expr import (
     Var,
     evaluate,
     evaluate_array,
+    parity,
     parse,
     pretty,
 )
@@ -160,6 +165,15 @@ def _safe_tree(children):
 _bounded_tree = st.recursive(_safe_leaf, _safe_tree, max_leaves=12)
 
 
+def _mirrored_tree(children):
+    # every node of _tree, and chi(-b,b)(u), with bounds that may depend on t
+    return st.one_of(_tree(children), st.builds(lambda b, u: Chi(Neg(b), b, u), children, children))
+
+
+# mostly t at the leaves, so that most trees depend on it
+_parity_tree = st.recursive(st.one_of(st.just(Var()), st.just(Var()), _leaf), _mirrored_tree, max_leaves=12)
+
+
 @given(_any_tree)
 @settings(max_examples=300)
 def test_roundtrip_parse_pretty(tree):
@@ -178,3 +192,54 @@ def test_eval_additive_multiplicative_homomorphism(a, b, t):
 @settings(max_examples=150)
 def test_eval_deterministic(tree, t):
     assert evaluate(tree, t) == evaluate(tree, t)
+
+
+class TestParity:
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("sin(t)*exp(-(t^2))", ODD),
+            ("sqrt(cosh(2*t))*sin(t)*chi(-pi,pi)(t)", ODD),
+            ("(1-abs(t))*chi(-1,1)(t)", EVEN),
+            ("t^2", EVEN),
+            ("t^3", ODD),
+            ("(t+1)^2", UNKNOWN),
+            ("t^0.5", UNKNOWN),
+            ("t^-1", UNKNOWN),
+            ("exp(t)", UNKNOWN),
+            ("sqrt(t^2+1)/log(cos(t)+2)", EVEN),
+            ("sinh(t)/cosh(t)-t", ODD),
+            ("chi(-1,2)(t)", UNKNOWN),
+            ("chi(-t,t)(t)", UNKNOWN),
+            ("chi(-t^2,t^2)(t)", EVEN),
+            ("chi(t,t^2)(cos(t))", UNKNOWN),
+            ("chi(cos(t),t^2)(cos(t))", EVEN),
+        ],
+    )
+    def test_rules(self, text, want):
+        assert parity(parse(text)) == want
+
+    def test_not_a_tree_is_unknown(self):
+        assert parity(lambda t: t) == UNKNOWN
+
+    @given(_parity_tree, st.floats(min_value=0.01, max_value=4.0, allow_nan=False))
+    @settings(max_examples=500, deadline=None)
+    def test_even_or_odd_trees_are_so_when_evaluated(self, tree, t):
+        sign = parity(tree)
+        if sign == UNKNOWN:
+            return
+        try:
+            at_t, at_minus_t = evaluate_array(tree, np.array([t, -t]))
+        except EvalDomainError:
+            return
+        if not (cmath.isfinite(at_t) and cmath.isfinite(at_minus_t)):
+            return
+        assert abs(at_minus_t - sign * at_t) <= 1e-9 * max(abs(at_t), abs(at_minus_t))
+
+    def test_square_roots_and_powers_take_the_principal_branch(self):
+        # -(t^2)-1 is even, but its zero imaginary part has the sign of t
+        both = evaluate_array(parse("sqrt(-(t^2)-1)"), np.array([2.0, -2.0]))
+        assert both[0] == both[1] == pytest.approx(5**0.5 * 1j)
+        assert ev("sqrt(-4)", 0.0) == ev("sqrt(t)", -4.0) == 2j
+        powers = evaluate_array(parse("(-(t^2)-1)^0.5"), np.array([2.0, -2.0]))
+        assert powers[0] == powers[1]

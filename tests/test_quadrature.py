@@ -13,6 +13,7 @@ from huplab.quadrature import (
     QuadResult,
     integrate,
     integrate_rows,
+    null_err,
     truncate_interval,
 )
 
@@ -59,11 +60,13 @@ def test_closed_form_corpus(f, interval, envelope, hint, exact):
 @pytest.mark.parametrize(
     "f, hint, max_subdivisions",
     [
-        (lambda t: np.sin(t) * np.exp(40j * t * t), 240.0, 1 << 16),  # folded to a null integrand: the probe
-        (lambda t: np.exp(40j * t * t), 240.0, 1 << 16),  # the probe, then a 230-panel pre-split
+        # folded to a null integrand, which integrate() does not know to be
+        # one: it pays its 230-panel pre-split for exactly 0
+        (lambda t: np.sin(t) * np.exp(40j * t * t), 240.0, 1 << 16),
+        (lambda t: np.exp(40j * t * t), 240.0, 1 << 16),  # a 230-panel pre-split
         (lambda t: np.exp(1000j * t), None, 256),  # bisection runs out of panels
     ],
-    ids=["null-probe", "wide-presplit", "nonconvergence"],
+    ids=["null-folded", "wide-presplit", "nonconvergence"],
 )
 def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
     opts = QuadOpts(oscillation_hint=hint, max_subdivisions=max_subdivisions)
@@ -76,6 +79,18 @@ def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
     assert integrate(f, (-3.0, 3.0), opts) == want
 
 
+def test_null_err_is_the_roundoff_floor_of_an_odd_integrand():
+    # the floor of the same odd integrand integrated over a folded window
+    f = lambda t: np.sin(t) * np.exp(40j * t * t)  # noqa: E731
+    want = integrate(f, (-3.0, 3.0), QuadOpts(oscillation_hint=240.0))
+    assert want.value == 0j
+    assert null_err(f, 3.0) == pytest.approx(want.err_estimate, rel=1e-6)
+    # evaluated once, on its nodes and their mirror images
+    calls = []
+    null_err(lambda t: calls.append(t.size) or np.sin(t) + 0j, 3.0)
+    assert calls == [64 * 15 * 2]
+
+
 def test_relative_tolerance_stops_refinement():
     # abs_tol lies far below the roundoff floor of a 1e8-sized integrand, so
     # only rel_tol * |total| can stop the bisection of the sqrt endpoint
@@ -86,17 +101,23 @@ def test_relative_tolerance_stops_refinement():
     assert abs(res.value - 2e8 / 3.0) <= res.err_estimate
 
 
-def test_nonfinite_probe_names_its_lowest_node():
-    # the probe scores every 8th of its 64 panels first: NaN from t = 1 on
-    # shows there in panel 16, and lower, in panel 10, only when it scores the rest
+def test_nonfinite_integrand_names_its_lowest_node():
+    # NaN from t = 1 on: the 204-panel pre-split meets it first in its 32nd
+    # panel, and the error names the lowest node there, as does the reference
     def f(t):
         return np.where(t < 1.0, 1.0 + 0j, complex("nan"))
 
     opts = QuadOpts(oscillation_hint=100.0)
     with pytest.raises(QuadratureError) as want:
         reference_integrate(f, (0.0, 6.4), opts, None, 100.0)
-    with pytest.raises(QuadratureError, match=re.escape(str(want.value))):
+    with pytest.raises(QuadratureError, match=re.escape(str(want.value))) as got:
         integrate(f, (0.0, 6.4), opts)
+    lowest = float(re.search(r"t=(\S+)", str(got.value)).group(1))
+    assert 1.0 <= lowest < 1.0 + 6.4 / 204
+    # and so does the roundoff floor of a null integrand, on its own panels
+    with pytest.raises(QuadratureError) as floor:
+        null_err(lambda t: np.where(np.abs(t) < 1.0, np.sin(t) + 0j, complex("nan")), 6.4)
+    assert 1.0 <= float(re.search(r"t=(\S+)", str(floor.value)).group(1)) < 1.0 + 6.4 / 64
 
 
 def test_trivial_sine():
@@ -222,7 +243,7 @@ def test_presplit_sized_by_local_rate():
     constant = lambda lo, hi: 2.0 * w * 4.0  # noqa: E731
 
     def at_nodes(t):
-        return lambda rows, cols: np.exp(1j * np.multiply.outer(w[rows], (t * t)[cols]))
+        return lambda rows: np.exp(1j * np.multiply.outer(w[rows], t * t))
 
     uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / math.pi)
     for rate, most in ((slow_start, 0.6 * uniform), (constant, uniform)):

@@ -304,6 +304,43 @@ def test_parabola_gaussian_within_error_estimate(tol):
         assert abs(ft.value - exact) <= ft.err_estimate, (xi, eta)
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_circle_harmonic_within_error_estimate(k):
+    # integral of e^{-i pi r cos(t - phi)} e^{ikt} dt = 2 pi (-i)^k J_k(pi r) e^{ik phi}
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(10 + k)
+    polar = [(rng.uniform(0.0, 15.0), rng.uniform(-math.pi, math.pi)) for _ in range(60)]
+    points = [(r * math.cos(phi), r * math.sin(phi)) for r, phi in polar]
+    m = Measure(circle(), (parse(f"exp({k}*i*t)"),))
+    for (r, phi), ft in zip(polar, mu_hat_at_points(m, points)):
+        exact = 2.0 * math.pi * (-1j) ** k * float(mpmath.besselj(k, math.pi * r)) * cmath.exp(1j * k * phi)
+        assert abs(ft.value - exact) <= ft.err_estimate, (k, r, phi)
+
+
+# err_estimate leaves out the rounding of the phase argument pi (x xi + y eta):
+# where it reaches tens of radians, the true error of this smooth integrand
+# (8.3e-15 at height 3, against 40-digit mpmath) exceeds the roundoff floor
+# 10 eps sum|f| (2.6e-15) that is its whole estimate
+_PHASE_ROUNDING = pytest.mark.xfail(
+    strict=True, reason="err_estimate omits the rounding of a phase argument of tens of radians"
+)
+
+
+@pytest.mark.parametrize(
+    "height", [0.0, 0.5, pytest.param(-1.25, marks=_PHASE_ROUNDING), pytest.param(3.0, marks=_PHASE_ROUNDING)]
+)
+def test_triangle_on_a_line_within_error_estimate(height):
+    # integral of e^{-i pi (t xi + h eta)} (1 - |t|) over (-1, 1) = e^{-i pi eta h} sinc^2(pi xi / 2)
+    rng = random.Random(20)
+    points = [(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)) for _ in range(200)] + [(0.0, 1.0)]
+    m = Measure(parallel_lines([height]), (parse("(1-abs(t))*chi(-1,1)(t)"),), CompactSupport(-1.0, 1.0))
+    for (xi, eta), ft in zip(points, mu_hat_at_points(m, points)):
+        half = math.pi * xi / 2.0
+        sinc = math.sin(half) / half if half else 1.0
+        exact = cmath.exp(-1j * math.pi * eta * height) * sinc * sinc
+        assert abs(ft.value - exact) <= ft.err_estimate, (xi, eta)
+
+
 def test_total_variation_of_sine_density():
     m = Measure(circle(), (parse("sin(t)"),))
     assert total_variation(m) == pytest.approx(4.0, abs=1e-9)
