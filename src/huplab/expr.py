@@ -317,14 +317,12 @@ def _eval(node: Expr, t):
         if node.func == "abs":
             return np.abs(arg)
         if node.func == "sqrt":
-            root = np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0)
-            return root if np.ndim(arg) else complex(root)
+            return np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0)
         if node.func == "log":
             bad = (np.imag(arg) == 0) & (np.real(arg) <= 0)
             if np.any(bad):
                 raise EvalDomainError("log of nonpositive real", pretty(node))
-            out = np.log(np.asarray(arg, dtype=np.complex128)) if np.ndim(arg) else complex(np.log(complex(arg)))
-            return _check_finite(out, node)
+            return _check_finite(np.log(np.asarray(arg, dtype=np.complex128)), node)
         fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "cosh": np.cosh, "sinh": np.sinh}[node.func]
         return _check_finite(fn(arg), node)
     if isinstance(node, Chi):
@@ -335,9 +333,7 @@ def _eval(node: Expr, t):
             if np.any(np.imag(val) != 0):
                 raise EvalDomainError(f"complex {part} for indicator", pretty(node))
         mask = (np.real(lo) < np.real(arg)) & (np.real(arg) < np.real(hi))
-        if np.ndim(mask):
-            return np.asarray(mask, dtype=np.complex128)
-        return 1 + 0j if mask else 0j
+        return np.asarray(mask, dtype=np.complex128)
     raise TypeError(f"not an Expr node: {node!r}")  # pragma: no cover
 
 
@@ -345,9 +341,7 @@ def evaluate(node: Expr, t: float) -> complex:
     """Evaluate at a single real parameter value."""
     if not np.isfinite(t):
         raise EvalDomainError("nonfinite parameter", "t")
-    with np.errstate(all="ignore"):
-        out = _eval(node, float(t))
-    return complex(out)
+    return complex(evaluate_array(node, [t])[0])
 
 
 def evaluate_array(node: Expr, t: np.ndarray) -> np.ndarray:

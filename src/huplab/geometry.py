@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -62,6 +62,8 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class CompactSupport:
+    """g(t) = 0 outside the open interval (lo, hi)."""
+
     lo: float
     hi: float
 
@@ -69,29 +71,84 @@ class CompactSupport:
         if not self.lo < self.hi:
             raise ValueError(f"empty support ({self.lo}, {self.hi})")
 
+    def clip(self, a: float, b: float) -> tuple[float, float]:
+        """The part of [a, b] where g may be nonzero; empty (lo >= hi) when there is none."""
+        return max(a, self.lo), min(b, self.hi)
+
+    def sample_range(self) -> tuple[float, float]:
+        span = self.hi - self.lo
+        return self.lo - 0.5 * span, self.hi + 0.5 * span
+
+    def bound(self, t: np.ndarray) -> np.ndarray:
+        return np.where((t > self.lo) & (t < self.hi), np.inf, 0.0)
+
+
+class _DecayLaw:
+    """A decay envelope |g(t)| <= amplitude * exp(-exponent(t)).
+
+    Each law states ``exponent(t)`` (array-safe), ``tail(T)``, a bound on the
+    envelope's integral beyond T, ``cutoff(budget)``, the T >= 1 at which
+    that tail meets ``budget``, and ``e_fold()``, the |t| at which the
+    exponent reaches 1.
+    """
+
+    def __post_init__(self):
+        if self.rate <= 0 or self.amplitude <= 0:
+            raise ValueError("rate and amplitude must be positive")
+
+    def sample_range(self) -> tuple[float, float]:
+        reach = 16.0 * self.e_fold()
+        return -reach, reach
+
+    def bound(self, t: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(-self.exponent(t))
+
 
 @dataclass(frozen=True)
-class ExpDecay:
+class ExpDecay(_DecayLaw):
     """|g(t)| <= amplitude * exp(-rate*|t|)."""
 
     rate: float
     amplitude: float = 1.0
 
-    def __post_init__(self):
-        if self.rate <= 0 or self.amplitude <= 0:
-            raise ValueError("rate and amplitude must be positive")
+    def exponent(self, t):
+        return self.rate * abs(t)
+
+    def e_fold(self) -> float:
+        return 1.0 / self.rate
+
+    def tail(self, t: float) -> float:
+        # integral_T^inf amp*e^{-rate t} dt = amp e^{-rate T}/rate, T >= 0
+        return self.amplitude * math.exp(-self.exponent(t)) / self.rate
+
+    def cutoff(self, budget: float) -> float:
+        t = -math.log(max(budget * self.rate / self.amplitude, 1e-300)) / self.rate
+        return max(t, 1.0)
 
 
 @dataclass(frozen=True)
-class GaussianDecay:
+class GaussianDecay(_DecayLaw):
     """|g(t)| <= amplitude * exp(-rate*t^2)."""
 
     rate: float = 1.0
     amplitude: float = 1.0
 
-    def __post_init__(self):
-        if self.rate <= 0 or self.amplitude <= 0:
-            raise ValueError("rate and amplitude must be positive")
+    def exponent(self, t):
+        return self.rate * t * t
+
+    def e_fold(self) -> float:
+        return 1.0 / math.sqrt(self.rate)
+
+    def tail(self, t: float) -> float:
+        # integral_T^inf amp*e^{-rate t^2} dt <= amp e^{-rate T^2}/(2 rate T), T >= 1
+        return self.amplitude * math.exp(-self.exponent(t)) / (2.0 * self.rate * max(t, 1.0))
+
+    def cutoff(self, budget: float) -> float:
+        t = 1.0
+        for _ in range(8):
+            inner = self.amplitude / (2.0 * self.rate * max(t, 1.0) * max(budget, 1e-300))
+            t = math.sqrt(max(math.log(max(inner, 2.0)), 1.0) / self.rate)
+        return max(t, 1.0)
 
 
 Decay = Union[CompactSupport, ExpDecay, GaussianDecay]
@@ -326,10 +383,13 @@ class TabulatedDensity:
 
 Density = Union[Expr, TabulatedDensity, Callable[[np.ndarray], np.ndarray]]
 
+# Measure.check_envelope samples this many points and lets |g| exceed the envelope by this much
+_ENVELOPE_SAMPLES = 4096
+_ENVELOPE_SLACK = 1e-12
+
 
 def density_fn(density: Density) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(density, (expr_mod.Num, expr_mod.Var, expr_mod.Const, expr_mod.Neg,
-                            expr_mod.BinOp, expr_mod.Call, expr_mod.Chi)):
+    if isinstance(density, get_args(Expr)):
         return lambda t: expr_mod.evaluate_array(density, t)
     return density
 
@@ -356,8 +416,8 @@ class Measure:
     def density(self, component: int) -> Callable[[np.ndarray], np.ndarray]:
         return density_fn(self.densities[component])
 
-    def check_envelope(self, n: int = 4096, slack: float = 1e-12) -> None:
-        """Spot-check |g(t)| <= envelope(t) on a deterministic sample grid.
+    def check_envelope(self) -> None:
+        """Spot-check |g(t)| <= envelope(t) on _ENVELOPE_SAMPLES points of the decay's sample range.
 
         Raises ValueError on the first violating component, or when a
         component domain is unbounded and no decay is declared.  With a
@@ -370,21 +430,10 @@ class Measure:
                 if math.isinf(lo) or math.isinf(hi):
                     raise ValueError(f"the {self.curve.kind} curve is unbounded: it needs a decay envelope")
                 continue
-            if isinstance(decay, CompactSupport):
-                span = decay.hi - decay.lo
-                grid_lo, grid_hi = decay.lo - 0.5 * span, decay.hi + 0.5 * span
-            else:
-                reach = 2.0 * (1.0 / decay.rate if isinstance(decay, ExpDecay) else 1.0 / math.sqrt(decay.rate))
-                grid_lo, grid_hi = -8.0 * reach, 8.0 * reach
-            ts = np.linspace(max(lo, grid_lo), min(hi, grid_hi), n)
-            if isinstance(decay, CompactSupport):
-                bound = np.where((ts > decay.lo) & (ts < decay.hi), np.inf, 0.0)
-            elif isinstance(decay, ExpDecay):
-                bound = decay.amplitude * np.exp(-decay.rate * np.abs(ts))
-            else:
-                bound = decay.amplitude * np.exp(-decay.rate * ts * ts)
-            excess = np.abs(self.density(comp)(ts)) - bound
-            if np.any(excess > slack):
+            grid_lo, grid_hi = decay.sample_range()
+            ts = np.linspace(max(lo, grid_lo), min(hi, grid_hi), _ENVELOPE_SAMPLES)
+            excess = np.abs(self.density(comp)(ts)) - decay.bound(ts)
+            if np.any(excess > _ENVELOPE_SLACK):
                 idx = int(np.argmax(excess))
                 raise ValueError(
                     f"component {comp} density exceeds its declared envelope near t={ts[idx]:.6g}"

@@ -13,8 +13,9 @@ error estimate is the panels' own.
 
 Unbounded intervals are truncated from declared decay envelopes only, never
 from sampling: the cutoff T is chosen so the envelope's tail integral is
-below abs_tol/10.  Exactly symmetric intervals [-b, b] are folded to
-[0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
+below abs_tol/10.  Each decay law states its exponent, tail and cutoff in
+its class in ``geometry``.  Exactly symmetric intervals [-b, b] are folded
+to [0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
 pointwise and integrates to zero regardless of how wild its phase is.
 A caller that knows an integrand to be odd takes it as 0 with :func:`null_err`.
 
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .geometry import CompactSupport, Decay, ExpDecay, GaussianDecay
+from .geometry import CompactSupport, Decay
 
 __all__ = [
     "QuadOpts",
@@ -134,21 +135,6 @@ class QuadResult:
     panels: int
 
 
-def _exp_cutoff(rate: float, amplitude: float, budget: float) -> float:
-    # integral_T^inf amp*e^{-rate t} dt = amp e^{-rate T}/rate <= budget
-    t = -math.log(max(budget * rate / amplitude, 1e-300)) / rate
-    return max(t, 1.0)
-
-
-def _gauss_cutoff(rate: float, amplitude: float, budget: float) -> float:
-    # integral_T^inf amp*e^{-rate t^2} dt <= amp e^{-rate T^2}/(2 rate T), T >= 1
-    t = 1.0
-    for _ in range(8):
-        inner = amplitude / (2.0 * rate * max(t, 1.0) * max(budget, 1e-300))
-        t = math.sqrt(max(math.log(max(inner, 2.0)), 1.0) / rate)
-    return max(t, 1.0)
-
-
 def truncate_interval(
     interval: Tuple[float, float], envelope: Optional[Decay], opts: QuadOpts
 ) -> Optional[Tuple[float, float]]:
@@ -162,7 +148,7 @@ def truncate_interval(
         raise ValueError(f"degenerate interval {interval}")
     unbounded = math.isinf(a) or math.isinf(b)
     if isinstance(envelope, CompactSupport):
-        a, b = max(a, envelope.lo), min(b, envelope.hi)
+        a, b = envelope.clip(a, b)
         return None if a >= b else (a, b)
     if not unbounded:
         return (a, b)
@@ -171,23 +157,10 @@ def truncate_interval(
     budget = opts.abs_tol / 10.0
     if math.isinf(a) and math.isinf(b):
         budget /= 2.0
-    if isinstance(envelope, ExpDecay):
-        t = _exp_cutoff(envelope.rate, envelope.amplitude, budget)
-    elif isinstance(envelope, GaussianDecay):
-        t = _gauss_cutoff(envelope.rate, envelope.amplitude, budget)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown envelope {envelope!r}")
+    t = envelope.cutoff(budget)
     lo = a if not math.isinf(a) else -t
     hi = b if not math.isinf(b) else t
     return None if lo >= hi else (lo, hi)
-
-
-def _tail_bound(envelope: Decay, t: float) -> float:
-    if isinstance(envelope, ExpDecay):
-        return envelope.amplitude * math.exp(-envelope.rate * t) / envelope.rate
-    if isinstance(envelope, GaussianDecay):
-        return envelope.amplitude * math.exp(-envelope.rate * t * t) / (2.0 * envelope.rate * max(t, 1.0))
-    return 0.0
 
 
 def truncation_error(interval: Tuple[float, float], window: Tuple[float, float], envelope: Optional[Decay]) -> float:
@@ -195,9 +168,9 @@ def truncation_error(interval: Tuple[float, float], window: Tuple[float, float],
         return 0.0
     err = 0.0
     if math.isinf(interval[0]):
-        err += _tail_bound(envelope, abs(window[0]))
+        err += envelope.tail(abs(window[0]))
     if math.isinf(interval[1]):
-        err += _tail_bound(envelope, window[1])
+        err += envelope.tail(window[1])
     return err
 
 
@@ -336,15 +309,11 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
     _SAFETY to spare; A is the envelope's sup on the block, doubled when the
     range is folded.  Without a decaying envelope theta is pi.
     """
-    near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    if isinstance(envelope, ExpDecay):
-        decay = envelope.rate * near
-    elif isinstance(envelope, GaussianDecay):
-        decay = envelope.rate * near * near
-    else:
+    if envelope is None or isinstance(envelope, CompactSupport):
         return math.pi
+    near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     amplitude = envelope.amplitude * (2.0 if folded else 1.0)
-    log_theta = (math.log(abs_tol / (width * _SAFETY * _C7 * amplitude)) + decay) / 14.0
+    log_theta = (math.log(abs_tol / (width * _SAFETY * _C7 * amplitude)) + envelope.exponent(near)) / 14.0
     return max(math.pi, math.exp(min(log_theta, math.log(_THETA_MAX))))
 
 

@@ -176,23 +176,16 @@ def mu_hat_at_points(
 ) -> list[FTValue]:
     """The transform at many points, evaluated together.
 
-    Each component is integrated for all points at once.  Its window, tail
-    error and derivative bounds are computed once; points that share a
-    pre-split share its nodes, where g(t) and the curve are evaluated once,
-    and the phase e^{-i pi (x xi + y eta)} is formed as a (points x nodes)
-    matrix in blocks of at most 2^14 complex entries (256 KiB).  Those blocks
-    are the only temporaries of that size, and the pre-splits are evaluated
-    in passes that keep at most 2^18 panel sums (6 MiB) unless one point
-    needs more, so memory does not grow with the number of points.  A
-    pre-split of more than 64 panels is sized on each of 16 blocks of the
-    window from the phase rate there, each panel spanning pi of phase, or up
-    to 4 pi where the declared decay envelope is small.  ``oscillation_hint``,
-    if set, is a floor on every point's rate.  Points that miss tolerance are
-    refined one at a time.  The stages are those of
-    :func:`quadrature.integrate_rows`.  A component whose density is the
-    constant 0 is skipped, and so are the points where the parity of its
-    expression tree and of the curve show it to integrate to exactly 0;
-    tabulated and callable densities are never taken as odd.
+    Each component is integrated for all points at once by
+    :func:`quadrature.integrate_rows`, whose docstring gives its pre-split,
+    block and memory limits.  The window, tail error and derivative bounds
+    are computed once per component; g(t) and the curve are evaluated once
+    per node set, and the phase e^{-i pi (x xi + y eta)} once per block of
+    points.  ``oscillation_hint``, if set, is a floor on every point's rate.
+    A component whose density is the constant 0 is skipped, and so are the
+    points where the parity of its expression tree and of the curve show it
+    to integrate to exactly 0; tabulated and callable densities are never
+    taken as odd.
 
     Output order matches the input order.  A quadrature failure is raised as
     a :class:`PointFailure` for the first failing point in input order.
@@ -220,8 +213,7 @@ def circle_coeff(
     def integrand(theta: np.ndarray) -> np.ndarray:
         return np.asarray(fn(theta), dtype=np.complex128) * np.exp(-1j * k * theta)
 
-    local = replace(opts, oscillation_hint=hint if hint > 0 else None)
-    res = integrate(integrand, (-math.pi, math.pi), local)
+    res = integrate(integrand, (-math.pi, math.pi), replace(opts, oscillation_hint=hint))
     norm = 2.0 * math.pi
     return FTValue(res.value / norm, res.err_estimate / norm, res.window)
 
@@ -282,8 +274,7 @@ def convolution_identity(
     def conv_integrand(t: np.ndarray) -> np.ndarray:
         return kernel(s - t) * g(t)
 
-    hint = kernel_rate(s - window[1], s - window[0])
-    local = replace(opts, oscillation_hint=hint if hint > 0 else None)
+    local = replace(opts, oscillation_hint=kernel_rate(s - window[1], s - window[0]))
     conv = integrate(conv_integrand, measure.curve.domain(0), local, envelope=measure.decay)
     return direct.value, conv.value
 
@@ -299,7 +290,8 @@ def substitution_identity(
     """One-frequency transform versus its u = alpha(t) substituted form.
 
     For the exponential curve (alpha = e^{t^2}) and the full hyperbola
-    (alpha = cosh t), the direct side integral e^{-i pi y alpha(t)} g(t) dt
+    (alpha = cosh t), the direct side integral e^{-i pi y alpha(t)} g(t) dt,
+    which is mu_hat(0, y) and mu_hat(y, 0) respectively,
     equals integral_1^inf e^{-i pi y u} phi(u) du with
     phi(u) = F(alpha^{-1}(u)) / alpha'(alpha^{-1}(u)), F(t) = g(t) + g(-t).
     The substituted side is computed under u = 1 + v^2, which removes the
@@ -315,10 +307,7 @@ def substitution_identity(
     t_max = max(abs(window[0]), abs(window[1]))
 
     if curve == exp_curve():
-        def alpha(t):
-            return np.exp(t * t)
-
-        direct_rate = math.pi * abs(y) * 2.0 * t_max * math.exp(min(t_max * t_max, 700.0))
+        direct = mu_hat(measure, 0.0, y, opts)
         v_max = math.sqrt(max(math.expm1(min(t_max * t_max, 700.0)), 1e-30))
 
         def sub_integrand(v: np.ndarray) -> np.ndarray:
@@ -329,10 +318,7 @@ def substitution_identity(
             return np.exp(-1j * math.pi * y * u) * f_val * v / (u * root)
 
     else:
-        def alpha(t):
-            return np.cosh(t)
-
-        direct_rate = math.pi * abs(y) * math.sinh(t_max)
+        direct = mu_hat(measure, y, 0.0, opts)
         v_max = math.sqrt(max(math.cosh(t_max) - 1.0, 1e-30))
 
         def sub_integrand(v: np.ndarray) -> np.ndarray:
@@ -340,14 +326,7 @@ def substitution_identity(
             f_val = g(tt) + g(-tt)
             return np.exp(-1j * math.pi * y * (1.0 + v * v)) * 2.0 * f_val / np.sqrt(2.0 + v * v)
 
-    def direct_integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * math.pi * y * alpha(t)) * g(t)
-
-    local_direct = replace(opts, oscillation_hint=direct_rate if direct_rate > 0 else None)
-    direct = integrate(direct_integrand, (-math.inf, math.inf), local_direct, envelope=measure.decay)
-    sub_rate = 2.0 * math.pi * abs(y) * v_max
-    local_sub = replace(opts, oscillation_hint=sub_rate if sub_rate > 0 else None)
-    substituted = integrate(sub_integrand, (0.0, v_max), local_sub)
+    substituted = integrate(sub_integrand, (0.0, v_max), replace(opts, oscillation_hint=2.0 * math.pi * abs(y) * v_max))
     return direct.value, substituted.value
 
 

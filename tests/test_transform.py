@@ -304,6 +304,33 @@ def test_parabola_gaussian_within_error_estimate(tol):
         assert abs(ft.value - exact) <= ft.err_estimate, (xi, eta)
 
 
+# each decay law's density on the line y = 0 against its closed form; at
+# xi = 0 the truncated mass equals the law's tail bound, so a tail bound that
+# shrinks fails the gate there
+_DECAY_ORACLES = {
+    # integral of e^{-i pi t xi} a e^{-r|t|} dt = 2 a r / (r^2 + (pi xi)^2)
+    "exp": (ExpDecay, "{a}*exp(-{r}*abs(t))", lambda r, a, xi: 2.0 * a * r / (r * r + (math.pi * xi) ** 2)),
+    # integral of e^{-i pi t xi} a e^{-r t^2} dt = a sqrt(pi/r) e^{-(pi xi)^2/(4r)}
+    "gaussian": (
+        GaussianDecay,
+        "{a}*exp(-{r}*t^2)",
+        lambda r, a, xi: a * math.sqrt(math.pi / r) * math.exp(-((math.pi * xi) ** 2) / (4.0 * r)),
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("rate, amplitude", [(0.5, 2.0), (3.0, 0.25)])
+@pytest.mark.parametrize("law", sorted(_DECAY_ORACLES))
+def test_decay_law_tail_within_error_estimate(law, rate, amplitude, tol):
+    decay, density, exact = _DECAY_ORACLES[law]
+    rng = random.Random(30)
+    points = [(0.0, 0.0)] + [(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)) for _ in range(100)]
+    m = Measure(parallel_lines([0.0]), (parse(density.format(a=amplitude, r=rate)),), decay(rate, amplitude))
+    for (xi, eta), ft in zip(points, mu_hat_at_points(m, points, QuadOpts(abs_tol=tol, rel_tol=tol))):
+        assert abs(ft.value - exact(rate, amplitude, xi)) <= ft.err_estimate, (xi, eta)
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_circle_harmonic_within_error_estimate(k):
     # integral of e^{-i pi r cos(t - phi)} e^{ikt} dt = 2 pi (-i)^k J_k(pi r) e^{ik phi}
