@@ -12,7 +12,10 @@ then unary minus, then ``*``/``/``, then ``+``/``-``)::
             | 'chi' '(' expr ',' expr ')' '(' expr ')'
             | '(' expr ')'
 
-Functions: sin, cos, exp, cosh, sinh, sqrt, log, abs.  ``chi(a,b)(x)`` is the
+The tables ``_BINARY`` and ``FUNCTIONS`` are the grammar's single source: a
+row per binary operator (precedence, operand print levels, evaluation, parity
+rule) and per function FUNC (evaluation, parity rule), which the parser,
+printer, evaluator and :func:`parity` look up.  ``chi(a,b)(x)`` is the
 indicator of the open interval (a, b): 1 for a < x < b, 0 otherwise; the
 endpoints themselves evaluate to 0.  Complex values are written ``a+b*i``.
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -51,7 +54,6 @@ __all__ = [
     "parity",
 ]
 
-FUNCTIONS = ("sin", "cos", "exp", "cosh", "sinh", "sqrt", "log", "abs")
 CONSTANTS = {"pi": complex(np.pi), "e": complex(np.e), "i": 1j}
 
 
@@ -93,14 +95,14 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # a key of _BINARY
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
 class Call:
-    func: str
+    func: str  # a key of FUNCTIONS
     arg: "Expr"
 
 
@@ -113,37 +115,116 @@ class Chi:
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call, Chi]
 
+# how a tree's value at -t relates to its value at t; as numbers they
+# multiply like the signs they stand for
+EVEN, ODD, UNKNOWN = 1, -1, 0
+
+# precedence levels, loosest first; an operand printed at a level above its
+# own is parenthesized
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+
+
+def _check_finite(value, node: Expr):
+    if not np.all(np.isfinite(value)):
+        raise EvalDomainError("nonfinite value", pretty(node))
+    return value
+
+
+def _divide(left, right, node: Expr):
+    if np.any(right == 0):
+        raise EvalDomainError("division by zero", pretty(node))
+    return _check_finite(left / right, node)
+
+
+def _power(left, right, node: Expr):
+    # + 0.0 turns a -0 imaginary part into +0, here and in sqrt: on the
+    # negative real axis both then take the principal branch
+    return _check_finite(np.power(left + 0.0, right), node)
+
+
+def _power_parity(node: BinOp, left: int, right: int) -> int:
+    if left == right == EVEN:
+        return EVEN
+    if isinstance(node.right, Num) and float(node.right.value).is_integer():
+        return left if node.right.value % 2 else left * left
+    return UNKNOWN
+
+
+def _log(arg, node: Expr):
+    if np.any((np.imag(arg) == 0) & (np.real(arg) <= 0)):
+        raise EvalDomainError("log of nonpositive real", pretty(node))
+    return _check_finite(np.log(np.asarray(arg, dtype=np.complex128)), node)
+
+
+def _finite(fn):
+    return lambda arg, node: _check_finite(fn(arg), node)
+
+
+class _Binary(NamedTuple):
+    level: int  # the operator's precedence level
+    left: int  # the levels its operands print at
+    right: int
+    apply: Callable  # (left value, right value, node) -> value
+    parity: Callable  # (node, left parity, right parity) -> parity
+
+
+class _Function(NamedTuple):
+    apply: Callable  # (argument value, node) -> value
+    parity: Callable  # argument parity -> parity
+
+
+# parity rules of a binary operator: the operands' common parity, or their product
+_shared = lambda node, p, q: p if p == q else UNKNOWN
+_product = lambda node, p, q: p * q
+
+_BINARY = {
+    "+": _Binary(_ADD, _ADD, _MUL, lambda a, b, node: a + b, _shared),
+    "-": _Binary(_ADD, _ADD, _MUL, lambda a, b, node: a - b, _shared),
+    "*": _Binary(_MUL, _MUL, _NEG, lambda a, b, node: a * b, _product),
+    "/": _Binary(_MUL, _MUL, _NEG, _divide, _product),
+    "^": _Binary(_POW, _ATOM, _NEG, _power, _power_parity),
+}
+
+# parity rules of a function of one argument: odd, even, or even on even arguments only
+_odd = lambda p: p
+_even = lambda p: p * p
+_on_even = lambda p: EVEN if p == EVEN else UNKNOWN
+
+FUNCTIONS = {
+    "sin": _Function(_finite(np.sin), _odd),
+    "cos": _Function(_finite(np.cos), _even),
+    "exp": _Function(_finite(np.exp), _on_even),
+    "cosh": _Function(_finite(np.cosh), _even),
+    "sinh": _Function(_finite(np.sinh), _odd),
+    "sqrt": _Function(lambda arg, node: np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0), _on_even),
+    "log": _Function(_log, _on_even),
+    "abs": _Function(lambda arg, node: np.abs(arg), _even),
+}
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    rf"|(?P<op>[{re.escape(''.join(_BINARY))}(),])"
+    r"|(?P<end>\Z))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
-    while pos < len(text):
+    while not tokens or tokens[-1][0] != "end":
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
-            if not stripped:
-                break
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "id":
-            tokens.append(("id", m.group("id"), m.start("id")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -160,42 +241,35 @@ class _Parser:
         if val != value:
             raise ExprSyntaxError(f"expected {value!r}, found {val!r}" if val else f"expected {value!r}", off)
 
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {val!r}", off)
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        if self.peek()[1] == "-":
+    def expr(self, level: int = _ADD) -> Expr:
+        """The longest expression at ``level`` or tighter."""
+        if level == _NEG and self.peek()[1] == "-":
             self.next()
-            return Neg(self.factor())
-        return self.power()
+            return Neg(self.expr(_NEG))
+        if level == _ATOM:
+            return self.atom()
+        node = self.expr(level + 1)  # no operator has level _NEG: there this is the power
+        while (row := _BINARY.get(self.peek()[1])) is not None and row.level == level:
+            node = BinOp(self.next()[1], node, self.expr(row.right))
+            if row.left > level:  # right-associative: the left operand binds tighter
+                break
+        return node
 
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            return BinOp("^", base, self.factor())
-        return base
+    def group(self, n: int) -> list[Expr]:
+        """``'(' expr (',' expr)* ')'`` with ``n`` expressions."""
+        self.expect("(")
+        args = [self.expr()]
+        while len(args) < n:
+            self.expect(",")
+            args.append(self.expr())
+        self.expect(")")
+        return args
 
     def atom(self) -> Expr:
-        kind, val, off = self.next()
+        kind, val, off = self.peek()
+        if val == "(":
+            return self.group(1)[0]
+        self.next()
         if kind == "num":
             return Num(float(val))
         if kind == "id":
@@ -204,25 +278,10 @@ class _Parser:
             if val in CONSTANTS:
                 return Const(val)
             if val == "chi":
-                self.expect("(")
-                lo = self.expr()
-                self.expect(",")
-                hi = self.expr()
-                self.expect(")")
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Chi(lo, hi, arg)
+                return Chi(*self.group(2), *self.group(1))
             if val in FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Call(val, arg)
+                return Call(val, *self.group(1))
             raise ExprSyntaxError(f"unknown identifier {val!r}", off)
-        if val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
         raise ExprSyntaxError(f"unexpected {val!r}" if val else "unexpected end of input", off)
 
 
@@ -230,61 +289,39 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
-
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _LEVEL_ADD
-        if node.op in ("*", "/"):
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(node, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
+    parser = _Parser(text)
+    node = parser.expr()
+    kind, val, off = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected {val!r}", off)
+    return node
 
 
 def _fmt(node: Expr, min_level: int) -> str:
-    text: str
+    level = _ATOM
     if isinstance(node, Num):
         text = repr(node.value)
-    elif isinstance(node, Var):
-        text = node.name
-    elif isinstance(node, Const):
+    elif isinstance(node, (Var, Const)):
         text = node.name
     elif isinstance(node, Neg):
-        text = "-" + _fmt(node.arg, _LEVEL_POW)
+        level = _NEG
+        text = "-" + _fmt(node.arg, _POW)
     elif isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            text = _fmt(node.left, _LEVEL_ADD) + node.op + _fmt(node.right, _LEVEL_MUL)
-        elif node.op in ("*", "/"):
-            text = _fmt(node.left, _LEVEL_MUL) + node.op + _fmt(node.right, _LEVEL_NEG)
-        else:
-            text = _fmt(node.left, _LEVEL_ATOM) + "^" + _fmt(node.right, _LEVEL_NEG)
+        row = _BINARY[node.op]
+        level = row.level
+        text = _fmt(node.left, row.left) + node.op + _fmt(node.right, row.right)
     elif isinstance(node, Call):
         text = f"{node.func}({_fmt(node.arg, 0)})"
     elif isinstance(node, Chi):
         text = f"chi({_fmt(node.lo, 0)},{_fmt(node.hi, 0)})({_fmt(node.arg, 0)})"
     else:  # pragma: no cover
         raise TypeError(f"not an Expr node: {node!r}")
-    if _level(node) < min_level:
-        return "(" + text + ")"
-    return text
+    return "(" + text + ")" if level < min_level else text
 
 
 def pretty(node: Expr) -> str:
     """Render a tree back to source; ``parse(pretty(x))`` equals ``x``."""
     return _fmt(node, 0)
-
-
-def _check_finite(value, node: Expr):
-    if not np.all(np.isfinite(value)):
-        raise EvalDomainError("nonfinite value", pretty(node))
-    return value
 
 
 def _eval(node: Expr, t):
@@ -297,38 +334,11 @@ def _eval(node: Expr, t):
     if isinstance(node, Neg):
         return -_eval(node.arg, t)
     if isinstance(node, BinOp):
-        left = _eval(node.left, t)
-        right = _eval(node.right, t)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(right == 0):
-                raise EvalDomainError("division by zero", pretty(node))
-            return _check_finite(left / right, node)
-        # + 0.0 turns a -0 imaginary part into +0, here and in sqrt: on the
-        # negative real axis both then take the principal branch
-        return _check_finite(np.power(left + 0.0, right), node)
+        return _BINARY[node.op].apply(_eval(node.left, t), _eval(node.right, t), node)
     if isinstance(node, Call):
-        arg = _eval(node.arg, t)
-        if node.func == "abs":
-            return np.abs(arg)
-        if node.func == "sqrt":
-            return np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0)
-        if node.func == "log":
-            bad = (np.imag(arg) == 0) & (np.real(arg) <= 0)
-            if np.any(bad):
-                raise EvalDomainError("log of nonpositive real", pretty(node))
-            return _check_finite(np.log(np.asarray(arg, dtype=np.complex128)), node)
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "cosh": np.cosh, "sinh": np.sinh}[node.func]
-        return _check_finite(fn(arg), node)
+        return FUNCTIONS[node.func].apply(_eval(node.arg, t), node)
     if isinstance(node, Chi):
-        lo = _eval(node.lo, t)
-        hi = _eval(node.hi, t)
-        arg = _eval(node.arg, t)
+        lo, hi, arg = (_eval(part, t) for part in (node.lo, node.hi, node.arg))
         for part, val in (("lower bound", lo), ("upper bound", hi), ("argument", arg)):
             if np.any(np.imag(val) != 0):
                 raise EvalDomainError(f"complex {part} for indicator", pretty(node))
@@ -351,11 +361,6 @@ def evaluate_array(node: Expr, t: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=np.complex128) + np.zeros(np.shape(t), dtype=np.complex128)
 
 
-# how a tree's value at -t relates to its value at t; as numbers they
-# multiply like the signs they stand for
-EVEN, ODD, UNKNOWN = 1, -1, 0
-
-
 def parity(node) -> int:
     """EVEN, ODD or UNKNOWN, from the tree alone: sound rules, not complete ones.
 
@@ -367,19 +372,9 @@ def parity(node) -> int:
     if isinstance(node, Neg):
         return parity(node.arg)
     if isinstance(node, BinOp):
-        left, right = parity(node.left), parity(node.right)
-        if node.op in ("+", "-"):
-            return left if left == right else UNKNOWN
-        if node.op in ("*", "/") or left == right == EVEN:
-            return left * right
-        if isinstance(node.right, Num) and float(node.right.value).is_integer():
-            return left if node.right.value % 2 else left * left
-        return UNKNOWN
+        return _BINARY[node.op].parity(node, parity(node.left), parity(node.right))
     if isinstance(node, Call):
-        arg = parity(node.arg)
-        if node.func in ("sin", "sinh"):
-            return arg
-        return arg * arg if node.func in ("cos", "cosh", "abs") or arg == EVEN else UNKNOWN
+        return FUNCTIONS[node.func].parity(parity(node.arg))
     if isinstance(node, Chi):
         arg = parity(node.arg)
         mirrored = Neg(node.hi) == node.lo or Neg(node.lo) == node.hi

@@ -419,19 +419,27 @@ class Measure:
     def check_envelope(self) -> None:
         """Spot-check |g(t)| <= envelope(t) on _ENVELOPE_SAMPLES points of the decay's sample range.
 
+        Once every component passes, the rest of its widest truncation window,
+        out to the decay law's ``cutoff(0)``, is checked on as many points.
         Raises ValueError on the first violating component, or when a
         component domain is unbounded and no decay is declared.  With a
         compact support the density must vanish outside it.
         """
         decay = self.decay
-        for comp in range(self.curve.n_components):
-            lo, hi = self.curve.domain(comp)
-            if decay is None:
-                if math.isinf(lo) or math.isinf(hi):
-                    raise ValueError(f"the {self.curve.kind} curve is unbounded: it needs a decay envelope")
-                continue
-            grid_lo, grid_hi = decay.sample_range()
-            ts = np.linspace(max(lo, grid_lo), min(hi, grid_hi), _ENVELOPE_SAMPLES)
+        domains = [self.curve.domain(comp) for comp in range(self.curve.n_components)]
+        if decay is None:
+            if any(math.isinf(end) for domain in domains for end in domain):
+                raise ValueError(f"the {self.curve.kind} curve is unbounded: it needs a decay envelope")
+            return
+        grid_lo, grid_hi = decay.sample_range()
+        samples = [np.linspace(max(lo, grid_lo), min(hi, grid_hi), _ENVELOPE_SAMPLES) for lo, hi in domains]
+        if not isinstance(decay, CompactSupport):  # a support's windows lie inside its sample range
+            reach = decay.cutoff(0.0)  # cutoff floors its budget: no tolerance truncates further out
+            for lo, hi in domains:
+                ts = np.linspace(-reach if math.isinf(lo) else lo, reach if math.isinf(hi) else hi, _ENVELOPE_SAMPLES)
+                samples.append(ts[(ts < grid_lo) | (ts > grid_hi)])
+        for k, ts in enumerate(samples):
+            comp = k % len(domains)  # every component's grid first, then every window
             excess = np.abs(self.density(comp)(ts)) - decay.bound(ts)
             if np.any(excess > _ENVELOPE_SLACK):
                 idx = int(np.argmax(excess))

@@ -390,8 +390,9 @@ def integrate_rows(
     sums.
 
     Returns each row's value, error estimate (``tail_err`` included) and
-    panel count, and {row: QuadratureError} for the rows that failed.  Rows
-    after the first failure are not refined; their entries are meaningless.
+    panel count, and the first failure as (row, QuadratureError), or None.
+    It returns as soon as a row fails: that row's entries and all later ones
+    are meaningless.
     """
     a, b = window
     folded = a == -b and b > 0
@@ -402,11 +403,10 @@ def integrate_rows(
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
     value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
     panels = np.zeros(n_rows, dtype=np.int64)
-    failures: dict = {}
     splits = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
     sizes = [sum(segment[2] for segment in split) for split in splits]
     start = 0
-    while start < n_rows and start <= min(failures, default=start):
+    while start < n_rows:
         stop, held = start + 1, sizes[start]
         while stop < n_rows and held + sizes[stop] <= _PASS_PANELS:
             held += sizes[stop]
@@ -422,19 +422,16 @@ def integrate_rows(
             for k, r in enumerate(rows):
                 pieces[r][lo, hi, n] = (seg_edges, vals[k], errs[k], bad.get(k))
         for r, split in zip(range(start, stop), splits[start:stop]):
-            if r > min(failures, default=r):
-                continue
             parts = [pieces[r][segment] for segment in split]
             bad = [p[3] for p in parts if p[3] is not None]
-            if bad:
-                failures[r] = _nonfinite(bad[0])
-                continue
             try:
+                if bad:
+                    raise _nonfinite(bad[0])
                 value[r], err[r], panels[r] = _finish(at_nodes, r, [p[:3] for p in parts], folded, tail_err, opts)
             except QuadratureError as exc:
-                failures[r] = exc
+                return value, err, panels, (r, exc)
         start = stop
-    return value, err, panels, failures
+    return value, err, panels, None
 
 
 def integrate(
@@ -457,7 +454,7 @@ def integrate(
         return QuadResult(0j, 0.0, (0.0, 0.0), 0)
     hint = np.array([opts.oscillation_hint or 0.0])
     tail_err = truncation_error(interval, window, envelope)
-    value, err, panels, failures = integrate_rows(_one_row(f), lambda lo, hi: hint, 1, window, tail_err, opts, envelope)
-    if failures:
-        raise failures[0]
+    value, err, panels, failure = integrate_rows(_one_row(f), lambda lo, hi: hint, 1, window, tail_err, opts, envelope)
+    if failure:
+        raise failure[1]
     return QuadResult(complex(value[0]), float(err[0]), (float(window[0]), float(window[1])), int(panels[0]))

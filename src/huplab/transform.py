@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -92,25 +92,25 @@ def _transform(
     points: Sequence[tuple[float, float]],
     opts: QuadOpts,
     offset: tuple[float, float] = (0.0, 0.0),
-) -> tuple[list[FTValue], dict[int, QuadratureError]]:
-    """The transform at every point, and each failing point's first failure by input index."""
+) -> tuple[list[FTValue], Optional[tuple[int, QuadratureError]]]:
+    """The transform at every point, and the first failure in input order as (index, error), or None."""
     n = len(points)
     xi = np.array([p[0] for p in points], dtype=float)
     eta = np.array([p[1] for p in points], dtype=float)
     value, err = np.zeros(n, dtype=np.complex128), np.zeros(n)
-    failures: dict[int, QuadratureError] = {}
+    first, failure = n, None
     lo, hi = math.inf, -math.inf
     for comp in range(measure.curve.n_components):
-        # only the first failure in input order is reported: later points can stop
-        live = np.array([i for i in range(min(failures, default=n)) if i not in failures], dtype=np.int64)
+        # only the first failure in input order is reported: the points from it on stop
+        live = np.arange(first)
         if not live.size:
             break
         interval = measure.curve.domain(comp)
         try:
             window = truncate_interval(interval, measure.decay, opts)
         except QuadratureError as exc:
-            failures.update(dict.fromkeys(live.tolist(), exc))
-            continue
+            first, failure = 0, exc
+            break
         if window is None:
             continue
         window = (float(window[0]), float(window[1]))
@@ -132,21 +132,23 @@ def _transform(
             try:
                 err[live[null]] += tail + null_err(measure.density(comp), window[1])
             except QuadratureError as exc:
-                failures.update(dict.fromkeys(live[null].tolist(), exc))
-            live = live[~null]
+                first, failure = int(live[null][0]), exc
+            live = live[~null & (live < first)]
         v, e, _, failed = _component(measure, comp, window, tail, xi[live], eta[live], opts, offset)
-        failures.update({int(live[row]): exc for row, exc in failed.items()})
+        if failed:
+            first, failure = int(live[failed[0]]), failed[1]
         value[live] += v
         err[live] += e
     if lo > hi:
         lo = hi = 0.0
-    return [FTValue(complex(v), float(e), (lo, hi)) for v, e in zip(value, err)], failures
+    values = [FTValue(complex(v), float(e), (lo, hi)) for v, e in zip(value, err)]
+    return values, None if failure is None else (first, failure)
 
 
 def _one_point(measure: Measure, xi: float, eta: float, opts: QuadOpts, offset=(0.0, 0.0)) -> FTValue:
-    values, failures = _transform(measure, [(xi, eta)], opts, offset)
-    if failures:
-        raise failures[0]
+    values, failure = _transform(measure, [(xi, eta)], opts, offset)
+    if failure:
+        raise failure[1]
     return values[0]
 
 
@@ -190,10 +192,10 @@ def mu_hat_at_points(
     Output order matches the input order.  A quadrature failure is raised as
     a :class:`PointFailure` for the first failing point in input order.
     """
-    values, failures = _transform(measure, points, opts)
-    if failures:
-        first = min(failures)
-        raise PointFailure(points[first], failures[first]) from failures[first]
+    values, failure = _transform(measure, points, opts)
+    if failure:
+        first, exc = failure
+        raise PointFailure(points[first], exc) from exc
     return values
 
 

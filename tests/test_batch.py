@@ -6,9 +6,9 @@ import pytest
 
 from huplab import expr, quadrature, transform
 from huplab.expr import Num, parse
-from huplab.geometry import ExpDecay, GaussianDecay, Measure, hyperbola_full, parabola, sample_set, spiral
+from huplab.geometry import ExpDecay, GaussianDecay, Measure, circle, hyperbola_full, parabola, sample_set, spiral
 from huplab.quadrature import QuadOpts
-from huplab.transform import mu_hat_at_points
+from huplab.transform import PointFailure, mu_hat_at_points
 from huplab.witnesses import RESIDUAL_TOL, _quad_opts, all_annihilators, verify_certificate
 
 from conftest import reference_mu_hat
@@ -184,3 +184,13 @@ def test_null_row_is_decided_without_node_columns(monkeypatch):
     want = reference_mu_hat(measure, half, 0.0, QuadOpts())
     assert abs(want.value) <= want.err_estimate
     assert null.err_estimate == pytest.approx(want.err_estimate, rel=1e-3)
+
+
+def test_no_point_past_a_failing_null_row_is_integrated(monkeypatch):
+    # the odd density is NaN (inf - inf), so the null point (0.5, 0) fails
+    # its roundoff floor; the live point after it cannot be reported
+    built = _built_entries(monkeypatch)
+    measure = Measure(circle(), (parse("sin(t)*(exp(709)*exp(709)-exp(709)*exp(709))"),))
+    with pytest.raises(PointFailure, match=r"= \(0.5, 0\): integrand returned a nonfinite value"):
+        mu_hat_at_points(measure, [(0.5, 0.0), (0.5, 0.5)], QuadOpts())
+    assert not built

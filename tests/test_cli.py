@@ -206,6 +206,22 @@ class TestFt:
         assert "exceeds its declared envelope near t=" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("quad", [{}, {"abs_tol": 1e-6, "rel_tol": 1e-6}])
+    def test_density_above_its_envelope_past_the_first_grid_exits_2(self, capsys, tmp_path, quad):
+        # the bump on (17, 30) lies past the 16 e-folds of the first grid: accepted, mu_hat(0, 0)
+        # came out 1.0083284 with err 1e-10 under the default quad, and 0.9999999 with err 1e-7
+        # under 1e-6, instead of the mass 1.013
+        cfg = {
+            "curve": {"kind": "spiral"},
+            "density": ["exp(-t)+0.001*chi(17,30)(t)"],
+            "decay": {"kind": "exp", "rate": 1.0},
+            "quad": quad,
+            "grid": {"xi": [0.0, 0.0, 1], "eta": [0.0, 0.0, 1]},
+        }
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: component 0 density exceeds its declared envelope near t=17.")
+
     def test_key_foreign_to_kind_rejected(self, tmp_path):
         cfg = {
             "curve": {"kind": "circle"},

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from huplab.expr import (
+    _BINARY,
     EVEN,
+    FUNCTIONS,
     ODD,
     UNKNOWN,
     BinOp,
@@ -45,6 +47,8 @@ class TestParse:
         assert ev("2^3^2", 0.0) == pytest.approx(512.0)
         left = BinOp("^", BinOp("^", Num(2.0), Num(3.0)), Num(2.0))
         assert evaluate(left, 0.0) == pytest.approx(64.0)
+        assert pretty(left) == "(2.0^3.0)^2.0"
+        assert parse(pretty(left)) == left
 
     def test_precedence(self):
         assert ev("2*3+4", 0.0) == 10
@@ -137,10 +141,11 @@ _leaf = st.one_of(
 
 
 def _tree(children):
+    # every row of the operator and function tables
     return st.one_of(
         st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "cosh", "sinh", "sqrt", "log", "abs"]), children),
+        st.builds(BinOp, st.sampled_from(sorted(_BINARY)), children, children),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children),
         st.builds(Chi, children, children, children),
     )
 

@@ -207,6 +207,23 @@ class TestMeasure:
         with pytest.raises(ValueError, match="envelope"):
             leaking.check_envelope()
 
+    @pytest.mark.parametrize(
+        "curve, bump, near",
+        [
+            # past the 16 e-folds of the first grid, inside the window of abs_tol 1e-10
+            # (out to t = 25.3) but outside that of 1e-6 (out to 16.1)
+            (spiral(), "chi(17,30)", "17"),
+            # inside only the windows of abs_tol below 4e-43
+            (spiral(), "chi(100,120)", "100"),
+            # past cutoff(0) = 690.8, inside a bounded domain that the quadrature integrates whole
+            (expr_curve(parse("t"), parse("t"), (0.0, 1000.0)), "chi(800,900)", "800"),
+        ],
+    )
+    def test_envelope_check_reaches_every_truncation_window(self, curve, bump, near):
+        measure = Measure(curve, (parse(f"exp(-t)+0.001*{bump}(t)"),), ExpDecay(1.0))
+        with pytest.raises(ValueError, match=f"component 0 density exceeds its declared envelope near t={near}"):
+            measure.check_envelope()
+
     def test_envelope_check_needs_decay_only_on_unbounded_domains(self):
         Measure(circle(), (parse("1"),)).check_envelope()
         Measure(expr_curve(parse("t"), parse("t"), (-1.0, 1.0)), (parse("1"),)).check_envelope()
