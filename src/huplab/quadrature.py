@@ -21,7 +21,9 @@ A caller that knows an integrand to be odd takes it as 0 with :func:`null_err`.
 
 :func:`integrate_rows` runs these stages for many integrands that share
 their nodes (the transform at many frequency points); :func:`integrate` is
-its batch of one.
+its batch of one.  It keeps a pass's panel sums in flat arrays, one slice
+per row, and finishes the rows with array operations; only rows that miss
+tolerance or fail are visited one at a time.
 """
 
 from __future__ import annotations
@@ -221,21 +223,23 @@ def _score(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndar
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
         fs = np.asarray(values_at(rows[part]), dtype=np.complex128)
-        if folded:
-            fx = fs[:, :n] + fs[:, n:]
-            raw = np.abs(fs[:, :n])
-            raw += np.abs(fs[:, n:])
-        else:
-            fx, raw = fs, np.abs(fs)
-        del fs
-        fx, raw = fx.reshape((-1,) + x.shape), raw.reshape((-1,) + x.shape)
-        for k in np.flatnonzero(~np.isfinite(fx).all(axis=(1, 2))):
-            bad[start + k] = x[tuple(np.argwhere(~np.isfinite(fx[k]))[0])]
-        i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
-        i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
-        # roundoff floor scales with the unfolded magnitudes
-        errs[part] = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
-        values[part] = i15
+        # a nonfinite integrand is named by its lowest node: what the fold and sums make of it is quiet
+        with np.errstate(invalid="ignore", over="ignore"):
+            if folded:
+                fx = fs[:, :n] + fs[:, n:]
+                raw = np.abs(fs[:, :n])
+                raw += np.abs(fs[:, n:])
+            else:
+                fx, raw = fs, np.abs(fs)
+            del fs
+            fx, raw = fx.reshape((-1,) + x.shape), raw.reshape((-1,) + x.shape)
+            for k in np.flatnonzero(~np.isfinite(fx).all(axis=(1, 2))):
+                bad[start + k] = x[tuple(np.argwhere(~np.isfinite(fx[k]))[0])]
+            i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
+            i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
+            # roundoff floor scales with the unfolded magnitudes
+            errs[part] = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
+            values[part] = i15
     return values, errs, bad
 
 
@@ -264,9 +268,10 @@ def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
     return math.fsum(errs[0].tolist())
 
 
-def _refine(at_nodes, row: int, edges, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
-    """Bisect the worst panels of one row's pre-split until its error meets
-    tolerance; returns value, error estimate and panel count."""
+def _refine(at_nodes, row: int, split, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
+    """Bisect the worst panels of one row's pre-split (segments, panel values and
+    errors) until its error meets tolerance; returns value, error estimate and panel count."""
+    edges = np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in split] + [split[-1][1:2]])
     heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(values))]
     heapq.heapify(heap)
     n_panels = len(heap)
@@ -317,8 +322,8 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
     return max(math.pi, math.exp(min(log_theta, math.log(_THETA_MAX))))
 
 
-def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope, abs_tol: float) -> list:
-    """Each row's pre-split of [a, b], as segments (lo, hi, panels).
+def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope, abs_tol: float):
+    """Each row's pre-split of [a, b], as segments (lo, hi, panels), and its panel count.
 
     The uniform pre-split of ``n0`` panels is sized for the fastest
     oscillation anywhere in the range.  Where it has more than
@@ -328,9 +333,10 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope,
     is small enough for the Gauss-7 error model (see ``_panel_phase``).
     """
     splits = [((a, b, int(n)),) for n in n0]
+    sizes = n0.copy()
     wide = np.flatnonzero(n0 > _BLOCKWISE_PANELS)
     if not wide.size:
-        return splits
+        return splits, sizes
     blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
     spans = list(zip(blocks[:-1], blocks[1:]))
     rates = np.array([rate(lo, hi) for lo, hi in spans])
@@ -338,25 +344,11 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope,
         rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
     theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
     counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
-    for k in wide:
-        if counts[:, k].sum() < n0[k]:
-            splits[k] = tuple((lo, hi, int(c)) for (lo, hi), c in zip(spans, counts[:, k]))
-    return splits
-
-
-def _finish(at_nodes, row: int, parts: list, folded: bool, tail_err: float, opts: QuadOpts):
-    """Value, error estimate and panel count of one row from the panels
-    (edges, values, errors) of its pre-split, refined if they miss tolerance."""
-    if len(parts) == 1:
-        edges, values, errs = parts[0]
-    else:
-        edges = np.concatenate([p[0][:-1] for p in parts] + [parts[-1][0][-1:]])
-        values = np.concatenate([p[1] for p in parts])
-        errs = np.concatenate([p[2] for p in parts])
-    total, total_err = np.sum(values), math.fsum(errs.tolist())
-    if total_err <= max(opts.abs_tol, opts.rel_tol * abs(total)):
-        return total, tail_err + total_err, len(values)
-    return _refine(at_nodes, row, edges, values, errs, folded, tail_err, opts)
+    totals = counts.sum(axis=0)
+    for k in wide[totals[wide] < n0[wide]]:
+        splits[k] = tuple((lo, hi, int(c)) for (lo, hi), c in zip(spans, counts[:, k]))
+        sizes[k] = totals[k]
+    return splits, sizes
 
 
 def integrate_rows(
@@ -387,7 +379,9 @@ def integrate_rows(
     error estimate comes from the panels' Kronrod sums, and rows that miss
     tolerance are refined alone by bisecting their worst panels first.
     Pre-splits are evaluated in passes that keep at most _PASS_PANELS panel
-    sums.
+    sums, in flat arrays with one slice per row.  Rows are summed and tested
+    together; only those that miss tolerance (refined) or fail are visited
+    alone, in row order, so a row's bits do not depend on its batch.
 
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and the first failure as (row, QuadratureError), or None.
@@ -402,32 +396,47 @@ def integrate_rows(
     n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
     value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
-    panels = np.zeros(n_rows, dtype=np.int64)
-    splits = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
-    sizes = [sum(segment[2] for segment in split) for split in splits]
+    splits, panels = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
+    ends = np.concatenate([[0], np.cumsum(panels)])
     start = 0
     while start < n_rows:
-        stop, held = start + 1, sizes[start]
-        while stop < n_rows and held + sizes[stop] <= _PASS_PANELS:
-            held += sizes[stop]
-            stop += 1
-        rows_of: dict = {}
-        for r, split in zip(range(start, stop), splits[start:stop]):
-            for segment in split:
-                rows_of.setdefault(segment, []).append(r)
-        pieces: dict = {r: {} for r in range(start, stop)}
-        for (lo, hi, n), rows in rows_of.items():
-            seg_edges = np.linspace(lo, hi, n + 1)
-            vals, errs, bad = _score(at_nodes, seg_edges[:-1], seg_edges[1:], folded, np.array(rows))
-            for k, r in enumerate(rows):
-                pieces[r][lo, hi, n] = (seg_edges, vals[k], errs[k], bad.get(k))
-        for r, split in zip(range(start, stop), splits[start:stop]):
-            parts = [pieces[r][segment] for segment in split]
-            bad = [p[3] for p in parts if p[3] is not None]
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _PASS_PANELS, "right")) - 1)
+        # row r's panels are vals[begin[r - start]:begin[r - start + 1]], its segments in t order
+        members: dict = {}
+        begin = ends[start : stop + 1] - ends[start]
+        for r, at in zip(range(start, stop), begin.tolist()):
+            for segment in splits[r]:
+                members.setdefault(segment, []).append((r, at))
+                at += segment[2]
+        vals, errs = np.empty(begin[-1], dtype=np.complex128), np.empty(begin[-1])
+        bad: dict = {}
+        for (lo, hi, n), group in members.items():
+            rows, where = np.array(group).T
+            edges = np.linspace(lo, hi, n + 1)
+            block = where[:, None] + np.arange(n)
+            vals[block], errs[block], bad_nodes = _score(at_nodes, edges[:-1], edges[1:], folded, rows)
+            for k, t in bad_nodes.items():
+                bad.setdefault(int(rows[k]), []).append((where[k], t))
+        # rows of one length are summed together, pairwise as np.sum sums one row
+        size, total = panels[start:stop], np.empty(stop - start, dtype=np.complex128)
+        order = np.argsort(size, kind="stable")
+        with np.errstate(invalid="ignore", over="ignore"):
+            for same in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
+                total[same] = vals[begin[same, None] + np.arange(size[same[0]])].sum(axis=1)
+        # fsum over a memoryview reads floats one at a time, with no list of the pass held
+        row_errs = memoryview(errs)
+        total_err = np.array([math.fsum(row_errs[i:j]) for i, j in zip(begin[:-1].tolist(), begin[1:].tolist())])
+        value[start:stop], err[start:stop] = total, tail_err + total_err
+        # hypot is abs() of one complex to the bit; np.abs of an array is not
+        missed = ~(total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(total.real, total.imag)))
+        for r in sorted(bad.keys() | set((start + np.flatnonzero(missed)).tolist())):
             try:
-                if bad:
-                    raise _nonfinite(bad[0])
-                value[r], err[r], panels[r] = _finish(at_nodes, r, [p[:3] for p in parts], folded, tail_err, opts)
+                if r in bad:
+                    raise _nonfinite(min(bad[r])[1])
+                row = slice(begin[r - start], begin[r - start + 1])
+                value[r], err[r], panels[r] = _refine(
+                    at_nodes, r, splits[r], vals[row], errs[row], folded, tail_err, opts
+                )
             except QuadratureError as exc:
                 return value, err, panels, (r, exc)
         start = stop

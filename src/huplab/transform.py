@@ -141,7 +141,7 @@ def _transform(
         err[live] += e
     if lo > hi:
         lo = hi = 0.0
-    values = [FTValue(complex(v), float(e), (lo, hi)) for v, e in zip(value, err)]
+    values = [FTValue(v, e, (lo, hi)) for v, e in zip(value.tolist(), err.tolist())]
     return values, None if failure is None else (first, failure)
 
 

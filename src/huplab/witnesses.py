@@ -153,9 +153,9 @@ def circle_bessel_circle_annihilator(k: int, n: int) -> Certificate:
     """e^{ik theta} on the circle annihilates the circle of radius j_{k,n}/pi."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
-    radius = bessel_zero(k, n) / math.pi
+    zero = bessel_zero(k, n)
+    radius, rho_w = zero / math.pi, 0.5 * (zero + bessel_zero(k, n + 1)) / math.pi
     measure = Measure(circle(), (parse(f"exp({k}*i*t)"),))
-    rho_w = 0.5 * (bessel_zero(k, n) + bessel_zero(k, n + 1)) / math.pi
     extent = rho_w + 1.0
     return _measure_certificate(
         measure,

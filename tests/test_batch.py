@@ -89,6 +89,22 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
         assert got[k].truncation_window == ref.truncation_window
 
 
+@pytest.mark.parametrize("name", list(GRIDS) + CASES)
+def test_row_bits_do_not_depend_on_the_batch(certificates, name, monkeypatch):
+    # a row's value and error are the same bits whichever rows share its pass,
+    # its segment groups and its summation by length: rows alone in their
+    # pass, and the points in reverse order, against the default batch
+    if name in GRIDS:
+        (measure, points), opts = _grid(name), QuadOpts()
+    else:
+        cert, opts = certificates[name], _quad_opts(RESIDUAL_TOL)
+        measure, points = cert.measure, sample_set(cert.lam, 512, cert.window) + [cert.witness_point]
+    want = [_bits(ft) for ft in mu_hat_at_points(measure, points, opts)]
+    assert [_bits(ft) for ft in reversed(mu_hat_at_points(measure, points[::-1], opts))] == want
+    monkeypatch.setattr(quadrature, "_PASS_PANELS", 1)
+    assert [_bits(ft) for ft in mu_hat_at_points(measure, points, opts)] == want
+
+
 def _built_entries(monkeypatch) -> dict:
     """Count, per row of the ``integrate_rows`` calls to come, the integrand entries built for it."""
     built = {}

@@ -263,3 +263,30 @@ def test_nonfinite_value_met_during_bisection_is_raised():
     with pytest.raises(QuadratureError, match="nonfinite value near t=0.3") as info:
         integrate(integrand, (0.0, 1.0), QuadOpts(abs_tol=1e-13, rel_tol=1e-13))
     assert not isinstance(info.value, NonconvergenceError)
+
+
+def test_rows_before_the_first_failure_are_refined_as_if_alone():
+    # three rows with equal rates share one segment group: row 0 is bisected
+    # at its kink, row 1 is NaN at the pre-split nodes from t = 0.5 on, row 2
+    # is smooth.  Row 1 is the failure; row 0, before it, is finished first
+    rows = [
+        lambda t: np.sqrt(np.abs(t - 0.3)) + 0j,
+        lambda t: np.where(t < 0.5, 1.0 + 0j, complex("nan")),
+        lambda t: np.cos(t) + 0j,
+    ]
+
+    def at_nodes(t):
+        fs = np.array([f(t) for f in rows])
+        return lambda r: fs[r]
+
+    value, err, panels, failure = integrate_rows(at_nodes, lambda lo, hi: np.zeros(3), 3, (0.0, 1.0), 0.0, OPTS)
+    with pytest.raises(QuadratureError, match="nonfinite value near t=0.5") as alone:
+        integrate(rows[1], (0.0, 1.0), OPTS)
+    assert failure[0] == 1 and str(failure[1]) == str(alone.value)
+    want = integrate(rows[0], (0.0, 1.0), OPTS)
+    assert want.panels > 8
+    assert (value[0].tobytes(), err[0].tobytes(), int(panels[0])) == (
+        np.complex128(want.value).tobytes(),
+        np.float64(want.err_estimate).tobytes(),
+        want.panels,
+    )
