@@ -9,6 +9,7 @@ evaluation.
 """
 
 import heapq
+import json
 import math
 
 import numpy as np
@@ -152,6 +153,26 @@ def reference_mu_hat(measure, xi: float, eta: float, opts) -> FTValue:
     if lo > hi:
         lo = hi = 0.0
     return FTValue(value, err, (lo, hi))
+
+
+def ft_rows(stdout: str) -> list:
+    """(value, err) of each row that ``huplab ft`` printed, as CSV or JSON; none if it printed nothing."""
+    if not stdout:
+        return []
+    if stdout.startswith("xi,eta,re,im,abs,err\n"):
+        rows = [line.split(",") for line in stdout.splitlines()[1:]]
+        return [(complex(float(row[2]), float(row[3])), float(row[5])) for row in rows]
+    return [(complex(row["re"], row["im"]), row["err"]) for row in json.loads(stdout)["rows"]]
+
+
+def error_bar_ratio(new: list, old: list) -> float:
+    """max |new - old| / (err_new + err_old) over two runs' (value, err) rows; 0 where equal."""
+    assert len(new) == len(old)
+    worst = 0.0
+    for (v, e), (w, f) in zip(new, old):
+        if v != w:
+            worst = max(worst, abs(v - w) / (e + f) if e + f > 0 else math.inf)
+    return worst
 
 
 @pytest.fixture

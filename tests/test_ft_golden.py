@@ -9,8 +9,11 @@ envelope-sized pre-splits all show in the bytes.  Under each decaying law one
 density lies above its envelope: stderr names the worst sample of
 ``check_envelope``.
 The golden was recorded before the decay laws moved into their classes, so
-the test shows that the move changed no byte.  Regenerate it only for a
-deliberate change of output: ``PYTHONPATH=src python tests/test_ft_golden.py``.
+the test shows that the move changed no byte.  A change of output must also
+keep every point within the error bars: |new - recorded| <= err_new +
+err_recorded.  ``PYTHONPATH=src python tests/test_ft_golden.py`` prints, per
+config, the max |new - recorded| / (err_new + err_recorded); re-record the
+golden with ``--record``, only for a deliberate change of output.
 """
 
 import contextlib
@@ -20,8 +23,12 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 from huplab import cli
 from huplab.geometry import CURVE_KINDS
+
+from conftest import error_bar_ratio, ft_rows
 
 GOLDEN = Path(__file__).with_name("ft_golden.json")
 
@@ -153,13 +160,35 @@ def test_every_curve_kind_is_covered():
     assert {cfg["curve"]["kind"] for cfg in CONFIGS.values()} == set(CURVE_KINDS)
 
 
-def test_ft_outputs_match_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write_configs(tmp_path)
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    here = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("ft"))
+    try:
+        _write_configs(Path.cwd())
+        return [run(name) for name in CONFIGS]
+    finally:
+        os.chdir(here)
+
+
+@pytest.fixture(scope="module")
+def golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in golden] == [_argv(name) for name in CONFIGS]
-    mismatched = [name for name, entry in zip(CONFIGS, golden) if run(name) != entry]
+    return golden
+
+
+def test_ft_outputs_match_golden(outputs, golden):
+    mismatched = [name for name, entry, out in zip(CONFIGS, golden, outputs) if out != entry]
     assert not mismatched
+
+
+def test_ft_outputs_within_error_bars_of_golden(outputs, golden):
+    ratios = {
+        name: error_bar_ratio(ft_rows(out["stdout"]), ft_rows(entry["stdout"]))
+        for name, entry, out in zip(CONFIGS, golden, outputs)
+    }
+    assert all(ratio <= 1.0 for ratio in ratios.values()), ratios
 
 
 if __name__ == "__main__":
@@ -171,5 +200,10 @@ if __name__ == "__main__":
         _write_configs(Path(scratch))
         records = [run(name) for name in CONFIGS]
         os.chdir(here)
-    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name, entry, record in zip(CONFIGS, golden, records):
+        ratio = error_bar_ratio(ft_rows(record["stdout"]), ft_rows(entry["stdout"]))
+        print(f"{name}: max |new - recorded| / (err_new + err_recorded) = {ratio:.3g}")
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
