@@ -133,13 +133,13 @@ def _check_finite(value, node: Expr):
 def _divide(left, right, node: Expr):
     if np.any(right == 0):
         raise EvalDomainError("division by zero", pretty(node))
-    return _check_finite(left / right, node)
+    return left / right
 
 
 def _power(left, right, node: Expr):
     # + 0.0 turns a -0 imaginary part into +0, here and in sqrt: on the
     # negative real axis both then take the principal branch
-    return _check_finite(np.power(left + 0.0, right), node)
+    return np.power(left + 0.0, right)
 
 
 def _power_parity(node: BinOp, left: int, right: int) -> int:
@@ -153,13 +153,10 @@ def _power_parity(node: BinOp, left: int, right: int) -> int:
 def _log(arg, node: Expr):
     if np.any((np.imag(arg) == 0) & (np.real(arg) <= 0)):
         raise EvalDomainError("log of nonpositive real", pretty(node))
-    return _check_finite(np.log(np.asarray(arg, dtype=np.complex128)), node)
+    return np.log(np.asarray(arg, dtype=np.complex128))
 
 
-def _finite(fn):
-    return lambda arg, node: _check_finite(fn(arg), node)
-
-
+# every operator's and function's value is checked to be finite after ``apply``
 class _Binary(NamedTuple):
     level: int  # the operator's precedence level
     left: int  # the levels its operands print at
@@ -191,11 +188,11 @@ _even = lambda p: p * p
 _on_even = lambda p: EVEN if p == EVEN else UNKNOWN
 
 FUNCTIONS = {
-    "sin": _Function(_finite(np.sin), _odd),
-    "cos": _Function(_finite(np.cos), _even),
-    "exp": _Function(_finite(np.exp), _on_even),
-    "cosh": _Function(_finite(np.cosh), _even),
-    "sinh": _Function(_finite(np.sinh), _odd),
+    "sin": _Function(lambda arg, node: np.sin(arg), _odd),
+    "cos": _Function(lambda arg, node: np.cos(arg), _even),
+    "exp": _Function(lambda arg, node: np.exp(arg), _on_even),
+    "cosh": _Function(lambda arg, node: np.cosh(arg), _even),
+    "sinh": _Function(lambda arg, node: np.sinh(arg), _odd),
     "sqrt": _Function(lambda arg, node: np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0), _on_even),
     "log": _Function(_log, _on_even),
     "abs": _Function(lambda arg, node: np.abs(arg), _even),
@@ -334,9 +331,9 @@ def _eval(node: Expr, t):
     if isinstance(node, Neg):
         return -_eval(node.arg, t)
     if isinstance(node, BinOp):
-        return _BINARY[node.op].apply(_eval(node.left, t), _eval(node.right, t), node)
+        return _check_finite(_BINARY[node.op].apply(_eval(node.left, t), _eval(node.right, t), node), node)
     if isinstance(node, Call):
-        return FUNCTIONS[node.func].apply(_eval(node.arg, t), node)
+        return _check_finite(FUNCTIONS[node.func].apply(_eval(node.arg, t), node), node)
     if isinstance(node, Chi):
         lo, hi, arg = (_eval(part, t) for part in (node.lo, node.hi, node.arg))
         for part, val in (("lower bound", lo), ("upper bound", hi), ("argument", arg)):

@@ -23,7 +23,11 @@ A caller that knows an integrand to be odd takes it as 0 with :func:`null_err`.
 their nodes (the transform at many frequency points); :func:`integrate` is
 its batch of one.  It keeps a pass's panel sums in flat arrays, one slice
 per row, and finishes the rows with array operations; only rows that miss
-tolerance or fail are visited one at a time.
+tolerance or fail are visited one at a time.  A row's bits do not depend on
+the other rows of its batch, unless the rows factor over a grid
+u_i(t) v_j(t) g(t) and share one pre-split sized for the fastest of them,
+scored for all rows by one matmul per block of panels: then they depend on
+the set of rows in the batch, but not on their order or on the pass size.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .geometry import CompactSupport, Decay
 
 __all__ = [
+    "Grid",
     "QuadOpts",
     "QuadResult",
     "QuadratureError",
@@ -268,10 +273,15 @@ def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
     return math.fsum(errs[0].tolist())
 
 
+def _edges(split) -> np.ndarray:
+    """The panel edges of a pre-split given as segments (lo, hi, panels)."""
+    return np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in split] + [split[-1][1:2]])
+
+
 def _refine(at_nodes, row: int, split, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
     """Bisect the worst panels of one row's pre-split (segments, panel values and
     errors) until its error meets tolerance; returns value, error estimate and panel count."""
-    edges = np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in split] + [split[-1][1:2]])
+    edges = _edges(split)
     heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(values))]
     heapq.heapify(heap)
     n_panels = len(heap)
@@ -345,10 +355,101 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope,
     theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
     counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
     totals = counts.sum(axis=0)
-    for k in wide[totals[wide] < n0[wide]]:
-        splits[k] = tuple((lo, hi, int(c)) for (lo, hi), c in zip(spans, counts[:, k]))
-        sizes[k] = totals[k]
+    blockwise = wide[totals[wide] < n0[wide]]
+    for k, column in zip(blockwise.tolist(), counts[:, blockwise].T.astype(np.int64).tolist()):
+        splits[k] = tuple(zip(blocks[:-1], blocks[1:], column))
+    sizes[blockwise] = totals[blockwise]
     return splits, sizes
+
+
+class Grid(NamedTuple):
+    """Rows whose integrands factor as u_i(t) v_j(t) g(t), with |u_i| = |v_j| = 1.
+
+    Row r's integrand is u_{iu[r]}(t) v_{iv[r]}(t) g(t).  ``at_nodes(t)``
+    evaluates what the rows share at the nodes ``t`` (panels x k) and returns
+    g(t) and a function ``factors(panels)`` from a slice of the panels to the
+    u at their nodes (panels x #u x k) and the v (panels x k x #v).
+    """
+
+    iu: np.ndarray
+    iv: np.ndarray
+    at_nodes: Callable[[np.ndarray], tuple]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return int(self.iu.max()) + 1, int(self.iv.max()) + 1
+
+
+def _shared_split(grid: Grid, rate, a: float, b: float, folded: bool, n0, panels, envelope, abs_tol: float):
+    """One pre-split for all rows of ``grid``, or None where the rows' own cost fewer exponentials.
+
+    It is sized by ``_presplits`` for the fastest rate among the rows.  It is
+    taken when the distinct rows fill at least half of the #u x #v grid and
+    (#u + #v) times its panels is less than the sum of the distinct rows' own
+    panels: the factors cost #u + #v exponentials per node, a row alone one.
+    """
+    if not grid.iu.size:
+        return None
+    n_u, n_v = grid.shape
+    code = grid.iu * n_v + grid.iv
+    order = np.argsort(code, kind="stable")
+    distinct = order[np.concatenate([[True], np.diff(code[order]) != 0])]
+    own = panels[distinct].sum()
+    # no pre-split sized for the fastest row is shorter than that row's own
+    if 2 * distinct.size < n_u * n_v or (n_u + n_v) * panels.max() >= own:
+        return None
+    fastest = lambda lo, hi: rate(lo, hi).max(keepdims=True)
+    (split,), (size,) = _presplits(fastest, a, b, folded, n0.max(keepdims=True), envelope, abs_tol)
+    return split if (n_u + n_v) * size < own else None
+
+
+def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts: QuadOpts):
+    """``integrate_rows`` on the shared pre-split ``split``, or None where an integrand is not finite.
+
+    Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
+    difference at once, by one matmul of the u, weighted by g h and either
+    rule, with the v.  The roundoff floor 10 eps sum |g| w h is the same for
+    every row, as |u| = |v| = 1.  Rows that miss tolerance are scored again
+    on the split, alone, and refined.
+    """
+    edges = _edges(split)
+    h = 0.5 * (edges[1:] - edges[:-1])
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + h[:, None] * NODES
+    t = np.concatenate([x, -x], axis=1) if folded else x
+    g, factors = grid.at_nodes(t)
+    g = np.asarray(g, dtype=np.complex128) * h[:, None]
+    if not np.isfinite(g).all():
+        return None
+    reps = t.shape[1] // len(NODES)
+    wk, wd = np.tile(WEIGHTS_K, reps), np.tile(WEIGHTS_K - WEIGHTS_G, reps)
+    floor = 10.0 * _EPS * math.fsum((np.abs(g) @ wk).tolist())
+    n_u, n_v = grid.shape
+    sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
+    # a block's largest arrays, the weighted u of both rules, the v and the
+    # matmul's result, hold at most _CHUNK entries unless one panel needs more
+    step = max(1, _CHUNK // max(2 * n_u * t.shape[1], n_v * t.shape[1], 2 * n_u * n_v))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, len(h), step):
+            panels = slice(start, start + step)
+            u, v = factors(panels)
+            gh = g[panels, None, :]
+            both = np.matmul(np.concatenate([u * (gh * wk), u * (gh * wd)], axis=1), v)
+            sums += both[:, :n_u].sum(axis=0)
+            diffs += np.abs(both[:, n_u:]).sum(axis=0)
+    value, total_err = sums[grid.iu, grid.iv], diffs[grid.iu, grid.iv] + floor
+    if not (np.isfinite(value).all() and np.isfinite(total_err).all()):
+        return None
+    err, panels = tail_err + total_err, np.full(value.size, len(h), dtype=np.int64)
+    missed = ~(total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
+    for r in np.flatnonzero(missed).tolist():
+        try:
+            vals, errs, bad = _score(at_nodes, edges[:-1], edges[1:], folded, np.array([r]))
+            if bad:
+                raise _nonfinite(bad[0])
+            value[r], err[r], panels[r] = _refine(at_nodes, r, split, vals[0], errs[0], folded, tail_err, opts)
+        except QuadratureError as exc:
+            return value, err, panels, (r, exc)
+    return value, err, panels, None
 
 
 def integrate_rows(
@@ -359,6 +460,7 @@ def integrate_rows(
     tail_err: float,
     opts: QuadOpts,
     envelope: Optional[Decay] = None,
+    grid: Optional[Grid] = None,
 ):
     """Integrate ``n_rows`` integrands that share their nodes over one finite window.
 
@@ -383,6 +485,15 @@ def integrate_rows(
     together; only those that miss tolerance (refined) or fail are visited
     alone, in row order, so a row's bits do not depend on its batch.
 
+    When the rows also factor as a ``grid`` that their distinct rows fill at
+    least half of, and one pre-split sized for the fastest row costs fewer
+    exponentials than the rows' own (see ``_shared_split``), every row is
+    integrated on that one pre-split instead, by one matmul per block of
+    at most _CHUNK entries (see ``_grid_rows``); its rows that miss tolerance
+    are refined alone as above.  Such a row's bits depend on the set of rows
+    in its batch, but not on their order or on the pass size.  Where an
+    integrand is not finite on the shared pre-split, every row takes its own.
+
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and the first failure as (row, QuadratureError), or None.
     It returns as soon as a row fails: that row's entries and all later ones
@@ -395,8 +506,13 @@ def integrate_rows(
     hint = rate(*window)
     n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
-    value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
     splits, panels = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
+    if grid is not None:
+        split = _shared_split(grid, rate, a, b, folded, n0, panels, envelope, opts.abs_tol)
+        shared = None if split is None else _grid_rows(at_nodes, grid, split, folded, tail_err, opts)
+        if shared is not None:
+            return shared
+    value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
     ends = np.concatenate([[0], np.cumsum(panels)])
     start = 0
     while start < n_rows:

@@ -21,6 +21,7 @@ import numpy as np
 from .expr import EVEN, ODD, Num, parity
 from .geometry import CURVE_KINDS, Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
 from .quadrature import (
+    Grid,
     QuadOpts,
     QuadratureError,
     integrate,
@@ -59,6 +60,14 @@ class PointFailure(QuadratureError):
         self.point = point
 
 
+def _distinct(v: np.ndarray):
+    """The sorted distinct values of ``v`` and each entry's index among them."""
+    s = np.sort(v)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep], np.searchsorted(s[keep], v)
+
+
 def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: QuadOpts, offset):
     """One component's integral at every point (xi_p, eta_p), as ``integrate_rows`` returns it."""
     curve, g = measure.curve, measure.density(comp)
@@ -80,11 +89,27 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
 
         return values
 
+    # the phase factors as e^{-i pi xi x} e^{-i pi eta y}, one per distinct xi and eta
+    xs, iu = _distinct(xi)
+    ys, iv = _distinct(eta)
+
+    def at_grid_nodes(t: np.ndarray):
+        x, y = curve.xy(comp, t.ravel())
+        cx, cy = (x + ox).reshape(t.shape), (y + oy).reshape(t.shape)
+
+        def factors(panels: slice):
+            u = np.multiply(-1j * math.pi, xs[:, None] * cx[panels, None, :])
+            v = np.multiply(-1j * math.pi, cy[panels, :, None] * ys)
+            return np.exp(u, out=u), np.exp(v, out=v)
+
+        return np.asarray(g(t.ravel())).reshape(t.shape), factors
+
     def rate(lo: float, hi: float) -> np.ndarray:
         dx_sup, dy_sup = curve.deriv_sup(comp, lo, hi)
         return np.maximum(math.pi * (np.abs(xi) * dx_sup + np.abs(eta) * dy_sup), opts.oscillation_hint or 0.0)
 
-    return integrate_rows(at_nodes, rate, len(xi), window, tail, opts, measure.decay)
+    grid = Grid(iu, iv, at_grid_nodes)
+    return integrate_rows(at_nodes, rate, len(xi), window, tail, opts, measure.decay, grid)
 
 
 def _transform(
@@ -183,7 +208,13 @@ def mu_hat_at_points(
     block and memory limits.  The window, tail error and derivative bounds
     are computed once per component; g(t) and the curve are evaluated once
     per node set, and the phase e^{-i pi (x xi + y eta)} once per block of
-    points.  ``oscillation_hint``, if set, is a floor on every point's rate.
+    points.  Where the points fill at least half of the grid of their
+    distinct xi and eta, and that costs fewer exponentials, the phase is
+    factored as e^{-i pi xi x} e^{-i pi eta y} on one pre-split shared by all
+    points: one exponential per distinct xi and per distinct eta at each
+    node.  A point's bits then depend on the set of points it is evaluated
+    with, but not on their order; otherwise on the point alone.
+    ``oscillation_hint``, if set, is a floor on every point's rate.
     A component whose density is the constant 0 is skipped, and so are the
     points where the parity of its expression tree and of the curve show it
     to integrate to exactly 0; tabulated and callable densities are never

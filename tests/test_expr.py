@@ -117,6 +117,22 @@ class TestEval:
         with pytest.raises(EvalDomainError):
             ev("exp(t)", 1e6)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "exp(709)*exp(709)",
+            "exp(709)*exp(709)-exp(709)*exp(709)",  # inf - inf, NaN if left unchecked
+            "1e308+1e308",
+            "1e308-(-1e308)",
+            "abs(1.5e308+1.5e308*i)",
+        ],
+    )
+    def test_nonfinite_intermediate_reported(self, text):
+        with pytest.raises(EvalDomainError, match="nonfinite value"):
+            ev(text, 0.0)
+        with pytest.raises(EvalDomainError, match="nonfinite value"):
+            evaluate_array(parse(text), np.zeros(3))
+
     def test_nonfinite_parameter(self):
         with pytest.raises(EvalDomainError):
             ev("t", math.inf)

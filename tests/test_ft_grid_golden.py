@@ -131,7 +131,8 @@ if __name__ == "__main__":
         runs = [run(Path(scratch), *key) for key in _keys()]
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for entry, (_, stdout) in zip(golden, runs):
-        print(f"{entry['grid']}: max |new - recorded| / (err_new + err_recorded) = {error_bar_ratio(ft_rows(stdout), _recorded(entry)):.3g}")
+        ratio = error_bar_ratio(ft_rows(stdout), _recorded(entry))
+        print(f"{entry['grid']}: max |new - recorded| / (err_new + err_recorded) = {ratio:.3g}")
     if sys.argv[1:] in (["--rehash"], ["--record"]):
         for entry, (code, stdout) in zip(golden, runs):
             entry.update(_pin(code, stdout))

@@ -144,6 +144,23 @@ class TestSampleSet:
             xx, yy = curve_point(spiral(), 0, t)
             assert (x, y) == pytest.approx((xx, yy), abs=1e-9)
 
+    @pytest.mark.parametrize("curve, lowest", [(hyperbola_full(), -1.0), (hyperbola_branch(), 0.0)])
+    def test_hyperbola_set_samples_on_the_right_branch_in_the_window(self, curve, lowest):
+        # the window cuts the branch at y = -1 (the full hyperbola; the half
+        # branch starts at y = 0) and at y = 2, where x = sqrt(5) < 2.5
+        window = (-3.0, 2.5, -1.0, 2.0)
+        pts = sample_set(CurveSet(curve), 64, window)
+        assert len(pts) > 32
+        for x, y in pts:
+            assert abs(x * x - y * y - 1.0) < 1e-12
+            assert 1.0 <= x <= window[1] and window[2] <= y <= window[3]
+        ys = [y for _, y in pts]
+        assert min(ys) == pytest.approx(lowest, abs=0.1) and max(ys) == pytest.approx(2.0, abs=0.1)
+
+    def test_hyperbola_set_left_of_its_vertex_is_empty(self):
+        with pytest.raises(EmptyIntersectionError):
+            sample_set(CurveSet(hyperbola_full()), 16, (-3.0, 0.9, -2.0, 2.0))
+
     def test_empty_intersection(self):
         with pytest.raises(EmptyIntersectionError):
             sample_set(Line((0.0, 5.0), (1.0, 0.0)), 8, (-1.0, 1.0, -1.0, 1.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from huplab.bessel import bessel_j, bessel_zero
-from huplab import transform
+from huplab import quadrature, transform
 from huplab.expr import parse
 from huplab.geometry import (
     CompactSupport,
@@ -292,16 +292,35 @@ def test_reflection_identity_full_hyperbola():
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-10])
-def test_parabola_gaussian_within_error_estimate(tol):
+def _parabola_gaussian_oracle(points, tol):
     # integral of e^{-i pi (t xi + t^2 eta)} e^{-t^2} dt = sqrt(pi/a) e^{-(pi xi)^2/(4a)}, a = 1 + i pi eta
-    rng = random.Random(4)
-    points = [(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)) for _ in range(400)]
     m = Measure(parabola(), (parse("exp(-(t^2))"),), GaussianDecay(1.0))
     for (xi, eta), ft in zip(points, mu_hat_at_points(m, points, QuadOpts(abs_tol=tol, rel_tol=tol))):
         a = 1.0 + 1j * math.pi * eta
         exact = cmath.sqrt(math.pi / a) * cmath.exp(-((math.pi * xi) ** 2) / (4.0 * a))
         assert abs(ft.value - exact) <= ft.err_estimate, (xi, eta)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_parabola_gaussian_within_error_estimate(tol):
+    rng = random.Random(4)
+    _parabola_gaussian_oracle([(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)) for _ in range(400)], tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_parabola_gaussian_grid_within_error_estimate(tol, monkeypatch):
+    # a 20x20 grid shares one pre-split and is scored by matmul
+    shared = []
+    grid_rows = quadrature._grid_rows
+
+    def spying(*args):
+        shared.append(grid_rows(*args))
+        return shared[-1]
+
+    monkeypatch.setattr(quadrature, "_grid_rows", spying)
+    axis = [-20.0 + 40.0 * i / 19 for i in range(20)]
+    _parabola_gaussian_oracle([(xi, eta) for xi in axis for eta in axis], tol)
+    assert len(shared) == 1 and shared[0] is not None
 
 
 # each decay law's density on the line y = 0 against its closed form; at
