@@ -28,6 +28,9 @@ the other rows of its batch, unless the rows factor over a grid
 u_i(t) v_j(t) g(t) and share one pre-split sized for the fastest of them,
 scored for all rows by one matmul per block of panels: then they depend on
 the set of rows in the batch, but not on their order or on the pass size.
+On a folded window a factor of known parity is given at the nodes t >= 0
+only, and an even factor lets the fold be summed before the matmul, over
+half the nodes.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .expr import EVEN, ODD, UNKNOWN
 from .geometry import CompactSupport, Decay
 
 __all__ = [
@@ -333,7 +337,7 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
 
 
 def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope, abs_tol: float):
-    """Each row's pre-split of [a, b], as segments (lo, hi, panels), and its panel count.
+    """Each row's panel count, and a function from a row to its pre-split of [a, b] as segments (lo, hi, panels).
 
     The uniform pre-split of ``n0`` panels is sized for the fastest
     oscillation anywhere in the range.  Where it has more than
@@ -341,25 +345,29 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope,
     panels spanning at most theta of phase at the rate on that block, when
     that takes fewer panels in all.  theta is pi, or up to 4 pi where the declared envelope
     is small enough for the Gauss-7 error model (see ``_panel_phase``).
+    Only the counts are arrays: a row's segments are built when asked for.
     """
-    splits = [((a, b, int(n)),) for n in n0]
     sizes = n0.copy()
+    blockwise = np.zeros(n0.size, dtype=bool)
     wide = np.flatnonzero(n0 > _BLOCKWISE_PANELS)
-    if not wide.size:
-        return splits, sizes
-    blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
-    spans = list(zip(blocks[:-1], blocks[1:]))
-    rates = np.array([rate(lo, hi) for lo, hi in spans])
-    if folded:  # a block stands for its mirror image too
-        rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
-    theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
-    counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
-    totals = counts.sum(axis=0)
-    blockwise = wide[totals[wide] < n0[wide]]
-    for k, column in zip(blockwise.tolist(), counts[:, blockwise].T.astype(np.int64).tolist()):
-        splits[k] = tuple(zip(blocks[:-1], blocks[1:], column))
-    sizes[blockwise] = totals[blockwise]
-    return splits, sizes
+    if wide.size:
+        blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
+        spans = list(zip(blocks[:-1], blocks[1:]))
+        rates = np.array([rate(lo, hi) for lo, hi in spans])
+        if folded:  # a block stands for its mirror image too
+            rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
+        theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
+        counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
+        totals = counts.sum(axis=0)
+        blockwise[wide[totals[wide] < n0[wide]]] = True
+        sizes[blockwise] = totals[blockwise]
+
+    def segments(r: int) -> tuple:
+        if blockwise[r]:
+            return tuple(zip(blocks[:-1], blocks[1:], counts[:, r].astype(np.int64).tolist()))
+        return ((a, b, int(n0[r])),)
+
+    return sizes, segments
 
 
 class Grid(NamedTuple):
@@ -369,15 +377,31 @@ class Grid(NamedTuple):
     evaluates what the rows share at the nodes ``t`` (panels x k) and returns
     g(t) and a function ``factors(panels)`` from a slice of the panels to the
     u at their nodes (panels x #u x k) and the v (panels x k x #v).
+
+    On a folded window the nodes are t >= 0 and their mirror images -t, and
+    ``parity`` gives the u's and the v's as an ``expr`` parity in t: EVEN
+    where u(-t) = u(t), ODD where u(-t) = conj(u(t)).  A factor of known
+    parity is built at the nodes t >= 0 only (k/2 of them); one of UNKNOWN
+    parity at all k.  On other windows ``parity`` is not read.
     """
 
     iu: np.ndarray
     iv: np.ndarray
     at_nodes: Callable[[np.ndarray], tuple]
+    parity: Tuple[int, int]
 
     @property
     def shape(self) -> Tuple[int, int]:
         return int(self.iu.max()) + 1, int(self.iv.max()) + 1
+
+
+def _halves(f: np.ndarray, parity: int, axis: int):
+    """A factor at the nodes t >= 0 and at their mirror images, from what ``factors`` built."""
+    if parity == EVEN:
+        return f, f
+    if parity == ODD:
+        return f, f.conj()
+    return np.split(f, 2, axis=axis)
 
 
 def _shared_split(grid: Grid, rate, a: float, b: float, folded: bool, n0, panels, envelope, abs_tol: float):
@@ -399,18 +423,24 @@ def _shared_split(grid: Grid, rate, a: float, b: float, folded: bool, n0, panels
     if 2 * distinct.size < n_u * n_v or (n_u + n_v) * panels.max() >= own:
         return None
     fastest = lambda lo, hi: rate(lo, hi).max(keepdims=True)
-    (split,), (size,) = _presplits(fastest, a, b, folded, n0.max(keepdims=True), envelope, abs_tol)
-    return split if (n_u + n_v) * size < own else None
+    (size,), segments = _presplits(fastest, a, b, folded, n0.max(keepdims=True), envelope, abs_tol)
+    return segments(0) if (n_u + n_v) * size < own else None
 
 
 def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts: QuadOpts):
     """``integrate_rows`` on the shared pre-split ``split``, or None where an integrand is not finite.
 
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
-    difference at once, by one matmul of the u, weighted by g h and either
-    rule, with the v.  The roundoff floor 10 eps sum |g| w h is the same for
-    every row, as |u| = |v| = 1.  Rows that miss tolerance are scored again
-    on the split, alone, and refined.
+    difference at once, by one matmul of the u, weighted by either rule,
+    with the v.  On a folded window the integrand is u+ v+ g+ + u- v- g-,
+    the signs marking the nodes t and -t, with h in g; it is folded before
+    the matmul, over the k = 15 nodes t >= 0:
+    u even: u+ against v+ g+ + v- g-; else v even: u+ g+ + u- g- against v+.
+    Otherwise, and on windows that are not folded, the u weighted by g h
+    goes against the v over all nodes, t and -t side by side.  The roundoff
+    floor 10 eps sum (|g+| + |g-|) w h is the same for every row, as
+    |u| = |v| = 1.  Rows that miss tolerance are scored again on the split,
+    alone, and refined.
     """
     edges = _edges(split)
     h = 0.5 * (edges[1:] - edges[:-1])
@@ -420,20 +450,37 @@ def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts:
     g = np.asarray(g, dtype=np.complex128) * h[:, None]
     if not np.isfinite(g).all():
         return None
-    reps = t.shape[1] // len(NODES)
-    wk, wd = np.tile(WEIGHTS_K, reps), np.tile(WEIGHTS_K - WEIGHTS_G, reps)
-    floor = 10.0 * _EPS * math.fsum((np.abs(g) @ wk).tolist())
+    floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(WEIGHTS_K, t.shape[1] // len(NODES))).tolist())
+    pu, pv = grid.parity if folded else (UNKNOWN, UNKNOWN)
+    # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
+    fold = EVEN in (pu, pv)
+    k = len(NODES) if fold else t.shape[1]
+    wk, wd = np.tile(WEIGHTS_K, k // len(NODES)), np.tile(WEIGHTS_K - WEIGHTS_G, k // len(NODES))
     n_u, n_v = grid.shape
     sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
-    # a block's largest arrays, the weighted u of both rules, the v and the
-    # matmul's result, hold at most _CHUNK entries unless one panel needs more
-    step = max(1, _CHUNK // max(2 * n_u * t.shape[1], n_v * t.shape[1], 2 * n_u * n_v))
+    # a block's largest arrays, the weighted u of both rules, the v (built at
+    # most at every node of t) and the matmul's result, hold at most _CHUNK
+    # entries unless one panel needs more
+    step = max(1, _CHUNK // max(2 * n_u * k, n_v * t.shape[1], 2 * n_u * n_v))
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, len(h), step):
             panels = slice(start, start + step)
             u, v = factors(panels)
-            gh = g[panels, None, :]
-            both = np.matmul(np.concatenate([u * (gh * wk), u * (gh * wd)], axis=1), v)
+            if fold:
+                gp, gm = np.split(g[panels], 2, axis=1)
+                if pu == EVEN:
+                    vp, vm = _halves(v, pv, 1)
+                    v = vp * gp[:, :, None] + vm * gm[:, :, None]
+                else:
+                    up, um = _halves(u, pu, 2)
+                    u = up * gp[:, None] + um * gm[:, None]
+                u = np.concatenate([u * wk, u * wd], axis=1)
+            else:
+                gh = g[panels, None, :]
+                u = np.concatenate(_halves(u, pu, 2), axis=2) if pu == ODD else u
+                v = np.concatenate(_halves(v, pv, 1), axis=1) if pv == ODD else v
+                u = np.concatenate([u * (gh * wk), u * (gh * wd)], axis=1)
+            both = np.matmul(u, v)
             sums += both[:, :n_u].sum(axis=0)
             diffs += np.abs(both[:, n_u:]).sum(axis=0)
     value, total_err = sums[grid.iu, grid.iv], diffs[grid.iu, grid.iv] + floor
@@ -489,8 +536,10 @@ def integrate_rows(
     least half of, and one pre-split sized for the fastest row costs fewer
     exponentials than the rows' own (see ``_shared_split``), every row is
     integrated on that one pre-split instead, by one matmul per block of
-    at most _CHUNK entries (see ``_grid_rows``); its rows that miss tolerance
-    are refined alone as above.  Such a row's bits depend on the set of rows
+    at most _CHUNK entries (see ``_grid_rows``), over the 15 nodes t >= 0
+    of each panel where the window is folded and a factor is even; its rows
+    that miss tolerance are refined alone as above.  The rows' own
+    pre-splits are then counted but never built as segments.  Such a row's bits depend on the set of rows
     in its batch, but not on their order or on the pass size.  Where an
     integrand is not finite on the shared pre-split, every row takes its own.
 
@@ -506,7 +555,7 @@ def integrate_rows(
     hint = rate(*window)
     n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
-    splits, panels = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
+    panels, segments = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
     if grid is not None:
         split = _shared_split(grid, rate, a, b, folded, n0, panels, envelope, opts.abs_tol)
         shared = None if split is None else _grid_rows(at_nodes, grid, split, folded, tail_err, opts)
@@ -521,7 +570,7 @@ def integrate_rows(
         members: dict = {}
         begin = ends[start : stop + 1] - ends[start]
         for r, at in zip(range(start, stop), begin.tolist()):
-            for segment in splits[r]:
+            for segment in segments(r):
                 members.setdefault(segment, []).append((r, at))
                 at += segment[2]
         vals, errs = np.empty(begin[-1], dtype=np.complex128), np.empty(begin[-1])
@@ -551,7 +600,7 @@ def integrate_rows(
                     raise _nonfinite(min(bad[r])[1])
                 row = slice(begin[r - start], begin[r - start + 1])
                 value[r], err[r], panels[r] = _refine(
-                    at_nodes, r, splits[r], vals[row], errs[row], folded, tail_err, opts
+                    at_nodes, r, segments(r), vals[row], errs[row], folded, tail_err, opts
                 )
             except QuadratureError as exc:
                 return value, err, panels, (r, exc)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EVEN, ODD, Num, parity
+from .expr import EVEN, ODD, UNKNOWN, Num, parity
 from .geometry import CURVE_KINDS, Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
 from .quadrature import (
     Grid,
@@ -68,8 +68,12 @@ def _distinct(v: np.ndarray):
     return s[keep], np.searchsorted(s[keep], v)
 
 
-def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: QuadOpts, offset):
-    """One component's integral at every point (xi_p, eta_p), as ``integrate_rows`` returns it."""
+def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: QuadOpts, offset, parities):
+    """One component's integral at every point (xi_p, eta_p), as ``integrate_rows`` returns it.
+
+    ``parities`` are the curve's x and y parities in t on a folded window,
+    UNKNOWN on others.
+    """
     curve, g = measure.curve, measure.density(comp)
     ox, oy = offset
 
@@ -93,13 +97,22 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
     xs, iu = _distinct(xi)
     ys, iv = _distinct(eta)
 
+    # on a folded window a factor is mirrored from the nodes t >= 0 where its
+    # shifted coordinate is even, or odd with no offset: e^{-i pi xi x} at -t
+    # is then its value at t or that value's conjugate
+    px, py = parities
+    pu = px if px == EVEN or ox == 0.0 else UNKNOWN
+    pv = py if py == EVEN or oy == 0.0 else UNKNOWN
+
     def at_grid_nodes(t: np.ndarray):
         x, y = curve.xy(comp, t.ravel())
         cx, cy = (x + ox).reshape(t.shape), (y + oy).reshape(t.shape)
+        half = t.shape[1] // 2
+        cu, cv = (c if p == UNKNOWN else c[:, :half] for c, p in ((cx, pu), (cy, pv)))
 
         def factors(panels: slice):
-            u = np.multiply(-1j * math.pi, xs[:, None] * cx[panels, None, :])
-            v = np.multiply(-1j * math.pi, cy[panels, :, None] * ys)
+            u = np.multiply(-1j * math.pi, xs[:, None] * cu[panels, None, :])
+            v = np.multiply(-1j * math.pi, cv[panels, :, None] * ys)
             return np.exp(u, out=u), np.exp(v, out=v)
 
         return np.asarray(g(t.ravel())).reshape(t.shape), factors
@@ -108,7 +121,7 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
         dx_sup, dy_sup = curve.deriv_sup(comp, lo, hi)
         return np.maximum(math.pi * (np.abs(xi) * dx_sup + np.abs(eta) * dy_sup), opts.oscillation_hint or 0.0)
 
-    grid = Grid(iu, iv, at_grid_nodes)
+    grid = Grid(iu, iv, at_grid_nodes, (pu, pv))
     return integrate_rows(at_nodes, rate, len(xi), window, tail, opts, measure.decay, grid)
 
 
@@ -149,17 +162,17 @@ def _transform(
             continue
         # on a folded window an odd density against a phase x xi + y eta that is
         # even in t, each coordinate even or meeting a zero frequency, gives
-        # exactly 0: no phase is evaluated there, only g for the roundoff floor
-        px, py = CURVE_KINDS[measure.curve.kind].parity(measure.curve)
-        odd = window[0] == -window[1] and parity(density) == ODD
+        # exactly 0: no phase is evaluated there, only g for the roundoff floor.
+        # Only expression trees are taken as odd, and a tree's value is finite
+        # or raises EvalDomainError, so null_err meets no nonfinite value
+        folded = window[0] == -window[1]
+        px, py = CURVE_KINDS[measure.curve.kind].parity(measure.curve) if folded else (UNKNOWN, UNKNOWN)
+        odd = folded and parity(density) == ODD
         null = odd & ((xi[live] == 0.0) | (px == EVEN)) & ((eta[live] == 0.0) | (py == EVEN))
         if null.any():
-            try:
-                err[live[null]] += tail + null_err(measure.density(comp), window[1])
-            except QuadratureError as exc:
-                first, failure = int(live[null][0]), exc
-            live = live[~null & (live < first)]
-        v, e, _, failed = _component(measure, comp, window, tail, xi[live], eta[live], opts, offset)
+            err[live[null]] += tail + null_err(measure.density(comp), window[1])
+            live = live[~null]
+        v, e, _, failed = _component(measure, comp, window, tail, xi[live], eta[live], opts, offset, (px, py))
         if failed:
             first, failure = int(live[failed[0]]), failed[1]
         value[live] += v
@@ -212,8 +225,11 @@ def mu_hat_at_points(
     distinct xi and eta, and that costs fewer exponentials, the phase is
     factored as e^{-i pi xi x} e^{-i pi eta y} on one pre-split shared by all
     points: one exponential per distinct xi and per distinct eta at each
-    node.  A point's bits then depend on the set of points it is evaluated
-    with, but not on their order; otherwise on the point alone.
+    node.  On a folded window each factor whose coordinate is even or odd
+    is built at the nodes t >= 0 only, and its value at -t is taken from
+    that parity (the same value, or its conjugate).  A point's bits then
+    depend on the set of points it is evaluated with, but not on their
+    order; otherwise on the point alone.
     ``oscillation_hint``, if set, is a floor on every point's rate.
     A component whose density is the constant 0 is skipped, and so are the
     points where the parity of its expression tree and of the curve show it

@@ -1,12 +1,24 @@
 """The batched transform against the former per-point path, and its work counts."""
 
+import cmath
+import math
 import struct
 
 import pytest
 
 from huplab import expr, quadrature, transform
 from huplab.expr import EvalDomainError, Num, parse
-from huplab.geometry import ExpDecay, GaussianDecay, Measure, circle, hyperbola_full, parabola, sample_set, spiral
+from huplab.geometry import (
+    ExpDecay,
+    GaussianDecay,
+    Measure,
+    circle,
+    expr_curve,
+    hyperbola_full,
+    parabola,
+    sample_set,
+    spiral,
+)
 from huplab.quadrature import QuadOpts
 from huplab.transform import mu_hat_at_points
 from huplab.witnesses import RESIDUAL_TOL, _quad_opts, all_annihilators, verify_certificate
@@ -53,10 +65,12 @@ GRIDS = {
 # complex exponentials built per mu_hat_at_points call on each GRIDS measure's
 # 7x7 grid and on the fourlines certificate's Lambda (sample_set at 512 and the
 # witness point).  Each takes one shared pre-split, sized for its fastest row,
-# and builds #xi + #eta exponentials per node; with a pre-split per row and
-# one exponential per row and node they built 299,280, 354,180, 41,640 and
-# 256,440
-EXPONENTIALS_MAX = {"hyperbola": 148_200, "parabola": 174_300, "spiral": 14_700, "fourlines": 40_200}
+# and builds #xi + #eta exponentials per node.  The hyperbola, parabola and
+# fourlines windows are folded, and each coordinate there is even or odd, so
+# the factors are built at the nodes t >= 0 only: building them at -t too
+# took 148,200, 174,300 and 40,200.  With a pre-split per row and one
+# exponential per row and node they built 299,280, 354,180, 41,640 and 256,440
+EXPONENTIALS_MAX = {"hyperbola": 74_100, "parabola": 87_150, "spiral": 14_700, "fourlines": 20_100}
 
 # panels of the rows that take their own pre-split, refined rows included,
 # and rows refined, on each GRIDS measure's 7x7 grid: none, as all rows share
@@ -67,10 +81,32 @@ GRID_PANELS_MAX = {"hyperbola": 0, "parabola": 0, "spiral": 0}
 GRID_REFINED_MAX = {"hyperbola": 0, "parabola": 0, "spiral": 0}
 
 
+# folded 7x7 grids on expr curves, (x, y, nodes per panel of the u and the
+# v), one for each parity of the coordinates: a factor of known parity is
+# built at the 15 nodes t >= 0 of a panel, one of unknown parity at 30
+PARITY_CURVES = {
+    "odd-odd": ("t", "t^3", (15, 15)),
+    "even-even": ("t^2", "cos(t)", (15, 15)),
+    "odd-even": ("t", "t^2", (15, 15)),
+    "even-odd": ("t^2", "t", (15, 15)),
+    "odd-unknown": ("t", "t^2+t", (15, 30)),
+    "unknown-even": ("t^2+t", "cos(t)", (30, 15)),
+}
+
+
+def _axis(half):
+    return [-half + 2.0 * half * i / 6 for i in range(7)]
+
+
 def _grid(name):
     measure, half = GRIDS[name]
-    axis = [-half + 2.0 * half * i / 6 for i in range(7)]
-    return measure, [(xi, eta) for xi in axis for eta in axis]
+    return measure, [(xi, eta) for xi in _axis(half) for eta in _axis(half)]
+
+
+def _parity_grid(name):
+    x, y, _ = PARITY_CURVES[name]
+    measure = Measure(expr_curve(parse(x), parse(y), (-2.5, 2.5)), (parse("exp(-(t^2))"),), GaussianDecay(1.0))
+    return measure, [(xi, eta) for xi in _axis(3.0) for eta in _axis(3.0)]
 
 
 @pytest.fixture(scope="module")
@@ -110,15 +146,17 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
         assert got[k].truncation_window == ref.truncation_window
 
 
-@pytest.mark.parametrize("name", list(GRIDS) + CASES)
+@pytest.mark.parametrize("name", list(GRIDS) + ["odd-unknown"] + CASES)
 def test_row_bits_do_not_depend_on_the_batch(certificates, name, monkeypatch):
     # a row's value and error are the same bits whichever rows share its pass,
     # its segment groups and its summation by length: rows alone in their
     # pass, the points in reverse order and every point twice, against the
-    # default batch.  The GRIDS and fourlines rows share one pre-split, which
-    # depends on the set of points only
+    # default batch.  The GRIDS, odd-unknown and fourlines rows share one
+    # pre-split, which depends on the set of points only
     if name in GRIDS:
         (measure, points), opts = _grid(name), QuadOpts()
+    elif name in PARITY_CURVES:
+        (measure, points), opts = _parity_grid(name), QuadOpts()
     else:
         cert, opts = certificates[name], _quad_opts(RESIDUAL_TOL)
         measure, points = cert.measure, sample_set(cert.lam, 512, cert.window) + [cert.witness_point]
@@ -136,9 +174,10 @@ def _work(monkeypatch) -> dict:
     rows built alone, and one per u or v entry of a shared pre-split;
     ``rows``: the rows built alone, by index among the rows of their call;
     ``panels``: their panels, refined rows included; ``refined``: the rows
-    refined.
+    refined; ``factor nodes``: the nodes per panel of each shared pre-split's
+    u and v, as pairs.
     """
-    work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0}
+    work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set()}
     integrate_rows, refine = transform.integrate_rows, quadrature._refine
 
     def counting_rows(at_nodes, rate, n_rows, window, tail, opts, envelope, grid):
@@ -160,6 +199,7 @@ def _work(monkeypatch) -> dict:
             def counted(panels):
                 u, v = factors(panels)
                 work["exponentials"] += u.size + v.size
+                work["factor nodes"].add((u.shape[2], v.shape[1]))
                 return u, v
 
             return g, counted
@@ -224,6 +264,37 @@ def test_panels_and_refined_rows_on_grids(name, monkeypatch):
     assert work["exponentials"] <= EXPONENTIALS_MAX[name]
     assert work["panels"] <= GRID_PANELS_MAX[name]
     assert work["refined"] <= GRID_REFINED_MAX[name]
+    # the 15 Kronrod nodes of a panel: on the folded hyperbola and parabola
+    # windows, the factors at -t are mirrored from t by parity, not built
+    assert work["factor nodes"] == {(15, 15)}
+
+
+@pytest.mark.parametrize("name", PARITY_CURVES)
+def test_folded_grids_on_expr_curves_within_error_bars(name, monkeypatch):
+    # every branch of the fold before the matmul: u even, v even, neither
+    # (both odd, or a parity unknown); built at t >= 0 where a parity is known
+    work = _work(monkeypatch)
+    measure, points = _parity_grid(name)
+    opts = QuadOpts()
+    got = mu_hat_at_points(measure, points, opts)
+    assert work["factor nodes"] == {PARITY_CURVES[name][2]}
+    for (xi, eta), ft in zip(points, got):
+        want = reference_mu_hat(measure, xi, eta, opts)
+        assert abs(ft.value - want.value) <= ft.err_estimate + want.err_estimate, (xi, eta)
+        assert ft.truncation_window == want.truncation_window
+
+
+def test_odd_coordinate_with_an_offset_is_not_mirrored(monkeypatch):
+    # x = t + 0.3 is neither even nor odd: its u is built at t and -t, and
+    # the transform is e^{-i pi 0.3 xi} times the untranslated one
+    work = _work(monkeypatch)
+    measure, points = _grid("parabola")
+    opts = QuadOpts()
+    shifted, failure = transform._transform(measure, points, opts, (0.3, 0.0))
+    assert failure is None and work["factor nodes"] == {(30, 15)}
+    for (xi, eta), got, want in zip(points, shifted, mu_hat_at_points(measure, points, opts)):
+        phase = cmath.exp(-1j * math.pi * 0.3 * xi)
+        assert abs(got.value - phase * want.value) <= got.err_estimate + want.err_estimate, (xi, eta)
 
 
 def test_exponentials_on_the_fourlines_lambda(certificates, monkeypatch):
