@@ -67,8 +67,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _number(value: Any, where: str) -> float:
+    """The JSON number ``value`` of the config key ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value: Any, where: str) -> int:
+    """The integral JSON number ``value`` of the config key ``where``."""
+    if not _number(value, where).is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -210,7 +220,8 @@ def _grid_points(grid: dict) -> list[tuple[float, float]]:
         axis = grid[key]
         if not (isinstance(axis, list) and len(axis) == 3):
             raise ConfigError(f"grid.{key} must be [min, max, n]")
-        lo, hi, n = float(axis[0]), float(axis[1]), int(axis[2])
+        lo, hi = (_number(v, f"grid.{key}[{i}]") for i, v in enumerate(axis[:2]))
+        n = _count(axis[2], f"grid.{key}[2]")
         if n < 1:
             raise ConfigError(f"grid.{key} is empty (n = {n})")
         if n == 1:
@@ -247,7 +258,8 @@ def cmd_ft(args: argparse.Namespace) -> int:
         window = cfg.get("window")
         if not (isinstance(window, list) and len(window) == 4):
             raise ConfigError("lambda evaluation needs 'window': [xmin, xmax, ymin, ymax]")
-        points = sample_set(lam, int(cfg.get("samples", 256)), tuple(map(float, window)))
+        window = tuple(_number(v, f"window[{i}]") for i, v in enumerate(window))
+        points = sample_set(lam, _count(cfg.get("samples", 256), "samples"), window)
     values = mu_hat_at_points(measure, points, opts)
     output = args.output or cfg.get("output", "csv")
     if output not in ("csv", "json"):
@@ -259,9 +271,8 @@ def cmd_ft(args: argparse.Namespace) -> int:
     if output == "json":
         keys = ("xi", "eta", "re", "im", "abs", "err")
         return _emit("ft", {"rows": [dict(zip(keys, row)) for row in rows]})
-    print("xi,eta,re,im,abs,err")
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
+    lines = "".join("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+    sys.stdout.write("xi,eta,re,im,abs,err\n" + lines)
     return EXIT_OK
 
 

@@ -21,13 +21,13 @@ A caller that knows an integrand to be odd takes it as 0 with :func:`null_err`.
 
 :func:`integrate_rows` runs these stages for many integrands that share
 their nodes (the transform at many frequency points); :func:`integrate` is
-its batch of one.  It keeps a pass's panel sums in flat arrays, one slice
-per row, and finishes the rows with array operations; only rows that miss
-tolerance or fail are visited one at a time.  A row's bits do not depend on
-the other rows of its batch, unless the rows factor over a grid
-u_i(t) v_j(t) g(t) and share one pre-split sized for the fastest of them,
-scored for all rows by one matmul per block of panels: then they depend on
-the set of rows in the batch, but not on their order or on the pass size.
+its batch of one.  It sums the rows' panels with array operations; a row
+that misses tolerance or is not finite is refined alone, from its own
+pre-split.  A row's bits do not depend on the other rows of its batch,
+unless the rows factor over a grid u_i(t) v_j(t) g(t) and share one
+pre-split sized for the fastest of them, scored for all rows by one matmul
+per block of panels: then they depend on the set of rows in the batch, but
+not on their order or on how many are scored at a time.
 On a folded window a factor of known parity is given at the nodes t >= 0
 only, and an even factor lets the fold be summed before the matmul, over
 half the nodes.
@@ -186,8 +186,8 @@ def truncation_error(interval: Tuple[float, float], window: Tuple[float, float],
 
 
 # the integrand values of a batch are built in blocks of at most this many
-# complex entries (256 KiB), and one pass over the pre-splits keeps at most
-# this many panel sums (24 bytes each, 6 MiB) unless a single row needs more,
+# complex entries (256 KiB), and a segment's rows are scored in slices of at
+# most this many panel sums (24 bytes each, 6 MiB) unless one row needs more,
 # so the memory of a batch does not grow with its number of rows; 2^16-entry
 # blocks ran no faster and raised the peak memory of a certificate 2 MB more
 _CHUNK = 1 << 14
@@ -282,11 +282,14 @@ def _edges(split) -> np.ndarray:
     return np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in split] + [split[-1][1:2]])
 
 
-def _refine(at_nodes, row: int, split, values, errs, folded: bool, tail_err: float, opts: QuadOpts):
-    """Bisect the worst panels of one row's pre-split (segments, panel values and
-    errors) until its error meets tolerance; returns value, error estimate and panel count."""
+def _refine(at_nodes, row: int, split, folded: bool, tail_err: float, opts: QuadOpts):
+    """Score one row's pre-split (segments) alone, then bisect its worst panels until
+    its error meets tolerance; returns value, error estimate and panel count."""
     edges = _edges(split)
-    heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(values))]
+    values, errs, bad = _score(at_nodes, edges[:-1], edges[1:], folded, np.array([row]))
+    if bad:
+        raise _nonfinite(bad[0])
+    heap = [(-errs[0, i], edges[i], edges[i + 1], values[0, i]) for i in range(len(edges) - 1)]
     heapq.heapify(heap)
     n_panels = len(heap)
     while True:
@@ -427,8 +430,8 @@ def _shared_split(grid: Grid, rate, a: float, b: float, folded: bool, n0, panels
     return segments(0) if (n_u + n_v) * size < own else None
 
 
-def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts: QuadOpts):
-    """``integrate_rows`` on the shared pre-split ``split``, or None where an integrand is not finite.
+def _grid_rows(grid: Grid, split, folded: bool):
+    """Each row's value and quadrature error on the shared pre-split ``split``, and its panel count.
 
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
     difference at once, by one matmul of the u, weighted by either rule,
@@ -439,8 +442,7 @@ def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts:
     Otherwise, and on windows that are not folded, the u weighted by g h
     goes against the v over all nodes, t and -t side by side.  The roundoff
     floor 10 eps sum (|g+| + |g-|) w h is the same for every row, as
-    |u| = |v| = 1.  Rows that miss tolerance are scored again on the split,
-    alone, and refined.
+    |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
     """
     edges = _edges(split)
     h = 0.5 * (edges[1:] - edges[:-1])
@@ -448,8 +450,6 @@ def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts:
     t = np.concatenate([x, -x], axis=1) if folded else x
     g, factors = grid.at_nodes(t)
     g = np.asarray(g, dtype=np.complex128) * h[:, None]
-    if not np.isfinite(g).all():
-        return None
     floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(WEIGHTS_K, t.shape[1] // len(NODES))).tolist())
     pu, pv = grid.parity if folded else (UNKNOWN, UNKNOWN)
     # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
@@ -483,17 +483,18 @@ def _grid_rows(at_nodes, grid: Grid, split, folded: bool, tail_err: float, opts:
             both = np.matmul(u, v)
             sums += both[:, :n_u].sum(axis=0)
             diffs += np.abs(both[:, n_u:]).sum(axis=0)
-    value, total_err = sums[grid.iu, grid.iv], diffs[grid.iu, grid.iv] + floor
-    if not (np.isfinite(value).all() and np.isfinite(total_err).all()):
-        return None
-    err, panels = tail_err + total_err, np.full(value.size, len(h), dtype=np.int64)
-    missed = ~(total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
-    for r in np.flatnonzero(missed).tolist():
+    return sums[grid.iu, grid.iv], diffs[grid.iu, grid.iv] + floor, len(h)
+
+
+def _finish(at_nodes, value, total_err, panels, segments, folded: bool, tail_err: float, opts: QuadOpts):
+    """What ``integrate_rows`` returns, from each row's value and quadrature error on its first panels:
+    rows that miss tolerance or are not finite are refined alone from their own pre-splits, in row order."""
+    err = tail_err + total_err
+    # hypot is abs() of one complex to the bit; np.abs of an array is not
+    met = np.isfinite(value) & (total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
+    for r in np.flatnonzero(~met).tolist():
         try:
-            vals, errs, bad = _score(at_nodes, edges[:-1], edges[1:], folded, np.array([r]))
-            if bad:
-                raise _nonfinite(bad[0])
-            value[r], err[r], panels[r] = _refine(at_nodes, r, split, vals[0], errs[0], folded, tail_err, opts)
+            value[r], err[r], panels[r] = _refine(at_nodes, r, segments(r), folded, tail_err, opts)
         except QuadratureError as exc:
             return value, err, panels, (r, exc)
     return value, err, panels, None
@@ -525,23 +526,23 @@ def integrate_rows(
     pi of phase, or up to 4 pi where the envelope is small (see
     ``_presplits``), unless the uniform pre-split (at most ``_PRESPLIT_CAP``
     panels) is shorter.  The envelope only picks the first panels; every
-    error estimate comes from the panels' Kronrod sums, and rows that miss
-    tolerance are refined alone by bisecting their worst panels first.
-    Pre-splits are evaluated in passes that keep at most _PASS_PANELS panel
-    sums, in flat arrays with one slice per row.  Rows are summed and tested
-    together; only those that miss tolerance (refined) or fail are visited
-    alone, in row order, so a row's bits do not depend on its batch.
+    error estimate comes from the panels' Kronrod sums.  The rows that share
+    a segment of their pre-splits are scored together, at most _PASS_PANELS
+    panel sums at a time, and a row adds up its segments' sums in t order.
 
     When the rows also factor as a ``grid`` that their distinct rows fill at
     least half of, and one pre-split sized for the fastest row costs fewer
     exponentials than the rows' own (see ``_shared_split``), every row is
-    integrated on that one pre-split instead, by one matmul per block of
-    at most _CHUNK entries (see ``_grid_rows``), over the 15 nodes t >= 0
-    of each panel where the window is folded and a factor is even; its rows
-    that miss tolerance are refined alone as above.  The rows' own
-    pre-splits are then counted but never built as segments.  Such a row's bits depend on the set of rows
-    in its batch, but not on their order or on the pass size.  Where an
-    integrand is not finite on the shared pre-split, every row takes its own.
+    scored on that one pre-split instead, by one matmul per block of at
+    most _CHUNK entries (see ``_grid_rows``), over the 15 nodes t >= 0 of
+    each panel where the window is folded and a factor is even.  The rows'
+    own pre-splits are then counted but not built as segments.
+
+    Either way, a row that misses tolerance or is not finite is then refined
+    alone from its own pre-split, by bisecting its worst panels first, in
+    row order (see ``_finish``).  So a row's bits do not depend on its batch,
+    except on a shared pre-split: there they depend on the set of rows in
+    the batch, but not on their order or on _PASS_PANELS.
 
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and the first failure as (row, QuadratureError), or None.
@@ -556,56 +557,29 @@ def integrate_rows(
     n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
     panels, segments = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
-    if grid is not None:
-        split = _shared_split(grid, rate, a, b, folded, n0, panels, envelope, opts.abs_tol)
-        shared = None if split is None else _grid_rows(at_nodes, grid, split, folded, tail_err, opts)
-        if shared is not None:
-            return shared
-    value, err = np.zeros(n_rows, dtype=np.complex128), np.full(n_rows, tail_err)
-    ends = np.concatenate([[0], np.cumsum(panels)])
-    start = 0
-    while start < n_rows:
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _PASS_PANELS, "right")) - 1)
-        # row r's panels are vals[begin[r - start]:begin[r - start + 1]], its segments in t order
-        members: dict = {}
-        begin = ends[start : stop + 1] - ends[start]
-        for r, at in zip(range(start, stop), begin.tolist()):
-            for segment in segments(r):
-                members.setdefault(segment, []).append((r, at))
-                at += segment[2]
-        vals, errs = np.empty(begin[-1], dtype=np.complex128), np.empty(begin[-1])
-        bad: dict = {}
-        for (lo, hi, n), group in members.items():
-            rows, where = np.array(group).T
-            edges = np.linspace(lo, hi, n + 1)
-            block = where[:, None] + np.arange(n)
-            vals[block], errs[block], bad_nodes = _score(at_nodes, edges[:-1], edges[1:], folded, rows)
-            for k, t in bad_nodes.items():
-                bad.setdefault(int(rows[k]), []).append((where[k], t))
-        # rows of one length are summed together, pairwise as np.sum sums one row
-        size, total = panels[start:stop], np.empty(stop - start, dtype=np.complex128)
-        order = np.argsort(size, kind="stable")
-        with np.errstate(invalid="ignore", over="ignore"):
-            for same in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
-                total[same] = vals[begin[same, None] + np.arange(size[same[0]])].sum(axis=1)
-        # fsum over a memoryview reads floats one at a time, with no list of the pass held
-        row_errs = memoryview(errs)
-        total_err = np.array([math.fsum(row_errs[i:j]) for i, j in zip(begin[:-1].tolist(), begin[1:].tolist())])
-        value[start:stop], err[start:stop] = total, tail_err + total_err
-        # hypot is abs() of one complex to the bit; np.abs of an array is not
-        missed = ~(total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(total.real, total.imag)))
-        for r in sorted(bad.keys() | set((start + np.flatnonzero(missed)).tolist())):
-            try:
-                if r in bad:
-                    raise _nonfinite(min(bad[r])[1])
-                row = slice(begin[r - start], begin[r - start + 1])
-                value[r], err[r], panels[r] = _refine(
-                    at_nodes, r, segments(r), vals[row], errs[row], folded, tail_err, opts
-                )
-            except QuadratureError as exc:
-                return value, err, panels, (r, exc)
-        start = stop
-    return value, err, panels, None
+    split = None if grid is None else _shared_split(grid, rate, a, b, folded, n0, panels, envelope, opts.abs_tol)
+    if split is not None:
+        value, total_err, size = _grid_rows(grid, split, folded)
+        return _finish(at_nodes, value, total_err, np.full(n_rows, size), segments, folded, tail_err, opts)
+    groups: dict = {}
+    for r in range(n_rows):
+        for segment in segments(r):
+            groups.setdefault(segment, []).append(r)
+    # -0.0 + x is x to the bit, and the segments are taken in t order, so a
+    # row's partial sums are added up in t order whatever rows share them
+    value, total_err = np.full(n_rows, complex(-0.0, -0.0)), np.zeros(n_rows)
+    for (lo, hi, n), rows in sorted(groups.items()):
+        edges = np.linspace(lo, hi, n + 1)
+        step = max(1, _PASS_PANELS // n)
+        for start in range(0, len(rows), step):
+            part = np.array(rows[start : start + step])
+            vals, errs, _ = _score(at_nodes, edges[:-1], edges[1:], folded, part)
+            with np.errstate(invalid="ignore", over="ignore"):
+                value[part] += vals.sum(axis=1)
+            # fsum over a memoryview reads floats one at a time, with no list of the panels held
+            row_errs = memoryview(errs.reshape(-1))
+            total_err[part] += [math.fsum(row_errs[i : i + n]) for i in range(0, errs.size, n)]
+    return _finish(at_nodes, value, total_err, panels, segments, folded, tail_err, opts)
 
 
 def integrate(

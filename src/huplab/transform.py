@@ -229,7 +229,8 @@ def mu_hat_at_points(
     is built at the nodes t >= 0 only, and its value at -t is taken from
     that parity (the same value, or its conjugate).  A point's bits then
     depend on the set of points it is evaluated with, but not on their
-    order; otherwise on the point alone.
+    order; otherwise on the point alone.  Either way a point that misses
+    tolerance, or is not finite, is refined alone from its own pre-split.
     ``oscillation_hint``, if set, is a floor on every point's rate.
     A component whose density is the constant 0 is skipped, and so are the
     points where the parity of its expression tree and of the curve show it

@@ -148,11 +148,12 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
 
 @pytest.mark.parametrize("name", list(GRIDS) + ["odd-unknown"] + CASES)
 def test_row_bits_do_not_depend_on_the_batch(certificates, name, monkeypatch):
-    # a row's value and error are the same bits whichever rows share its pass,
-    # its segment groups and its summation by length: rows alone in their
-    # pass, the points in reverse order and every point twice, against the
+    # a row's value and error are the same bits whichever rows share its
+    # segment groups and however many are scored at a time: rows scored one
+    # by one, the points in reverse order and every point twice, against the
     # default batch.  The GRIDS, odd-unknown and fourlines rows share one
-    # pre-split, which depends on the set of points only
+    # pre-split, which depends on the set of points only; any of them that
+    # missed tolerance would be refined from its own pre-split
     if name in GRIDS:
         (measure, points), opts = _grid(name), QuadOpts()
     elif name in PARITY_CURVES:

@@ -540,7 +540,38 @@ def run_main(capsys, *argv):
     return code, out, err
 
 
+LAMBDA_CONFIG = {
+    "curve": {"kind": "circle"},
+    "density": ["1/(2*pi)"],
+    "lambda": {"kind": "lattice-cross", "alpha": 1.0, "beta": 1.0},
+    "window": [-2.0, 2.0, -2.0, 2.0],
+    "samples": 16,
+}
+
+
+
+def _with_grid(xi, eta):
+    return {**CIRCLE_GRID_CONFIG, "grid": {"xi": xi, "eta": eta}}
+
+
 class TestConfigErrorsExit2:
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (_with_grid([[1], 1.0, 3], [0.0, 0.0, 1]), "grid.xi[0] must be a number, got [1]"),
+            (_with_grid([0.0, 1.0, 3], [0.0, True, 1]), "grid.eta[1] must be a number, got True"),
+            (_with_grid([0.0, 1.0, 3], [0.0, 0.0, "1"]), "grid.eta[2] must be a number, got '1'"),
+            (_with_grid([0.0, 1.0, 2.5], [0.0, 0.0, 1]), "grid.xi[2] must be an integer, got 2.5"),
+            ({**LAMBDA_CONFIG, "window": [-2.0, 2.0, [1], 2.0]}, "window[2] must be a number, got [1]"),
+            ({**LAMBDA_CONFIG, "samples": [1]}, "samples must be a number, got [1]"),
+            ({**LAMBDA_CONFIG, "samples": 2.5}, "samples must be an integer, got 2.5"),
+        ],
+        ids=["grid-list", "grid-bool", "grid-str-count", "grid-2.5-count", "window-list", "samples-list", "samples-2.5"],
+    )
+    def test_ft_config_values_of_the_wrong_type(self, capsys, tmp_path, cfg, message):
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     def test_solver_without_etas(self, capsys):
         code, out, err = run_main(capsys, "fourlines", "tau")
         assert (code, out) == (2, "")

@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from huplab import quadrature
+from huplab.expr import UNKNOWN
 from huplab.geometry import CompactSupport, ExpDecay, GaussianDecay
 from huplab.quadrature import (
+    Grid,
     MissingEnvelopeError,
     NonconvergenceError,
     QuadOpts,
@@ -290,3 +293,93 @@ def test_rows_before_the_first_failure_are_refined_as_if_alone():
         np.float64(want.err_estimate).tobytes(),
         want.panels,
     )
+
+
+def _grid_rows_case(g):
+    """36 rows e^{-i pi (xi t + eta t^2)} g(t) on [0, 1], xi in 8, ..., 48 and eta in 0, ..., 20.
+
+    Returns ``at_nodes``, ``rate`` and the rows as a ``Grid``.  The fastest
+    row, the last, takes 76 panels in 16 block-wise segments, and one
+    pre-split sized for it is shared by the grid: 12 x 76 exponentials a
+    node, against the rows' own 1,600 panels or so.
+    """
+    iu, iv = np.divmod(np.arange(36), 6)
+    xs, ys = 8.0 * np.arange(1, 7), 4.0 * np.arange(6)
+    xi, eta = xs[iu], ys[iv]
+
+    def at_nodes(t):
+        fs = np.exp(-1j * np.pi * (np.multiply.outer(xi, t) + np.multiply.outer(eta, t * t))) * g(t)
+        return lambda rows: fs[rows]
+
+    def grid_at(t):
+        def factors(panels):
+            u = np.exp(-1j * np.pi * xs[:, None] * t[panels, None, :])
+            v = np.exp(-1j * np.pi * (t[panels] ** 2)[:, :, None] * ys)
+            return u, v
+
+        return g(t), factors
+
+    def rate(lo, hi):
+        return np.pi * (xi + 2.0 * eta * max(abs(lo), abs(hi)))
+
+    return at_nodes, rate, Grid(iu, iv, grid_at, (UNKNOWN, UNKNOWN))
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of ``quadrature.<name>`` to come."""
+    calls, original = [], getattr(quadrature, name)
+
+    def spying(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, name, spying)
+    return calls
+
+
+def test_grid_rows_that_miss_are_refined_from_their_own_presplits(monkeypatch):
+    # g has a kink at 1/pi, so every row misses tolerance on its first panels
+    # and is bisected alone from its own pre-split, whether the rows shared
+    # one pre-split or not: the same bits either way, block-wise rows included
+    at_nodes, rate, grid = _grid_rows_case(lambda t: np.abs(t - 1.0 / np.pi))
+    grid_rows, refined = _spy(monkeypatch, "_grid_rows"), _spy(monkeypatch, "_refine")
+    alone = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
+    shared = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS, grid=grid)
+    assert len(grid_rows) == 1 and [args[1] for args in refined] == list(range(36)) * 2
+    assert alone[3] is None and shared[3] is None
+    assert [a.tobytes() for a in shared[:3]] == [a.tobytes() for a in alone[:3]]
+
+
+def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
+    # g is NaN at one node of the shared pre-split, the last row's own: every
+    # row's sums on it are NaN, and every row is scored again on its own
+    # pre-split.  Row 29 is the first whose own pre-split has that node (in a
+    # block of as many panels as the last row's), with or without the grid.
+    # Scoring the rows again on the shared pre-split would fail at row 0
+    at_nodes, rate, grid = _grid_rows_case(np.cos)
+    nodes = _spy(monkeypatch, "_edges")
+    assert integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS, grid=grid)[3] is None
+    edges = quadrature._edges(nodes[0][0])
+    bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.NODES[4]
+    at_nodes, rate, grid = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
+    alone = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)[3]
+    shared = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS, grid=grid)[3]
+    message = f"integrand returned a nonfinite value near t={bad}"
+    assert (shared[0], str(shared[1])) == (alone[0], str(alone[1])) == (29, message)
+
+
+def test_rows_are_scored_at_most_a_pass_of_panel_sums_at_a_time(monkeypatch):
+    # the rows of a segment are scored as many at a time as fit 50 panel
+    # sums, and one at a time where the segment alone has more; the bits are
+    # those of the default pass
+    at_nodes, rate, _ = _grid_rows_case(np.cos)
+    scored = _spy(monkeypatch, "_score")
+    want = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
+    groups = len(scored)
+    scored.clear()
+    monkeypatch.setattr(quadrature, "_PASS_PANELS", 50)
+    got = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
+    sizes = [(args[4].size, args[1].size) for args in scored]
+    assert all(rows * panels <= max(50, panels) for rows, panels in sizes) and len(sizes) > groups
+    assert any(rows > 1 for rows, _ in sizes) and any(panels > 50 for _, panels in sizes)
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]] and got[3] is None
