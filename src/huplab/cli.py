@@ -68,9 +68,11 @@ class ConfigError(ValueError):
 
 
 def _number(value: Any, where: str) -> float:
-    """The JSON number ``value`` of the config key ``where``."""
+    """The finite JSON number ``value`` of the config key ``where``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 

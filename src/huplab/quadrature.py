@@ -27,7 +27,7 @@ pre-split.  A row's bits do not depend on the other rows of its batch,
 unless the rows factor over a grid u_i(t) v_j(t) g(t) and share one
 pre-split sized for the fastest of them, scored for all rows by one matmul
 per block of panels: then they depend on the set of rows in the batch, but
-not on their order or on how many are scored at a time.
+not on their order.
 On a folded window a factor of known parity is given at the nodes t >= 0
 only, and an even factor lets the fold be summed before the matmul, over
 half the nodes.
@@ -132,8 +132,8 @@ class QuadOpts:
     oscillation_hint: Optional[float] = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -185,13 +185,11 @@ def truncation_error(interval: Tuple[float, float], window: Tuple[float, float],
     return err
 
 
-# the integrand values of a batch are built in blocks of at most this many
-# complex entries (256 KiB), and a segment's rows are scored in slices of at
-# most this many panel sums (24 bytes each, 6 MiB) unless one row needs more,
-# so the memory of a batch does not grow with its number of rows; 2^16-entry
-# blocks ran no faster and raised the peak memory of a certificate 2 MB more
+# the integrand values of a batch are built and scored in blocks of at most
+# this many complex entries (256 KiB) unless one row needs more, so the memory
+# of a batch does not grow with its number of rows; 2^16-entry blocks ran no
+# faster and raised the peak memory of a certificate 2 MB more
 _CHUNK = 1 << 14
-_PASS_PANELS = 1 << 18
 # a pre-split of more than _BLOCKWISE_PANELS panels is sized block by block
 # from the oscillation rate and the envelope on each of _RATE_BLOCKS equal blocks
 _BLOCKWISE_PANELS = 64
@@ -207,49 +205,52 @@ _SAFETY = 1e3
 _THETA_MAX = 4.0 * math.pi
 
 
-def _nonfinite(t) -> QuadratureError:
-    return QuadratureError(f"integrand returned a nonfinite value near t={t}")
-
-
-def _score(at_nodes, lo: np.ndarray, hi: np.ndarray, folded: bool, rows: np.ndarray):
-    """Kronrod sums of the panels [lo_j, hi_j] for each of ``rows``.
-
-    ``at_nodes`` is evaluated once on the panels' nodes (see
-    ``integrate_rows``).  Returns values and error estimates (rows x panels)
-    and, by position in ``rows``, the first node of each row whose integrand
-    is not finite there.
-    """
-    # the Kronrod nodes (panels x 15) and half-widths; evaluated at the nodes,
-    # then at their mirror images when folded
+def _nodes(lo: np.ndarray, hi: np.ndarray):
+    """The Kronrod nodes (panels x 15) and half-widths of the panels [lo_j, hi_j]."""
     h = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi)[:, None] + h[:, None] * NODES
-    n = x.size
-    values_at = at_nodes(np.concatenate([x.ravel(), -x.ravel()]) if folded else x.ravel())
-    shape = (len(rows), len(h))
-    values, errs = np.empty(shape, dtype=np.complex128), np.empty(shape)
-    bad = {}
-    step = max(1, _CHUNK // (n * (2 if folded else 1)))
-    for start in range(0, len(rows), step):
-        part = slice(start, start + step)
-        fs = np.asarray(values_at(rows[part]), dtype=np.complex128)
-        # a nonfinite integrand is named by its lowest node: what the fold and sums make of it is quiet
-        with np.errstate(invalid="ignore", over="ignore"):
-            if folded:
-                fx = fs[:, :n] + fs[:, n:]
-                raw = np.abs(fs[:, :n])
-                raw += np.abs(fs[:, n:])
-            else:
-                fx, raw = fs, np.abs(fs)
-            del fs
-            fx, raw = fx.reshape((-1,) + x.shape), raw.reshape((-1,) + x.shape)
-            for k in np.flatnonzero(~np.isfinite(fx).all(axis=(1, 2))):
-                bad[start + k] = x[tuple(np.argwhere(~np.isfinite(fx[k]))[0])]
-            i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
-            i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
-            # roundoff floor scales with the unfolded magnitudes
-            errs[part] = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
-            values[part] = i15
-    return values, errs, bad
+    return 0.5 * (lo + hi)[:, None] + h[:, None] * NODES, h
+
+
+def _score(fs, h: np.ndarray, folded: bool):
+    """Kronrod values and error estimates (rows x panels) of the integrand values ``fs``.
+
+    ``fs`` holds each row's values at the nodes of the panels of half-widths
+    ``h``, panel by panel, then at their mirror images when folded.  What
+    the fold and sums make of a nonfinite value is quiet: it shows as a
+    nonfinite value and error.
+    """
+    fs = np.asarray(fs, dtype=np.complex128)
+    n = h.size * len(NODES)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if folded:
+            fx = fs[:, :n] + fs[:, n:]
+            raw = np.abs(fs[:, :n])
+            raw += np.abs(fs[:, n:])
+        else:
+            fx, raw = fs, np.abs(fs)
+        fx, raw = fx.reshape(-1, h.size, len(NODES)), raw.reshape(-1, h.size, len(NODES))
+        i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
+        i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
+        # roundoff floor scales with the unfolded magnitudes
+        return i15, np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
+
+
+def _score_row(at_nodes, row: int, lo: np.ndarray, hi: np.ndarray, folded: bool):
+    """Kronrod values and error estimates of the panels [lo_j, hi_j] for ``row`` alone.
+
+    A nonfinite integrand, or fold f(t) + f(-t), raises
+    :class:`QuadratureError` naming its lowest node.
+    """
+    x, h = _nodes(lo, hi)
+    t = np.concatenate([x.ravel(), -x.ravel()]) if folded else x.ravel()
+    fs = np.asarray(at_nodes(t)(np.array([row])), dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):
+        fx = fs[0, : x.size] + fs[0, x.size :] if folded else fs[0]
+    bad = np.flatnonzero(~np.isfinite(fx))
+    if bad.size:
+        raise QuadratureError(f"integrand returned a nonfinite value near t={x.flat[bad[0]]}")
+    values, errs = _score(fs, h, folded)
+    return values[0], errs[0]
 
 
 def _one_row(f: Callable[[np.ndarray], np.ndarray]):
@@ -271,10 +272,7 @@ def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
     naming its lowest node there.
     """
     edges = np.linspace(0.0, b, _NULL_PANELS + 1)
-    _, errs, bad = _score(_one_row(f), edges[:-1], edges[1:], True, np.zeros(1, dtype=np.int64))
-    if bad:
-        raise _nonfinite(bad[0])
-    return math.fsum(errs[0].tolist())
+    return math.fsum(_score_row(_one_row(f), 0, edges[:-1], edges[1:], True)[1].tolist())
 
 
 def _edges(split) -> np.ndarray:
@@ -286,10 +284,8 @@ def _refine(at_nodes, row: int, split, folded: bool, tail_err: float, opts: Quad
     """Score one row's pre-split (segments) alone, then bisect its worst panels until
     its error meets tolerance; returns value, error estimate and panel count."""
     edges = _edges(split)
-    values, errs, bad = _score(at_nodes, edges[:-1], edges[1:], folded, np.array([row]))
-    if bad:
-        raise _nonfinite(bad[0])
-    heap = [(-errs[0, i], edges[i], edges[i + 1], values[0, i]) for i in range(len(edges) - 1)]
+    values, errs = _score_row(at_nodes, row, edges[:-1], edges[1:], folded)
+    heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(edges) - 1)]
     heapq.heapify(heap)
     n_panels = len(heap)
     while True:
@@ -312,11 +308,9 @@ def _refine(at_nodes, row: int, split, folded: bool, tail_err: float, opts: Quad
         mid = 0.5 * (lo + hi)
         new_lo = np.concatenate([lo, mid])
         new_hi = np.concatenate([mid, hi])
-        new_values, new_errs, bad = _score(at_nodes, new_lo, new_hi, folded, np.array([row]))
-        if bad:
-            raise _nonfinite(bad[0])
+        new_values, new_errs = _score_row(at_nodes, row, new_lo, new_hi, folded)
         for i in range(len(new_lo)):
-            heapq.heappush(heap, (-new_errs[0, i], new_lo[i], new_hi[i], new_values[0, i]))
+            heapq.heappush(heap, (-new_errs[i], new_lo[i], new_hi[i], new_values[i]))
         n_panels += batch
     ordered = sorted(heap, key=lambda item: item[1])
     value = complex(np.sum(np.array([item[3] for item in ordered])))
@@ -445,8 +439,7 @@ def _grid_rows(grid: Grid, split, folded: bool):
     |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
     """
     edges = _edges(split)
-    h = 0.5 * (edges[1:] - edges[:-1])
-    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + h[:, None] * NODES
+    x, h = _nodes(edges[:-1], edges[1:])
     t = np.concatenate([x, -x], axis=1) if folded else x
     g, factors = grid.at_nodes(t)
     g = np.asarray(g, dtype=np.complex128) * h[:, None]
@@ -515,7 +508,8 @@ def integrate_rows(
     ``at_nodes(t)`` evaluates what the integrands share at the parameters
     ``t`` and returns a function ``values(rows)`` from an array of row
     indices to the rows' values at ``t`` (rows x len(t)); those values are
-    built for at most _CHUNK entries at a time.
+    built and scored for at most _CHUNK entries at a time, unless one row
+    needs more.
     ``rate(lo, hi)`` bounds each row's oscillation rate on [lo, hi], and
     ``envelope`` is the decay the integrands declare, if any.
 
@@ -527,8 +521,8 @@ def integrate_rows(
     ``_presplits``), unless the uniform pre-split (at most ``_PRESPLIT_CAP``
     panels) is shorter.  The envelope only picks the first panels; every
     error estimate comes from the panels' Kronrod sums.  The rows that share
-    a segment of their pre-splits are scored together, at most _PASS_PANELS
-    panel sums at a time, and a row adds up its segments' sums in t order.
+    a segment of their pre-splits share its nodes, and a row adds up its
+    segments' sums in t order.
 
     When the rows also factor as a ``grid`` that their distinct rows fill at
     least half of, and one pre-split sized for the fastest row costs fewer
@@ -542,7 +536,7 @@ def integrate_rows(
     alone from its own pre-split, by bisecting its worst panels first, in
     row order (see ``_finish``).  So a row's bits do not depend on its batch,
     except on a shared pre-split: there they depend on the set of rows in
-    the batch, but not on their order or on _PASS_PANELS.
+    the batch, but not on their order.
 
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and the first failure as (row, QuadratureError), or None.
@@ -570,10 +564,13 @@ def integrate_rows(
     value, total_err = np.full(n_rows, complex(-0.0, -0.0)), np.zeros(n_rows)
     for (lo, hi, n), rows in sorted(groups.items()):
         edges = np.linspace(lo, hi, n + 1)
-        step = max(1, _PASS_PANELS // n)
-        for start in range(0, len(rows), step):
-            part = np.array(rows[start : start + step])
-            vals, errs, _ = _score(at_nodes, edges[:-1], edges[1:], folded, part)
+        x, h = _nodes(edges[:-1], edges[1:])
+        t = np.concatenate([x.ravel(), -x.ravel()]) if folded else x.ravel()
+        values_at, rows = at_nodes(t), np.array(rows)
+        step = max(1, _CHUNK // t.size)
+        for start in range(0, rows.size, step):
+            part = rows[start : start + step]
+            vals, errs = _score(values_at(part), h, folded)
             with np.errstate(invalid="ignore", over="ignore"):
                 value[part] += vals.sum(axis=1)
             # fsum over a memoryview reads floats one at a time, with no list of the panels held

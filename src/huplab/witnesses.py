@@ -112,7 +112,9 @@ def _measure_certificate(
     tol: float = RESIDUAL_TOL,
 ) -> Certificate:
     points = sample_set(lam, n_samples, window)
-    # one batch: each point's value is the same as in a batch of its own
+    # one batch: a point's value is the same as in a batch of its own, unless
+    # the points fill a grid that shares one pre-split (the fourlines Lambda,
+    # xi x fiber heights): there it depends on the set of points, not their order
     *on_lambda, witness = mu_hat_at_points(measure, points + [witness_point], _quad_opts(tol))
     residual = max(abs(ft.value) for ft in on_lambda)
     return Certificate(measure, lam, window, witness_point, residual, abs(witness.value), len(points), basis)
@@ -268,6 +270,8 @@ def verify_certificate(cert: Certificate, n_lambda: int = 512, tol: float = RESI
     """
     if n_lambda < 1:
         raise ValueError("n_lambda must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     fresh = _measure_certificate(
         cert.measure, cert.lam, cert.window, cert.witness_point, cert.basis, n_samples=n_lambda, tol=tol
     )

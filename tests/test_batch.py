@@ -149,11 +149,12 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
 @pytest.mark.parametrize("name", list(GRIDS) + ["odd-unknown"] + CASES)
 def test_row_bits_do_not_depend_on_the_batch(certificates, name, monkeypatch):
     # a row's value and error are the same bits whichever rows share its
-    # segment groups and however many are scored at a time: rows scored one
-    # by one, the points in reverse order and every point twice, against the
-    # default batch.  The GRIDS, odd-unknown and fourlines rows share one
-    # pre-split, which depends on the set of points only; any of them that
-    # missed tolerance would be refined from its own pre-split
+    # segment groups: the points in reverse order and every point twice,
+    # against the default batch, and for rows that take their own pre-split,
+    # rows built and scored one by one.  The GRIDS, odd-unknown and fourlines
+    # rows share one pre-split, which depends on the set of points only, and
+    # sum it in blocks of panels that _CHUNK sizes; any of them that missed
+    # tolerance would be refined from its own pre-split
     if name in GRIDS:
         (measure, points), opts = _grid(name), QuadOpts()
     elif name in PARITY_CURVES:
@@ -164,8 +165,9 @@ def test_row_bits_do_not_depend_on_the_batch(certificates, name, monkeypatch):
     want = [_bits(ft) for ft in mu_hat_at_points(measure, points, opts)]
     assert [_bits(ft) for ft in reversed(mu_hat_at_points(measure, points[::-1], opts))] == want
     assert [_bits(ft) for ft in mu_hat_at_points(measure, points + points, opts)] == want + want
-    monkeypatch.setattr(quadrature, "_PASS_PANELS", 1)
-    assert [_bits(ft) for ft in mu_hat_at_points(measure, points, opts)] == want
+    if name not in GRIDS and name not in PARITY_CURVES and name not in SHARED:
+        monkeypatch.setattr(quadrature, "_CHUNK", 1)
+        assert [_bits(ft) for ft in mu_hat_at_points(measure, points, opts)] == want
 
 
 def _work(monkeypatch) -> dict:

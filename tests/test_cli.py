@@ -572,6 +572,34 @@ class TestConfigErrorsExit2:
         code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (_with_grid([0.0, math.inf, 2], [0.0, 0.0, 1]), "grid.xi[1] must be finite, got inf"),
+            (_with_grid([0.0, 1.0, 3], [math.nan, 0.0, 1]), "grid.eta[0] must be finite, got nan"),
+            (_with_grid([0.0, 1.0, math.inf], [0.0, 0.0, 1]), "grid.xi[2] must be finite, got inf"),
+            ({**LAMBDA_CONFIG, "window": [-math.inf, math.inf, -1.0, 1.0]}, "window[0] must be finite, got -inf"),
+            ({**LAMBDA_CONFIG, "samples": math.inf}, "samples must be finite, got inf"),
+            ({**CIRCLE_GRID_CONFIG, "quad": {"abs_tol": math.nan}}, "bad quad: tolerances must be finite and positive"),
+            ({**CIRCLE_GRID_CONFIG, "quad": {"rel_tol": math.nan}}, "bad quad: tolerances must be finite and positive"),
+            ({**CIRCLE_GRID_CONFIG, "quad": {"abs_tol": math.inf}}, "bad quad: tolerances must be finite and positive"),
+        ],
+        ids=["grid-inf", "grid-nan", "grid-inf-count", "window-inf", "samples-inf", "abs-nan", "rel-nan", "abs-inf"],
+    )
+    def test_ft_config_numbers_must_be_finite(self, capsys, tmp_path, cfg, message):
+        # infinite grid bounds and windows failed at the point (nan, 0) or
+        # (nan, nan) with exit 3; a NaN abs_tol failed as a nonfinite 't^2.0',
+        # and a NaN rel_tol or an infinite abs_tol exited 0
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_annihilate_tol_must_be_finite_and_positive(self, capsys, tol):
+        # inf printed "ok": true whatever the residual, nan failed with an empty
+        # message, and -1 failed verification
+        code, out, err = run_main(capsys, "annihilate", "circle-line", "--samples", "16", f"--tol={tol}")
+        assert (code, out, err) == (2, "", f"config error: tol must be finite and positive, got {float(tol)}\n")
+
     def test_solver_without_etas(self, capsys):
         code, out, err = run_main(capsys, "fourlines", "tau")
         assert (code, out) == (2, "")

@@ -368,18 +368,34 @@ def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
     assert (shared[0], str(shared[1])) == (alone[0], str(alone[1])) == (29, message)
 
 
-def test_rows_are_scored_at_most_a_pass_of_panel_sums_at_a_time(monkeypatch):
-    # the rows of a segment are scored as many at a time as fit 50 panel
-    # sums, and one at a time where the segment alone has more; the bits are
-    # those of the default pass
+def test_rows_are_scored_at_most_a_chunk_at_a_time(monkeypatch):
+    # the rows of a segment are built and scored as many at a time as fit
+    # 500 integrand values, and one at a time where one row has more; the
+    # bits are those of the default blocks
     at_nodes, rate, _ = _grid_rows_case(np.cos)
     scored = _spy(monkeypatch, "_score")
     want = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
-    groups = len(scored)
+    blocks = len(scored)
     scored.clear()
-    monkeypatch.setattr(quadrature, "_PASS_PANELS", 50)
+    monkeypatch.setattr(quadrature, "_CHUNK", 500)
     got = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
-    sizes = [(args[4].size, args[1].size) for args in scored]
-    assert all(rows * panels <= max(50, panels) for rows, panels in sizes) and len(sizes) > groups
-    assert any(rows > 1 for rows, _ in sizes) and any(panels > 50 for _, panels in sizes)
+    shapes = [np.shape(args[0]) for args in scored]
+    assert all(rows * nodes <= 500 or rows == 1 for rows, nodes in shapes) and len(shapes) > blocks
+    assert any(rows > 1 for rows, _ in shapes) and any(nodes > 500 for _, nodes in shapes)
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]] and got[3] is None
+
+
+def test_refinement_names_the_node_where_the_fold_overflows():
+    # f is finite everywhere, but f(t) + f(-t) overflows for |t| > 0.5 on the
+    # folded window: the row's sums are not finite, and refining it names the
+    # lowest node of its 8-panel pre-split of [0, 1] where the fold overflows
+    def f(t):
+        return np.where(np.abs(t) > 0.5, 1e308, 1.0) + 0j
+
+    edges = np.linspace(0.0, 1.0, 9)
+    x, _ = quadrature._nodes(edges[:-1], edges[1:])
+    lowest = x[x > 0.5].min()
+    with pytest.raises(QuadratureError, match=re.escape(f"nonfinite value near t={lowest}")) as info:
+        integrate(f, (-1.0, 1.0))
+    assert not isinstance(info.value, NonconvergenceError)
+
