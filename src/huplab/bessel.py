@@ -66,10 +66,13 @@ class Order:
     def of(value: Union["Order", int, float, str, Fraction]) -> "Order":
         if isinstance(value, Order):
             return value
-        if isinstance(value, str):
-            value = Fraction(value)
-        frac = Fraction(value).limit_denominator(2)
-        if frac != Fraction(value) or frac.denominator not in (1, 2):
+        try:
+            exact = Fraction(value)
+            float(exact)  # an order too large for a float overflows
+        except OverflowError:
+            raise ValueError(f"order must be finite, got {value}") from None
+        frac = exact.limit_denominator(2)
+        if frac != exact or frac.denominator not in (1, 2):
             raise ValueError(f"order must be an integer or half-integer, got {value}")
         return Order(int(frac * 2))
 

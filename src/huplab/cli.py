@@ -53,7 +53,7 @@ from .geometry import (
 )
 from .quadrature import QuadOpts, QuadratureError
 from .transform import mu_hat_at_points
-from .witnesses import Certificate, verify_certificate
+from .witnesses import Certificate, check_verify_args, verify_certificate
 
 SCHEMA_VERSION = 1
 
@@ -307,6 +307,7 @@ _CASES = {
 
 
 def cmd_annihilate(args: argparse.Namespace) -> int:
+    check_verify_args(args.samples, args.tol)  # before the certificate is built
     cert = _CASES[args.case](args)
     report = verify_certificate(cert, n_lambda=args.samples, tol=args.tol)
     fields = {"case": args.case, "certificate": _certificate_to_dict(cert), "verification": dataclasses.asdict(report)}
@@ -362,6 +363,9 @@ def cmd_fourlines(args: argparse.Namespace) -> int:
     etas = [float(v) for v in args.etas.split(",") if v.strip()]
     if len(etas) != count:
         raise ConfigError(f"expected {count} comma-separated heights, got {len(etas)}")
+    for eta in etas:
+        if not math.isfinite(eta):
+            raise ConfigError(f"heights must be finite, got {eta}")
     points = [cmath.exp(1j * math.pi * eta) for eta in etas]
     return _emit(f"fourlines {args.verb}", {"etas": etas, **solve(points, args.p)})
 

@@ -65,6 +65,8 @@ class Fiber:
     sigma: tuple[float, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
         if not self.sigma:
             raise ValueError("fiber needs at least one height")
         sig = tuple(sorted(float(s) for s in self.sigma))

@@ -28,7 +28,7 @@ unless the rows factor over a grid u_i(t) v_j(t) g(t) and share one
 pre-split sized for the fastest of them, scored for all rows by one matmul
 per block of panels: then they depend on the set of rows in the batch, but
 not on their order.
-On a folded window a factor of known parity is given at the nodes t >= 0
+On a folded window a factor of known parity is built at the nodes t >= 0
 only, and an even factor lets the fold be summed before the matmul, over
 half the nodes.
 """
@@ -123,7 +123,7 @@ class QuadOpts:
     radians per unit of the parameter.  :func:`integrate` pre-splits the
     window by it; the transforms (``mu_hat``, ``mu_hat_at_points``) take it
     as a floor on each point's own phase rate, so a large hint only adds
-    panels.
+    panels.  It is None or finite and >= 0.
     """
 
     abs_tol: float = 1e-10
@@ -136,6 +136,8 @@ class QuadOpts:
             raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        if self.oscillation_hint is not None and not 0 <= self.oscillation_hint < math.inf:
+            raise ValueError(f"oscillation_hint must be None or finite and >= 0, got {self.oscillation_hint}")
 
 
 @dataclass(frozen=True)
@@ -205,30 +207,33 @@ _SAFETY = 1e3
 _THETA_MAX = 4.0 * math.pi
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray):
-    """The Kronrod nodes (panels x 15) and half-widths of the panels [lo_j, hi_j]."""
+def _nodes(lo: np.ndarray, hi: np.ndarray, folded: bool):
+    """The Kronrod nodes of the panels [lo_j, hi_j] and the panels' half-widths.
+
+    The nodes are panels x 15, or panels x 30 where ``folded``: each panel's
+    15 nodes, then their mirror images.
+    """
     h = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi)[:, None] + h[:, None] * NODES, h
+    x = 0.5 * (lo + hi)[:, None] + h[:, None] * NODES
+    return (np.concatenate([x, -x], axis=1) if folded else x), h
 
 
 def _score(fs, h: np.ndarray, folded: bool):
     """Kronrod values and error estimates (rows x panels) of the integrand values ``fs``.
 
-    ``fs`` holds each row's values at the nodes of the panels of half-widths
-    ``h``, panel by panel, then at their mirror images when folded.  What
-    the fold and sums make of a nonfinite value is quiet: it shows as a
-    nonfinite value and error.
+    ``fs`` holds each row's values at the nodes of ``_nodes`` for the panels
+    of half-widths ``h``.  What the fold and sums make of a nonfinite value
+    is quiet: it shows as a nonfinite value and error.
     """
-    fs = np.asarray(fs, dtype=np.complex128)
-    n = h.size * len(NODES)
+    k = len(NODES)
+    fs = np.asarray(fs, dtype=np.complex128).reshape(len(fs), h.size, -1)
     with np.errstate(invalid="ignore", over="ignore"):
         if folded:
-            fx = fs[:, :n] + fs[:, n:]
-            raw = np.abs(fs[:, :n])
-            raw += np.abs(fs[:, n:])
+            fx = fs[..., :k] + fs[..., k:]
+            raw = np.abs(fs[..., :k])
+            raw += np.abs(fs[..., k:])
         else:
             fx, raw = fs, np.abs(fs)
-        fx, raw = fx.reshape(-1, h.size, len(NODES)), raw.reshape(-1, h.size, len(NODES))
         i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
         i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
         # roundoff floor scales with the unfolded magnitudes
@@ -241,14 +246,15 @@ def _score_row(at_nodes, row: int, lo: np.ndarray, hi: np.ndarray, folded: bool)
     A nonfinite integrand, or fold f(t) + f(-t), raises
     :class:`QuadratureError` naming its lowest node.
     """
-    x, h = _nodes(lo, hi)
-    t = np.concatenate([x.ravel(), -x.ravel()]) if folded else x.ravel()
-    fs = np.asarray(at_nodes(t)(np.array([row])), dtype=np.complex128)
+    t, h = _nodes(lo, hi, folded)
+    fs = np.asarray(at_nodes(t.ravel())(np.array([row])), dtype=np.complex128)
+    k = len(NODES)
     with np.errstate(invalid="ignore", over="ignore"):
-        fx = fs[0, : x.size] + fs[0, x.size :] if folded else fs[0]
+        fx = fs.reshape(t.shape)
+        fx = fx[:, :k] + fx[:, k:] if folded else fx
     bad = np.flatnonzero(~np.isfinite(fx))
     if bad.size:
-        raise QuadratureError(f"integrand returned a nonfinite value near t={x.flat[bad[0]]}")
+        raise QuadratureError(f"integrand returned a nonfinite value near t={t[:, :k].flat[bad[0]]}")
     values, errs = _score(fs, h, folded)
     return values[0], errs[0]
 
@@ -333,19 +339,30 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
     return max(math.pi, math.exp(min(log_theta, math.log(_THETA_MAX))))
 
 
-def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope, abs_tol: float):
-    """Each row's panel count, and a function from a row to its pre-split of [a, b] as segments (lo, hi, panels).
+def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: QuadOpts):
+    """The pre-splits of the window, or of its half t >= 0 where ``folded``, as segments (lo, hi, panels).
 
-    The uniform pre-split of ``n0`` panels is sized for the fastest
-    oscillation anywhere in the range.  Where it has more than
-    _BLOCKWISE_PANELS panels, each of _RATE_BLOCKS equal blocks instead gets
-    panels spanning at most theta of phase at the rate on that block, when
-    that takes fewer panels in all.  theta is pi, or up to 4 pi where the declared envelope
+    Returns each row's panel count, a function from a row to its pre-split,
+    and the fastest row's pre-split.  A row's rate over the whole window
+    asks for n0 panels of pi phase each (at least 8, at most _PRESPLIT_CAP
+    and ``max_subdivisions``): the uniform pre-split sized for the fastest
+    oscillation anywhere in the range.  Where n0 exceeds _BLOCKWISE_PANELS,
+    each of _RATE_BLOCKS equal blocks instead gets panels spanning at most
+    theta of phase at the row's rate on that block, when that takes fewer
+    panels in all.  theta is pi, or up to 4 pi where the declared envelope
     is small enough for the Gauss-7 error model (see ``_panel_phase``).
+    The fastest row's pre-split is the same sizing at the largest rate:
+    on each block the largest count of any row (ceil and the scaling are
+    monotone), or the largest n0 uniformly where that is no more panels.
     Only the counts are arrays: a row's segments are built when asked for.
     """
+    a, b = (0.0 if folded else window[0]), window[1]
+    hint = rate(*window)
+    n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
+    n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
     sizes = n0.copy()
     blockwise = np.zeros(n0.size, dtype=bool)
+    fastest = ((a, b, int(n0.max(initial=0))),)
     wide = np.flatnonzero(n0 > _BLOCKWISE_PANELS)
     if wide.size:
         blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
@@ -353,47 +370,54 @@ def _presplits(rate, a: float, b: float, folded: bool, n0: np.ndarray, envelope,
         rates = np.array([rate(lo, hi) for lo, hi in spans])
         if folded:  # a block stands for its mirror image too
             rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
-        theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, abs_tol) for lo, hi in spans])
+        theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, opts.abs_tol) for lo, hi in spans])
         counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
         totals = counts.sum(axis=0)
         blockwise[wide[totals[wide] < n0[wide]]] = True
         sizes[blockwise] = totals[blockwise]
+        peak = counts.max(axis=1)
+        if peak.sum() < n0.max():
+            fastest = tuple(zip(blocks[:-1], blocks[1:], peak.astype(np.int64).tolist()))
 
     def segments(r: int) -> tuple:
         if blockwise[r]:
             return tuple(zip(blocks[:-1], blocks[1:], counts[:, r].astype(np.int64).tolist()))
         return ((a, b, int(n0[r])),)
 
-    return sizes, segments
+    return sizes, segments, fastest
 
 
 class Grid(NamedTuple):
-    """Rows whose integrands factor as u_i(t) v_j(t) g(t), with |u_i| = |v_j| = 1.
+    """Rows whose integrands factor over frequency grids as e^{-i pi xs_i x(t)} e^{-i pi ys_j y(t)} g(t).
 
-    Row r's integrand is u_{iu[r]}(t) v_{iv[r]}(t) g(t).  ``at_nodes(t)``
-    evaluates what the rows share at the nodes ``t`` (panels x k) and returns
-    g(t) and a function ``factors(panels)`` from a slice of the panels to the
-    u at their nodes (panels x #u x k) and the v (panels x k x #v).
+    Row r takes xs[iu[r]] and ys[iv[r]].  ``at_nodes(t)`` returns x, y and g
+    at the flat nodes ``t``.  The factors u = e^{-i pi xs x} and
+    v = e^{-i pi ys y} are built by ``_factors``.
 
-    On a folded window the nodes are t >= 0 and their mirror images -t, and
-    ``parity`` gives the u's and the v's as an ``expr`` parity in t: EVEN
-    where u(-t) = u(t), ODD where u(-t) = conj(u(t)).  A factor of known
-    parity is built at the nodes t >= 0 only (k/2 of them); one of UNKNOWN
-    parity at all k.  On other windows ``parity`` is not read.
+    On a folded window ``parity`` gives x and y as ``expr`` parities in t.
+    An even coordinate's factor at -t is its value at t, an odd one's the
+    conjugate of it: a factor of known parity is built at the nodes t >= 0
+    only, one of UNKNOWN parity at all nodes.  On other windows ``parity``
+    is not read.
     """
 
     iu: np.ndarray
     iv: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
     at_nodes: Callable[[np.ndarray], tuple]
     parity: Tuple[int, int]
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return int(self.iu.max()) + 1, int(self.iv.max()) + 1
+
+def _factors(xs: np.ndarray, cu: np.ndarray, ys: np.ndarray, cv: np.ndarray):
+    """The u = e^{-i pi xs x} (panels x #xs x k) and v = e^{-i pi ys y} (panels x k x #ys) at x = cu and y = cv."""
+    u = np.multiply(-1j * math.pi, xs[:, None] * cu[:, None, :])
+    v = np.multiply(-1j * math.pi, cv[:, :, None] * ys)
+    return np.exp(u, out=u), np.exp(v, out=v)
 
 
 def _halves(f: np.ndarray, parity: int, axis: int):
-    """A factor at the nodes t >= 0 and at their mirror images, from what ``factors`` built."""
+    """A factor at the nodes t >= 0 and at their mirror images, from what ``_factors`` built."""
     if parity == EVEN:
         return f, f
     if parity == ODD:
@@ -401,27 +425,18 @@ def _halves(f: np.ndarray, parity: int, axis: int):
     return np.split(f, 2, axis=axis)
 
 
-def _shared_split(grid: Grid, rate, a: float, b: float, folded: bool, n0, panels, envelope, abs_tol: float):
-    """One pre-split for all rows of ``grid``, or None where the rows' own cost fewer exponentials.
+def _shared_split(grid: Grid, panels: np.ndarray, fastest):
+    """The fastest row's pre-split for all rows of ``grid``, or None where the rows' own cost fewer exponentials.
 
-    It is sized by ``_presplits`` for the fastest rate among the rows.  It is
-    taken when the distinct rows fill at least half of the #u x #v grid and
-    (#u + #v) times its panels is less than the sum of the distinct rows' own
-    panels: the factors cost #u + #v exponentials per node, a row alone one.
+    ``fastest`` is taken when the distinct rows fill at least half of the #u x #v grid
+    and (#u + #v) times its panels is less than the sum of the distinct rows'
+    own panels: the factors cost #u + #v exponentials per node, a row alone one.
     """
-    if not grid.iu.size:
-        return None
-    n_u, n_v = grid.shape
-    code = grid.iu * n_v + grid.iv
-    order = np.argsort(code, kind="stable")
-    distinct = order[np.concatenate([[True], np.diff(code[order]) != 0])]
-    own = panels[distinct].sum()
-    # no pre-split sized for the fastest row is shorter than that row's own
-    if 2 * distinct.size < n_u * n_v or (n_u + n_v) * panels.max() >= own:
-        return None
-    fastest = lambda lo, hi: rate(lo, hi).max(keepdims=True)
-    (size,), segments = _presplits(fastest, a, b, folded, n0.max(keepdims=True), envelope, abs_tol)
-    return segments(0) if (n_u + n_v) * size < own else None
+    n_u, n_v = grid.xs.size, grid.ys.size
+    _, distinct = np.unique(grid.iu * n_v + grid.iv, return_index=True)
+    size = sum(n for _, _, n in fastest)
+    share = 2 * distinct.size >= n_u * n_v and (n_u + n_v) * size < panels[distinct].sum()
+    return fastest if share else None
 
 
 def _grid_rows(grid: Grid, split, folded: bool):
@@ -439,17 +454,18 @@ def _grid_rows(grid: Grid, split, folded: bool):
     |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
     """
     edges = _edges(split)
-    x, h = _nodes(edges[:-1], edges[1:])
-    t = np.concatenate([x, -x], axis=1) if folded else x
-    g, factors = grid.at_nodes(t)
-    g = np.asarray(g, dtype=np.complex128) * h[:, None]
+    t, h = _nodes(edges[:-1], edges[1:], folded)
+    x, y, g = grid.at_nodes(t.ravel())
+    g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
     floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(WEIGHTS_K, t.shape[1] // len(NODES))).tolist())
     pu, pv = grid.parity if folded else (UNKNOWN, UNKNOWN)
+    # each coordinate where its factor is built: at t >= 0 where its parity is known
+    cu, cv = (c.reshape(t.shape)[:, : len(NODES) if p != UNKNOWN else None] for c, p in ((x, pu), (y, pv)))
     # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
     fold = EVEN in (pu, pv)
     k = len(NODES) if fold else t.shape[1]
     wk, wd = np.tile(WEIGHTS_K, k // len(NODES)), np.tile(WEIGHTS_K - WEIGHTS_G, k // len(NODES))
-    n_u, n_v = grid.shape
+    n_u, n_v = grid.xs.size, grid.ys.size
     sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
     # a block's largest arrays, the weighted u of both rules, the v (built at
     # most at every node of t) and the matmul's result, hold at most _CHUNK
@@ -458,7 +474,7 @@ def _grid_rows(grid: Grid, split, folded: bool):
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, len(h), step):
             panels = slice(start, start + step)
-            u, v = factors(panels)
+            u, v = _factors(grid.xs, cu[panels], grid.ys, cv[panels])
             if fold:
                 gp, gm = np.split(g[panels], 2, axis=1)
                 if pu == EVEN:
@@ -505,32 +521,30 @@ def integrate_rows(
 ):
     """Integrate ``n_rows`` integrands that share their nodes over one finite window.
 
-    ``at_nodes(t)`` evaluates what the integrands share at the parameters
-    ``t`` and returns a function ``values(rows)`` from an array of row
-    indices to the rows' values at ``t`` (rows x len(t)); those values are
-    built and scored for at most _CHUNK entries at a time, unless one row
-    needs more.
+    ``at_nodes(t)`` evaluates what the integrands share at the flat nodes
+    ``t`` (each panel's Kronrod nodes, then their mirror images where the
+    window is folded; see ``_nodes``) and returns a function
+    ``values(rows)`` from an array of row indices to the rows' values at
+    ``t`` (rows x len(t)); those values are built and scored for at most
+    _CHUNK entries at a time, unless one row needs more.
     ``rate(lo, hi)`` bounds each row's oscillation rate on [lo, hi], and
     ``envelope`` is the decay the integrands declare, if any.
 
-    A row whose rate over the whole window asks for at most 64 panels of pi
-    phase each (at least 8, at most ``max_subdivisions``) gets that uniform
-    pre-split; rows that share a pre-split share its nodes.  A longer one is
-    sized block by block from ``rate`` and ``envelope``, each panel spanning
-    pi of phase, or up to 4 pi where the envelope is small (see
-    ``_presplits``), unless the uniform pre-split (at most ``_PRESPLIT_CAP``
-    panels) is shorter.  The envelope only picks the first panels; every
-    error estimate comes from the panels' Kronrod sums.  The rows that share
-    a segment of their pre-splits share its nodes, and a row adds up its
-    segments' sums in t order.
+    Each row gets a pre-split from ``rate`` and ``envelope``: uniform, or
+    sized block by block, each panel spanning pi of phase, or up to 4 pi
+    where the envelope is small (see ``_presplits``).  The envelope only
+    picks the first panels; every error estimate comes from the panels'
+    Kronrod sums.  The rows that share a segment of their pre-splits share
+    its nodes, and a row adds up its segments' sums in t order.
 
-    When the rows also factor as a ``grid`` that their distinct rows fill at
-    least half of, and one pre-split sized for the fastest row costs fewer
-    exponentials than the rows' own (see ``_shared_split``), every row is
-    scored on that one pre-split instead, by one matmul per block of at
-    most _CHUNK entries (see ``_grid_rows``), over the 15 nodes t >= 0 of
-    each panel where the window is folded and a factor is even.  The rows'
-    own pre-splits are then counted but not built as segments.
+    When the rows also factor over a ``grid`` of frequencies that their
+    distinct rows fill at least half of, and the fastest row's pre-split,
+    sized in the same pass, costs fewer exponentials than the rows' own
+    (see ``_shared_split``), every row is scored on that one pre-split
+    instead, by one matmul per block of at most _CHUNK entries (see
+    ``_grid_rows``), over the 15 nodes t >= 0 of each panel where the window
+    is folded and a factor is even.  The rows' own pre-splits are then
+    counted but not built as segments.
 
     Either way, a row that misses tolerance or is not finite is then refined
     alone from its own pre-split, by bisecting its worst panels first, in
@@ -543,15 +557,9 @@ def integrate_rows(
     It returns as soon as a row fails: that row's entries and all later ones
     are meaningless.
     """
-    a, b = window
-    folded = a == -b and b > 0
-    if folded:
-        a = 0.0
-    hint = rate(*window)
-    n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
-    n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
-    panels, segments = _presplits(rate, a, b, folded, n0, envelope, opts.abs_tol)
-    split = None if grid is None else _shared_split(grid, rate, a, b, folded, n0, panels, envelope, opts.abs_tol)
+    folded = window[0] == -window[1] and window[1] > 0
+    panels, segments, fastest = _presplits(rate, window, folded, envelope, opts)
+    split = None if grid is None else _shared_split(grid, panels, fastest)
     if split is not None:
         value, total_err, size = _grid_rows(grid, split, folded)
         return _finish(at_nodes, value, total_err, np.full(n_rows, size), segments, folded, tail_err, opts)
@@ -564,9 +572,8 @@ def integrate_rows(
     value, total_err = np.full(n_rows, complex(-0.0, -0.0)), np.zeros(n_rows)
     for (lo, hi, n), rows in sorted(groups.items()):
         edges = np.linspace(lo, hi, n + 1)
-        x, h = _nodes(edges[:-1], edges[1:])
-        t = np.concatenate([x.ravel(), -x.ravel()]) if folded else x.ravel()
-        values_at, rows = at_nodes(t), np.array(rows)
+        t, h = _nodes(edges[:-1], edges[1:], folded)
+        values_at, rows = at_nodes(t.ravel()), np.array(rows)
         step = max(1, _CHUNK // t.size)
         for start in range(0, rows.size, step):
             part = rows[start : start + step]

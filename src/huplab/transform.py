@@ -77,10 +77,13 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
     curve, g = measure.curve, measure.density(comp)
     ox, oy = offset
 
+    def coords(t: np.ndarray):
+        x, y = curve.xy(comp, t)
+        return x + ox, y + oy, g(t)
+
     def at_nodes(t: np.ndarray):
         # g and the curve once per node set, the phase once per block of points
-        x, y = curve.xy(comp, t)
-        cx, cy, gt = x + ox, y + oy, g(t)
+        cx, cy, gt = coords(t)
 
         def values(rows: np.ndarray) -> np.ndarray:
             # in place: the same operations as e^{-i pi (x xi + y eta)} g, with fewer temporaries
@@ -93,35 +96,19 @@ def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: 
 
         return values
 
-    # the phase factors as e^{-i pi xi x} e^{-i pi eta y}, one per distinct xi and eta
-    xs, iu = _distinct(xi)
-    ys, iv = _distinct(eta)
-
-    # on a folded window a factor is mirrored from the nodes t >= 0 where its
-    # shifted coordinate is even, or odd with no offset: e^{-i pi xi x} at -t
-    # is then its value at t or that value's conjugate
-    px, py = parities
-    pu = px if px == EVEN or ox == 0.0 else UNKNOWN
-    pv = py if py == EVEN or oy == 0.0 else UNKNOWN
-
-    def at_grid_nodes(t: np.ndarray):
-        x, y = curve.xy(comp, t.ravel())
-        cx, cy = (x + ox).reshape(t.shape), (y + oy).reshape(t.shape)
-        half = t.shape[1] // 2
-        cu, cv = (c if p == UNKNOWN else c[:, :half] for c, p in ((cx, pu), (cy, pv)))
-
-        def factors(panels: slice):
-            u = np.multiply(-1j * math.pi, xs[:, None] * cu[panels, None, :])
-            v = np.multiply(-1j * math.pi, cv[panels, :, None] * ys)
-            return np.exp(u, out=u), np.exp(v, out=v)
-
-        return np.asarray(g(t.ravel())).reshape(t.shape), factors
-
     def rate(lo: float, hi: float) -> np.ndarray:
         dx_sup, dy_sup = curve.deriv_sup(comp, lo, hi)
         return np.maximum(math.pi * (np.abs(xi) * dx_sup + np.abs(eta) * dy_sup), opts.oscillation_hint or 0.0)
 
-    grid = Grid(iu, iv, at_grid_nodes, (pu, pv))
+    # the phase factors as e^{-i pi xi x} e^{-i pi eta y}, one per distinct xi and eta.
+    # On a folded window a factor is mirrored from the nodes t >= 0 where its
+    # shifted coordinate is even, or odd with no offset: e^{-i pi xi x} at -t
+    # is then its value at t or that value's conjugate
+    (xs, iu), (ys, iv) = _distinct(xi), _distinct(eta)
+    px, py = parities
+    pu = px if px == EVEN or ox == 0.0 else UNKNOWN
+    pv = py if py == EVEN or oy == 0.0 else UNKNOWN
+    grid = Grid(iu, iv, xs, ys, coords, (pu, pv))
     return integrate_rows(at_nodes, rate, len(xi), window, tail, opts, measure.decay, grid)
 
 

@@ -58,6 +58,7 @@ __all__ = [
     "fourlines_annihilator",
     "all_annihilators",
     "anti_certificate_midpoint_radius",
+    "check_verify_args",
     "verify_certificate",
     "known_pair_verdict",
 ]
@@ -261,6 +262,14 @@ def anti_certificate_midpoint_radius(k: int, n: int) -> Certificate:
     )
 
 
+def check_verify_args(n_lambda: int, tol: float) -> None:
+    """Raise ValueError unless ``n_lambda`` >= 1 and ``tol`` is finite and positive."""
+    if n_lambda < 1:
+        raise ValueError("n_lambda must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def verify_certificate(cert: Certificate, n_lambda: int = 512, tol: float = RESIDUAL_TOL) -> VerifyReport:
     """Recompute the certificate's residual and witness from fresh samples.
 
@@ -268,10 +277,7 @@ def verify_certificate(cert: Certificate, n_lambda: int = 512, tol: float = RESI
     and the witness magnitude exceeds the 0.05 floor.  Quadrature failures
     propagate; a failing certificate is reported, never silently accepted.
     """
-    if n_lambda < 1:
-        raise ValueError("n_lambda must be >= 1")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_verify_args(n_lambda, tol)
     fresh = _measure_certificate(
         cert.measure, cert.lam, cert.window, cert.witness_point, cert.basis, n_samples=n_lambda, tol=tol
     )

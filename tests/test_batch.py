@@ -12,6 +12,7 @@ from huplab.geometry import (
     ExpDecay,
     GaussianDecay,
     Measure,
+    ParamCurve,
     circle,
     expr_curve,
     hyperbola_full,
@@ -79,6 +80,12 @@ EXPONENTIALS_MAX = {"hyperbola": 74_100, "parabola": 87_150, "spiral": 14_700, "
 # with the envelope too took at most 10,368, 11,806 and 2,520
 GRID_PANELS_MAX = {"hyperbola": 0, "parabola": 0, "spiral": 0}
 GRID_REFINED_MAX = {"hyperbola": 0, "parabola": 0, "spiral": 0}
+
+# ParamCurve.deriv_sup calls per mu_hat_at_points call on each GRIDS measure's
+# 7x7 grid: one for the rates over the window, and one per pre-split block
+# and, on the folded hyperbola and parabola windows, per mirrored block.
+# Sizing the shared pre-split again at the fastest rate took 65, 65 and 33
+DERIV_SUP_CALLS_MAX = {"hyperbola": 33, "parabola": 33, "spiral": 17}
 
 
 # folded 7x7 grids on expr curves, (x, y, nodes per panel of the u and the
@@ -181,7 +188,7 @@ def _work(monkeypatch) -> dict:
     u and v, as pairs.
     """
     work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set()}
-    integrate_rows, refine = transform.integrate_rows, quadrature._refine
+    integrate_rows, refine, factors = transform.integrate_rows, quadrature._refine, quadrature._factors
 
     def counting_rows(at_nodes, rate, n_rows, window, tail, opts, envelope, grid):
         alone = set()
@@ -196,27 +203,23 @@ def _work(monkeypatch) -> dict:
 
             return counted
 
-        def grid_at(t):
-            g, factors = grid.at_nodes(t)
-
-            def counted(panels):
-                u, v = factors(panels)
-                work["exponentials"] += u.size + v.size
-                work["factor nodes"].add((u.shape[2], v.shape[1]))
-                return u, v
-
-            return g, counted
-
-        out = integrate_rows(rows_at, rate, n_rows, window, tail, opts, envelope, grid._replace(at_nodes=grid_at))
+        out = integrate_rows(rows_at, rate, n_rows, window, tail, opts, envelope, grid)
         work["rows"] |= alone
         work["panels"] += int(out[2][sorted(alone)].sum())
         return out
+
+    def counting_factors(*args):
+        u, v = factors(*args)
+        work["exponentials"] += u.size + v.size
+        work["factor nodes"].add((u.shape[2], v.shape[1]))
+        return u, v
 
     def counting_refine(*args):
         work["refined"] += 1
         return refine(*args)
 
     monkeypatch.setattr(transform, "integrate_rows", counting_rows)
+    monkeypatch.setattr(quadrature, "_factors", counting_factors)
     monkeypatch.setattr(quadrature, "_refine", counting_refine)
     return work
 
@@ -270,6 +273,19 @@ def test_panels_and_refined_rows_on_grids(name, monkeypatch):
     # the 15 Kronrod nodes of a panel: on the folded hyperbola and parabola
     # windows, the factors at -t are mirrored from t by parity, not built
     assert work["factor nodes"] == {(15, 15)}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_deriv_sup_calls_on_grids(name, monkeypatch):
+    calls, deriv_sup = [], ParamCurve.deriv_sup
+
+    def counting(curve, *args):
+        calls.append(args)
+        return deriv_sup(curve, *args)
+
+    monkeypatch.setattr(ParamCurve, "deriv_sup", counting)
+    mu_hat_at_points(*_grid(name), QuadOpts())
+    assert len(calls) <= DERIV_SUP_CALLS_MAX[name]
 
 
 @pytest.mark.parametrize("name", PARITY_CURVES)

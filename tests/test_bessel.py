@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ class TestOrder:
             Order.of(1 / 3)
         with pytest.raises(ValueError):
             Order(-1)
+
+    @pytest.mark.parametrize("order", ["1e400", math.inf, -math.inf, 10**400])
+    def test_rejects_orders_not_finite_as_floats(self, order):
+        # "1e400" and 10**400 overflowed in nu, the infinities in Fraction
+        with pytest.raises(ValueError, match=re.escape(f"order must be finite, got {order}")):
+            Order.of(order)
 
 
 class TestValues:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_expr import _any_tree
 
-from huplab import cli
+from huplab import cli, witnesses
 from huplab.expr import BinOp, Num, Var
 from huplab.fourlines import Fiber
 from huplab.geometry import (
@@ -631,6 +631,52 @@ class TestConfigErrorsExit2:
     def test_verdict_inputs_outside_the_contract(self, capsys, argv, message):
         code, out, err = run_main(capsys, "verdict", *argv)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("--tol", "nan"), ("--samples", "0")])
+    def test_annihilate_rejects_its_arguments_before_building(self, capsys, monkeypatch, argv):
+        # the certificate of --j 5 took about 27 ms of quadrature before the rejection
+        calls, original = [], witnesses.mu_hat_at_points
+
+        def spying(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(witnesses, "mu_hat_at_points", spying)
+        code, out, err = run_main(capsys, "annihilate", "circle-lines", "--j", "5", *argv)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("config error: ")
+        assert run_main(capsys, "annihilate", "circle-lines", "--j", "5", "--samples", "4")[0] == 0 and calls
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("delta", "--etas", "0,nan"), "heights must be finite, got nan"),
+            (("tau", "--etas", "inf,0,1"), "heights must be finite, got inf"),
+            (("rho", "--etas", "0,1,-inf"), "heights must be finite, got -inf"),
+        ],
+    )
+    def test_fourlines_heights_must_be_finite(self, capsys, argv, message):
+        # each printed NaN tokens, which are not JSON, and exited 0
+        code, out, err = run_main(capsys, "fourlines", *argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"points": [[math.nan, 0.1]]}, "xi must be finite, got nan"),
+            ({"fibers": [{"xi": math.inf, "sigma": [0.1]}]}, "bad fiber: xi must be finite, got inf"),
+        ],
+    )
+    def test_classify_xi_must_be_finite(self, capsys, monkeypatch, doc, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_main(capsys, "fourlines", "classify", "--fibers", "-")
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("verb", ["j", "zero"])
+    def test_bessel_order_must_be_finite(self, capsys, verb):
+        # an OverflowError traceback with exit 1
+        code, out, err = run_main(capsys, "bessel", verb, "--order", "1e400")
+        assert (code, out, err) == (2, "", "config error: order must be finite, got 1e400\n")
 
     @pytest.mark.parametrize("verb", ["j", "nonzero"])
     @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])

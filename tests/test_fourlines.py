@@ -297,6 +297,11 @@ class TestFiberValidation:
         with pytest.raises(ValueError):
             Fiber(0.0, (0.5, 0.5 + 1e-14))
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match=f"xi must be finite, got {xi}"):
+            Fiber(xi, (0.5,))
+
     def test_unit_point_range(self):
         with pytest.raises(ValueError):
             UnitPoint(2.0)

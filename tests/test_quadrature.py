@@ -225,6 +225,14 @@ def test_opts_validation():
         QuadOpts(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("hint", [math.nan, -5.0, math.inf, -math.inf])
+def test_oscillation_hint_must_be_none_or_finite_and_nonnegative(hint):
+    # nan and -5 gave the 8 panels of no hint, and inf the 8,192-panel cap
+    with pytest.raises(ValueError, match=re.escape(f"oscillation_hint must be None or finite and >= 0, got {hint}")):
+        QuadOpts(oscillation_hint=hint)
+    assert integrate(np.cos, (0.0, 1.0), QuadOpts(oscillation_hint=0.0)).panels == 8
+
+
 def test_degenerate_interval():
     with pytest.raises(ValueError):
         integrate(lambda t: t + 0j, (1.0, 1.0))
@@ -298,10 +306,11 @@ def test_rows_before_the_first_failure_are_refined_as_if_alone():
 def _grid_rows_case(g):
     """36 rows e^{-i pi (xi t + eta t^2)} g(t) on [0, 1], xi in 8, ..., 48 and eta in 0, ..., 20.
 
-    Returns ``at_nodes``, ``rate`` and the rows as a ``Grid``.  The fastest
-    row, the last, takes 76 panels in 16 block-wise segments, and one
-    pre-split sized for it is shared by the grid: 12 x 76 exponentials a
-    node, against the rows' own 1,600 panels or so.
+    Returns ``at_nodes``, ``rate`` and the rows as a ``Grid`` of those
+    frequencies on the coordinates (t, t^2).  The fastest row, the last,
+    takes 76 panels in 16 block-wise segments, and one pre-split sized for
+    it is shared by the grid: 12 x 76 exponentials a node, against the
+    rows' own 1,600 panels or so.
     """
     iu, iv = np.divmod(np.arange(36), 6)
     xs, ys = 8.0 * np.arange(1, 7), 4.0 * np.arange(6)
@@ -311,18 +320,10 @@ def _grid_rows_case(g):
         fs = np.exp(-1j * np.pi * (np.multiply.outer(xi, t) + np.multiply.outer(eta, t * t))) * g(t)
         return lambda rows: fs[rows]
 
-    def grid_at(t):
-        def factors(panels):
-            u = np.exp(-1j * np.pi * xs[:, None] * t[panels, None, :])
-            v = np.exp(-1j * np.pi * (t[panels] ** 2)[:, :, None] * ys)
-            return u, v
-
-        return g(t), factors
-
     def rate(lo, hi):
         return np.pi * (xi + 2.0 * eta * max(abs(lo), abs(hi)))
 
-    return at_nodes, rate, Grid(iu, iv, grid_at, (UNKNOWN, UNKNOWN))
+    return at_nodes, rate, Grid(iu, iv, xs, ys, lambda t: (t, t * t, g(t)), (UNKNOWN, UNKNOWN))
 
 
 def _spy(monkeypatch, name):
@@ -393,7 +394,7 @@ def test_refinement_names_the_node_where_the_fold_overflows():
         return np.where(np.abs(t) > 0.5, 1e308, 1.0) + 0j
 
     edges = np.linspace(0.0, 1.0, 9)
-    x, _ = quadrature._nodes(edges[:-1], edges[1:])
+    x, _ = quadrature._nodes(edges[:-1], edges[1:], False)
     lowest = x[x > 0.5].min()
     with pytest.raises(QuadratureError, match=re.escape(f"nonfinite value near t={lowest}")) as info:
         integrate(f, (-1.0, 1.0))
