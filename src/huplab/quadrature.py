@@ -17,17 +17,19 @@ below abs_tol/10.  Each decay law states its exponent, tail and cutoff in
 its class in ``geometry``.  Exactly symmetric intervals [-b, b] are folded
 to [0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
 pointwise and integrates to zero regardless of how wild its phase is.
-A caller that knows an integrand to be odd takes it as 0 with :func:`null_err`.
 
-:func:`integrate_rows` runs these stages for many integrands that share
-their nodes (the transform at many frequency points); :func:`integrate` is
-its batch of one.  It sums the rows' panels with array operations; a row
-that misses tolerance or is not finite is refined alone, from its own
+:func:`integrate_rows` runs these stages for the rows
+e^{-i pi (xi x(t) + eta y(t))} g(t) of a :class:`Rows`, one per frequency
+point on one curve; :func:`integrate` is its batch of one, a row at
+frequency 0 on no curve.  A row whose parities show it to be odd on a
+folded window is taken as 0, with the roundoff floor of :func:`null_err`.
+The rest are summed panel by panel with array operations; a row that
+misses tolerance or is not finite is refined alone, from its own
 pre-split.  A row's bits do not depend on the other rows of its batch,
-unless the rows factor over a grid u_i(t) v_j(t) g(t) and share one
-pre-split sized for the fastest of them, scored for all rows by one matmul
-per block of panels: then they depend on the set of rows in the batch, but
-not on their order.
+unless the rows fill a grid of frequencies and share one pre-split sized
+for the fastest of them, the phase factored as e^{-i pi xi x} e^{-i pi eta y}
+and scored for all rows by one matmul per block of panels: then they depend
+on the set of rows in the batch, but not on their order.
 On a folded window a factor of known parity is built at the nodes t >= 0
 only, and an even factor lets the fold be summed before the matmul, over
 half the nodes.
@@ -46,12 +48,12 @@ from .expr import EVEN, ODD, UNKNOWN
 from .geometry import CompactSupport, Decay
 
 __all__ = [
-    "Grid",
     "QuadOpts",
     "QuadResult",
     "QuadratureError",
     "NonconvergenceError",
     "MissingEnvelopeError",
+    "Rows",
     "integrate",
     "integrate_rows",
     "null_err",
@@ -148,6 +150,24 @@ class QuadResult:
     panels: int
 
 
+class Rows(NamedTuple):
+    """The integrands e^{-i pi (xi_r x(t) + eta_r y(t))} g(t) of :func:`integrate_rows`, one row per point.
+
+    ``xi`` and ``eta`` are the frequency points.  ``xy(t)`` gives the curve
+    (x, y) at the flat nodes ``t``, or None for no curve: each row is then
+    g itself.  ``g(t)`` is the density at the nodes, ``deriv_sup(lo, hi)``
+    bounds |x'| and |y'| on [lo, hi], and ``parity`` gives x, y and g as
+    ``expr`` parities in t, read only on a folded window.
+    """
+
+    xi: np.ndarray
+    eta: np.ndarray
+    xy: Callable[[np.ndarray], Optional[Tuple[np.ndarray, np.ndarray]]]
+    g: Callable[[np.ndarray], np.ndarray]
+    deriv_sup: Callable[[float, float], Tuple[float, float]]
+    parity: Tuple[int, int, int]
+
+
 def truncate_interval(
     interval: Tuple[float, float], envelope: Optional[Decay], opts: QuadOpts
 ) -> Optional[Tuple[float, float]]:
@@ -223,50 +243,60 @@ def _score(fs, h: np.ndarray, folded: bool):
 
     ``fs`` holds each row's values at the nodes of ``_nodes`` for the panels
     of half-widths ``h``.  What the fold and sums make of a nonfinite value
-    is quiet: it shows as a nonfinite value and error.
+    shows as a nonfinite value and error; the caller silences numpy's warnings.
     """
     k = len(NODES)
     fs = np.asarray(fs, dtype=np.complex128).reshape(len(fs), h.size, -1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if folded:
-            fx = fs[..., :k] + fs[..., k:]
-            raw = np.abs(fs[..., :k])
-            raw += np.abs(fs[..., k:])
-        else:
-            fx, raw = fs, np.abs(fs)
-        i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
-        i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
-        # roundoff floor scales with the unfolded magnitudes
-        return i15, np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
+    if folded:
+        fx = fs[..., :k] + fs[..., k:]
+        raw = np.abs(fs[..., :k])
+        raw += np.abs(fs[..., k:])
+    else:
+        fx, raw = fs, np.abs(fs)
+    i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
+    i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
+    # roundoff floor scales with the unfolded magnitudes
+    return i15, np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
 
 
-def _score_row(at_nodes, row: int, lo: np.ndarray, hi: np.ndarray, folded: bool):
-    """Kronrod values and error estimates of the panels [lo_j, hi_j] for ``row`` alone.
+def _at(rows: Rows, t: np.ndarray):
+    """x, y (None on no curve) and g at the flat nodes ``t``: what every row of ``rows`` shares there."""
+    return (*(rows.xy(t) or (None, None)), rows.g(t))
 
-    A nonfinite integrand, or fold f(t) + f(-t), raises
-    :class:`QuadratureError` naming its lowest node.
+
+def _values(rows: Rows, r: np.ndarray, x, y, g) -> np.ndarray:
+    """The rows ``r``'s values (rows x nodes) from what ``_at`` gives at the nodes."""
+    if x is None:
+        fs = np.empty((r.size, np.size(g)), dtype=np.complex128)
+        fs[...] = g
+        return fs
+    # in place: the same operations as e^{-i pi (x xi + y eta)} g, with fewer temporaries
+    phase = np.multiply.outer(rows.xi[r], x)
+    phase += np.multiply.outer(rows.eta[r], y)
+    z = np.multiply(-1j * math.pi, phase)
+    np.exp(z, out=z)
+    z *= g
+    return z
+
+
+def _score_row(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, folded: bool):
+    """Kronrod values and error estimates of the panels [lo_j, hi_j] for the one row ``f``.
+
+    ``f(t)`` gives the row's values at the flat nodes ``t``.  A nonfinite
+    integrand, or fold f(t) + f(-t), raises :class:`QuadratureError` naming
+    its lowest node.
     """
     t, h = _nodes(lo, hi, folded)
-    fs = np.asarray(at_nodes(t.ravel())(np.array([row])), dtype=np.complex128)
     k = len(NODES)
     with np.errstate(invalid="ignore", over="ignore"):
+        fs = np.asarray(f(t.ravel()), dtype=np.complex128).reshape(1, -1)
         fx = fs.reshape(t.shape)
         fx = fx[:, :k] + fx[:, k:] if folded else fx
-    bad = np.flatnonzero(~np.isfinite(fx))
-    if bad.size:
-        raise QuadratureError(f"integrand returned a nonfinite value near t={t[:, :k].flat[bad[0]]}")
-    values, errs = _score(fs, h, folded)
+        bad = np.flatnonzero(~np.isfinite(fx))
+        if bad.size:
+            raise QuadratureError(f"integrand returned a nonfinite value near t={t[:, :k].flat[bad[0]]}")
+        values, errs = _score(fs, h, folded)
     return values[0], errs[0]
-
-
-def _one_row(f: Callable[[np.ndarray], np.ndarray]):
-    """The ``at_nodes`` of ``integrate_rows`` for the single integrand ``f``."""
-
-    def at_nodes(t: np.ndarray):
-        fs = np.asarray(f(t), dtype=np.complex128)[None]
-        return lambda rows: fs
-
-    return at_nodes
 
 
 def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
@@ -278,7 +308,7 @@ def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
     naming its lowest node there.
     """
     edges = np.linspace(0.0, b, _NULL_PANELS + 1)
-    return math.fsum(_score_row(_one_row(f), 0, edges[:-1], edges[1:], True)[1].tolist())
+    return math.fsum(_score_row(f, edges[:-1], edges[1:], True)[1].tolist())
 
 
 def _edges(split) -> np.ndarray:
@@ -286,11 +316,16 @@ def _edges(split) -> np.ndarray:
     return np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in split] + [split[-1][1:2]])
 
 
-def _refine(at_nodes, row: int, split, folded: bool, tail_err: float, opts: QuadOpts):
-    """Score one row's pre-split (segments) alone, then bisect its worst panels until
+def _refine(rows: Rows, r: int, split, folded: bool, tail_err: float, opts: QuadOpts):
+    """Score row ``r``'s pre-split (segments) alone, then bisect its worst panels until
     its error meets tolerance; returns value, error estimate and panel count."""
+    one = np.array([r])
+
+    def row(t: np.ndarray) -> np.ndarray:
+        return _values(rows, one, *_at(rows, t))
+
     edges = _edges(split)
-    values, errs = _score_row(at_nodes, row, edges[:-1], edges[1:], folded)
+    values, errs = _score_row(row, edges[:-1], edges[1:], folded)
     heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(edges) - 1)]
     heapq.heapify(heap)
     n_panels = len(heap)
@@ -314,7 +349,7 @@ def _refine(at_nodes, row: int, split, folded: bool, tail_err: float, opts: Quad
         mid = 0.5 * (lo + hi)
         new_lo = np.concatenate([lo, mid])
         new_hi = np.concatenate([mid, hi])
-        new_values, new_errs = _score_row(at_nodes, row, new_lo, new_hi, folded)
+        new_values, new_errs = _score_row(row, new_lo, new_hi, folded)
         for i in range(len(new_lo)):
             heapq.heappush(heap, (-new_errs[i], new_lo[i], new_hi[i], new_values[i]))
         n_panels += batch
@@ -343,7 +378,7 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     """The pre-splits of the window, or of its half t >= 0 where ``folded``, as segments (lo, hi, panels).
 
     Returns each row's panel count, a function from a row to its pre-split,
-    and the fastest row's pre-split.  A row's rate over the whole window
+    and, for more than one row, the fastest row's pre-split.  A row's rate over the whole window
     asks for n0 panels of pi phase each (at least 8, at most _PRESPLIT_CAP
     and ``max_subdivisions``): the uniform pre-split sized for the fastest
     oscillation anywhere in the range.  Where n0 exceeds _BLOCKWISE_PANELS,
@@ -362,7 +397,7 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
     sizes = n0.copy()
     blockwise = np.zeros(n0.size, dtype=bool)
-    fastest = ((a, b, int(n0.max(initial=0))),)
+    fastest = ((a, b, int(n0.max())),) if n0.size > 1 else None
     wide = np.flatnonzero(n0 > _BLOCKWISE_PANELS)
     if wide.size:
         blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
@@ -387,28 +422,6 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     return sizes, segments, fastest
 
 
-class Grid(NamedTuple):
-    """Rows whose integrands factor over frequency grids as e^{-i pi xs_i x(t)} e^{-i pi ys_j y(t)} g(t).
-
-    Row r takes xs[iu[r]] and ys[iv[r]].  ``at_nodes(t)`` returns x, y and g
-    at the flat nodes ``t``.  The factors u = e^{-i pi xs x} and
-    v = e^{-i pi ys y} are built by ``_factors``.
-
-    On a folded window ``parity`` gives x and y as ``expr`` parities in t.
-    An even coordinate's factor at -t is its value at t, an odd one's the
-    conjugate of it: a factor of known parity is built at the nodes t >= 0
-    only, one of UNKNOWN parity at all nodes.  On other windows ``parity``
-    is not read.
-    """
-
-    iu: np.ndarray
-    iv: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    at_nodes: Callable[[np.ndarray], tuple]
-    parity: Tuple[int, int]
-
-
 def _factors(xs: np.ndarray, cu: np.ndarray, ys: np.ndarray, cv: np.ndarray):
     """The u = e^{-i pi xs x} (panels x #xs x k) and v = e^{-i pi ys y} (panels x k x #ys) at x = cu and y = cv."""
     u = np.multiply(-1j * math.pi, xs[:, None] * cu[:, None, :])
@@ -425,165 +438,197 @@ def _halves(f: np.ndarray, parity: int, axis: int):
     return np.split(f, 2, axis=axis)
 
 
-def _shared_split(grid: Grid, panels: np.ndarray, fastest):
-    """The fastest row's pre-split for all rows of ``grid``, or None where the rows' own cost fewer exponentials.
+def _distinct(v: np.ndarray):
+    """The sorted distinct values of ``v`` and each entry's index among them."""
+    s = np.sort(v)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep], np.searchsorted(s[keep], v)
 
-    ``fastest`` is taken when the distinct rows fill at least half of the #u x #v grid
-    and (#u + #v) times its panels is less than the sum of the distinct rows'
-    own panels: the factors cost #u + #v exponentials per node, a row alone one.
+
+def _shared_split(grid, panels: np.ndarray, fastest):
+    """The fastest row's pre-split for all rows, or None where the rows' own cost fewer exponentials.
+
+    ``grid`` is ``_distinct`` of the rows' xi and of their eta.  ``fastest``
+    is taken when the distinct rows fill at least half of the #xi x #eta grid
+    and (#xi + #eta) times its panels is less than the sum of the distinct
+    rows' own panels: the factors cost #xi + #eta exponentials per node, a
+    row alone one.
     """
-    n_u, n_v = grid.xs.size, grid.ys.size
-    _, distinct = np.unique(grid.iu * n_v + grid.iv, return_index=True)
+    (xs, iu), (ys, iv) = grid
+    _, distinct = np.unique(iu * ys.size + iv, return_index=True)
     size = sum(n for _, _, n in fastest)
-    share = 2 * distinct.size >= n_u * n_v and (n_u + n_v) * size < panels[distinct].sum()
+    share = 2 * distinct.size >= xs.size * ys.size and (xs.size + ys.size) * size < panels[distinct].sum()
     return fastest if share else None
 
 
-def _grid_rows(grid: Grid, split, folded: bool):
+def _grid_rows(rows: Rows, grid, split, folded: bool):
     """Each row's value and quadrature error on the shared pre-split ``split``, and its panel count.
 
+    The phase factors as u_i(t) v_j(t) = e^{-i pi xs_i x(t)} e^{-i pi ys_j y(t)}
+    over the distinct frequencies of ``grid`` (see ``_shared_split``).
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
     difference at once, by one matmul of the u, weighted by either rule,
-    with the v.  On a folded window the integrand is u+ v+ g+ + u- v- g-,
-    the signs marking the nodes t and -t, with h in g; it is folded before
-    the matmul, over the k = 15 nodes t >= 0:
+    with the v.  On a folded window an even coordinate's factor at -t is its
+    value at t, an odd one's the conjugate of it: a factor of known parity
+    is built at the nodes t >= 0 only.  The integrand is u+ v+ g+ + u- v- g-,
+    the signs marking the nodes t and -t, with h in g; where a factor is
+    even it is folded before the matmul, over the k = 15 nodes t >= 0:
     u even: u+ against v+ g+ + v- g-; else v even: u+ g+ + u- g- against v+.
     Otherwise, and on windows that are not folded, the u weighted by g h
     goes against the v over all nodes, t and -t side by side.  The roundoff
     floor 10 eps sum (|g+| + |g-|) w h is the same for every row, as
     |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
     """
+    (xs, iu), (ys, iv) = grid
     edges = _edges(split)
     t, h = _nodes(edges[:-1], edges[1:], folded)
-    x, y, g = grid.at_nodes(t.ravel())
+    x, y, g = _at(rows, t.ravel())
     g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
     floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(WEIGHTS_K, t.shape[1] // len(NODES))).tolist())
-    pu, pv = grid.parity if folded else (UNKNOWN, UNKNOWN)
+    pu, pv = rows.parity[:2] if folded else (UNKNOWN, UNKNOWN)
     # each coordinate where its factor is built: at t >= 0 where its parity is known
     cu, cv = (c.reshape(t.shape)[:, : len(NODES) if p != UNKNOWN else None] for c, p in ((x, pu), (y, pv)))
     # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
     fold = EVEN in (pu, pv)
     k = len(NODES) if fold else t.shape[1]
     wk, wd = np.tile(WEIGHTS_K, k // len(NODES)), np.tile(WEIGHTS_K - WEIGHTS_G, k // len(NODES))
-    n_u, n_v = grid.xs.size, grid.ys.size
+    n_u, n_v = xs.size, ys.size
     sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
     # a block's largest arrays, the weighted u of both rules, the v (built at
     # most at every node of t) and the matmul's result, hold at most _CHUNK
     # entries unless one panel needs more
     step = max(1, _CHUNK // max(2 * n_u * k, n_v * t.shape[1], 2 * n_u * n_v))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, len(h), step):
-            panels = slice(start, start + step)
-            u, v = _factors(grid.xs, cu[panels], grid.ys, cv[panels])
-            if fold:
-                gp, gm = np.split(g[panels], 2, axis=1)
-                if pu == EVEN:
-                    vp, vm = _halves(v, pv, 1)
-                    v = vp * gp[:, :, None] + vm * gm[:, :, None]
-                else:
-                    up, um = _halves(u, pu, 2)
-                    u = up * gp[:, None] + um * gm[:, None]
-                u = np.concatenate([u * wk, u * wd], axis=1)
+    for start in range(0, len(h), step):
+        panels = slice(start, start + step)
+        u, v = _factors(xs, cu[panels], ys, cv[panels])
+        if fold:
+            gp, gm = np.split(g[panels], 2, axis=1)
+            if pu == EVEN:
+                vp, vm = _halves(v, pv, 1)
+                v = vp * gp[:, :, None] + vm * gm[:, :, None]
             else:
-                gh = g[panels, None, :]
-                u = np.concatenate(_halves(u, pu, 2), axis=2) if pu == ODD else u
-                v = np.concatenate(_halves(v, pv, 1), axis=1) if pv == ODD else v
-                u = np.concatenate([u * (gh * wk), u * (gh * wd)], axis=1)
-            both = np.matmul(u, v)
-            sums += both[:, :n_u].sum(axis=0)
-            diffs += np.abs(both[:, n_u:]).sum(axis=0)
-    return sums[grid.iu, grid.iv], diffs[grid.iu, grid.iv] + floor, len(h)
+                up, um = _halves(u, pu, 2)
+                u = up * gp[:, None] + um * gm[:, None]
+            u = np.concatenate([u * wk, u * wd], axis=1)
+        else:
+            gh = g[panels, None, :]
+            u = np.concatenate(_halves(u, pu, 2), axis=2) if pu == ODD else u
+            v = np.concatenate(_halves(v, pv, 1), axis=1) if pv == ODD else v
+            u = np.concatenate([u * (gh * wk), u * (gh * wd)], axis=1)
+        both = np.matmul(u, v)
+        sums += both[:, :n_u].sum(axis=0)
+        diffs += np.abs(both[:, n_u:]).sum(axis=0)
+    return sums[iu, iv], diffs[iu, iv] + floor, len(h)
 
 
-def _finish(at_nodes, value, total_err, panels, segments, folded: bool, tail_err: float, opts: QuadOpts):
+def _finish(rows: Rows, value, total_err, panels, segments, folded: bool, tail_err: float, opts: QuadOpts):
     """What ``integrate_rows`` returns, from each row's value and quadrature error on its first panels:
     rows that miss tolerance or are not finite are refined alone from their own pre-splits, in row order."""
     err = tail_err + total_err
     # hypot is abs() of one complex to the bit; np.abs of an array is not
     met = np.isfinite(value) & (total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
-    for r in np.flatnonzero(~met).tolist():
+    for r in (~met).nonzero()[0].tolist():
         try:
-            value[r], err[r], panels[r] = _refine(at_nodes, r, segments(r), folded, tail_err, opts)
+            value[r], err[r], panels[r] = _refine(rows, r, segments(r), folded, tail_err, opts)
         except QuadratureError as exc:
             return value, err, panels, (r, exc)
     return value, err, panels, None
 
 
-def integrate_rows(
-    at_nodes: Callable[[np.ndarray], Callable[[np.ndarray, slice], np.ndarray]],
-    rate: Callable[[float, float], np.ndarray],
-    n_rows: int,
-    window: Tuple[float, float],
-    tail_err: float,
-    opts: QuadOpts,
-    envelope: Optional[Decay] = None,
-    grid: Optional[Grid] = None,
-):
-    """Integrate ``n_rows`` integrands that share their nodes over one finite window.
+def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opts: QuadOpts, envelope=None):
+    """Integrate every row of ``rows`` over one finite window.
 
-    ``at_nodes(t)`` evaluates what the integrands share at the flat nodes
-    ``t`` (each panel's Kronrod nodes, then their mirror images where the
-    window is folded; see ``_nodes``) and returns a function
-    ``values(rows)`` from an array of row indices to the rows' values at
-    ``t`` (rows x len(t)); those values are built and scored for at most
-    _CHUNK entries at a time, unless one row needs more.
-    ``rate(lo, hi)`` bounds each row's oscillation rate on [lo, hi], and
-    ``envelope`` is the decay the integrands declare, if any.
+    ``envelope`` is the decay the integrands declare, if any.  Row r's
+    phase turns on [lo, hi] at most at the rate
+    pi (|xi_r| sup |x'| + |eta_r| sup |y'|), or ``oscillation_hint`` where
+    that is larger.
 
-    Each row gets a pre-split from ``rate`` and ``envelope``: uniform, or
+    On a folded window, where ``rows.parity`` shows g odd and the phase
+    even in t (each coordinate even or meeting a zero frequency), a row is
+    exactly 0: its value is -0 and its error ``tail_err`` plus the roundoff
+    floor of ``null_err``, with no phase evaluated.  The other rows are
+    integrated as one batch, as follows.
+
+    Each row gets a pre-split from its rate and ``envelope``: uniform, or
     sized block by block, each panel spanning pi of phase, or up to 4 pi
     where the envelope is small (see ``_presplits``).  The envelope only
     picks the first panels; every error estimate comes from the panels'
     Kronrod sums.  The rows that share a segment of their pre-splits share
-    its nodes, and a row adds up its segments' sums in t order.
+    its nodes: x, y and g are evaluated once per segment, and the rows'
+    values are built and scored for at most _CHUNK entries at a time,
+    unless one row needs more.  A row adds up its segments' sums in t order.
 
-    When the rows also factor over a ``grid`` of frequencies that their
-    distinct rows fill at least half of, and the fastest row's pre-split,
-    sized in the same pass, costs fewer exponentials than the rows' own
-    (see ``_shared_split``), every row is scored on that one pre-split
-    instead, by one matmul per block of at most _CHUNK entries (see
-    ``_grid_rows``), over the 15 nodes t >= 0 of each panel where the window
-    is folded and a factor is even.  The rows' own pre-splits are then
-    counted but not built as segments.
+    When a batch of more than one row fills at least half of the grid of
+    its distinct xi and eta, and the fastest row's pre-split, sized in the
+    same pass, costs fewer exponentials than the rows' own (see
+    ``_shared_split``), every row is scored on that one pre-split instead,
+    by one matmul per block of at most _CHUNK entries (see ``_grid_rows``),
+    over the 15 nodes t >= 0 of each panel where the window is folded and a
+    factor is even.  The rows' own pre-splits are then counted but not
+    built as segments.
 
     Either way, a row that misses tolerance or is not finite is then refined
     alone from its own pre-split, by bisecting its worst panels first, in
     row order (see ``_finish``).  So a row's bits do not depend on its batch,
     except on a shared pre-split: there they depend on the set of rows in
-    the batch, but not on their order.
+    the batch, but not on their order.  numpy's warnings are silenced
+    throughout: every nonfinite value shows in the sums, and refining its
+    row names its node.
 
     Returns each row's value, error estimate (``tail_err`` included) and
     panel count, and the first failure as (row, QuadratureError), or None.
     It returns as soon as a row fails: that row's entries and all later ones
     are meaningless.
     """
-    folded = window[0] == -window[1] and window[1] > 0
-    panels, segments, fastest = _presplits(rate, window, folded, envelope, opts)
-    split = None if grid is None else _shared_split(grid, panels, fastest)
-    if split is not None:
-        value, total_err, size = _grid_rows(grid, split, folded)
-        return _finish(at_nodes, value, total_err, np.full(n_rows, size), segments, folded, tail_err, opts)
-    groups: dict = {}
-    for r in range(n_rows):
-        for segment in segments(r):
-            groups.setdefault(segment, []).append(r)
-    # -0.0 + x is x to the bit, and the segments are taken in t order, so a
-    # row's partial sums are added up in t order whatever rows share them
-    value, total_err = np.full(n_rows, complex(-0.0, -0.0)), np.zeros(n_rows)
-    for (lo, hi, n), rows in sorted(groups.items()):
-        edges = np.linspace(lo, hi, n + 1)
-        t, h = _nodes(edges[:-1], edges[1:], folded)
-        values_at, rows = at_nodes(t.ravel()), np.array(rows)
-        step = max(1, _CHUNK // t.size)
-        for start in range(0, rows.size, step):
-            part = rows[start : start + step]
-            vals, errs = _score(values_at(part), h, folded)
-            with np.errstate(invalid="ignore", over="ignore"):
+    n, folded = rows.xi.size, window[0] == -window[1] and window[1] > 0
+    px, py, pg = rows.parity if folded else (UNKNOWN, UNKNOWN, UNKNOWN)
+    if pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():
+        # -0 leaves a sum of components to the bit; the rest are one smaller batch
+        live, failure = np.flatnonzero(~null), None
+        value, panels = np.full(n, complex(-0.0, -0.0)), np.zeros(n, dtype=np.int64)
+        err = np.full(n, tail_err + null_err(rows.g, window[1]))
+        if live.size:
+            part = rows._replace(xi=rows.xi[live], eta=rows.eta[live])
+            value[live], err[live], panels[live], failure = integrate_rows(part, window, tail_err, opts, envelope)
+        return value, err, panels, failure and (int(live[failure[0]]), failure[1])
+    hint = opts.oscillation_hint or 0.0
+    abs_xi, abs_eta = np.abs(rows.xi), np.abs(rows.eta)
+
+    def rate(lo: float, hi: float) -> np.ndarray:
+        dx_sup, dy_sup = rows.deriv_sup(lo, hi)
+        w = math.pi * (abs_xi * dx_sup + abs_eta * dy_sup)
+        return np.maximum(w, hint) if hint else w
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        panels, segments, fastest = _presplits(rate, window, folded, envelope, opts)
+        if n > 1:  # a row alone costs one exponential a node; sharing costs two
+            grid = _distinct(rows.xi), _distinct(rows.eta)
+            split = _shared_split(grid, panels, fastest)
+            if split is not None:
+                value, total_err, size = _grid_rows(rows, grid, split, folded)
+                return _finish(rows, value, total_err, np.full(n, size), segments, folded, tail_err, opts)
+        groups: dict = {}
+        for r in range(n):
+            for segment in segments(r):
+                groups.setdefault(segment, []).append(r)
+        # -0.0 + x is x to the bit, and the segments are taken in t order, so a
+        # row's partial sums are added up in t order whatever rows share them
+        value, total_err = np.full(n, complex(-0.0, -0.0)), np.zeros(n)
+        for (lo, hi, k), members in sorted(groups.items()):
+            edges = np.linspace(lo, hi, k + 1)
+            t, h = _nodes(edges[:-1], edges[1:], folded)
+            x, y, g = _at(rows, t.ravel())
+            members = np.array(members)
+            step = max(1, _CHUNK // t.size)
+            for start in range(0, members.size, step):
+                part = members[start : start + step]
+                vals, errs = _score(_values(rows, part, x, y, g), h, folded)
                 value[part] += vals.sum(axis=1)
-            # fsum over a memoryview reads floats one at a time, with no list of the panels held
-            row_errs = memoryview(errs.reshape(-1))
-            total_err[part] += [math.fsum(row_errs[i : i + n]) for i in range(0, errs.size, n)]
-    return _finish(at_nodes, value, total_err, panels, segments, folded, tail_err, opts)
+                # fsum over a memoryview reads floats one at a time, with no list of the panels held
+                row_errs = memoryview(errs.reshape(-1))
+                total_err[part] += [math.fsum(row_errs[i : i + k]) for i in range(0, errs.size, k)]
+        return _finish(rows, value, total_err, panels, segments, folded, tail_err, opts)
 
 
 def integrate(
@@ -598,15 +643,16 @@ def integrate(
     values.  The result satisfies ``|value - true| <= err_estimate`` on
     smooth integrands, with ``err_estimate`` driven below
     ``max(abs_tol, rel_tol*|value|)`` or :class:`NonconvergenceError` raised.
-    This is :func:`integrate_rows` for one row, with ``oscillation_hint`` as
-    its rate.
+    This is :func:`integrate_rows` for one row at frequency 0 on no curve,
+    so ``oscillation_hint`` is its rate.
     """
     window = truncate_interval(interval, envelope, opts)
     if window is None:
         return QuadResult(0j, 0.0, (0.0, 0.0), 0)
-    hint = np.array([opts.oscillation_hint or 0.0])
     tail_err = truncation_error(interval, window, envelope)
-    value, err, panels, failure = integrate_rows(_one_row(f), lambda lo, hi: hint, 1, window, tail_err, opts, envelope)
+    zero = np.zeros(1)
+    rows = Rows(zero, zero, lambda t: None, f, lambda lo, hi: (0.0, 0.0), (UNKNOWN, UNKNOWN, UNKNOWN))
+    value, err, panels, failure = integrate_rows(rows, window, tail_err, opts, envelope)
     if failure:
         raise failure[1]
     return QuadResult(complex(value[0]), float(err[0]), (float(window[0]), float(window[1])), int(panels[0]))

@@ -18,15 +18,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EVEN, ODD, UNKNOWN, Num, parity
+from .expr import EVEN, UNKNOWN, Num, parity
 from .geometry import CURVE_KINDS, Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
 from .quadrature import (
-    Grid,
     QuadOpts,
     QuadratureError,
+    Rows,
     integrate,
     integrate_rows,
-    null_err,
     truncate_interval,
     truncation_error,
 )
@@ -60,56 +59,22 @@ class PointFailure(QuadratureError):
         self.point = point
 
 
-def _distinct(v: np.ndarray):
-    """The sorted distinct values of ``v`` and each entry's index among them."""
-    s = np.sort(v)
-    keep = np.ones(s.size, dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep], np.searchsorted(s[keep], v)
+def _rows(measure: Measure, comp: int, xi: np.ndarray, eta: np.ndarray, offset) -> Rows:
+    """One component's integrands at every point (xi_p, eta_p), on the curve shifted by ``offset``.
 
-
-def _component(measure: Measure, comp: int, window, tail: float, xi, eta, opts: QuadOpts, offset, parities):
-    """One component's integral at every point (xi_p, eta_p), as ``integrate_rows`` returns it.
-
-    ``parities`` are the curve's x and y parities in t on a folded window,
-    UNKNOWN on others.
+    A shifted coordinate keeps its parity if even, or odd with no offset.
     """
-    curve, g = measure.curve, measure.density(comp)
-    ox, oy = offset
+    curve, ox, oy = measure.curve, offset[0], offset[1]
 
-    def coords(t: np.ndarray):
+    def xy(t: np.ndarray):
         x, y = curve.xy(comp, t)
-        return x + ox, y + oy, g(t)
+        return x + ox, y + oy
 
-    def at_nodes(t: np.ndarray):
-        # g and the curve once per node set, the phase once per block of points
-        cx, cy, gt = coords(t)
-
-        def values(rows: np.ndarray) -> np.ndarray:
-            # in place: the same operations as e^{-i pi (x xi + y eta)} g, with fewer temporaries
-            phase = np.multiply.outer(xi[rows], cx)
-            phase += np.multiply.outer(eta[rows], cy)
-            z = np.multiply(-1j * math.pi, phase)
-            np.exp(z, out=z)
-            z *= gt
-            return z
-
-        return values
-
-    def rate(lo: float, hi: float) -> np.ndarray:
-        dx_sup, dy_sup = curve.deriv_sup(comp, lo, hi)
-        return np.maximum(math.pi * (np.abs(xi) * dx_sup + np.abs(eta) * dy_sup), opts.oscillation_hint or 0.0)
-
-    # the phase factors as e^{-i pi xi x} e^{-i pi eta y}, one per distinct xi and eta.
-    # On a folded window a factor is mirrored from the nodes t >= 0 where its
-    # shifted coordinate is even, or odd with no offset: e^{-i pi xi x} at -t
-    # is then its value at t or that value's conjugate
-    (xs, iu), (ys, iv) = _distinct(xi), _distinct(eta)
-    px, py = parities
+    px, py = CURVE_KINDS[curve.kind].parity(curve)
     pu = px if px == EVEN or ox == 0.0 else UNKNOWN
     pv = py if py == EVEN or oy == 0.0 else UNKNOWN
-    grid = Grid(iu, iv, xs, ys, coords, (pu, pv))
-    return integrate_rows(at_nodes, rate, len(xi), window, tail, opts, measure.decay, grid)
+    deriv_sup = lambda lo, hi: curve.deriv_sup(comp, lo, hi)  # noqa: E731
+    return Rows(xi, eta, xy, measure.density(comp), deriv_sup, (pu, pv, parity(measure.densities[comp])))
 
 
 def _transform(
@@ -147,19 +112,8 @@ def _transform(
             # they did when the zero was integrated
             err[live] += tail
             continue
-        # on a folded window an odd density against a phase x xi + y eta that is
-        # even in t, each coordinate even or meeting a zero frequency, gives
-        # exactly 0: no phase is evaluated there, only g for the roundoff floor.
-        # Only expression trees are taken as odd, and a tree's value is finite
-        # or raises EvalDomainError, so null_err meets no nonfinite value
-        folded = window[0] == -window[1]
-        px, py = CURVE_KINDS[measure.curve.kind].parity(measure.curve) if folded else (UNKNOWN, UNKNOWN)
-        odd = folded and parity(density) == ODD
-        null = odd & ((xi[live] == 0.0) | (px == EVEN)) & ((eta[live] == 0.0) | (py == EVEN))
-        if null.any():
-            err[live[null]] += tail + null_err(measure.density(comp), window[1])
-            live = live[~null]
-        v, e, _, failed = _component(measure, comp, window, tail, xi[live], eta[live], opts, offset, (px, py))
+        rows = _rows(measure, comp, xi[live], eta[live], offset)
+        v, e, _, failed = integrate_rows(rows, window, tail, opts, measure.decay)
         if failed:
             first, failure = int(live[failed[0]]), failed[1]
         value[live] += v
@@ -203,26 +157,25 @@ def mu_hat_at_points(
 ) -> list[FTValue]:
     """The transform at many points, evaluated together.
 
-    Each component is integrated for all points at once by
-    :func:`quadrature.integrate_rows`, whose docstring gives its pre-split,
-    block and memory limits.  The window, tail error and derivative bounds
-    are computed once per component; g(t) and the curve are evaluated once
-    per node set, and the phase e^{-i pi (x xi + y eta)} once per block of
-    points.  Where the points fill at least half of the grid of their
-    distinct xi and eta, and that costs fewer exponentials, the phase is
-    factored as e^{-i pi xi x} e^{-i pi eta y} on one pre-split shared by all
-    points: one exponential per distinct xi and per distinct eta at each
-    node.  On a folded window each factor whose coordinate is even or odd
-    is built at the nodes t >= 0 only, and its value at -t is taken from
-    that parity (the same value, or its conjugate).  A point's bits then
-    depend on the set of points it is evaluated with, but not on their
-    order; otherwise on the point alone.  Either way a point that misses
-    tolerance, or is not finite, is refined alone from its own pre-split.
-    ``oscillation_hint``, if set, is a floor on every point's rate.
-    A component whose density is the constant 0 is skipped, and so are the
-    points where the parity of its expression tree and of the curve show it
-    to integrate to exactly 0; tabulated and callable densities are never
-    taken as odd.
+    Each component is integrated for all points at once, as one
+    :class:`quadrature.Rows`, by :func:`quadrature.integrate_rows`, whose
+    docstring gives its pre-splits, block and memory limits.  The window,
+    tail error and derivative bounds are computed once per component; g(t)
+    and the curve are evaluated once per node set, and the phase
+    e^{-i pi (x xi + y eta)} once per block of points.  Where the points
+    fill at least half of the grid of their distinct xi and eta, and that
+    costs fewer exponentials, the phase is factored as
+    e^{-i pi xi x} e^{-i pi eta y} on one pre-split shared by all points:
+    one exponential per distinct xi and per distinct eta at each node, built
+    at t >= 0 only where a folded window and the curve's parity allow.  A
+    point's bits then depend on the set of points it is evaluated with, but
+    not on their order; otherwise on the point alone.  Either way a point
+    that misses tolerance, or is not finite, is refined alone from its own
+    pre-split.  ``oscillation_hint``, if set, is a floor on every point's
+    rate.  A component whose density is the constant 0 is skipped, and so
+    are the points where the parity of its expression tree and of the curve
+    show it to integrate to exactly 0; tabulated and callable densities are
+    never taken as odd.
 
     Output order matches the input order.  A quadrature failure is raised as
     a :class:`PointFailure` for the first failing point in input order.

@@ -188,25 +188,23 @@ def _work(monkeypatch) -> dict:
     u and v, as pairs.
     """
     work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set()}
-    integrate_rows, refine, factors = transform.integrate_rows, quadrature._refine, quadrature._factors
+    integrate_rows, values = quadrature.integrate_rows, quadrature._values
+    refine, factors = quadrature._refine, quadrature._factors
+    alone = {}  # the rows built alone, by the id of their Rows
 
-    def counting_rows(at_nodes, rate, n_rows, window, tail, opts, envelope, grid):
-        alone = set()
-
-        def rows_at(t):
-            values = at_nodes(t)
-
-            def counted(rows):
-                alone.update(rows.tolist())
-                work["exponentials"] += rows.size * t.size
-                return values(rows)
-
-            return counted
-
-        out = integrate_rows(rows_at, rate, n_rows, window, tail, opts, envelope, grid)
-        work["rows"] |= alone
-        work["panels"] += int(out[2][sorted(alone)].sum())
+    def counting_rows(rows, *args):
+        # the rows left after null rows are a call of their own
+        out = integrate_rows(rows, *args)
+        built = alone.pop(id(rows), set())
+        work["rows"] |= built
+        work["panels"] += int(out[2][sorted(built)].sum())
         return out
+
+    def counting_values(rows, r, x, y, g):
+        if x is not None:
+            alone.setdefault(id(rows), set()).update(r.tolist())
+            work["exponentials"] += r.size * x.size
+        return values(rows, r, x, y, g)
 
     def counting_factors(*args):
         u, v = factors(*args)
@@ -219,6 +217,8 @@ def _work(monkeypatch) -> dict:
         return refine(*args)
 
     monkeypatch.setattr(transform, "integrate_rows", counting_rows)
+    monkeypatch.setattr(quadrature, "integrate_rows", counting_rows)
+    monkeypatch.setattr(quadrature, "_values", counting_values)
     monkeypatch.setattr(quadrature, "_factors", counting_factors)
     monkeypatch.setattr(quadrature, "_refine", counting_refine)
     return work

@@ -8,12 +8,12 @@ from huplab import quadrature
 from huplab.expr import UNKNOWN
 from huplab.geometry import CompactSupport, ExpDecay, GaussianDecay
 from huplab.quadrature import (
-    Grid,
     MissingEnvelopeError,
     NonconvergenceError,
     QuadOpts,
     QuadratureError,
     QuadResult,
+    Rows,
     integrate,
     integrate_rows,
     null_err,
@@ -23,6 +23,7 @@ from huplab.quadrature import (
 from conftest import bessel_series, reference_integrate
 
 OPTS = QuadOpts()
+NO_PARITY = (UNKNOWN, UNKNOWN, UNKNOWN)
 
 # (integrand, interval, envelope, hint, exact value)
 CLOSED_FORM_CORPUS = [
@@ -247,18 +248,16 @@ def test_nonfinite_integrand_reported():
 
 
 def test_presplit_sized_by_local_rate():
-    # e^{i w t^2} on [0, 4]: the rate 2 w t is highest at t = 4, so blocks near
-    # 0 need fewer panels than the uniform pre-split sized for t = 4
-    w = np.array([50.0, 50.0])
-    slow_start = lambda lo, hi: 2.0 * w * max(abs(lo), abs(hi))  # noqa: E731
-    constant = lambda lo, hi: 2.0 * w * 4.0  # noqa: E731
-
-    def at_nodes(t):
-        return lambda rows: np.exp(1j * np.multiply.outer(w[rows], t * t))
-
+    # e^{i w t^2} on [0, 4], as eta = -w / pi on the curve (t, t^2): the rate
+    # 2 w t is highest at t = 4, so blocks near 0 need fewer panels than the
+    # uniform pre-split sized for t = 4
+    xi, eta = np.zeros(2), np.full(2, -50.0 / math.pi)
+    slow_start = lambda lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi)))  # noqa: E731
+    constant = lambda lo, hi: (1.0, 2.0 * 4.0)  # noqa: E731
     uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / math.pi)
-    for rate, most in ((slow_start, 0.6 * uniform), (constant, uniform)):
-        values, errs, panels, failures = integrate_rows(at_nodes, rate, 2, (0.0, 4.0), 0.0, QuadOpts())
+    for deriv_sup, most in ((slow_start, 0.6 * uniform), (constant, uniform)):
+        rows = Rows(xi, eta, lambda t: (t, t * t), np.ones_like, deriv_sup, NO_PARITY)
+        values, errs, panels, failures = integrate_rows(rows, (0.0, 4.0), 0.0, QuadOpts())
         assert not failures
         assert panels[0] <= most
         want = integrate(lambda t: np.exp(1j * 50.0 * t * t), (0.0, 4.0), QuadOpts(oscillation_hint=400.0))
@@ -276,54 +275,50 @@ def test_nonfinite_value_met_during_bisection_is_raised():
     assert not isinstance(info.value, NonconvergenceError)
 
 
+def _one(rows: Rows, r: int) -> Rows:
+    """Row ``r`` of ``rows`` as a batch of its own, which never shares a pre-split."""
+    return rows._replace(xi=rows.xi[r : r + 1], eta=rows.eta[r : r + 1])
+
+
 def test_rows_before_the_first_failure_are_refined_as_if_alone():
-    # three rows with equal rates share one segment group: row 0 is bisected
-    # at its kink, row 1 is NaN at the pre-split nodes from t = 0.5 on, row 2
-    # is smooth.  Row 1 is the failure; row 0, before it, is finished first
-    rows = [
+    # three rows with rate 0 share one segment group: g is kinked at 0.3, and
+    # x jumps to 1e300 at t = 0.5, where only row 1's phase xi x overflows.
+    # Row 1 is the failure; row 0, before it, is bisected at the kink first
+    rows = Rows(
+        np.array([0.0, 1e10, 0.0]),
+        np.array([0.0, 0.0, 1.0]),
+        lambda t: (np.where(t < 0.5, t, 1e300), t),
         lambda t: np.sqrt(np.abs(t - 0.3)) + 0j,
-        lambda t: np.where(t < 0.5, 1.0 + 0j, complex("nan")),
-        lambda t: np.cos(t) + 0j,
-    ]
-
-    def at_nodes(t):
-        fs = np.array([f(t) for f in rows])
-        return lambda r: fs[r]
-
-    value, err, panels, failure = integrate_rows(at_nodes, lambda lo, hi: np.zeros(3), 3, (0.0, 1.0), 0.0, OPTS)
-    with pytest.raises(QuadratureError, match="nonfinite value near t=0.5") as alone:
-        integrate(rows[1], (0.0, 1.0), OPTS)
-    assert failure[0] == 1 and str(failure[1]) == str(alone.value)
-    want = integrate(rows[0], (0.0, 1.0), OPTS)
-    assert want.panels > 8
-    assert (value[0].tobytes(), err[0].tobytes(), int(panels[0])) == (
-        np.complex128(want.value).tobytes(),
-        np.float64(want.err_estimate).tobytes(),
-        want.panels,
+        lambda lo, hi: (0.0, 0.0),
+        NO_PARITY,
     )
+    value, err, panels, failure = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    alone = integrate_rows(_one(rows, 1), (0.0, 1.0), 0.0, OPTS)[3]
+    assert alone[0] == 0 and re.match(r"integrand returned a nonfinite value near t=0\.5", str(alone[1]))
+    assert failure[0] == 1 and str(failure[1]) == str(alone[1])
+    want = integrate_rows(_one(rows, 0), (0.0, 1.0), 0.0, OPTS)
+    assert want[2][0] > 8 and want[3] is None
+    assert (value[0].tobytes(), err[0].tobytes(), panels[0]) == (want[0][0].tobytes(), want[1][0].tobytes(), want[2][0])
 
 
-def _grid_rows_case(g):
+def _grid_rows_case(g) -> Rows:
     """36 rows e^{-i pi (xi t + eta t^2)} g(t) on [0, 1], xi in 8, ..., 48 and eta in 0, ..., 20.
 
-    Returns ``at_nodes``, ``rate`` and the rows as a ``Grid`` of those
-    frequencies on the coordinates (t, t^2).  The fastest row, the last,
-    takes 76 panels in 16 block-wise segments, and one pre-split sized for
-    it is shared by the grid: 12 x 76 exponentials a node, against the
-    rows' own 1,600 panels or so.
+    The rows fill the grid of those frequencies on the curve (t, t^2).  The
+    fastest row, the last, takes 76 panels in 16 block-wise segments, and
+    one pre-split sized for it is shared by the grid: 12 x 76 exponentials a
+    node, against the rows' own 1,600 panels or so.
     """
     iu, iv = np.divmod(np.arange(36), 6)
-    xs, ys = 8.0 * np.arange(1, 7), 4.0 * np.arange(6)
-    xi, eta = xs[iu], ys[iv]
+    xi, eta = 8.0 * (iu + 1.0), 4.0 * iv
+    return Rows(xi, eta, lambda t: (t, t * t), g, lambda lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi))), NO_PARITY)
 
-    def at_nodes(t):
-        fs = np.exp(-1j * np.pi * (np.multiply.outer(xi, t) + np.multiply.outer(eta, t * t))) * g(t)
-        return lambda rows: fs[rows]
 
-    def rate(lo, hi):
-        return np.pi * (xi + 2.0 * eta * max(abs(lo), abs(hi)))
-
-    return at_nodes, rate, Grid(iu, iv, xs, ys, lambda t: (t, t * t, g(t)), (UNKNOWN, UNKNOWN))
+def _alone(rows: Rows):
+    """``integrate_rows`` of each row of ``rows`` as a batch of its own, as one batch returns them."""
+    out = [integrate_rows(_one(rows, r), (0.0, 1.0), 0.0, OPTS) for r in range(rows.xi.size)]
+    failure = next(((r, o[3][1]) for r, o in enumerate(out) if o[3]), None)
+    return tuple(np.concatenate([o[i] for o in out]) for i in range(3)) + (failure,)
 
 
 def _spy(monkeypatch, name):
@@ -342,11 +337,12 @@ def test_grid_rows_that_miss_are_refined_from_their_own_presplits(monkeypatch):
     # g has a kink at 1/pi, so every row misses tolerance on its first panels
     # and is bisected alone from its own pre-split, whether the rows shared
     # one pre-split or not: the same bits either way, block-wise rows included
-    at_nodes, rate, grid = _grid_rows_case(lambda t: np.abs(t - 1.0 / np.pi))
+    rows = _grid_rows_case(lambda t: np.abs(t - 1.0 / np.pi))
     grid_rows, refined = _spy(monkeypatch, "_grid_rows"), _spy(monkeypatch, "_refine")
-    alone = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
-    shared = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS, grid=grid)
-    assert len(grid_rows) == 1 and [args[1] for args in refined] == list(range(36)) * 2
+    shared = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    assert len(grid_rows) == 1 and [args[1] for args in refined] == list(range(36))
+    alone = _alone(rows)
+    assert len(grid_rows) == 1 and [args[1] for args in refined[36:]] == [0] * 36
     assert alone[3] is None and shared[3] is None
     assert [a.tobytes() for a in shared[:3]] == [a.tobytes() for a in alone[:3]]
 
@@ -357,14 +353,13 @@ def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
     # pre-split.  Row 29 is the first whose own pre-split has that node (in a
     # block of as many panels as the last row's), with or without the grid.
     # Scoring the rows again on the shared pre-split would fail at row 0
-    at_nodes, rate, grid = _grid_rows_case(np.cos)
     nodes = _spy(monkeypatch, "_edges")
-    assert integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS, grid=grid)[3] is None
+    assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), 0.0, OPTS)[3] is None
     edges = quadrature._edges(nodes[0][0])
     bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.NODES[4]
-    at_nodes, rate, grid = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
-    alone = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)[3]
-    shared = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS, grid=grid)[3]
+    rows = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
+    alone = _alone(rows)[3]
+    shared = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)[3]
     message = f"integrand returned a nonfinite value near t={bad}"
     assert (shared[0], str(shared[1])) == (alone[0], str(alone[1])) == (29, message)
 
@@ -372,14 +367,15 @@ def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
 def test_rows_are_scored_at_most_a_chunk_at_a_time(monkeypatch):
     # the rows of a segment are built and scored as many at a time as fit
     # 500 integrand values, and one at a time where one row has more; the
-    # bits are those of the default blocks
-    at_nodes, rate, _ = _grid_rows_case(np.cos)
+    # bits are those of the default blocks.  The rows' distinct xi and eta
+    # make a diagonal, which fills no grid
+    rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(8.0, 48.0, 36), eta=np.linspace(0.0, 20.0, 36))
     scored = _spy(monkeypatch, "_score")
-    want = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
+    want = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
     blocks = len(scored)
     scored.clear()
     monkeypatch.setattr(quadrature, "_CHUNK", 500)
-    got = integrate_rows(at_nodes, rate, 36, (0.0, 1.0), 0.0, OPTS)
+    got = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
     shapes = [np.shape(args[0]) for args in scored]
     assert all(rows * nodes <= 500 or rows == 1 for rows, nodes in shapes) and len(shapes) > blocks
     assert any(rows > 1 for rows, _ in shapes) and any(nodes > 500 for _, nodes in shapes)
