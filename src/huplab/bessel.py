@@ -8,8 +8,15 @@ of J_{1/2} and J_{3/2}.  Targets 1e-12 accuracy relative to max(1, |J|) for
 x <= 50, nu <= 40.
 
 Zeros are bracketed by a pi/4 scan starting at max(nu, 0.5) and bisected to
-1e-13.  The finiteness of the all-orders nonvanishing check rests on the
-classical bound j_{nu,1} > nu: orders above x cannot vanish at x.
+1e-13, or to adjacent floats above 512.  The finiteness of the all-orders
+nonvanishing check rests on the classical bound j_{nu,1} > nu: orders above x
+cannot vanish at x.
+
+Inputs are bounded before any work starts, so that no call runs for long:
+nu <= ORDER_MAX = 1000, x <= X_MAX = 1e6 and, for zeros, n <= ZERO_INDEX_MAX
+= 300.  The slowest accepted calls take about a second on one core (J at
+nu = 1000, x = 1e6: 0.3 s; the 300th zero of J_1000: 0.7 s; every order at
+x = 1e6: 0.4 s).  Larger inputs raise ValueError.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
+    "ORDER_MAX",
+    "X_MAX",
+    "ZERO_INDEX_MAX",
     "Order",
     "AllIntegers",
     "EvenHalfIntegers",
@@ -38,6 +48,11 @@ _ZERO_BISECT_TOL = 1e-13
 # (worst 5.7e-13 on a 41 x 400 grid; 22 gave 1.4e-11, 24 gave 1.5e-12)
 _MILLER_MARGIN = 25
 NONZERO_THRESHOLD = 1e-9
+# the input bounds of the module docstring: the recurrence costs O(max(x, nu)) per call,
+# and a zero O(n) such calls
+ORDER_MAX = 1000
+X_MAX = 1e6
+ZERO_INDEX_MAX = 300
 
 
 class BesselError(ArithmeticError):
@@ -147,11 +162,24 @@ def _downward(twice_nu: int, x: float) -> list[float]:
     return [v / norm for v in values[: twice_nu // 2 + 1]]
 
 
-def bessel_j(order: Union[Order, int, float, str], x: float) -> float:
-    """J_nu(x) for x >= 0 and nu a nonnegative integer or half-integer."""
+def _bounded(order: Union[Order, int, float, str]) -> Order:
     o = Order.of(order)
+    if o.twice_nu > 2 * ORDER_MAX:
+        raise ValueError(f"order must be at most {ORDER_MAX}, got {float(Fraction(o.twice_nu, 2)):g}")
+    return o
+
+
+def _check_x(x: float) -> None:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
+    if x > X_MAX:
+        raise ValueError(f"x must be at most {X_MAX:g}, got {x}")
+
+
+def bessel_j(order: Union[Order, int, float, str], x: float) -> float:
+    """J_nu(x) for 0 <= x <= X_MAX and nu a nonnegative integer or half-integer up to ORDER_MAX."""
+    o = _bounded(order)
+    _check_x(x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x <= _SERIES_MAX_X:
@@ -160,10 +188,12 @@ def bessel_j(order: Union[Order, int, float, str], x: float) -> float:
 
 
 def bessel_zero(order: Union[Order, int, float, str], n: int) -> float:
-    """The n-th positive zero j_{nu,n} (n >= 1), accurate to ~1e-13."""
-    o = Order.of(order)
+    """The n-th positive zero j_{nu,n} (1 <= n <= ZERO_INDEX_MAX, nu <= ORDER_MAX), accurate to ~1e-13."""
+    o = _bounded(order)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > ZERO_INDEX_MAX:
+        raise ValueError(f"n must be at most {ZERO_INDEX_MAX}, got {n}")
     f = lambda x: bessel_j(o, x)
     x_prev = max(o.nu, 0.5)
     f_prev = f(x_prev)
@@ -184,6 +214,8 @@ def bessel_zero(order: Union[Order, int, float, str], n: int) -> float:
                 f_lo = f_prev
                 while hi - lo > _ZERO_BISECT_TOL:
                     mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):  # above 512 adjacent floats lie more than the tolerance apart
+                        break
                     f_mid = f(mid)
                     if f_mid == 0.0:
                         return mid
@@ -204,10 +236,9 @@ def all_orders_nonzero(x: float, parity: Union[AllIntegers, EvenHalfIntegers]) -
 
     Only orders nu <= ceil(x) are evaluated, all by one downward recurrence:
     the first positive zero of J_nu exceeds nu, so larger orders cannot
-    vanish at x.
+    vanish at x.  x must not exceed X_MAX.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    _check_x(x)
     if x <= 0:
         raise ValueError("x must be positive")
     first = 0 if isinstance(parity, AllIntegers) else parity.n - 2  # twice the lowest order

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -136,8 +137,8 @@ class QuadOpts:
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
         if self.oscillation_hint is not None and not 0 <= self.oscillation_hint < math.inf:
             raise ValueError(f"oscillation_hint must be None or finite and >= 0, got {self.oscillation_hint}")
 

@@ -87,6 +87,9 @@ def _transform(
     n = len(points)
     xi = np.array([p[0] for p in points], dtype=float)
     eta = np.array([p[1] for p in points], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(xi) & np.isfinite(eta)))
+    if bad.size:
+        raise ValueError(f"point (xi, eta) = ({xi[bad[0]]:.17g}, {eta[bad[0]]:.17g}) is not finite")
     value, err = np.zeros(n, dtype=np.complex128), np.zeros(n)
     first, failure = n, None
     lo, hi = math.inf, -math.inf

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_expr import _any_tree
 
-from huplab import cli, witnesses
+from huplab import bessel, cli, witnesses
 from huplab.expr import BinOp, Num, Var
 from huplab.fourlines import Fiber
 from huplab.geometry import (
@@ -33,7 +33,7 @@ from huplab.geometry import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, stdin_text=None):
+def run_cli(*args, stdin_text=None, timeout=300):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -42,7 +42,7 @@ def run_cli(*args, stdin_text=None):
         text=True,
         input=stdin_text,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -367,6 +367,16 @@ class TestBessel:
         res = run_cli("bessel", "nonzero", "--x", "1.0", "--parity", "integers")
         assert json.loads(res.stdout)["nonzero_for_all_orders"] is True
 
+    @pytest.mark.parametrize("order, n", [("0", 164), ("3", 165)])
+    def test_zeros_above_512_return(self, order, n):
+        # the bisection never ended above 512, where adjacent floats lie more
+        # than its 1e-13 tolerance apart; a regression times out here
+        mpmath = pytest.importorskip("mpmath")
+        res = run_cli("bessel", "zero", "--order", order, "--n", str(n), timeout=60)
+        assert res.returncode == 0, res.stderr
+        zero = json.loads(res.stdout)["zero"]
+        assert zero > 512.0 and zero == pytest.approx(float(mpmath.besseljzero(int(order), n)), rel=1e-14)
+
 
 class TestVerdict:
     def test_lattice_cross(self):
@@ -677,6 +687,45 @@ class TestConfigErrorsExit2:
         # an OverflowError traceback with exit 1
         code, out, err = run_main(capsys, "bessel", verb, "--order", "1e400")
         assert (code, out, err) == (2, "", "config error: order must be finite, got 1e400\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # an OverflowError traceback with exit 1
+            (("bessel", "j", "--order", "1e306", "--x", "1"), "order must be at most 1000, got 1e+306"),
+            (("bessel", "j", "--order", "2001/2", "--x", "1"), "order must be at most 1000, got 1000.5"),
+            (("bessel", "zero", "--order", "1001"), "order must be at most 1000, got 1001"),
+            (("bessel", "zero", "--n", "301"), "n must be at most 300, got 301"),
+            (("bessel", "j", "--x", "1e300"), "x must be at most 1e+06, got 1e+300"),
+            (("bessel", "nonzero", "--x", "1000000.5"), "x must be at most 1e+06, got 1000000.5"),
+            (("verdict", "circle-circle", "--radius", "1e9"), "radius must be at most 100000, got 1000000000.0"),
+            (("verdict", "sphere-sphere", "--dim", "3", "--radius", "100001"), "radius must be at most 100000, got 100001.0"),
+        ],
+    )
+    def test_bessel_inputs_are_bounded_before_any_work(self, capsys, monkeypatch, argv, message):
+        # each ran without bound, in time or memory; the bound rejects it before
+        # any series or recurrence, and without the bound the test fails at once
+        def refuse(*args):
+            raise AssertionError(f"huplab {' '.join(argv)} evaluated J")
+
+        monkeypatch.setattr(bessel, "_series", refuse)
+        monkeypatch.setattr(bessel, "_downward", refuse)
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    def test_numeric_failure_prints_one_stderr_line(self, capsys, monkeypatch):
+        # the exp-curve's y = e^{t^2} overflows past t = 26.6: seven numpy
+        # RuntimeWarnings reached stderr before the message
+        cfg = {
+            "curve": {"kind": "exp-curve"},
+            "density": ["exp(-(0.1*abs(t)))"],
+            "decay": {"kind": "exp", "rate": 0.1},
+            "grid": {"xi": [0, 1, 2], "eta": [0.5, 1, 2]},
+        }
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cfg)))
+        code, out, err = run_main(capsys, "ft", "--config", "-")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("numeric failure: at point (xi, eta) = (0, 0.5): ")
 
     @pytest.mark.parametrize("verb", ["j", "nonzero"])
     @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])

@@ -226,6 +226,14 @@ def test_opts_validation():
         QuadOpts(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("value", [2.5, "64", None, 64.0])
+def test_max_subdivisions_must_be_an_integer(value):
+    # 2.5 was accepted and failed later in range() with a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"max_subdivisions must be an integer >= 1, got {value!r}")):
+        QuadOpts(max_subdivisions=value)
+    assert QuadOpts(max_subdivisions=np.int64(64)).max_subdivisions == 64
+
+
 @pytest.mark.parametrize("hint", [math.nan, -5.0, math.inf, -math.inf])
 def test_oscillation_hint_must_be_none_or_finite_and_nonnegative(hint):
     # nan and -5 gave the 8 panels of no hint, and inf the 8,192-panel cap

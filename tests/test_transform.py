@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,20 @@ def test_unbounded_curve_without_envelope_fails_at_the_first_point():
         mu_hat_at_points(measure, [(1.0, 2.0), (3.0, 4.0)])
     assert info.value.point == (1.0, 2.0)
     assert isinstance(info.value.__cause__, MissingEnvelopeError)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0), (0.5, -math.inf)])
+def test_nonfinite_point_is_rejected_before_any_node(point):
+    # nan failed as a nonfinite integrand near some node, and inf also
+    # warned from the phase
+    calls = []
+    measure = Measure(circle(), (lambda t: calls.append(t) or np.ones_like(t),))
+    message = re.escape(f"point (xi, eta) = ({point[0]:.17g}, {point[1]:.17g}) is not finite")
+    with pytest.raises(ValueError, match=message):
+        mu_hat(measure, *point)
+    with pytest.raises(ValueError, match=message):
+        mu_hat_at_points(measure, [(0.0, 0.0), point, (math.nan, math.nan)])
+    assert calls == []
 
 
 def test_support_disjoint_from_the_domain_gives_exact_zero():
