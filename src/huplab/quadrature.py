@@ -155,8 +155,8 @@ class Rows(NamedTuple):
     """The integrands e^{-i pi (xi_r x(t) + eta_r y(t))} g(t) of :func:`integrate_rows`, one row per point.
 
     ``xi`` and ``eta`` are the frequency points.  ``xy(t)`` gives the curve
-    (x, y) at the flat nodes ``t``, or None for no curve: each row is then
-    g itself.  ``g(t)`` is the density at the nodes, ``deriv_sup(lo, hi)``
+    (x, y) at the flat nodes ``t``, or None for no curve, where the one row
+    (at frequency 0) is g itself.  ``g(t)`` is the density at the nodes, ``deriv_sup(lo, hi)``
     bounds |x'| and |y'| on [lo, hi], and ``parity`` gives x, y and g as
     ``expr`` parities in t, read only on a folded window.
     """
@@ -261,16 +261,15 @@ def _score(fs, h: np.ndarray, folded: bool):
 
 
 def _at(rows: Rows, t: np.ndarray):
-    """x, y (None on no curve) and g at the flat nodes ``t``: what every row of ``rows`` shares there."""
-    return (*(rows.xy(t) or (None, None)), rows.g(t))
+    """x, y and g at the flat nodes ``t``, which all rows share; on no curve None, None and the one row."""
+    xy = rows.xy(t)
+    return (None, None, np.asarray(rows.g(t), dtype=np.complex128)[None]) if xy is None else (*xy, rows.g(t))
 
 
 def _values(rows: Rows, r: np.ndarray, x, y, g) -> np.ndarray:
     """The rows ``r``'s values (rows x nodes) from what ``_at`` gives at the nodes."""
     if x is None:
-        fs = np.empty((r.size, np.size(g)), dtype=np.complex128)
-        fs[...] = g
-        return fs
+        return g
     # in place: the same operations as e^{-i pi (x xi + y eta)} g, with fewer temporaries
     phase = np.multiply.outer(rows.xi[r], x)
     phase += np.multiply.outer(rows.eta[r], y)
@@ -466,8 +465,7 @@ def _shared_split(grid, panels: np.ndarray, fastest):
 def _grid_rows(rows: Rows, grid, split, folded: bool):
     """Each row's value and quadrature error on the shared pre-split ``split``, and its panel count.
 
-    The phase factors as u_i(t) v_j(t) = e^{-i pi xs_i x(t)} e^{-i pi ys_j y(t)}
-    over the distinct frequencies of ``grid`` (see ``_shared_split``).
+    The phase factors as u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shared_split``).
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
     difference at once, by one matmul of the u, weighted by either rule,
     with the v.  On a folded window an even coordinate's factor at -t is its
@@ -651,8 +649,7 @@ def integrate(
     if window is None:
         return QuadResult(0j, 0.0, (0.0, 0.0), 0)
     tail_err = truncation_error(interval, window, envelope)
-    zero = np.zeros(1)
-    rows = Rows(zero, zero, lambda t: None, f, lambda lo, hi: (0.0, 0.0), (UNKNOWN, UNKNOWN, UNKNOWN))
+    rows = Rows(np.zeros(1), np.zeros(1), lambda t: None, f, lambda lo, hi: (0.0, 0.0), (UNKNOWN,) * 3)
     value, err, panels, failure = integrate_rows(rows, window, tail_err, opts, envelope)
     if failure:
         raise failure[1]

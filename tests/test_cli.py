@@ -699,7 +699,10 @@ class TestConfigErrorsExit2:
             (("bessel", "j", "--x", "1e300"), "x must be at most 1e+06, got 1e+300"),
             (("bessel", "nonzero", "--x", "1000000.5"), "x must be at most 1e+06, got 1000000.5"),
             (("verdict", "circle-circle", "--radius", "1e9"), "radius must be at most 100000, got 1000000000.0"),
-            (("verdict", "sphere-sphere", "--dim", "3", "--radius", "100001"), "radius must be at most 100000, got 100001.0"),
+            (
+                ("verdict", "sphere-sphere", "--dim", "3", "--radius", "100001"),
+                "radius must be at most 100000, got 100001.0",
+            ),
         ],
     )
     def test_bessel_inputs_are_bounded_before_any_work(self, capsys, monkeypatch, argv, message):
