@@ -153,9 +153,9 @@ def circle_rational_lines_annihilator(j: int) -> Certificate:
 
 
 def circle_bessel_circle_annihilator(k: int, n: int) -> Certificate:
-    """e^{ik theta} on the circle annihilates the circle of radius j_{k,n}/pi."""
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    """e^{ik theta} on the circle annihilates the circle of radius j_{k,n}/pi; the witness needs j_{k,n+1}."""
+    if k < 0 or not 1 <= n < bessel_mod.ZERO_INDEX_MAX:
+        raise ValueError(f"need k >= 0 and 1 <= n <= {bessel_mod.ZERO_INDEX_MAX - 1}, got k = {k}, n = {n}")
     zero = bessel_zero(k, n)
     radius, rho_w = zero / math.pi, 0.5 * (zero + bessel_zero(k, n + 1)) / math.pi
     measure = Measure(circle(), (parse(f"exp({k}*i*t)"),))

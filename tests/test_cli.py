@@ -699,6 +699,8 @@ class TestConfigErrorsExit2:
             (("bessel", "j", "--x", "1e300"), "x must be at most 1e+06, got 1e+300"),
             (("bessel", "nonzero", "--x", "1000000.5"), "x must be at most 1e+06, got 1000000.5"),
             (("verdict", "circle-circle", "--radius", "1e9"), "radius must be at most 100000, got 1000000000.0"),
+            # the certificate's witness takes the next zero, which the bound leaves out
+            (("annihilate", "circle-bessel", "--n", "300"), "need k >= 0 and 1 <= n <= 299, got k = 0, n = 300"),
             (
                 ("verdict", "sphere-sphere", "--dim", "3", "--radius", "100001"),
                 "radius must be at most 100000, got 100001.0",
