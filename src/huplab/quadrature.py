@@ -597,7 +597,7 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
     def rate(lo: float, hi: float) -> np.ndarray:
         dx_sup, dy_sup = rows.deriv_sup(lo, hi)
         w = math.pi * (abs_xi * dx_sup + abs_eta * dy_sup)
-        return np.maximum(w, hint) if hint else w
+        return np.maximum(w, hint) if hint else w  # w is >= 0 or NaN, which a hint of 0 keeps
 
     with np.errstate(invalid="ignore", over="ignore"):
         panels, segments, fastest = _presplits(rate, window, folded, envelope, opts)

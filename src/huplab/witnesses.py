@@ -315,16 +315,16 @@ def _lattice_cross(params: dict) -> Verdict:
 
 
 # pi times the largest radius stays within bessel.X_MAX
-RADIUS_MAX = 1e5
+_RADIUS_MAX = 1e5
 
 
 def _bessel_criterion(params: dict, parity: Callable, symbol: str, criterion: str) -> Verdict:
-    """HUP iff J_nu(pi r) vanishes for no order nu that ``parity()`` requires, for 0 < r <= RADIUS_MAX."""
+    """HUP iff J_nu(pi r) vanishes for no order nu that ``parity()`` requires, for 0 < r <= _RADIUS_MAX."""
     (radius,) = _finite(params, "radius")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if radius > RADIUS_MAX:
-        raise ValueError(f"radius must be at most {RADIUS_MAX:g}, got {radius}")
+    if radius > _RADIUS_MAX:
+        raise ValueError(f"radius must be at most {_RADIUS_MAX:g}, got {radius}")
     arg, orders = math.pi * radius, parity()
     ok = bessel_mod.all_orders_nonzero(arg, orders)
     if isinstance(orders, AllIntegers):
