@@ -9,6 +9,11 @@ symmetric polynomials H_k, the closed-form solutions of the degree-2/3/p
 coefficient systems, the discriminant used in the three-point analysis, the
 fiber classification P1-P4, periodization of raw points, and the polynomial
 lift that raises a degree-2 relation to higher degree.
+
+The fourth-line height p is bounded, 3 <= p <= P_MAX = 1500, and checked
+before any work: ``solve_tau`` sums O(p^2) monomials, which takes about a
+second at p = 1500.  ``FourLinesConfig``, ``solve_tau`` and
+``lift_to_degree`` raise ``ValueError`` outside that range.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "UnitPoint",
     "Fiber",
     "FourLinesConfig",
+    "P_MAX",
     "Classification",
     "homog_sym",
     "elem_sym",
@@ -42,6 +48,14 @@ __all__ = [
 
 DISTINCT_TOL = 1e-12
 WITNESS_TOL = 1e-10
+P_MAX = 1500
+
+
+def _check_p(p: int) -> None:
+    if p < 3:
+        raise ValueError(f"p must be an integer >= 3, got {p}")
+    if p > P_MAX:
+        raise ValueError(f"p must be at most {P_MAX}, got {p}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +104,7 @@ class FourLinesConfig:
     p: int
 
     def __post_init__(self):
-        if self.p < 3:
-            raise ValueError(f"p must be an integer >= 3, got {self.p}")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -150,8 +163,7 @@ def solve_tau(a: complex, b: complex, c: complex, p: int) -> tuple[complex, comp
     The returned coefficients satisfy x^p + tau2 x^2 + tau1 x + tau0 = 0 at
     each of the three (pairwise distinct) inputs.
     """
-    if p < 3:
-        raise ValueError("p must be >= 3")
+    _check_p(p)
     _require_distinct3(a, b, c)
     tau0 = -a * b * c * homog_sym(p - 3, (a, b, c))
     powers = a ** (p - 1) + b ** (p - 1) + c ** (p - 1)
@@ -265,8 +277,7 @@ def lift_to_degree(psi, coeffs, f0hat, p: int):
     current relation by psi and reduces the psi^3 term through the degree-3
     relation.
     """
-    if p < 3:
-        raise ValueError("p must be >= 3")
+    _check_p(p)
     base2, base1, base0 = lift_relation(psi, coeffs, f0hat)
     cur2, cur1, cur0 = base2, base1, base0
     for _ in range(3, p):

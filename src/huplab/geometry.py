@@ -68,6 +68,8 @@ class CompactSupport:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"support bounds must be finite, got ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise ValueError(f"empty support ({self.lo}, {self.hi})")
 
@@ -93,8 +95,8 @@ class _DecayLaw:
     """
 
     def __post_init__(self):
-        if self.rate <= 0 or self.amplitude <= 0:
-            raise ValueError("rate and amplitude must be positive")
+        if not (0 < self.rate < INF and 0 < self.amplitude < INF):
+            raise ValueError(f"rate and amplitude must be finite and positive, got {self.rate} and {self.amplitude}")
 
     def sample_range(self) -> tuple[float, float]:
         reach = 16.0 * self.e_fold()
@@ -175,6 +177,11 @@ class ParamCurve:
         for name in ("heights", "x_expr", "y_expr", "expr_domain"):
             if bool(getattr(self, name)) != (name in needs):
                 raise ValueError(f"{self.kind} curve {'needs' if name in needs else 'takes no'} {name}")
+        if not all(map(math.isfinite, self.heights)):
+            raise ValueError(f"heights must be finite, got {list(self.heights)}")
+        # an infinite domain is allowed: a decay envelope truncates it
+        if self.expr_domain and any(map(math.isnan, self.expr_domain)):
+            raise ValueError(f"domain must not be NaN, got {list(self.expr_domain)}")
 
     @property
     def n_components(self) -> int:
@@ -462,6 +469,8 @@ class Line:
     direction: tuple[float, float]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.point, *self.direction))):
+            raise ValueError(f"line point {self.point} and direction {self.direction} must be finite")
         if self.direction == (0.0, 0.0):
             raise ValueError("line direction must be nonzero")
 
@@ -482,8 +491,8 @@ class CircleSet:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < INF:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -492,8 +501,8 @@ class LatticeCross:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < INF and 0 < self.beta < INF):
+            raise ValueError(f"alpha and beta must be finite and positive, got {self.alpha} and {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,17 @@ e^{-i pi (xi x(t) + eta y(t))} g(t) of a :class:`Rows`, one per frequency
 point on one curve; :func:`integrate` is its batch of one, a row at
 frequency 0 on no curve.  A row whose parities show it to be odd on a
 folded window is taken as 0, with the roundoff floor of :func:`null_err`.
-The rest are summed panel by panel with array operations; a row that
-misses tolerance or is not finite is refined alone, from its own
-pre-split.  A row's bits do not depend on the other rows of its batch,
-unless the rows fill a grid of frequencies and share one pre-split sized
-for the fastest of them, the phase factored as e^{-i pi xi x} e^{-i pi eta y}
-and scored for all rows by one matmul per block of panels: then they depend
-on the set of rows in the batch, but not on their order.
-On a folded window a factor of known parity is built at the nodes t >= 0
-only, and an even factor lets the fold be summed before the matmul, over
-half the nodes.
+The rest are summed panel by panel with array operations, from one table
+of panel counts (spans x rows): the rows with the same count on a span
+share its nodes.  A row that misses tolerance or is not finite is refined
+alone, from its own column of that table.  A row's bits do not depend on
+the other rows of its batch, unless the rows fill a grid of frequencies
+and share one pre-split sized for the fastest of them, the phase factored
+as e^{-i pi xi x} e^{-i pi eta y} and scored for all rows by one matmul per
+block of panels: then they depend on the set of rows in the batch, but not
+on their order.  On a folded window a factor of known parity is built at
+the nodes t >= 0 only, and an even factor lets the fold be summed before
+the matmul, over half the nodes.
 """
 
 from __future__ import annotations
@@ -311,20 +312,20 @@ def null_err(f: Callable[[np.ndarray], np.ndarray], b: float) -> float:
     return math.fsum(_score_row(f, edges[:-1], edges[1:], True)[1].tolist())
 
 
-def _edges(split) -> np.ndarray:
-    """The panel edges of a pre-split given as segments (lo, hi, panels)."""
-    return np.concatenate([np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in split] + [split[-1][1:2]])
+def _edges(spans, column) -> np.ndarray:
+    """The panel edges of a pre-split: ``column[s]`` equal panels on each span s where that is not 0."""
+    used = np.flatnonzero(column).tolist()
+    return np.concatenate([np.linspace(*spans[s], column[s] + 1)[:-1] for s in used] + [spans[used[-1]][1:]])
 
 
-def _refine(rows: Rows, r: int, split, folded: bool, tail_err: float, opts: QuadOpts):
-    """Score row ``r``'s pre-split (segments) alone, then bisect its worst panels until
-    its error meets tolerance; returns value, error estimate and panel count."""
+def _refine(rows: Rows, r: int, edges: np.ndarray, folded: bool, tail_err: float, opts: QuadOpts):
+    """Score row ``r`` alone on the panels between ``edges``, then bisect its worst panels
+    until its error meets tolerance; returns value, error estimate and panel count."""
     one = np.array([r])
 
     def row(t: np.ndarray) -> np.ndarray:
         return _values(rows, one, *_at(rows, t))
 
-    edges = _edges(split)
     values, errs = _score_row(row, edges[:-1], edges[1:], folded)
     heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(edges) - 1)]
     heapq.heapify(heap)
@@ -375,51 +376,49 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
 
 
 def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: QuadOpts):
-    """The pre-splits of the window, or of its half t >= 0 where ``folded``, as segments (lo, hi, panels).
+    """The pre-splits of the window, or of its half t >= 0 where ``folded``, as a table of panel counts.
 
-    Returns each row's panel count, a function from a row to its pre-split,
-    and, for more than one row, the fastest row's pre-split.  A row's rate over the whole window
-    asks for n0 panels of pi phase each (at least 8, at most _PRESPLIT_CAP
-    and ``max_subdivisions``): the uniform pre-split sized for the fastest
-    oscillation anywhere in the range.  Where n0 exceeds _BLOCKWISE_PANELS,
-    each of _RATE_BLOCKS equal blocks instead gets panels spanning at most
-    theta of phase at the row's rate on that block, when that takes fewer
-    panels in all.  theta is pi, or up to 4 pi where the declared envelope
-    is small enough for the Gauss-7 error model (see ``_panel_phase``).
-    The fastest row's pre-split is the same sizing at the largest rate:
-    on each block the largest count of any row (ceil and the scaling are
-    monotone), or the largest n0 uniformly where that is no more panels.
-    Only the counts are arrays: a row's segments are built when asked for.
+    Returns the spans, the counts (spans x rows) and the fastest row's
+    column of counts; a row's pre-split is ``counts[s]`` equal panels on
+    each span s, in t order, and none where that is 0 (see ``_edges``).
+    Span 0 is the whole range; where some row's n0 exceeds
+    _BLOCKWISE_PANELS, spans 1 to _RATE_BLOCKS are its equal blocks.  A
+    row's rate over the whole window asks for n0 panels of pi phase each
+    (at least 8, at most _PRESPLIT_CAP and ``max_subdivisions``) on span 0:
+    the uniform pre-split sized for the fastest oscillation anywhere in the
+    range.  Where n0 exceeds _BLOCKWISE_PANELS, each block instead gets
+    panels spanning at most theta of phase at the row's rate on that block,
+    when that takes fewer panels in all.  theta is pi, or up to 4 pi where
+    the declared envelope is small enough for the Gauss-7 error model (see
+    ``_panel_phase``).  The fastest row's column is the same sizing at the
+    largest rate: on each block the largest count of any row (ceil and the
+    scaling are monotone), or the largest n0 on span 0 where that is no
+    more panels.
     """
     a, b = (0.0 if folded else window[0]), window[1]
     hint = rate(*window)
     n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
-    sizes = n0.copy()
-    blockwise = np.zeros(n0.size, dtype=bool)
-    fastest = ((a, b, int(n0.max())),) if n0.size > 1 else None
-    wide = np.flatnonzero(n0 > _BLOCKWISE_PANELS)
-    if wide.size:
+    spans, counts, peak = [(a, b)], n0[None], None
+    wide = n0 > _BLOCKWISE_PANELS
+    if wide.any():
         blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
-        spans = list(zip(blocks[:-1], blocks[1:]))
-        rates = np.array([rate(lo, hi) for lo, hi in spans])
+        spans += zip(blocks[:-1], blocks[1:])
+        rates = np.array([rate(lo, hi) for lo, hi in spans[1:]])
         if folded:  # a block stands for its mirror image too
-            rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans])
-        theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, opts.abs_tol) for lo, hi in spans])
-        counts = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
-        totals = counts.sum(axis=0)
-        blockwise[wide[totals[wide] < n0[wide]]] = True
-        sizes[blockwise] = totals[blockwise]
-        peak = counts.max(axis=1)
-        if peak.sum() < n0.max():
-            fastest = tuple(zip(blocks[:-1], blocks[1:], peak.astype(np.int64).tolist()))
-
-    def segments(r: int) -> tuple:
-        if blockwise[r]:
-            return tuple(zip(blocks[:-1], blocks[1:], counts[:, r].astype(np.int64).tolist()))
-        return ((a, b, int(n0[r])),)
-
-    return sizes, segments, fastest
+            rates = np.maximum(rates, [rate(-hi, -lo) for lo, hi in spans[1:]])
+        theta = np.array([_panel_phase(envelope, lo, hi, folded, b - a, opts.abs_tol) for lo, hi in spans[1:]])
+        # floats until a row is chosen block-wise: a rate that overflows leaves inf or NaN here
+        sizes = np.maximum(1.0, np.ceil(np.diff(blocks)[:, None] * rates / theta[:, None]))
+        blockwise = wide & (sizes.sum(axis=0) < n0)
+        counts = np.concatenate([np.where(blockwise, 0, n0)[None], np.where(blockwise, sizes, 0)]).astype(np.int64)
+        peak = sizes.max(axis=1)
+    fastest = np.zeros(len(spans), dtype=np.int64)
+    if peak is not None and peak.sum() < n0.max():  # a NaN peak keeps the uniform column
+        fastest[1:] = peak
+    else:
+        fastest[0] = n0.max()
+    return spans, counts, fastest
 
 
 def _factors(xs: np.ndarray, cu: np.ndarray, ys: np.ndarray, cv: np.ndarray):
@@ -446,26 +445,24 @@ def _distinct(v: np.ndarray):
     return s[keep], np.searchsorted(s[keep], v)
 
 
-def _shared_split(grid, panels: np.ndarray, fastest):
-    """The fastest row's pre-split for all rows, or None where the rows' own cost fewer exponentials.
+def _shares(grid, panels: np.ndarray, fastest: np.ndarray) -> bool:
+    """Whether all rows take the fastest row's pre-split rather than their own.
 
-    ``grid`` is ``_distinct`` of the rows' xi and of their eta.  ``fastest``
-    is taken when the distinct rows fill at least half of the #xi x #eta grid
-    and (#xi + #eta) times its panels is less than the sum of the distinct
+    ``grid`` is ``_distinct`` of the rows' xi and of their eta.  They share
+    it when the distinct rows fill at least half of the #xi x #eta grid and
+    (#xi + #eta) times its panels is less than the sum of the distinct
     rows' own panels: the factors cost #xi + #eta exponentials per node, a
     row alone one.
     """
     (xs, iu), (ys, iv) = grid
     _, distinct = np.unique(iu * ys.size + iv, return_index=True)
-    size = sum(n for _, _, n in fastest)
-    share = 2 * distinct.size >= xs.size * ys.size and (xs.size + ys.size) * size < panels[distinct].sum()
-    return fastest if share else None
+    return 2 * distinct.size >= xs.size * ys.size and (xs.size + ys.size) * fastest.sum() < panels[distinct].sum()
 
 
-def _grid_rows(rows: Rows, grid, split, folded: bool):
-    """Each row's value and quadrature error on the shared pre-split ``split``, and its panel count.
+def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
+    """Each row's value and quadrature error on the shared panels between ``edges``, and its panel count.
 
-    The phase factors as u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shared_split``).
+    The phase factors as u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shares``).
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
     difference at once, by one matmul of the u, weighted by either rule,
     with the v.  On a folded window an even coordinate's factor at -t is its
@@ -480,7 +477,6 @@ def _grid_rows(rows: Rows, grid, split, folded: bool):
     |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
     """
     (xs, iu), (ys, iv) = grid
-    edges = _edges(split)
     t, h = _nodes(edges[:-1], edges[1:], folded)
     x, y, g = _at(rows, t.ravel())
     g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
@@ -521,18 +517,31 @@ def _grid_rows(rows: Rows, grid, split, folded: bool):
     return sums[iu, iv], diffs[iu, iv] + floor, len(h)
 
 
-def _finish(rows: Rows, value, total_err, panels, segments, folded: bool, tail_err: float, opts: QuadOpts):
-    """What ``integrate_rows`` returns, from each row's value and quadrature error on its first panels:
-    rows that miss tolerance or are not finite are refined alone from their own pre-splits, in row order."""
-    err = tail_err + total_err
-    # hypot is abs() of one complex to the bit; np.abs of an array is not
-    met = np.isfinite(value) & (total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
-    for r in (~met).nonzero()[0].tolist():
-        try:
-            value[r], err[r], panels[r] = _refine(rows, r, segments(r), folded, tail_err, opts)
-        except QuadratureError as exc:
-            return value, err, panels, (r, exc)
-    return value, err, panels, None
+def _span_rows(rows: Rows, spans, counts: np.ndarray, folded: bool):
+    """Each row's value and quadrature error on its own column of ``counts`` (see ``_presplits``).
+
+    The rows with the same count on a span share its nodes: x, y and g are
+    evaluated once per span and count, and the rows' values are built and
+    scored for at most _CHUNK entries at a time, unless one row needs more.
+    -0.0 + x is x to the bit, and the spans are taken in t order, so a
+    row's partial sums are added up in t order whatever rows share them.
+    """
+    value, total_err = np.full(counts.shape[1], complex(-0.0, -0.0)), np.zeros(counts.shape[1])
+    for (lo, hi), column in zip(spans, counts):
+        for k in np.unique(column[column > 0]).tolist():
+            edges = np.linspace(lo, hi, k + 1)
+            t, h = _nodes(edges[:-1], edges[1:], folded)
+            x, y, g = _at(rows, t.ravel())
+            members = np.flatnonzero(column == k)
+            step = max(1, _CHUNK // t.size)
+            for start in range(0, members.size, step):
+                part = members[start : start + step]
+                vals, errs = _score(_values(rows, part, x, y, g), h, folded)
+                value[part] += vals.sum(axis=1)
+                # fsum over a memoryview reads floats one at a time, with no list of the panels held
+                row_errs = memoryview(errs.reshape(-1))
+                total_err[part] += [math.fsum(row_errs[i : i + k]) for i in range(0, errs.size, k)]
+    return value, total_err
 
 
 def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opts: QuadOpts, envelope=None):
@@ -549,27 +558,25 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
     floor of ``null_err``, with no phase evaluated.  The other rows are
     integrated as one batch, as follows.
 
-    Each row gets a pre-split from its rate and ``envelope``: uniform, or
-    sized block by block, each panel spanning pi of phase, or up to 4 pi
+    Each row gets a pre-split from its rate and ``envelope``, as one column
+    of a table of panel counts over spans of the window: the whole range,
+    or its equal blocks, each panel spanning pi of phase, or up to 4 pi
     where the envelope is small (see ``_presplits``).  The envelope only
     picks the first panels; every error estimate comes from the panels'
-    Kronrod sums.  The rows that share a segment of their pre-splits share
-    its nodes: x, y and g are evaluated once per segment, and the rows'
-    values are built and scored for at most _CHUNK entries at a time,
-    unless one row needs more.  A row adds up its segments' sums in t order.
+    Kronrod sums.  The rows with the same count on a span share its nodes,
+    and each adds up its spans' sums in t order (see ``_span_rows``).
 
     When a batch of more than one row fills at least half of the grid of
-    its distinct xi and eta, and the fastest row's pre-split, sized in the
+    its distinct xi and eta, and the fastest row's column, sized in the
     same pass, costs fewer exponentials than the rows' own (see
-    ``_shared_split``), every row is scored on that one pre-split instead,
-    by one matmul per block of at most _CHUNK entries (see ``_grid_rows``),
-    over the 15 nodes t >= 0 of each panel where the window is folded and a
-    factor is even.  The rows' own pre-splits are then counted but not
-    built as segments.
+    ``_shares``), every row is scored on that one pre-split instead, by one
+    matmul per block of at most _CHUNK entries (see ``_grid_rows``), over
+    the 15 nodes t >= 0 of each panel where the window is folded and a
+    factor is even.  The rows' own columns then only count their panels.
 
     Either way, a row that misses tolerance or is not finite is then refined
-    alone from its own pre-split, by bisecting its worst panels first, in
-    row order (see ``_finish``).  So a row's bits do not depend on its batch,
+    alone from its own column, by bisecting its worst panels first, in row
+    order (see ``_refine``).  So a row's bits do not depend on its batch,
     except on a shared pre-split: there they depend on the set of rows in
     the batch, but not on their order.  numpy's warnings are silenced
     throughout: every nonfinite value shows in the sums, and refining its
@@ -600,34 +607,24 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
         return np.maximum(w, hint) if hint else w  # w is >= 0 or NaN, which a hint of 0 keeps
 
     with np.errstate(invalid="ignore", over="ignore"):
-        panels, segments, fastest = _presplits(rate, window, folded, envelope, opts)
-        if n > 1:  # a row alone costs one exponential a node; sharing costs two
-            grid = _distinct(rows.xi), _distinct(rows.eta)
-            split = _shared_split(grid, panels, fastest)
-            if split is not None:
-                value, total_err, size = _grid_rows(rows, grid, split, folded)
-                return _finish(rows, value, total_err, np.full(n, size), segments, folded, tail_err, opts)
-        groups: dict = {}
-        for r in range(n):
-            for segment in segments(r):
-                groups.setdefault(segment, []).append(r)
-        # -0.0 + x is x to the bit, and the segments are taken in t order, so a
-        # row's partial sums are added up in t order whatever rows share them
-        value, total_err = np.full(n, complex(-0.0, -0.0)), np.zeros(n)
-        for (lo, hi, k), members in sorted(groups.items()):
-            edges = np.linspace(lo, hi, k + 1)
-            t, h = _nodes(edges[:-1], edges[1:], folded)
-            x, y, g = _at(rows, t.ravel())
-            members = np.array(members)
-            step = max(1, _CHUNK // t.size)
-            for start in range(0, members.size, step):
-                part = members[start : start + step]
-                vals, errs = _score(_values(rows, part, x, y, g), h, folded)
-                value[part] += vals.sum(axis=1)
-                # fsum over a memoryview reads floats one at a time, with no list of the panels held
-                row_errs = memoryview(errs.reshape(-1))
-                total_err[part] += [math.fsum(row_errs[i : i + k]) for i in range(0, errs.size, k)]
-        return _finish(rows, value, total_err, panels, segments, folded, tail_err, opts)
+        spans, counts, fastest = _presplits(rate, window, folded, envelope, opts)
+        panels = counts.sum(axis=0)
+        # a row alone costs one exponential a node; sharing costs two
+        grid = (_distinct(rows.xi), _distinct(rows.eta)) if n > 1 else None
+        if grid and _shares(grid, panels, fastest):
+            value, total_err, size = _grid_rows(rows, grid, _edges(spans, fastest), folded)
+            panels = np.full(n, size)
+        else:
+            value, total_err = _span_rows(rows, spans, counts, folded)
+        err = tail_err + total_err
+        # hypot is abs() of one complex to the bit; np.abs of an array is not
+        met = np.isfinite(value) & (total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
+        for r in (~met).nonzero()[0].tolist():
+            try:
+                value[r], err[r], panels[r] = _refine(rows, r, _edges(spans, counts[:, r]), folded, tail_err, opts)
+            except QuadratureError as exc:
+                return value, err, panels, (r, exc)
+        return value, err, panels, None
 
 
 def integrate(

@@ -162,26 +162,18 @@ def mu_hat_at_points(
 
     Each component is integrated for all points at once, as one
     :class:`quadrature.Rows`, by :func:`quadrature.integrate_rows`, whose
-    docstring gives its pre-splits, block and memory limits.  The window,
-    tail error and derivative bounds are computed once per component; g(t)
-    and the curve are evaluated once per node set, and the phase
-    e^{-i pi (x xi + y eta)} once per block of points.  Where the points
-    fill at least half of the grid of their distinct xi and eta, and that
-    costs fewer exponentials, the phase is factored as
-    e^{-i pi xi x} e^{-i pi eta y} on one pre-split shared by all points:
-    one exponential per distinct xi and per distinct eta at each node, built
-    at t >= 0 only where a folded window and the curve's parity allow.  A
-    point's bits then depend on the set of points it is evaluated with, but
-    not on their order; otherwise on the point alone.  Either way a point
-    that misses tolerance, or is not finite, is refined alone from its own
-    pre-split.  ``oscillation_hint``, if set, is a floor on every point's
-    rate.  A component whose density is the constant 0 is skipped, and so
-    are the points where the parity of its expression tree and of the curve
-    show it to integrate to exactly 0; tabulated and callable densities are
-    never taken as odd.
+    docstring gives how the points share nodes, pre-splits and phase
+    factors, and its memory limits.  A component whose density is the
+    constant 0 is skipped, and so are the points where the parity of its
+    expression tree and of the curve show it to integrate to exactly 0;
+    tabulated and callable densities are never taken as odd.
+    ``oscillation_hint``, if set, is a floor on every point's rate.
 
-    Output order matches the input order.  A quadrature failure is raised as
-    a :class:`PointFailure` for the first failing point in input order.
+    Output order matches the input order.  A point's bits depend on the
+    point alone, unless the points fill a grid of their distinct xi and eta
+    and share one pre-split: then they depend on the set of points, but
+    not on their order.  A quadrature failure is raised as a
+    :class:`PointFailure` for the first failing point in input order.
     """
     values, failure = _transform(measure, points, opts)
     if failure:

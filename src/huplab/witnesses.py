@@ -152,18 +152,27 @@ def circle_rational_lines_annihilator(j: int) -> Certificate:
     )
 
 
+def _circle_bessel(k: int, n: int, n_max: int):
+    """The measure e^{ik theta} on the circle, its zeros j_{k,n} and j_{k,n+1}, the radius
+    halfway between them over pi, and the window of a certificate for it.
+
+    k >= 0 and 1 <= n <= ``n_max`` are checked before any zero is computed.
+    """
+    if k < 0 or not 1 <= n <= n_max:
+        raise ValueError(f"need k >= 0 and 1 <= n <= {n_max}, got k = {k}, n = {n}")
+    zeros = bessel_zero(k, n), bessel_zero(k, n + 1)
+    mid = 0.5 * (zeros[0] + zeros[1]) / math.pi
+    extent = mid + 1.0
+    return Measure(circle(), (parse(f"exp({k}*i*t)"),)), zeros, mid, (-extent, extent, -extent, extent)
+
+
 def circle_bessel_circle_annihilator(k: int, n: int) -> Certificate:
     """e^{ik theta} on the circle annihilates the circle of radius j_{k,n}/pi; the witness needs j_{k,n+1}."""
-    if k < 0 or not 1 <= n < bessel_mod.ZERO_INDEX_MAX:
-        raise ValueError(f"need k >= 0 and 1 <= n <= {bessel_mod.ZERO_INDEX_MAX - 1}, got k = {k}, n = {n}")
-    zero = bessel_zero(k, n)
-    radius, rho_w = zero / math.pi, 0.5 * (zero + bessel_zero(k, n + 1)) / math.pi
-    measure = Measure(circle(), (parse(f"exp({k}*i*t)"),))
-    extent = rho_w + 1.0
+    measure, (zero, _), rho_w, window = _circle_bessel(k, n, bessel_mod.ZERO_INDEX_MAX - 1)
     return _measure_certificate(
         measure,
-        CircleSet(radius),
-        (-extent, extent, -extent, extent),
+        CircleSet(zero / math.pi),
+        window,
         (rho_w, 0.0),
         f"single surviving circle coefficient carries J_{k}(pi rho) = 0 at rho = j_{{{k},{n}}}/pi",
     )
@@ -249,14 +258,14 @@ def all_annihilators() -> list[Certificate]:
 def anti_certificate_midpoint_radius(k: int, n: int) -> Certificate:
     """Deliberately broken variant: the test circle radius is moved to the
     midpoint between consecutive Bessel zeros, where the transform does not
-    vanish.  Verification of this certificate must fail."""
-    good = circle_bessel_circle_annihilator(k, n)
-    mid_radius = 0.5 * (bessel_zero(k, n) + bessel_zero(k, n + 1)) / math.pi
-    witness = (0.5 * (bessel_zero(k, n + 1) + bessel_zero(k, n + 2)) / math.pi, 0.0)
+    vanish.  Verification of this certificate must fail.  Its witness takes
+    j_{k,n+2}, so n is at most ZERO_INDEX_MAX - 2."""
+    measure, (_, next_zero), mid_radius, window = _circle_bessel(k, n, bessel_mod.ZERO_INDEX_MAX - 2)
+    witness = (0.5 * (next_zero + bessel_zero(k, n + 2)) / math.pi, 0.0)
     return _measure_certificate(
-        good.measure,
+        measure,
         CircleSet(mid_radius),
-        good.window,
+        window,
         witness,
         "anti-certificate: radius between zeros, residual must not vanish",
     )

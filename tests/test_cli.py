@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_expr import _any_tree
 
-from huplab import bessel, cli, witnesses
+from huplab import bessel, cli, fourlines, witnesses
 from huplab.expr import BinOp, Num, Var
 from huplab.fourlines import Fiber
 from huplab.geometry import (
@@ -603,6 +603,47 @@ class TestConfigErrorsExit2:
         code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (
+                {**CIRCLE_GRID_CONFIG, "curve": {"kind": "exp-curve"}, "decay": {"kind": "exp", "rate": math.nan}},
+                "bad decay: rate and amplitude must be finite and positive, got nan and 1.0",
+            ),
+            (
+                {**CIRCLE_GRID_CONFIG, "curve": {"kind": "spiral"}, "decay": {"kind": "gaussian", "amplitude": math.inf}},
+                "bad decay: rate and amplitude must be finite and positive, got 1.0 and inf",
+            ),
+            (
+                {**CIRCLE_GRID_CONFIG, "curve": {"kind": "expr", "x": "t", "y": "t^2", "domain": [0.0, math.nan]}},
+                "bad curve: domain must not be NaN, got [0.0, nan]",
+            ),
+            (
+                {**CIRCLE_GRID_CONFIG, "curve": {"kind": "parallel-lines", "heights": [0.0, math.nan]}},
+                "bad curve: heights must be finite, got [0.0, nan]",
+            ),
+            (
+                {**LAMBDA_CONFIG, "lambda": {"kind": "circle", "radius": math.inf}},
+                "bad lambda: radius must be finite and positive, got inf",
+            ),
+            (
+                {**LAMBDA_CONFIG, "lambda": {"kind": "lattice-cross", "alpha": math.nan, "beta": 1.0}},
+                "bad lambda: alpha and beta must be finite and positive, got nan and 1.0",
+            ),
+            (
+                {**LAMBDA_CONFIG, "lambda": {"kind": "line", "point": [0.0, 0.0], "direction": [math.nan, 1.0]}},
+                "bad lambda: line point (0.0, 0.0) and direction (nan, 1.0) must be finite",
+            ),
+        ],
+        ids=["exp-rate", "gaussian-amplitude", "expr-domain", "height", "circle-radius", "lattice-alpha", "line"],
+    )
+    def test_ft_config_objects_must_be_finite(self, capsys, tmp_path, cfg, message):
+        # each ran on: some exited 3 with a nonfinite integrand, after numpy
+        # warnings, and the rest exited 2 blaming the window, an integer
+        # conversion or a frequency point (nan, -2)
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
     def test_annihilate_tol_must_be_finite_and_positive(self, capsys, tol):
         # inf printed "ok": true whatever the residual, nan failed with an empty
@@ -717,6 +758,25 @@ class TestConfigErrorsExit2:
         monkeypatch.setattr(bessel, "_downward", refuse)
         code, out, err = run_main(capsys, *argv)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2.2 s at p = 2000 and 14.4 s at p = 6000: the double sum of solve_tau is O(p^2)
+            ("fourlines", "tau", "--etas", "0,0.5,1", "--p", "1501"),
+            # 8.5 s on one four-height fiber at p = 100000
+            ("fourlines", "classify", "--p", "100000", "--fibers", "-"),
+        ],
+    )
+    def test_fourlines_p_is_bounded_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError(f"huplab {' '.join(argv)} evaluated H_k")
+
+        monkeypatch.setattr(fourlines, "homog_sym", refuse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"fibers": [{"xi": 0.0, "sigma": [0, 0.5, 1, 1.5]}]})))
+        code, out, err = run_main(capsys, *argv)
+        p = argv[argv.index("--p") + 1]
+        assert (code, out, err) == (2, "", f"config error: p must be at most 1500, got {p}\n")
 
     def test_numeric_failure_prints_one_stderr_line(self, capsys, monkeypatch):
         # the exp-curve's y = e^{t^2} overflows past t = 26.6: seven numpy

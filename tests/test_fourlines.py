@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huplab import fourlines
 from huplab.fourlines import (
+    P_MAX,
     Classification,
     Fiber,
     FourLinesConfig,
@@ -348,6 +350,24 @@ class TestLift:
         b2, b1, b0 = lift_to_degree(psi, (c1, c0), f0, 5)
         residual = np.max(np.abs(psi**5 + b2 * psi**2 + b1 * psi + b0))
         assert residual < 1e-8
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: FourLinesConfig(P_MAX + 1),
+            lambda: solve_tau(1, -1, 1j, P_MAX + 1),
+            lambda: lift_to_degree(np.ones(1), (np.zeros(1), np.zeros(1)), np.zeros(1), 10**9),
+        ],
+        ids=["config", "tau", "lift"],
+    )
+    def test_p_is_bounded_before_any_work(self, monkeypatch, call):
+        def refuse(*args):
+            raise AssertionError("p was not checked first")
+
+        monkeypatch.setattr(fourlines, "homog_sym", refuse)
+        monkeypatch.setattr(fourlines, "lift_relation", refuse)
+        with pytest.raises(ValueError, match=f"p must be at most {P_MAX}, got "):
+            call()
 
     def test_violated_input_relation_rejected(self):
         psi = np.array([1.0 + 0j])

@@ -192,6 +192,27 @@ class TestMeasure:
         with pytest.raises(ValueError):
             GaussianDecay(0.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CompactSupport(-1.0, math.inf), "support bounds must be finite"),
+            (lambda: ExpDecay(math.inf), "rate and amplitude must be finite"),
+            (lambda: GaussianDecay(1.0, math.nan), "rate and amplitude must be finite"),
+            (lambda: CircleSet(math.nan), "radius must be finite"),
+            (lambda: LatticeCross(1.0, math.inf), "alpha and beta must be finite"),
+            (lambda: Line((math.inf, 0.0), (1.0, 0.0)), "line point .* must be finite"),
+            (lambda: parallel_lines([0.0, math.inf]), "heights must be finite"),
+            (lambda: expr_curve(parse("t"), parse("t"), (math.nan, 1.0)), "domain must not be NaN"),
+        ],
+    )
+    def test_numbers_that_are_not_finite_are_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_expr_domain_may_be_infinite(self):
+        # a decay envelope truncates it
+        assert expr_curve(parse("t"), parse("t"), (-math.inf, math.inf)).domain() == (-math.inf, math.inf)
+
     def test_expr_curve_variant(self):
         crv = expr_curve(parse("t"), parse("t^3"), (-1.0, 1.0))
         x, y = curve_point(crv, 0, 0.5)

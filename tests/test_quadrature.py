@@ -363,7 +363,7 @@ def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
     # Scoring the rows again on the shared pre-split would fail at row 0
     nodes = _spy(monkeypatch, "_edges")
     assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), 0.0, OPTS)[3] is None
-    edges = quadrature._edges(nodes[0][0])
+    edges = quadrature._edges(*nodes[0])
     bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.NODES[4]
     rows = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
     alone = _alone(rows)[3]
@@ -388,6 +388,21 @@ def test_rows_are_scored_at_most_a_chunk_at_a_time(monkeypatch):
     assert all(rows * nodes <= 500 or rows == 1 for rows, nodes in shapes) and len(shapes) > blocks
     assert any(rows > 1 for rows, _ in shapes) and any(nodes > 500 for _, nodes in shapes)
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]] and got[3] is None
+
+
+def test_rows_of_uniform_and_block_wise_presplits_keep_their_bits_alone(monkeypatch):
+    # the diagonal fills no grid, and its rows split into 25 uniform pre-splits
+    # and 11 block-wise ones.  Each row adds up its own spans in t order,
+    # whatever rows share a span, so it has the bits of a batch of its own
+    rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(8.0, 48.0, 36), eta=np.linspace(0.0, 20.0, 36))
+    tables, presplits = [], quadrature._presplits
+    monkeypatch.setattr(quadrature, "_presplits", lambda *args: tables.append(presplits(*args)) or tables[-1])
+    got = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    counts = tables[0][1]
+    assert (counts[0] > 0).sum() == 25 and (counts[1:] > 0).all(axis=0).sum() == 11
+    assert got[2].sum() == 1647 and got[3] is None
+    alone = _alone(rows)
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in alone[:3]] and alone[3] is None
 
 
 def test_refinement_names_the_node_where_the_fold_overflows():

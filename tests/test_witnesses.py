@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from huplab import bessel, witnesses
 from huplab.bessel import bessel_zero
 from huplab.expr import parse
 from huplab.geometry import CompactSupport, Line, Measure, hyperbola_full
@@ -73,6 +74,27 @@ class TestCircleBesselCircle:
         report = verify_certificate(anti_certificate_midpoint_radius(0, 1), N_QUICK)
         assert not report.ok
         assert report.residual > 1.0  # 2 pi |J_0| at the midpoint is order one
+
+    def test_anti_certificate_transforms_only_its_own_points(self, monkeypatch):
+        # it took the good certificate's measure and window by building that
+        # certificate, a 257-point transform, first
+        calls, original = [], witnesses.mu_hat_at_points
+        monkeypatch.setattr(witnesses, "mu_hat_at_points", lambda *args: calls.append(args) or original(*args))
+        anti = anti_certificate_midpoint_radius(3, 3)
+        good = circle_bessel_circle_annihilator(3, 3)
+        assert len(calls) == 2 and (anti.measure, anti.window) == (good.measure, good.window)
+        assert anti.lam.radius == good.witness_point[0]
+
+    def test_anti_certificate_index_is_bounded_before_any_work(self, monkeypatch):
+        # its witness takes j_{k,n+2}: n = 299 ran for 1.7 s, then failed
+        # naming n = 301, which the caller never passed
+        def refuse(*args):
+            raise AssertionError("a Bessel zero was computed")
+
+        monkeypatch.setattr(bessel, "_series", refuse)
+        monkeypatch.setattr(bessel, "_downward", refuse)
+        with pytest.raises(ValueError, match=r"^need k >= 0 and 1 <= n <= 298, got k = 0, n = 299$"):
+            anti_certificate_midpoint_radius(0, 299)
 
 
 class TestHyperbolaLine:
