@@ -38,6 +38,7 @@ from .bessel import AllIntegers, BesselError, EvenHalfIntegers, Order
 from .expr import EvalDomainError, ExprSyntaxError, parse, pretty
 from .geometry import (
     CURVE_KINDS,
+    POINTS_MAX,
     CircleSet,
     CompactSupport,
     CurveSet,
@@ -226,10 +227,10 @@ def _grid_points(grid: dict) -> list[tuple[float, float]]:
         n = _count(axis[2], f"grid.{key}[2]")
         if n < 1:
             raise ConfigError(f"grid.{key} is empty (n = {n})")
-        if n == 1:
-            axes.append([lo])
-        else:
-            axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+        axes.append((lo, hi, n))
+    if (size := axes[0][2] * axes[1][2]) > POINTS_MAX:
+        raise ConfigError(f"grid has {size} points, more than {POINTS_MAX}")
+    axes = [[lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)] for lo, hi, n in axes]
     return [(x, y) for x in axes[0] for y in axes[1]]
 
 

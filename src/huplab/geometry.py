@@ -48,6 +48,7 @@ __all__ = [
     "PlanarSet",
     "Window",
     "sample_set",
+    "POINTS_MAX",
     "EmptyIntersectionError",
 ]
 
@@ -518,6 +519,10 @@ class FiberList:
 
 PlanarSet = Union[Line, Lines, CircleSet, LatticeCross, CurveSet, FiberList]
 
+# the most points that sample_set gives, or that an ``ft`` grid has: their
+# count is reckoned, and a larger one rejected, before any point is made
+POINTS_MAX = 100_000
+
 
 def _check_window(window: Window) -> Window:
     xmin, xmax, ymin, ymax = window
@@ -553,21 +558,60 @@ def _line_samples(line: Line, n: int, window: Window) -> list[tuple[float, float
     return [(px + s * dx, py + s * dy) for s in ss]
 
 
+def _per_part(n: int, parts: int) -> int:
+    """The samples of each line of a ``Lines``, or each component of a curve: at least 2, so none is one point."""
+    return max(2, -(-n // parts))
+
+
+def _multiples(lo: float, hi: float, step: float) -> float:
+    """How many integers k have lo <= k step <= hi; inf where lo / step or hi / step overflows."""
+    k_lo, k_hi = lo / step, hi / step
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        return INF
+    return max(0, math.floor(k_hi) - math.ceil(k_lo) + 1)
+
+
+def _sample_count(lam: PlanarSet, n: int, window: Window) -> float:
+    """The number of points ``sample_set`` enumerates, or a bound on it, reckoned without them."""
+    xmin, xmax, ymin, ymax = window
+    if isinstance(lam, Lines):
+        return len(lam.lines) * _per_part(n, len(lam.lines))
+    if isinstance(lam, CurveSet):
+        return lam.curve.n_components * _per_part(n, lam.curve.n_components)
+    if isinstance(lam, LatticeCross):
+        on_x, on_y = ymin <= 0.0 <= ymax, xmin <= 0.0 <= xmax  # the origin is counted on the x-axis
+        x_axis = _multiples(xmin, xmax, lam.alpha) if on_x else 0
+        return x_axis + (_multiples(ymin, ymax, lam.beta) - on_x if on_y else 0)
+    if isinstance(lam, FiberList):
+        fibers = [fiber for fiber in lam.fibers if xmin <= fiber.xi <= xmax]
+        if lam.periodic2:
+            return sum(_multiples(ymin - eta, ymax - eta, 2.0) for fiber in fibers for eta in fiber.sigma)
+        return sum(len(fiber.sigma) for fiber in fibers)
+    return n
+
+
 def sample_set(lam: PlanarSet, n: int, window: Window) -> list[tuple[float, float]]:
     """Deterministic sample of the set intersected with a closed window.
 
-    Curves are sampled uniformly in parameter, the lattice cross is
-    enumerated, periodic fiber lists are expanded height-by-height.
+    Curves are sampled uniformly in parameter, each line of a ``Lines`` and
+    each curve component at 2 points at least, the lattice cross is
+    enumerated, periodic fiber lists are expanded height-by-height.  A
+    sample of more than POINTS_MAX points raises ValueError before any
+    point is made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_window(window)
+    count = _sample_count(lam, n, window)
+    if count > POINTS_MAX:
+        kind = type(lam).__name__
+        raise ValueError(f"{kind} in window {window} takes {float(count):.7g} points, more than {POINTS_MAX}")
     xmin, xmax, ymin, ymax = window
     points: list[tuple[float, float]] = []
     if isinstance(lam, Line):
         points = _line_samples(lam, n, window)
     elif isinstance(lam, Lines):
-        per = max(1, -(-n // len(lam.lines)))
+        per = _per_part(n, len(lam.lines))
         for line in lam.lines:
             points.extend(_line_samples(line, per, window))
     elif isinstance(lam, CircleSet):
@@ -597,7 +641,7 @@ def sample_set(lam: PlanarSet, n: int, window: Window) -> list[tuple[float, floa
                     points.append((fiber.xi, eta))
     elif isinstance(lam, CurveSet):
         curve = lam.curve
-        per = max(2, -(-n // curve.n_components))
+        per = _per_part(n, curve.n_components)
         for comp in range(curve.n_components):
             lo, hi = curve.domain(comp)
             w_lo, w_hi = CURVE_KINDS[curve.kind].window_range(curve, comp, window)

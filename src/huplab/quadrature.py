@@ -1,15 +1,16 @@
 """Adaptive complex-valued integration.
 
-Every panel is scored with a nested Gauss(7)/Kronrod(15) pair; the embedded
-difference plus a roundoff floor is the panel error estimate.  Refinement
-bisects the worst panels first (a heap keyed on the estimate, ties broken by
-position, so results are bit-reproducible).  When the caller supplies an
-oscillation rate w, the interval is pre-split before adaptivity begins, which
-keeps highly oscillatory phases resolved from the start.  A panel spans at
-most pi of phase, or up to 4 pi where a declared decay envelope is so small
-that the Gauss-7 error model allows it; long pre-splits are sized block by
-block from the local rate.  The envelope only picks the first panels: every
-error estimate is the panels' own.
+Every panel is scored with the :class:`Rule` ``GK15``: its ``weights`` give
+the panel's value, and their difference from its embedded ``gauss`` weights
+plus a roundoff floor the panel error estimate.  Refinement bisects the
+worst panels first (ties broken by position, so results are
+bit-reproducible).  When the caller supplies an oscillation rate w, the
+interval is pre-split before adaptivity begins, which keeps highly
+oscillatory phases resolved from the start.  A panel spans at most
+``GK15.phase`` of phase, or up to ``GK15.phase_max`` where a declared decay
+envelope is so small that the rule's Gauss error model allows it; long
+pre-splits are sized block by block from the local rate.  The envelope only
+picks the first panels: every error estimate is the panels' own.
 
 Unbounded intervals are truncated from declared decay envelopes only, never
 from sampling: the cutoff T is chosen so the envelope's tail integral is
@@ -38,7 +39,6 @@ the matmul, over half the nodes.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -64,40 +64,52 @@ __all__ = [
 
 _PRESPLIT_CAP = 8192
 
-# 15-point Kronrod extension of 7-point Gauss-Legendre, nodes ascending.
-_XK = [
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-]
-_WK = [
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-]
-_WK_CENTER = 0.209482141084727828012999174891714
-_WG = [
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-]
-_WG_CENTER = 0.417959183673469387755102040816327
 
-NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
-WEIGHTS_K = np.array(_WK + [_WK_CENTER] + list(reversed(_WK)))
-WEIGHTS_G = np.zeros(15)
-WEIGHTS_G[7] = _WG_CENTER
-for _i, _gi in enumerate((1, 3, 5)):
-    WEIGHTS_G[_gi] = _WG[_i]
-    WEIGHTS_G[14 - _gi] = _WG[_i]
+class Rule(NamedTuple):
+    """A Gauss rule on [-1, 1] and the nodes that extend it."""
+
+    nodes: np.ndarray  # ascending
+    weights: np.ndarray  # of the extended rule
+    gauss: np.ndarray  # of the embedded Gauss rule, 0 at the nodes it lacks
+    error_constant: float  # c: the Gauss rule's error on a panel of width h is c h^(order + 1) |f^(order)|
+    order: int  # the Gauss rule is exact below this degree
+    phase: float  # the phase a pre-split panel spans
+    phase_max: float  # the most it spans where a decaying envelope allows (see ``_panel_phase``)
+
+
+def _mirror(left, center: float, odd: bool = False) -> np.ndarray:
+    """A rule's values at all its nodes from those at the nodes < 0, ascending, and at 0."""
+    left = np.array(left)
+    return np.concatenate([left, [center], (-left if odd else left)[::-1]])
+
+
+# the 15-point Kronrod extension of the 7-point Gauss-Legendre rule
+GK15 = Rule(
+    nodes=_mirror(
+        [-0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+         -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+         -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
+         -0.207784955007898467600689403773245],
+        center=0.0,
+        odd=True,
+    ),
+    weights=_mirror(
+        [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+         0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+         0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+         0.204432940075298892414161999234649],
+        0.209482141084727828012999174891714,
+    ),
+    gauss=_mirror(
+        [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+         0.0, 0.381830050505118944950369775488975, 0.0],
+        0.417959183673469387755102040816327,
+    ),
+    error_constant=math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3),
+    order=14,
+    phase=math.pi,
+    phase_max=4.0 * math.pi,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -220,23 +232,21 @@ _BLOCKWISE_PANELS = 64
 _RATE_BLOCKS = 16
 # the roundoff floor of a null integrand is measured on this many equal panels
 _NULL_PANELS = 64
-# Gauss-7 error on a panel of width h: c7 h^15 |f^(14)|.  For an integrand of
-# amplitude A whose phase turns by theta over the panel that is about
-# c7 A h theta^14; blocks ask _SAFETY times less of it than their share of
-# abs_tol, since g and a curving phase add to the derivative
-_C7 = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3)
+# for an integrand of amplitude A whose phase turns by theta over a panel of
+# width h, the Gauss error model of GK15 is about c A h theta^order; blocks ask
+# _SAFETY times less of it than their share of abs_tol, since g and a curving
+# phase add to the derivative
 _SAFETY = 1e3
-_THETA_MAX = 4.0 * math.pi
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray, folded: bool):
-    """The Kronrod nodes of the panels [lo_j, hi_j] and the panels' half-widths.
+    """The GK15 nodes of the panels [lo_j, hi_j] and the panels' half-widths.
 
-    The nodes are panels x 15, or panels x 30 where ``folded``: each panel's
-    15 nodes, then their mirror images.
+    The nodes are panels x k for the k ``GK15.nodes``, or panels x 2k where
+    ``folded``: each panel's k nodes, then their mirror images.
     """
     h = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi)[:, None] + h[:, None] * NODES
+    x = 0.5 * (lo + hi)[:, None] + h[:, None] * GK15.nodes
     return (np.concatenate([x, -x], axis=1) if folded else x), h
 
 
@@ -247,7 +257,7 @@ def _score(fs, h: np.ndarray, folded: bool):
     of half-widths ``h``.  What the fold and sums make of a nonfinite value
     shows as a nonfinite value and error; the caller silences numpy's warnings.
     """
-    k = len(NODES)
+    k = len(GK15.nodes)
     fs = np.asarray(fs, dtype=np.complex128).reshape(len(fs), h.size, -1)
     if folded:
         fx = fs[..., :k] + fs[..., k:]
@@ -255,10 +265,10 @@ def _score(fs, h: np.ndarray, folded: bool):
         raw += np.abs(fs[..., k:])
     else:
         fx, raw = fs, np.abs(fs)
-    i15 = (fx * WEIGHTS_K).sum(axis=-1) * h
-    i7 = (fx * WEIGHTS_G).sum(axis=-1) * h
+    kronrod = (fx * GK15.weights).sum(axis=-1) * h
+    gauss = (fx * GK15.gauss).sum(axis=-1) * h
     # roundoff floor scales with the unfolded magnitudes
-    return i15, np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=-1) * h
+    return kronrod, np.abs(kronrod - gauss) + 10.0 * _EPS * (raw * GK15.weights).sum(axis=-1) * h
 
 
 def _at(rows: Rows, t: np.ndarray):
@@ -288,7 +298,7 @@ def _score_row(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     its lowest node.
     """
     t, h = _nodes(lo, hi, folded)
-    k = len(NODES)
+    k = len(GK15.nodes)
     with np.errstate(invalid="ignore", over="ignore"):
         fs = np.asarray(f(t.ravel()), dtype=np.complex128).reshape(1, -1)
         fx = fs.reshape(t.shape)
@@ -321,58 +331,46 @@ def _edges(spans, column) -> np.ndarray:
 def _refine(rows: Rows, r: int, edges: np.ndarray, folded: bool, tail_err: float, opts: QuadOpts):
     """Score row ``r`` alone on the panels between ``edges``, then bisect its worst panels
     until its error meets tolerance; returns value, error estimate and panel count."""
-    one = np.array([r])
-
     def row(t: np.ndarray) -> np.ndarray:
-        return _values(rows, one, *_at(rows, t))
+        return _values(rows, np.array([r]), *_at(rows, t))
 
-    values, errs = _score_row(row, edges[:-1], edges[1:], folded)
-    heap = [(-errs[i], edges[i], edges[i + 1], values[i]) for i in range(len(edges) - 1)]
-    heapq.heapify(heap)
-    n_panels = len(heap)
+    # the panels in t order: [lo_j, hi_j], their values and error estimates
+    lo, hi = edges[:-1], edges[1:]
+    values, errs = _score_row(row, lo, hi, folded)
     while True:
-        total = complex(sum(item[3] for item in heap))
-        total_err = -math.fsum(item[0] for item in heap)
+        total, total_err = complex(np.sum(values)), math.fsum(errs.tolist())
         if total_err <= max(opts.abs_tol, opts.rel_tol * abs(total)):
-            break
-        if n_panels >= opts.max_subdivisions:
-            worst = min(heap)
-            raise NonconvergenceError(
-                f"no convergence after {n_panels} panels "
-                f"(total err {total_err:.3g}, worst panel [{worst[1]:.6g}, {worst[2]:.6g}] err {-worst[0]:.3g})",
-                (worst[1], worst[2]),
-                -worst[0],
-            )
-        batch = min(max(32, len(heap) // 4), len(heap), opts.max_subdivisions - n_panels)
-        popped = [heapq.heappop(heap) for _ in range(batch)]
-        lo = np.array([p[1] for p in popped])
-        hi = np.array([p[2] for p in popped])
-        mid = 0.5 * (lo + hi)
-        new_lo = np.concatenate([lo, mid])
-        new_hi = np.concatenate([mid, hi])
-        new_values, new_errs = _score_row(row, new_lo, new_hi, folded)
-        for i in range(len(new_lo)):
-            heapq.heappush(heap, (-new_errs[i], new_lo[i], new_hi[i], new_values[i]))
-        n_panels += batch
-    ordered = sorted(heap, key=lambda item: item[1])
-    value = complex(np.sum(np.array([item[3] for item in ordered])))
-    return value, tail_err - math.fsum(item[0] for item in heap), n_panels
+            return total, tail_err + total_err, lo.size
+        # the largest error first, and the lowest panel first among equal errors
+        worst = np.lexsort((lo, -errs))
+        if lo.size >= opts.max_subdivisions:
+            w = worst[0]
+            message = f"(total err {total_err:.3g}, worst panel [{lo[w]:.6g}, {hi[w]:.6g}] err {errs[w]:.3g})"
+            raise NonconvergenceError(f"no convergence after {lo.size} panels {message}", (lo[w], hi[w]), errs[w])
+        i = worst[: min(max(32, lo.size // 4), opts.max_subdivisions - lo.size)]
+        mid = 0.5 * (lo[i] + hi[i])
+        new_values, new_errs = _score_row(row, np.concatenate([lo[i], mid]), np.concatenate([mid, hi[i]]), folded)
+        # a bisected panel keeps its place as its left half, and its right half follows it
+        values[i], errs[i] = new_values[: i.size], new_errs[: i.size]
+        values, errs = np.insert(values, i + 1, new_values[i.size :]), np.insert(errs, i + 1, new_errs[i.size :])
+        lo, hi = np.insert(lo, i + 1, mid), np.insert(hi, i, mid)
 
 
 def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, width: float, abs_tol: float) -> float:
     """The phase a panel of the block [lo, hi] of a range ``width`` long may span.
 
-    The largest theta in [pi, _THETA_MAX] for which the Gauss-7 error model
-    c7 A w theta^14 of the block's w stays within w/width of abs_tol, with
-    _SAFETY to spare; A is the envelope's sup on the block, doubled when the
-    range is folded.  Without a decaying envelope theta is pi.
+    The largest theta in [``GK15.phase``, ``GK15.phase_max``] for which the
+    Gauss error model c A w theta^order of the block's w stays within
+    w/width of abs_tol, with _SAFETY to spare; c is ``GK15.error_constant``
+    and A the envelope's sup on the block, doubled when the range is folded.
+    Without a decaying envelope theta is ``GK15.phase``.
     """
     if envelope is None or isinstance(envelope, CompactSupport):
-        return math.pi
+        return GK15.phase
     near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     amplitude = envelope.amplitude * (2.0 if folded else 1.0)
-    log_theta = (math.log(abs_tol / (width * _SAFETY * _C7 * amplitude)) + envelope.exponent(near)) / 14.0
-    return max(math.pi, math.exp(min(log_theta, math.log(_THETA_MAX))))
+    log_bound = math.log(abs_tol / (width * _SAFETY * GK15.error_constant * amplitude)) + envelope.exponent(near)
+    return max(GK15.phase, math.exp(min(log_bound / GK15.order, math.log(GK15.phase_max))))
 
 
 def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: QuadOpts):
@@ -383,21 +381,21 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     each span s, in t order, and none where that is 0 (see ``_edges``).
     Span 0 is the whole range; where some row's n0 exceeds
     _BLOCKWISE_PANELS, spans 1 to _RATE_BLOCKS are its equal blocks.  A
-    row's rate over the whole window asks for n0 panels of pi phase each
-    (at least 8, at most _PRESPLIT_CAP and ``max_subdivisions``) on span 0:
-    the uniform pre-split sized for the fastest oscillation anywhere in the
-    range.  Where n0 exceeds _BLOCKWISE_PANELS, each block instead gets
-    panels spanning at most theta of phase at the row's rate on that block,
-    when that takes fewer panels in all.  theta is pi, or up to 4 pi where
-    the declared envelope is small enough for the Gauss-7 error model (see
-    ``_panel_phase``).  The fastest row's column is the same sizing at the
-    largest rate: on each block the largest count of any row (ceil and the
-    scaling are monotone), or the largest n0 on span 0 where that is no
-    more panels.
+    row's rate over the whole window asks for n0 panels of ``GK15.phase``
+    each (at least 8, at most _PRESPLIT_CAP and ``max_subdivisions``) on
+    span 0: the uniform pre-split sized for the fastest oscillation anywhere
+    in the range.  Where n0 exceeds _BLOCKWISE_PANELS, each block instead
+    gets panels spanning at most theta of phase at the row's rate on that
+    block, when that takes fewer panels in all.  theta is ``GK15.phase``, or
+    up to ``GK15.phase_max`` where the declared envelope is small enough for
+    the rule's Gauss error model (see ``_panel_phase``).  The fastest row's
+    column is the same sizing at the largest rate: on each block the largest
+    count of any row (ceil and the scaling are monotone), or the largest n0
+    on span 0 where that is no more panels.
     """
     a, b = (0.0 if folded else window[0]), window[1]
     hint = rate(*window)
-    n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / math.pi)), _PRESPLIT_CAP)
+    n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / GK15.phase)), _PRESPLIT_CAP)
     n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
     spans, counts, peak = [(a, b)], n0[None], None
     wide = n0 > _BLOCKWISE_PANELS
@@ -469,7 +467,7 @@ def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
     value at t, an odd one's the conjugate of it: a factor of known parity
     is built at the nodes t >= 0 only.  The integrand is u+ v+ g+ + u- v- g-,
     the signs marking the nodes t and -t, with h in g; where a factor is
-    even it is folded before the matmul, over the k = 15 nodes t >= 0:
+    even it is folded before the matmul, over a panel's GK15 nodes t >= 0:
     u even: u+ against v+ g+ + v- g-; else v even: u+ g+ + u- g- against v+.
     Otherwise, and on windows that are not folded, the u weighted by g h
     goes against the v over all nodes, t and -t side by side.  The roundoff
@@ -480,14 +478,15 @@ def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
     t, h = _nodes(edges[:-1], edges[1:], folded)
     x, y, g = _at(rows, t.ravel())
     g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
-    floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(WEIGHTS_K, t.shape[1] // len(NODES))).tolist())
+    nk = len(GK15.nodes)
+    floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(GK15.weights, t.shape[1] // nk)).tolist())
     pu, pv = rows.parity[:2] if folded else (UNKNOWN, UNKNOWN)
     # each coordinate where its factor is built: at t >= 0 where its parity is known
-    cu, cv = (c.reshape(t.shape)[:, : len(NODES) if p != UNKNOWN else None] for c, p in ((x, pu), (y, pv)))
+    cu, cv = (c.reshape(t.shape)[:, : nk if p != UNKNOWN else None] for c, p in ((x, pu), (y, pv)))
     # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
     fold = EVEN in (pu, pv)
-    k = len(NODES) if fold else t.shape[1]
-    wk, wd = np.tile(WEIGHTS_K, k // len(NODES)), np.tile(WEIGHTS_K - WEIGHTS_G, k // len(NODES))
+    k = nk if fold else t.shape[1]
+    wk, wd = np.tile(GK15.weights, k // nk), np.tile(GK15.weights - GK15.gauss, k // nk)
     n_u, n_v = xs.size, ys.size
     sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
     # a block's largest arrays, the weighted u of both rules, the v (built at
@@ -560,10 +559,10 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
 
     Each row gets a pre-split from its rate and ``envelope``, as one column
     of a table of panel counts over spans of the window: the whole range,
-    or its equal blocks, each panel spanning pi of phase, or up to 4 pi
-    where the envelope is small (see ``_presplits``).  The envelope only
-    picks the first panels; every error estimate comes from the panels'
-    Kronrod sums.  The rows with the same count on a span share its nodes,
+    or its equal blocks, each panel spanning ``GK15.phase``, or up to
+    ``GK15.phase_max`` where the envelope is small (see ``_presplits``).
+    The envelope only picks the first panels; every error estimate comes
+    from the panels' Kronrod sums.  The rows with the same count on a span share its nodes,
     and each adds up its spans' sums in t order (see ``_span_rows``).
 
     When a batch of more than one row fills at least half of the grid of
@@ -571,7 +570,7 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
     same pass, costs fewer exponentials than the rows' own (see
     ``_shares``), every row is scored on that one pre-split instead, by one
     matmul per block of at most _CHUNK entries (see ``_grid_rows``), over
-    the 15 nodes t >= 0 of each panel where the window is folded and a
+    the GK15 nodes t >= 0 of each panel where the window is folded and a
     factor is even.  The rows' own columns then only count their panels.
 
     Either way, a row that misses tolerance or is not finite is then refined

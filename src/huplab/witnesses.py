@@ -26,6 +26,7 @@ from . import bessel as bessel_mod
 from .bessel import AllIntegers, EvenHalfIntegers, bessel_zero
 from .expr import parse
 from .geometry import (
+    POINTS_MAX,
     CircleSet,
     CompactSupport,
     CurveSet,
@@ -134,9 +135,14 @@ def circle_line_annihilator() -> Certificate:
 
 
 def circle_rational_lines_annihilator(j: int) -> Certificate:
-    """sin(j theta) on the circle annihilates j concurrent lines pi/j apart."""
+    """sin(j theta) on the circle annihilates j concurrent lines pi/j apart.
+
+    Each line takes 2 samples at least, so j is at most POINTS_MAX / 2,
+    checked before any line is built."""
     if j < 1:
         raise ValueError("j must be >= 1")
+    if 2 * j > POINTS_MAX:
+        raise ValueError(f"j must be at most {POINTS_MAX // 2}: its lines take 2 samples each, got {j}")
     measure = Measure(circle(), (parse("sin(t)" if j == 1 else f"sin({j}*t)"),))
     lines = tuple(
         Line((0.0, 0.0), (math.cos(m * math.pi / j), math.sin(m * math.pi / j))) for m in range(j)
@@ -272,9 +278,11 @@ def anti_certificate_midpoint_radius(k: int, n: int) -> Certificate:
 
 
 def check_verify_args(n_lambda: int, tol: float) -> None:
-    """Raise ValueError unless ``n_lambda`` >= 1 and ``tol`` is finite and positive."""
+    """Raise ValueError unless 1 <= ``n_lambda`` <= POINTS_MAX and ``tol`` is finite and positive."""
     if n_lambda < 1:
         raise ValueError("n_lambda must be >= 1")
+    if n_lambda > POINTS_MAX:
+        raise ValueError(f"n_lambda must be at most {POINTS_MAX}, got {n_lambda}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 

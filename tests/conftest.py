@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from huplab.quadrature import (
-    NODES,
-    WEIGHTS_G,
-    WEIGHTS_K,
+    GK15,
     NonconvergenceError,
     QuadratureError,
     QuadResult,
@@ -57,7 +55,7 @@ def simpson(f, a: float, b: float, n: int = 2048) -> complex:
 def _reference_panels(f, lo, hi, folded):
     center = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    x = center + half * NODES[None, :]
+    x = center + half * GK15.nodes[None, :]
     if folded:
         flat = x.ravel()
         both = np.asarray(f(np.concatenate([flat, -flat])), dtype=np.complex128)
@@ -72,9 +70,9 @@ def _reference_panels(f, lo, hi, folded):
         bad = np.argwhere(~np.isfinite(fx))
         raise QuadratureError(f"integrand returned a nonfinite value near t={x[tuple(bad[0])]}")
     h = half[:, 0]
-    i15 = (fx * WEIGHTS_K).sum(axis=1) * h
-    i7 = (fx * WEIGHTS_G).sum(axis=1) * h
-    err = np.abs(i15 - i7) + 10.0 * _EPS * (raw * WEIGHTS_K).sum(axis=1) * h
+    i15 = (fx * GK15.weights).sum(axis=1) * h
+    i7 = (fx * GK15.gauss).sum(axis=1) * h
+    err = np.abs(i15 - i7) + 10.0 * _EPS * (raw * GK15.weights).sum(axis=1) * h
     return i15, err
 
 

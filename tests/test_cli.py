@@ -18,6 +18,7 @@ from huplab.expr import BinOp, Num, Var
 from huplab.fourlines import Fiber
 from huplab.geometry import (
     CURVE_KINDS,
+    POINTS_MAX,
     CircleSet,
     CompactSupport,
     CurveSet,
@@ -601,6 +602,66 @@ class TestConfigErrorsExit2:
         # (nan, nan) with exit 3; a NaN abs_tol failed as a nonfinite 't^2.0',
         # and a NaN rel_tol or an infinite abs_tol exited 0
         code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, cfg, message",
+        [
+            (
+                ("ft",),
+                _with_grid([0.0, 1.0, POINTS_MAX + 1], [0.0, 0.0, 1]),
+                f"grid has {POINTS_MAX + 1} points, more than {POINTS_MAX}",
+            ),
+            (
+                ("ft",),
+                {
+                    **LAMBDA_CONFIG,
+                    "lambda": {"kind": "line", "point": [0, 0], "direction": [1, 0]},
+                    "samples": POINTS_MAX + 1,
+                },
+                f"Line in window (-2.0, 2.0, -2.0, 2.0) takes {POINTS_MAX + 1} points, more than {POINTS_MAX}",
+            ),
+            (
+                ("ft",),
+                {**LAMBDA_CONFIG, "window": [0.0, POINTS_MAX, -0.5, 0.5]},
+                f"LatticeCross in window (0.0, {POINTS_MAX:.1f}, -0.5, 0.5) takes {POINTS_MAX + 1} points, "
+                f"more than {POINTS_MAX}",
+            ),
+            (
+                ("ft",),
+                {
+                    **LAMBDA_CONFIG,
+                    "lambda": {"kind": "fibers", "fibers": [{"xi": 0.0, "sigma": [0.0]}], "periodic2": True},
+                    "window": [-1.0, 1.0, 0.0, 2.0 * POINTS_MAX],
+                },
+                f"FiberList in window (-1.0, 1.0, 0.0, {2.0 * POINTS_MAX:.1f}) takes {POINTS_MAX + 1} points, "
+                f"more than {POINTS_MAX}",
+            ),
+            (
+                ("annihilate", "circle-line", "--samples", str(POINTS_MAX + 1)),
+                None,
+                f"n_lambda must be at most {POINTS_MAX}, got {POINTS_MAX + 1}",
+            ),
+            (
+                ("annihilate", "circle-lines", "--j", str(POINTS_MAX // 2 + 1)),
+                None,
+                f"j must be at most {POINTS_MAX // 2}: its lines take 2 samples each, got {POINTS_MAX // 2 + 1}",
+            ),
+        ],
+        ids=["grid", "samples", "lattice-cross", "periodic-fibers", "annihilate-samples", "annihilate-j"],
+    )
+    def test_more_points_than_the_bound_exit_2_before_any_transform(
+        self, capsys, monkeypatch, tmp_path, argv, cfg, message
+    ):
+        # each asks for one point more than POINTS_MAX; --j asks for 2 more,
+        # as each of its lines takes 2 samples
+        def refuse(*args):
+            raise AssertionError("no transform runs on a point count over the bound")
+
+        monkeypatch.setattr(cli, "mu_hat_at_points", refuse)
+        monkeypatch.setattr(witnesses, "mu_hat_at_points", refuse)
+        config = ("--config", write_config(tmp_path, cfg)) if cfg else ()
+        code, out, err = run_main(capsys, *argv, *config)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from huplab.expr import parse
 from huplab.fourlines import Fiber
 from huplab.geometry import (
+    POINTS_MAX,
     CircleSet,
     CompactSupport,
     CurveSet,
@@ -130,6 +131,30 @@ class TestSampleSet:
         lam = Lines((Line((0.0, 0.0), (1.0, 0.0)), Line((0.0, 0.0), (0.0, 1.0))))
         pts = sample_set(lam, 6, (-1.0, 1.0, -1.0, 1.0))
         assert len(pts) == 6
+
+    def test_lines_take_two_samples_each_where_they_outnumber_n(self):
+        # one sample a line was each line's midpoint, which for concurrent
+        # lines is the common point: 12 lines gave 12 copies of the origin
+        angles = [m * math.pi / 12 for m in range(12)]
+        lam = Lines(tuple(Line((0.0, 0.0), (math.cos(a), math.sin(a))) for a in angles))
+        pts = sample_set(lam, 4, (-10.0, 10.0, -10.0, 10.0))
+        assert len(pts) == len(set(pts)) == 24 and (0.0, 0.0) not in pts
+
+    @pytest.mark.parametrize(
+        "lam, window, count",
+        [
+            (LatticeCross(1e-5, 1.0), (-10.0, 10.0, -1.0, 1.0), "2000001"),
+            (LatticeCross(1.0, 1e-310), (-1.0, 1.0, -10.0, 10.0), "inf"),
+            (FiberList((Fiber(0.0, (0.0,)),), periodic2=True), (-1.0, 1.0, 0.0, 2e6), "1000001"),
+            (FiberList((Fiber(0.0, (0.0,)),), periodic2=True), (-1.0, 1.0, -1e300, 1e300), r"1e\+300"),
+        ],
+        ids=["lattice-2e6", "lattice-overflow", "periodic-1e6", "periodic-1e300"],
+    )
+    def test_point_counts_over_the_bound_are_rejected_before_enumeration(self, lam, window, count):
+        # the lattice took 0.71 s and the fibers 0.35 s to enumerate; the
+        # other two raised OverflowError or ran without bound
+        with pytest.raises(ValueError, match=f"takes {count} points, more than {POINTS_MAX}$"):
+            sample_set(lam, 1, window)
 
     def test_curve_samples_satisfy_identity(self):
         pts = sample_set(CurveSet(circle()), 64, (-2.0, 2.0, -2.0, 2.0))

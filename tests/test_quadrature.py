@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,47 @@ def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
             integrate(f, (-3.0, 3.0), opts)
         return
     assert integrate(f, (-3.0, 3.0), opts) == want
+
+
+def test_gk15_against_an_independent_source():
+    rule = quadrature.GK15
+    # the embedded rule is numpy's 7-point Gauss-Legendre rule, on every other node
+    x, w = np.polynomial.legendre.leggauss(7)
+    on = np.flatnonzero(rule.gauss)
+    assert on.tolist() == list(range(1, 15, 2)) and rule.order == 2 * x.size
+    np.testing.assert_allclose(rule.nodes[on], x, rtol=0, atol=4e-16)
+    np.testing.assert_allclose(rule.gauss[on], w, rtol=0, atol=4e-16)
+
+    def error(weights, d):
+        return abs((weights * rule.nodes**d).sum() - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+
+    # Kronrod: exact to degree 3 * 7 + 1 = 22 (23 by symmetry), not 24; Gauss: below its order
+    assert max(error(rule.weights, d) for d in range(23)) < 1e-15 < 1e-12 < error(rule.weights, 24)
+    assert max(error(rule.gauss, d) for d in range(rule.order)) < 1e-15 < 1e-12 < error(rule.gauss, rule.order)
+    # (7!)^4 / (15 (14!)^3), and the Gauss error on t^14 over [-1, 1]: c 2^15 14!
+    assert rule.error_constant == float(Fraction(math.factorial(7) ** 4, 15 * math.factorial(14) ** 3))
+    want = rule.error_constant * 2.0 ** (rule.order + 1) * math.factorial(rule.order)
+    assert error(rule.gauss, rule.order) == pytest.approx(want, rel=1e-10)
+
+
+def test_refinement_bisects_the_lowest_of_equal_errors_first():
+    # f repeats every 1/8 to the bit on [1, 2]: its 64-panel pre-split puts
+    # one sqrt kink in each of 8 panels, whose errors are equal and the
+    # largest.  A budget of 68 panels lets one bisection take 4 of them, the
+    # lowest 4 as in the reference, so the worst panel left is the fifth kink's
+    def f(t):
+        return np.sqrt(np.abs(np.mod(8.0 * t, 1.0) - 0.3)) + 0j
+
+    edges = np.linspace(1.0, 2.0, 65)
+    errs = quadrature._score_row(f, edges[:-1], edges[1:], False)[1]
+    assert np.flatnonzero(errs == errs.max()).tolist() == list(range(2, 64, 8))
+    opts = QuadOpts(max_subdivisions=68, oscillation_hint=64 * math.pi)
+    with pytest.raises(NonconvergenceError) as want:
+        reference_integrate(f, (1.0, 2.0), opts, None, opts.oscillation_hint)
+    with pytest.raises(NonconvergenceError, match=re.escape(str(want.value))) as got:
+        integrate(f, (1.0, 2.0), opts)
+    assert got.value.worst_panel == want.value.worst_panel == (1.53125, 1.546875)
+    assert got.value.worst_err == want.value.worst_err == errs.max()
 
 
 def test_null_err_is_the_roundoff_floor_of_an_odd_integrand():
@@ -364,7 +406,7 @@ def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
     nodes = _spy(monkeypatch, "_edges")
     assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), 0.0, OPTS)[3] is None
     edges = quadrature._edges(*nodes[0])
-    bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.NODES[4]
+    bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.GK15.nodes[4]
     rows = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
     alone = _alone(rows)[3]
     shared = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)[3]

@@ -6,7 +6,7 @@ import pytest
 from huplab import bessel, witnesses
 from huplab.bessel import bessel_zero
 from huplab.expr import parse
-from huplab.geometry import CompactSupport, Line, Measure, hyperbola_full
+from huplab.geometry import POINTS_MAX, CompactSupport, Line, Measure, hyperbola_full
 from huplab.transform import mu_hat, total_variation
 from huplab.witnesses import (
     Certificate,
@@ -56,6 +56,14 @@ class TestCircleRationalLines:
     def test_j_validation(self):
         with pytest.raises(ValueError):
             circle_rational_lines_annihilator(0)
+        with pytest.raises(ValueError, match=f"j must be at most {POINTS_MAX // 2}"):
+            circle_rational_lines_annihilator(POINTS_MAX // 2 + 1)
+
+    def test_more_lines_than_samples_are_verified_off_their_common_point(self):
+        # 8 lines and 4 samples: each line's one midpoint was the origin, so
+        # the residual was taken at one point, where the transform is 0
+        report = verify_certificate(circle_rational_lines_annihilator(8), 4)
+        assert report.ok and report.samples_used == 16
 
 
 class TestCircleBesselCircle:
