@@ -464,6 +464,35 @@ class EmptyIntersectionError(ValueError):
     pass
 
 
+# A test set's ``_plan(n, window)`` reckons the index ranges of ``sample_set``'s points once. It
+# gives their count (a bound on it for lines, circles and curves; inf where a range overflows)
+# and a function that makes the points from those same ranges.
+_Plan = tuple[float, Callable[[], list[tuple[float, float]]]]
+
+
+def _inside(x: float, y: float, window: Window) -> bool:
+    xmin, xmax, ymin, ymax = window
+    return xmin <= x <= xmax and ymin <= y <= ymax
+
+
+def _per_part(n: int, parts: int) -> int:
+    """The samples of each line of a ``Lines``, or each component of a curve: at least 2, so none is one point."""
+    return max(2, -(-n // parts))
+
+
+def _multiples(lo: float, hi: float, step: float) -> Optional[range]:
+    """The integers k with lo <= k step <= hi; None where lo / step, hi / step or their difference overflows."""
+    k_lo, k_hi = lo / step, hi / step
+    if not math.isfinite(k_hi - k_lo):
+        return None
+    return range(math.ceil(k_lo), math.floor(k_hi) + 1)
+
+
+def _size(ranges: list[Optional[range]]) -> float:
+    """How many integers the ranges hold together; inf where one of them is None."""
+    return INF if None in ranges else sum(float(r.stop - r.start) for r in ranges)
+
+
 @dataclass(frozen=True)
 class Line:
     point: tuple[float, float]
@@ -474,6 +503,27 @@ class Line:
             raise ValueError(f"line point {self.point} and direction {self.direction} must be finite")
         if self.direction == (0.0, 0.0):
             raise ValueError("line direction must be nonzero")
+
+    def _plan(self, n: int, window: Window) -> _Plan:
+        """n points spaced evenly over the line's chord in the window (its midpoint for n = 1), or none."""
+        (px, py), (dx, dy) = self.point, self.direction
+        xmin, xmax, ymin, ymax = window
+        s_lo, s_hi = -INF, INF
+        for p, d, lo, hi in ((px, dx, xmin, xmax), (py, dy, ymin, ymax)):
+            if d == 0:
+                if not lo <= p <= hi:
+                    return 0, list
+                continue
+            s0, s1 = (lo - p) / d, (hi - p) / d
+            s_lo, s_hi = max(s_lo, min(s0, s1)), min(s_hi, max(s0, s1))
+        if s_lo > s_hi:
+            return 0, list
+
+        def points():
+            ss = [0.5 * (s_lo + s_hi)] if n == 1 else [s_lo + (s_hi - s_lo) * j / (n - 1) for j in range(n)]
+            return [(px + s * dx, py + s * dy) for s in ss]
+
+        return n, points
 
 
 @dataclass(frozen=True)
@@ -486,6 +536,10 @@ class Lines:
         if not self.lines:
             raise ValueError("need at least one line")
 
+    def _plan(self, n: int, window: Window) -> _Plan:
+        plans = [line._plan(_per_part(n, len(self.lines)), window) for line in self.lines]
+        return sum(count for count, _ in plans), lambda: [p for _, points in plans for p in points()]
+
 
 @dataclass(frozen=True)
 class CircleSet:
@@ -494,6 +548,15 @@ class CircleSet:
     def __post_init__(self):
         if not 0 < self.radius < INF:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
+
+    def _plan(self, n: int, window: Window) -> _Plan:
+        """The points of n uniform angles from (radius, 0) that lie in the window."""
+        def points():
+            thetas = (2.0 * math.pi * j / n for j in range(n))
+            xys = ((self.radius * math.cos(a), self.radius * math.sin(a)) for a in thetas)
+            return [p for p in xys if _inside(*p, window)]
+
+        return n, points
 
 
 @dataclass(frozen=True)
@@ -505,16 +568,61 @@ class LatticeCross:
         if not (0 < self.alpha < INF and 0 < self.beta < INF):
             raise ValueError(f"alpha and beta must be finite and positive, got {self.alpha} and {self.beta}")
 
+    def _plan(self, n: int, window: Window) -> _Plan:
+        """Every lattice point in the window, those of the x-axis (the origin among them) first."""
+        xmin, xmax, ymin, ymax = window
+        on_x, on_y = ymin <= 0.0 <= ymax, xmin <= 0.0 <= xmax  # the axis meets the window
+        xs = _multiples(xmin, xmax, self.alpha) if on_x else range(0)
+        ys = _multiples(ymin, ymax, self.beta) if on_y else range(0)
+        count = _size([xs, ys]) - (on_x and on_y)
+        return count, lambda: [(k * self.alpha, 0.0) for k in xs] + [(0.0, k * self.beta) for k in ys if k or not on_x]
+
 
 @dataclass(frozen=True)
 class CurveSet:
     curve: ParamCurve
+
+    def _plan(self, n: int, window: Window) -> _Plan:
+        """The points in the window of each component sampled uniformly over its parameter range there."""
+        curve = self.curve
+        spans = []
+        for comp in range(curve.n_components):
+            (lo, hi), (w_lo, w_hi) = curve.domain(comp), CURVE_KINDS[curve.kind].window_range(curve, comp, window)
+            lo, hi = max(lo, w_lo), min(hi, w_hi)
+            if lo >= hi:
+                continue
+            if not math.isfinite(hi - lo):
+                raise ValueError(
+                    f"{curve.kind} curve component {comp} has the parameter range [{lo}, {hi}] in window {window}, "
+                    "whose length is not finite"
+                )
+            spans.append((comp, lo, hi))
+        per = _per_part(n, curve.n_components)
+
+        def points():
+            out = []
+            for comp, lo, hi in spans:
+                xs, ys = curve.xy(comp, np.linspace(lo, hi, per))
+                out.extend((x, y) for x, y in zip(xs.tolist(), ys.tolist()) if _inside(x, y, window))
+            return out
+
+        return per * len(spans), points
 
 
 @dataclass(frozen=True)
 class FiberList:
     fibers: tuple[Fiber, ...]
     periodic2: bool = False
+
+    def _plan(self, n: int, window: Window) -> _Plan:
+        """The heights of the fibers in the window, each repeated every 2 along the fiber when ``periodic2``."""
+        xmin, xmax, ymin, ymax = window
+        heights = [(fiber.xi, eta) for fiber in self.fibers if xmin <= fiber.xi <= xmax for eta in fiber.sigma]
+        if not self.periodic2:
+            points = [(xi, eta) for xi, eta in heights if ymin <= eta <= ymax]
+            return len(points), lambda: points
+        rows = [(xi, eta, _multiples(ymin - eta, ymax - eta, 2.0)) for xi, eta in heights]
+        return _size([ks for _, _, ks in rows]), lambda: [(xi, eta + 2.0 * k) for xi, eta, ks in rows for k in ks]
 
 
 PlanarSet = Union[Line, Lines, CircleSet, LatticeCross, CurveSet, FiberList]
@@ -524,137 +632,27 @@ PlanarSet = Union[Line, Lines, CircleSet, LatticeCross, CurveSet, FiberList]
 POINTS_MAX = 100_000
 
 
-def _check_window(window: Window) -> Window:
-    xmin, xmax, ymin, ymax = window
-    if not (xmin < xmax and ymin < ymax):
-        raise ValueError(f"degenerate window {window}")
-    return window
-
-
-def _inside(x: float, y: float, window: Window) -> bool:
-    xmin, xmax, ymin, ymax = window
-    return xmin <= x <= xmax and ymin <= y <= ymax
-
-
-def _line_samples(line: Line, n: int, window: Window) -> list[tuple[float, float]]:
-    (px, py), (dx, dy) = line.point, line.direction
-    xmin, xmax, ymin, ymax = window
-    s_lo, s_hi = -INF, INF
-    for p, d, lo, hi in ((px, dx, xmin, xmax), (py, dy, ymin, ymax)):
-        if d == 0:
-            if not lo <= p <= hi:
-                return []
-            continue
-        s0, s1 = (lo - p) / d, (hi - p) / d
-        if s0 > s1:
-            s0, s1 = s1, s0
-        s_lo, s_hi = max(s_lo, s0), min(s_hi, s1)
-    if s_lo > s_hi:
-        return []
-    if n == 1:
-        ss = [0.5 * (s_lo + s_hi)]
-    else:
-        ss = [s_lo + (s_hi - s_lo) * j / (n - 1) for j in range(n)]
-    return [(px + s * dx, py + s * dy) for s in ss]
-
-
-def _per_part(n: int, parts: int) -> int:
-    """The samples of each line of a ``Lines``, or each component of a curve: at least 2, so none is one point."""
-    return max(2, -(-n // parts))
-
-
-def _multiples(lo: float, hi: float, step: float) -> float:
-    """How many integers k have lo <= k step <= hi; inf where lo / step or hi / step overflows."""
-    k_lo, k_hi = lo / step, hi / step
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
-        return INF
-    return max(0, math.floor(k_hi) - math.ceil(k_lo) + 1)
-
-
-def _sample_count(lam: PlanarSet, n: int, window: Window) -> float:
-    """The number of points ``sample_set`` enumerates, or a bound on it, reckoned without them."""
-    xmin, xmax, ymin, ymax = window
-    if isinstance(lam, Lines):
-        return len(lam.lines) * _per_part(n, len(lam.lines))
-    if isinstance(lam, CurveSet):
-        return lam.curve.n_components * _per_part(n, lam.curve.n_components)
-    if isinstance(lam, LatticeCross):
-        on_x, on_y = ymin <= 0.0 <= ymax, xmin <= 0.0 <= xmax  # the origin is counted on the x-axis
-        x_axis = _multiples(xmin, xmax, lam.alpha) if on_x else 0
-        return x_axis + (_multiples(ymin, ymax, lam.beta) - on_x if on_y else 0)
-    if isinstance(lam, FiberList):
-        fibers = [fiber for fiber in lam.fibers if xmin <= fiber.xi <= xmax]
-        if lam.periodic2:
-            return sum(_multiples(ymin - eta, ymax - eta, 2.0) for fiber in fibers for eta in fiber.sigma)
-        return sum(len(fiber.sigma) for fiber in fibers)
-    return n
-
-
 def sample_set(lam: PlanarSet, n: int, window: Window) -> list[tuple[float, float]]:
     """Deterministic sample of the set intersected with a closed window.
 
     Curves are sampled uniformly in parameter, each line of a ``Lines`` and
     each curve component at 2 points at least, the lattice cross is
-    enumerated, periodic fiber lists are expanded height-by-height.  A
-    sample of more than POINTS_MAX points raises ValueError before any
-    point is made.
+    enumerated, periodic fiber lists are expanded height-by-height.  The
+    set's plan counts the points from the same index ranges that it then
+    enumerates, so an axis or fiber outside the window costs nothing.  A
+    count over POINTS_MAX raises ValueError before any point is made, as
+    does a curve component whose parameter range in the window is not finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_window(window)
-    count = _sample_count(lam, n, window)
+    xmin, xmax, ymin, ymax = window
+    if not (xmin < xmax and ymin < ymax):
+        raise ValueError(f"degenerate window {window}")
+    count, make_points = lam._plan(n, window)
     if count > POINTS_MAX:
         kind = type(lam).__name__
         raise ValueError(f"{kind} in window {window} takes {float(count):.7g} points, more than {POINTS_MAX}")
-    xmin, xmax, ymin, ymax = window
-    points: list[tuple[float, float]] = []
-    if isinstance(lam, Line):
-        points = _line_samples(lam, n, window)
-    elif isinstance(lam, Lines):
-        per = _per_part(n, len(lam.lines))
-        for line in lam.lines:
-            points.extend(_line_samples(line, per, window))
-    elif isinstance(lam, CircleSet):
-        for j in range(n):
-            theta = 2.0 * math.pi * j / n
-            x, y = lam.radius * math.cos(theta), lam.radius * math.sin(theta)
-            if _inside(x, y, window):
-                points.append((x, y))
-    elif isinstance(lam, LatticeCross):
-        for k in range(math.ceil(xmin / lam.alpha), math.floor(xmax / lam.alpha) + 1):
-            if ymin <= 0.0 <= ymax:
-                points.append((k * lam.alpha, 0.0))
-        for k in range(math.ceil(ymin / lam.beta), math.floor(ymax / lam.beta) + 1):
-            if xmin <= 0.0 <= xmax and not (k == 0 and ymin <= 0.0 <= ymax):
-                points.append((0.0, k * lam.beta))
-    elif isinstance(lam, FiberList):
-        for fiber in lam.fibers:
-            if not xmin <= fiber.xi <= xmax:
-                continue
-            for eta in fiber.sigma:
-                if lam.periodic2:
-                    k_lo = math.ceil((ymin - eta) / 2.0)
-                    k_hi = math.floor((ymax - eta) / 2.0)
-                    for k in range(k_lo, k_hi + 1):
-                        points.append((fiber.xi, eta + 2.0 * k))
-                elif ymin <= eta <= ymax:
-                    points.append((fiber.xi, eta))
-    elif isinstance(lam, CurveSet):
-        curve = lam.curve
-        per = _per_part(n, curve.n_components)
-        for comp in range(curve.n_components):
-            lo, hi = curve.domain(comp)
-            w_lo, w_hi = CURVE_KINDS[curve.kind].window_range(curve, comp, window)
-            lo, hi = max(lo, w_lo), min(hi, w_hi)
-            if lo >= hi:
-                continue
-            ts = np.linspace(lo, hi, per)
-            xs, ys = curve.xy(comp, ts)
-            for x, y in zip(xs, ys):
-                if _inside(float(x), float(y), window):
-                    points.append((float(x), float(y)))
-    else:
-        raise TypeError(f"not a PlanarSet: {lam!r}")
+    points = make_points()
     if not points:
         raise EmptyIntersectionError(f"{type(lam).__name__} does not meet window {window}")
     return points

@@ -37,6 +37,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def run_cli(*args, stdin_text=None, timeout=300):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONWARNINGS"] = "error"  # a numpy warning fails the test instead of reaching stderr unseen
     return subprocess.run(
         [sys.executable, "-m", "huplab", *args],
         capture_output=True,
@@ -113,6 +114,32 @@ class TestFt:
         res = run_cli("ft", "--config", write_config(tmp_path, cfg))
         assert res.returncode == 2
         assert "decay" in res.stderr
+
+    def test_a_lattice_axis_outside_the_window_costs_nothing(self, tmp_path):
+        # beta = 1e-7 took 9.9 s to walk the y-axis's 2e8 indices, none of them
+        # in the window, and 1e-300 never ended
+        cfg = {
+            **LAMBDA_CONFIG,
+            "lambda": {"kind": "lattice-cross", "alpha": 1.0, "beta": 1e-300},
+            "window": [1.0, 2.0, -10.0, 10.0],
+            "output": "json",
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg), timeout=60)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert [(row["xi"], row["eta"]) for row in json.loads(res.stdout)["rows"]] == [(1.0, 0.0), (2.0, 0.0)]
+
+    @pytest.mark.parametrize("domain", [[-math.inf, math.inf], [-1e308, 1e308]])
+    def test_a_curve_lambda_needs_a_finite_parameter_range(self, tmp_path, domain):
+        # exited 2 with "CurveSet does not meet window", after numpy
+        # RuntimeWarnings from linspace on stderr
+        curve = {"kind": "expr", "x": "t", "y": "t^2", "domain": domain}
+        cfg = {**LAMBDA_CONFIG, "lambda": {"kind": "curve", "curve": curve}}
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (
+            f"config error: expr curve component 0 has the parameter range [{domain[0]}, {domain[1]}] "
+            "in window (-2.0, 2.0, -2.0, 2.0), whose length is not finite\n"
+        )
 
     def test_lambda_sample_mode(self, tmp_path):
         cfg = {

@@ -1,10 +1,17 @@
 import math
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huplab import geometry
 from huplab.expr import parse
 from huplab.fourlines import Fiber
 from huplab.geometry import (
@@ -32,6 +39,8 @@ from huplab.geometry import (
     sample_set,
     spiral,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestCurvePoint:
@@ -197,6 +206,82 @@ class TestSampleSet:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample_set(CircleSet(1.0), 0, (-2.0, 2.0, -2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "lam, window, expect",
+        [
+            (LatticeCross(1e-300, 1.0), (-10.0, 10.0, 1.0, 2.0), [(0.0, 1.0), (0.0, 2.0)]),
+            (LatticeCross(1.0, 1e-300), (1.0, 2.0, -10.0, 10.0), [(1.0, 0.0), (2.0, 0.0)]),
+        ],
+        ids=["x-axis-outside", "y-axis-outside"],
+    )
+    def test_a_lattice_axis_outside_the_window_costs_nothing(self, lam, window, expect):
+        # the enumeration walked the outside axis's 2e301 indices and never
+        # ended (a step of 1e-7 took 9.1 s); a subprocess turns such a walk
+        # into a timeout
+        code = f"from huplab.geometry import LatticeCross, sample_set; print(sample_set({lam!r}, 1, {window!r}))"
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""), "PYTHONWARNINGS": "error"}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (res.returncode, res.stdout, res.stderr) == (0, f"{expect}\n", "")
+
+    def test_the_bound_counts_the_points_that_are_made(self, monkeypatch):
+        # one point under the bound rejects every sample: a lattice cross or
+        # periodic fibers with their exact count, the other sets with a count
+        # at least as large
+        rng = random.Random(19)
+        curves = [circle(), hyperbola_full(), spiral(), parabola(), parallel_lines([0.0, 0.5])]
+        seen = {}
+        for _ in range(150):
+            xmin, xmax = sorted(rng.uniform(-6.0, 6.0) for _ in range(2))
+            ymin, ymax = sorted(rng.uniform(-6.0, 6.0) for _ in range(2))
+            n = rng.randint(1, 300)
+            angles = [rng.uniform(0.0, math.pi) for _ in range(3)]
+            origins = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in angles]
+            lines = tuple(Line(o, (math.cos(a), math.sin(a))) for o, a in zip(origins, angles))
+            fibers = tuple(Fiber(rng.uniform(-6.0, 6.0), (0.0, rng.uniform(0.5, 1.9))) for _ in range(3))
+            sets = [
+                LatticeCross(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)),
+                FiberList(fibers, periodic2=True),
+                lines[0],
+                Lines(lines),
+                CircleSet(rng.uniform(0.5, 6.0)),
+                CurveSet(rng.choice(curves)),
+            ]
+            for lam in sets:
+                monkeypatch.setattr(geometry, "POINTS_MAX", POINTS_MAX)
+                try:
+                    points = sample_set(lam, n, (xmin, xmax, ymin, ymax))
+                except EmptyIntersectionError:
+                    continue
+                monkeypatch.setattr(geometry, "POINTS_MAX", len(points) - 1)
+                with pytest.raises(ValueError, match=r"takes (\S+) points, more than") as info:
+                    sample_set(lam, n, (xmin, xmax, ymin, ymax))
+                count = float(re.search(r"takes (\S+) points", str(info.value)).group(1))
+                kind = type(lam).__name__
+                if kind in ("LatticeCross", "FiberList"):
+                    assert count == len(points), (lam, (xmin, xmax, ymin, ymax))
+                else:
+                    assert count >= len(points), (lam, n, (xmin, xmax, ymin, ymax))
+                seen[kind] = seen.get(kind, 0) + 1
+        assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+    def test_a_count_past_the_largest_float_is_inf(self):
+        # the difference of the axis indices, 3.3e308 each, raised
+        # OverflowError as a float: a traceback from ft
+        with pytest.raises(ValueError, match=f"takes inf points, more than {POINTS_MAX}$"):
+            sample_set(LatticeCross(0.6, 0.6), 1, (-1e308, 1e308, -1e308, 1e308))
+
+    @pytest.mark.parametrize("domain", [(-math.inf, math.inf), (-1e308, 1e308), (0.0, math.inf)])
+    def test_a_curve_component_needs_a_finite_parameter_range(self, domain):
+        # linspace over it gave nan points, with RuntimeWarnings, and then
+        # "CurveSet does not meet window"
+        lam = CurveSet(expr_curve(parse("t"), parse("t^2"), domain))
+        message = (
+            f"expr curve component 0 has the parameter range [{domain[0]}, {domain[1]}] "
+            "in window (-1.0, 1.0, -1.0, 1.0), whose length is not finite"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_set(lam, 16, (-1.0, 1.0, -1.0, 1.0))
 
 
 class TestMeasure:
