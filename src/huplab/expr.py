@@ -13,11 +13,11 @@ then unary minus, then ``*``/``/``, then ``+``/``-``)::
             | '(' expr ')'
 
 The tables ``_BINARY`` and ``FUNCTIONS`` are the grammar's single source: a
-row per binary operator (precedence, operand print levels, evaluation, parity
-rule) and per function FUNC (evaluation, parity rule), which the parser,
-printer, evaluator and :func:`parity` look up.  ``chi(a,b)(x)`` is the
-indicator of the open interval (a, b): 1 for a < x < b, 0 otherwise; the
-endpoints themselves evaluate to 0.  Complex values are written ``a+b*i``.
+row per binary operator (precedence, operand print levels, evaluation, parity,
+affine and band rules) and per function FUNC (evaluation, parity and band
+rules), which the parser, printer, evaluator, :func:`parity` and :func:`band`
+look up.  ``chi(a,b)(x)`` is the indicator of the open interval (a, b): 1 for
+a < x < b, 0 otherwise; the endpoints themselves evaluate to 0.  Complex values are written ``a+b*i``.
 
 Evaluation is total on its domain: division by zero, log of a nonpositive
 real, and nonfinite intermediates raise :class:`EvalDomainError` instead of
@@ -27,9 +27,10 @@ structure exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -52,6 +53,8 @@ __all__ = [
     "ODD",
     "UNKNOWN",
     "parity",
+    "Band",
+    "band",
 ]
 
 CONSTANTS = {"pi": complex(np.pi), "e": complex(np.e), "i": 1j}
@@ -156,6 +159,20 @@ def _log(arg, node: Expr):
     return np.log(np.asarray(arg, dtype=np.complex128))
 
 
+class Band(NamedTuple):
+    """A trigonometric polynomial sum_{|k| <= degree} c_k e^{ikt}, with sum |c_k| <= norm."""
+
+    degree: int
+    norm: float
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 # every operator's and function's value is checked to be finite after ``apply``
 class _Binary(NamedTuple):
     level: int  # the operator's precedence level
@@ -163,23 +180,59 @@ class _Binary(NamedTuple):
     right: int
     apply: Callable  # (left value, right value, node) -> value
     parity: Callable  # (node, left parity, right parity) -> parity
+    affine: Callable  # (left, right) -> (k, c) with the node k t + c, from those of its operands, or None
+    band: Callable  # (node, left band, right band) -> Band or None; an operand's is None where it has none
 
 
 class _Function(NamedTuple):
     apply: Callable  # (argument value, node) -> value
     parity: Callable  # argument parity -> parity
+    band: Callable  # (k, c) with the argument k t + c, or None -> Band or None
 
 
 # parity rules of a binary operator: the operands' common parity, or their product
 _shared = lambda node, p, q: p if p == q else UNKNOWN
 _product = lambda node, p, q: p * q
 
+
+def _bands(rule: Callable) -> Callable:
+    return lambda node, p, q: None if p is None or q is None else rule(node, p, q)
+
+
+_widest = _bands(lambda node, p, q: Band(max(p.degree, q.degree), p.norm + q.norm))
+
+
+def _over_constant(node: BinOp, p: Band, q: Band) -> Optional[Band]:
+    # a quotient is a polynomial only by a constant leaf, and one that is not 0
+    if not isinstance(node.right, (Num, Const)) or _constant(node.right) == 0:
+        return None
+    return Band(p.degree, p.norm / abs(_constant(node.right)))
+
+
+def _integer_power(node: BinOp, p: Band, q: Band) -> Optional[Band]:
+    if not (isinstance(node.right, Num) and float(node.right.value).is_integer() and node.right.value >= 0):
+        return None
+    n = int(node.right.value)
+    try:
+        return Band(p.degree * n, p.norm**n)
+    except OverflowError:
+        return Band(p.degree * n, math.inf)
+
+
+# a product or quotient of affine trees is affine where one factor, or the divisor, is constant (k = 0)
 _BINARY = {
-    "+": _Binary(_ADD, _ADD, _MUL, lambda a, b, node: a + b, _shared),
-    "-": _Binary(_ADD, _ADD, _MUL, lambda a, b, node: a - b, _shared),
-    "*": _Binary(_MUL, _MUL, _NEG, lambda a, b, node: a * b, _product),
-    "/": _Binary(_MUL, _MUL, _NEG, _divide, _product),
-    "^": _Binary(_POW, _ATOM, _NEG, _power, _power_parity),
+    "+": _Binary(_ADD, _ADD, _MUL, lambda a, b, node: a + b, _shared,
+                 lambda p, q: (p[0] + q[0], p[1] + q[1]), _widest),
+    "-": _Binary(_ADD, _ADD, _MUL, lambda a, b, node: a - b, _shared,
+                 lambda p, q: (p[0] - q[0], p[1] - q[1]), _widest),
+    "*": _Binary(_MUL, _MUL, _NEG, lambda a, b, node: a * b, _product,
+                 lambda p, q: (p[1] * q[0] + q[1] * p[0], p[1] * q[1]) if p[0] == 0 or q[0] == 0 else None,
+                 _bands(lambda node, p, q: Band(p.degree + q.degree, p.norm * q.norm))),
+    "/": _Binary(_MUL, _MUL, _NEG, _divide, _product,
+                 lambda p, q: (p[0] / q[1], p[1] / q[1]) if q[0] == 0 and q[1] != 0 else None,
+                 _bands(_over_constant)),
+    "^": _Binary(_POW, _ATOM, _NEG, _power, _power_parity, lambda p, q: None,
+                 lambda node, p, q: None if p is None else _integer_power(node, p, q)),
 }
 
 # parity rules of a function of one argument: odd, even, or even on even arguments only
@@ -187,15 +240,33 @@ _odd = lambda p: p
 _even = lambda p: p * p
 _on_even = lambda p: EVEN if p == EVEN else UNKNOWN
 
+
+# band rules of a function of an affine argument k t + c: sin and cos of a real
+# integer k, e^{+-i(kt + c)}/2 and so sum |c_k| = cosh(Im c), and exp of an
+# imaginary integer k, |e^c|; any other argument, or function, has no band
+def _harmonic(arg) -> Optional[Band]:
+    if arg is None or arg[0].imag != 0 or not arg[0].real.is_integer():
+        return None
+    return Band(int(abs(arg[0].real)), 0.5 * (_exp(arg[1].imag) + _exp(-arg[1].imag)))
+
+
+def _exp_band(arg) -> Optional[Band]:
+    if arg is None or arg[0].real != 0 or not arg[0].imag.is_integer():
+        return None
+    return Band(int(abs(arg[0].imag)), _exp(arg[1].real))
+
+
+_no_band = lambda arg: None
+
 FUNCTIONS = {
-    "sin": _Function(lambda arg, node: np.sin(arg), _odd),
-    "cos": _Function(lambda arg, node: np.cos(arg), _even),
-    "exp": _Function(lambda arg, node: np.exp(arg), _on_even),
-    "cosh": _Function(lambda arg, node: np.cosh(arg), _even),
-    "sinh": _Function(lambda arg, node: np.sinh(arg), _odd),
-    "sqrt": _Function(lambda arg, node: np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0), _on_even),
-    "log": _Function(_log, _on_even),
-    "abs": _Function(lambda arg, node: np.abs(arg), _even),
+    "sin": _Function(lambda arg, node: np.sin(arg), _odd, _harmonic),
+    "cos": _Function(lambda arg, node: np.cos(arg), _even, _harmonic),
+    "exp": _Function(lambda arg, node: np.exp(arg), _on_even, _exp_band),
+    "cosh": _Function(lambda arg, node: np.cosh(arg), _even, _no_band),
+    "sinh": _Function(lambda arg, node: np.sinh(arg), _odd, _no_band),
+    "sqrt": _Function(lambda arg, node: np.sqrt(np.asarray(arg, dtype=np.complex128) + 0.0), _on_even, _no_band),
+    "log": _Function(_log, _on_even, _no_band),
+    "abs": _Function(lambda arg, node: np.abs(arg), _even, _no_band),
 }
 
 _TOKEN_RE = re.compile(
@@ -378,3 +449,45 @@ def parity(node) -> int:
         even_bounds = parity(node.lo) == parity(node.hi) == EVEN
         return EVEN if even_bounds and (arg == EVEN or arg == ODD and mirrored) else UNKNOWN
     return UNKNOWN
+
+
+def _constant(node: Union[Num, Const]) -> complex:
+    return complex(node.value) if isinstance(node, Num) else CONSTANTS[node.name]
+
+
+def _affine(node) -> Optional[tuple[complex, complex]]:
+    """(k, c) with the tree k t + c, or None where its tree shows no such form."""
+    if isinstance(node, (Num, Const)):
+        return 0j, _constant(node)
+    if isinstance(node, Var):
+        return 1 + 0j, 0j
+    if isinstance(node, Neg):
+        arg = _affine(node.arg)
+        return None if arg is None else (-arg[0], -arg[1])
+    if isinstance(node, BinOp):
+        left, right = _affine(node.left), _affine(node.right)
+        return None if left is None or right is None else _BINARY[node.op].affine(left, right)
+    return None
+
+
+def band(node) -> Optional[Band]:
+    """The tree as a trigonometric polynomial in t, from the tree alone, or None.
+
+    Constants have degree 0.  sin and cos of k t + c with a real integer k,
+    and exp of i k t + c, have degree |k|.  A sum has the larger degree of
+    its terms, a product the sum of its factors', a quotient by a constant
+    leaf (a number or a named constant) its dividend's, and a power with a
+    number exponent n, an integer >= 0, n times its base's.  t itself, chi,
+    the other functions and anything but a tree have none.  ``norm`` bounds
+    sum |c_k| by the same rules: the triangle inequality for sums and
+    sum |c_k| of a product at most the product of its factors' sums.
+    """
+    if isinstance(node, (Num, Const)):
+        return Band(0, abs(_constant(node)))
+    if isinstance(node, Neg):
+        return band(node.arg)
+    if isinstance(node, BinOp):
+        return _BINARY[node.op].band(node, band(node.left), band(node.right))
+    if isinstance(node, Call):
+        return FUNCTIONS[node.func].band(_affine(node.arg))
+    return None

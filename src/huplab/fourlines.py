@@ -11,8 +11,8 @@ fiber classification P1-P4, periodization of raw points, and the polynomial
 lift that raises a degree-2 relation to higher degree.
 
 The fourth-line height p is bounded, 3 <= p <= P_MAX = 1500, and checked
-before any work: ``solve_tau`` sums O(p^2) monomials, which takes about a
-second at p = 1500.  ``FourLinesConfig``, ``solve_tau`` and
+before any work: ``classify`` makes two O(p) ``homog_sym`` calls for each
+ordered 4-tuple of a fiber's heights.  ``FourLinesConfig``, ``solve_tau`` and
 ``lift_to_degree`` raise ``ValueError`` outside that range.
 """
 
@@ -167,11 +167,8 @@ def solve_tau(a: complex, b: complex, c: complex, p: int) -> tuple[complex, comp
     _require_distinct3(a, b, c)
     tau0 = -a * b * c * homog_sym(p - 3, (a, b, c))
     powers = a ** (p - 1) + b ** (p - 1) + c ** (p - 1)
-    constrained = 0j
-    for l in range(1, p - 2):
-        for m in range(1, p - 1 - l):
-            n = p - 1 - l - m
-            constrained += a**l * b**m * c**n
+    # the monomials a^l b^m c^n of degree p - 1 with l, m, n >= 1: abc H_{p-4}, none at p = 3
+    constrained = a * b * c * homog_sym(p - 4, (a, b, c)) if p > 3 else 0j
     tau1 = homog_sym(p - 1, (a, b, c)) - powers + constrained
     tau2 = -homog_sym(p - 2, (a, b, c))
     return tau0, tau1, tau2

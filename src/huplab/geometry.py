@@ -219,6 +219,9 @@ class CurveKind:
     fields: tuple[str, ...] = ()  # the optional ParamCurve fields the kind needs; the rest stay unset
     # (c) -> the expr.parity of x and of y in t, for a component whose domain is symmetric
     parity: Callable = lambda c: (UNKNOWN, UNKNOWN)
+    # for a closed kind, whose domain is one period 2 pi long: (a) -> sup_t |Im (x, y)(t + ia)|,
+    # the strip growth of the coordinates, on arrays of a >= 0; None for the other kinds
+    strip: Optional[Callable] = None
 
 
 def _hyperbola(domain: tuple[float, float]) -> CurveKind:
@@ -265,6 +268,17 @@ def _exp_curve_deriv_sup(c: ParamCurve, k: int, lo: float, hi: float) -> tuple[f
     return 1.0, 2.0 * m * math.exp(min(m * m, 700.0))
 
 
+def _height_range(radius: Callable[[float], float]) -> Callable:
+    """The window_range of a curve (t, y(t)) with y even and growing in |t|: |t| <= radius(ymax), within the
+    x bounds; ``radius`` gives None where y exceeds ymax everywhere."""
+
+    def window_range(c, k, w):
+        r = radius(w[3])
+        return (INF, -INF) if r is None else (max(w[0], -r), min(w[1], r))
+
+    return window_range
+
+
 def _expr_deriv_sup(c: ParamCurve, k: int, lo: float, hi: float) -> tuple[float, float]:
     # coarse sampled finite-difference bound
     ts = np.linspace(lo, hi, 257)
@@ -280,6 +294,7 @@ CURVE_KINDS: dict[str, CurveKind] = {
         lambda c, k, lo, hi: (1.0, 1.0),
         lambda c, k, w: (-INF, INF),
         parity=lambda c: (EVEN, ODD),
+        strip=np.sinh,  # (cos, sin)(t + ia) has imaginary part sinh(a) (-sin t, cos t)
     ),
     "hyperbola-branch": _hyperbola((0.0, INF)),
     "hyperbola-full": replace(_hyperbola((-INF, INF)), parity=lambda c: (EVEN, ODD)),
@@ -289,14 +304,14 @@ CURVE_KINDS: dict[str, CurveKind] = {
         lambda c: (-INF, INF),
         lambda c, k, t: (np.asarray(t, dtype=float), np.exp(t * t)),
         _exp_curve_deriv_sup,
-        lambda c, k, w: (w[0], w[1]),
+        _height_range(lambda ymax: math.sqrt(math.log(ymax)) if ymax >= 1.0 else None),
         parity=lambda c: (ODD, EVEN),
     ),
     "parabola": CurveKind(
         lambda c: (-INF, INF),
         lambda c, k, t: (np.asarray(t, dtype=float), np.asarray(t, dtype=float) ** 2),
         lambda c, k, lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi))),
-        lambda c, k, w: (w[0], w[1]),
+        _height_range(lambda ymax: math.sqrt(ymax) if ymax >= 0.0 else None),
         parity=lambda c: (ODD, EVEN),
     ),
     "parallel-lines": CurveKind(

@@ -35,6 +35,13 @@ block of panels: then they depend on the set of rows in the batch, but not
 on their order.  On a folded window a factor of known parity is built at
 the nodes t >= 0 only, and an even factor lets the fold be summed before
 the matmul, over half the nodes.
+
+On a window that is one whole period of a closed curve, a row whose density
+is a trigonometric polynomial (``expr.band``) takes no panels: it is the
+trapezoid sum on N equispaced nodes, which converges geometrically for a
+periodic integrand analytic in a strip, and N is chosen for each row in
+advance from a bound on that error (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .expr import EVEN, ODD, UNKNOWN
+from .expr import EVEN, ODD, UNKNOWN, Band
 from .geometry import CompactSupport, Decay
 
 __all__ = [
@@ -139,7 +146,7 @@ class QuadOpts:
     radians per unit of the parameter.  :func:`integrate` pre-splits the
     window by it; the transforms (``mu_hat``, ``mu_hat_at_points``) take it
     as a floor on each point's own phase rate, so a large hint only adds
-    panels.  It is None or finite and >= 0.
+    panels, or trapezoid nodes.  It is None or finite and >= 0.
     """
 
     abs_tol: float = 1e-10
@@ -171,7 +178,11 @@ class Rows(NamedTuple):
     (x, y) at the flat nodes ``t``, or None for no curve, where the one row
     (at frequency 0) is g itself.  ``g(t)`` is the density at the nodes, ``deriv_sup(lo, hi)``
     bounds |x'| and |y'| on [lo, hi], and ``parity`` gives x, y and g as
-    ``expr`` parities in t, read only on a folded window.
+    ``expr`` parities in t, read only on a folded window.  Where the window
+    is one whole period of a closed curve, ``strip(a)`` bounds
+    |Im (x, y)(t + ia)| on arrays of a (the curve kind's ``strip``), and
+    ``band`` is g's ``expr.band``, or None where g is not known to be a
+    trigonometric polynomial; otherwise both are None.
     """
 
     xi: np.ndarray
@@ -180,6 +191,8 @@ class Rows(NamedTuple):
     g: Callable[[np.ndarray], np.ndarray]
     deriv_sup: Callable[[float, float], Tuple[float, float]]
     parity: Tuple[int, int, int]
+    band: Optional[Band] = None
+    strip: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def truncate_interval(
@@ -232,6 +245,13 @@ _BLOCKWISE_PANELS = 64
 _RATE_BLOCKS = 16
 # the roundoff floor of a null integrand is measured on this many equal panels
 _NULL_PANELS = 64
+# a trapezoid row takes a multiple of _PERIODIC_STEP nodes, at most
+# _PERIODIC_NODES_MAX, so that one row's values fit one block of _CHUNK entries;
+# a row that needs more takes GK15 panels.  _TINY floors the frequency radius,
+# so that the strip half-width a stays finite at frequency 0
+_PERIODIC_STEP = 16
+_PERIODIC_NODES_MAX = 1 << 14
+_TINY = 1e-300
 # for an integrand of amplitude A whose phase turns by theta over a panel of
 # width h, the Gauss error model of GK15 is about c A h theta^order; blocks ask
 # _SAFETY times less of it than their share of abs_tol, since g and a curving
@@ -354,6 +374,63 @@ def _refine(rows: Rows, r: int, edges: np.ndarray, folded: bool, tail_err: float
         values[i], errs[i] = new_values[: i.size], new_errs[: i.size]
         values, errs = np.insert(values, i + 1, new_values[i.size :]), np.insert(errs, i + 1, new_errs[i.size :])
         lo, hi = np.insert(lo, i + 1, mid), np.insert(hi, i, mid)
+
+
+def _periodic_nodes(rows: Rows, x: np.ndarray, tol: float):
+    """Each row's trapezoid node count N and the bound on its error, or N = 0 past _PERIODIC_NODES_MAX.
+
+    g is a trigonometric polynomial of degree B with sum |c_k| <= L
+    (``rows.band``) and the phase grows by at most e^{x s(a)} off the real
+    axis (s is ``rows.strip``), so on the strip |Im t| < a the row is at most
+    M = L e^{x s(a) + B a}, and the N-node trapezoid sum of one period is
+    within 4 pi M / (e^{aN} - 1) of the integral (Trefethen and Weideman,
+    SIAM Review 56, 2014, Thm 3.2).  N is the smallest multiple of
+    _PERIODIC_STEP above 2B, and above B + x, where that bound, at
+    a = arccosh((N - B) / x), is at most ``tol``; it is reckoned in logs.
+    """
+    degree, norm = rows.band
+    nodes, bound = np.zeros(x.size, dtype=np.int64), np.full(x.size, math.inf)
+    if 2 * degree >= _PERIODIC_NODES_MAX:
+        return nodes, bound
+    # below N = B + x the bound is infinite
+    n = np.maximum(2 * degree // _PERIODIC_STEP, np.floor((degree + x) / _PERIODIC_STEP)) + 1.0
+    n *= _PERIODIC_STEP
+    log_scale, log_tol = math.log(4.0 * math.pi * norm) if norm > 0 else -math.inf, math.log(tol)
+    pending = np.flatnonzero(n <= _PERIODIC_NODES_MAX)
+    while pending.size:
+        m, xr = n[pending], x[pending]
+        a = np.arccosh(np.maximum(1.0, (m - degree) / xr))
+        log_bound = log_scale + xr * rows.strip(a) + degree * a - a * m - np.log(-np.expm1(-a * m))
+        met = log_bound <= log_tol  # a NaN bound is not met
+        nodes[pending[met]], bound[pending[met]] = m[met], np.exp(log_bound[met])
+        pending = pending[~met]
+        n[pending] += _PERIODIC_STEP
+        pending = pending[n[pending] <= _PERIODIC_NODES_MAX]
+    return nodes, bound
+
+
+def _periodic_rows(rows: Rows, window: Tuple[float, float], opts: QuadOpts):
+    """Each row's trapezoid value and error over the window, one whole period, and its node count N.
+
+    The rows with the same N share the nodes, and their values are built
+    for at most _CHUNK entries at a time; ``integrate_rows`` gives N and the
+    error.  A row past _PERIODIC_NODES_MAX has N = 0, value -0 and error inf.
+    """
+    x = np.maximum(math.pi * np.hypot(rows.xi, rows.eta), max(opts.oscillation_hint or 0.0, _TINY))
+    nodes, err = _periodic_nodes(rows, x, opts.abs_tol / 10.0)
+    value = np.full(nodes.size, complex(-0.0, -0.0))
+    lo, hi = window
+    for m in np.unique(nodes[nodes > 0]).tolist():
+        w = (hi - lo) / m
+        cx, cy, g = _at(rows, np.linspace(lo, hi, m + 1)[:-1])
+        members = np.flatnonzero(nodes == m)
+        step = max(1, _CHUNK // m)
+        for start in range(0, members.size, step):
+            part = members[start : start + step]
+            value[part] = _values(rows, part, cx, cy, g).sum(axis=1) * w
+        theta = math.pi * (np.abs(rows.xi[members]) * np.abs(cx).max() + np.abs(rows.eta[members]) * np.abs(cy).max())
+        err[members] += (10.0 + theta) * _EPS * w * math.fsum(np.abs(g).tolist())
+    return value, err, nodes
 
 
 def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, width: float, abs_tol: float) -> float:
@@ -554,8 +631,21 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
     On a folded window, where ``rows.parity`` shows g odd and the phase
     even in t (each coordinate even or meeting a zero frequency), a row is
     exactly 0: its value is -0 and its error ``tail_err`` plus the roundoff
-    floor of ``null_err``, with no phase evaluated.  The other rows are
-    integrated as one batch, as follows.
+    floor of ``null_err``, with no phase evaluated.
+
+    Where ``rows.strip`` and ``rows.band`` are set (the window is one whole
+    period of a closed curve and g a trigonometric polynomial of degree B),
+    a row is the trapezoid sum on N equispaced nodes instead, with N chosen
+    from the row alone (see ``_periodic_nodes``): the smallest multiple of
+    16 above 2B whose error bound, at the rate x = pi |(xi, eta)| (or
+    ``oscillation_hint`` where larger), is at most abs_tol/10.  Its error is
+    ``tail_err`` plus that bound plus (10 + theta) eps sum |g| w, where w is
+    the node weight and theta = pi (|xi| max |x| + |eta| max |y|) over the
+    nodes bounds the phase argument, whose rounding the sum carries too; its
+    panel count is 0.  A row that needs more than _PERIODIC_NODES_MAX nodes,
+    or misses tolerance, takes GK15 panels.
+
+    The other rows are integrated as one batch, as follows.
 
     Each row gets a pre-split from its rate and ``envelope``, as one column
     of a table of panel counts over spans of the window: the whole range,
@@ -582,17 +672,27 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
     row names its node.
 
     Returns each row's value, error estimate (``tail_err`` included) and
-    panel count, and the first failure as (row, QuadratureError), or None.
+    panel count (0 on trapezoid and null rows), and the first failure as
+    (row, QuadratureError), or None.
     It returns as soon as a row fails: that row's entries and all later ones
     are meaningless.
     """
     n, folded = rows.xi.size, window[0] == -window[1] and window[1] > 0
     px, py, pg = rows.parity if folded else (UNKNOWN, UNKNOWN, UNKNOWN)
+    done, panels = None, np.zeros(n, dtype=np.int64)
     if pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():
-        # -0 leaves a sum of components to the bit; the rest are one smaller batch
-        live, failure = np.flatnonzero(~null), None
-        value, panels = np.full(n, complex(-0.0, -0.0)), np.zeros(n, dtype=np.int64)
-        err = np.full(n, tail_err + null_err(rows.g, window[1]))
+        # -0 leaves a sum of components to the bit
+        value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err + null_err(rows.g, window[1])), null
+    elif rows.strip is not None and rows.band is not None:
+        # the rows summed by the trapezoid rule that meet tolerance; the others take GK15 panels
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            value, err, _ = _periodic_rows(rows, window, opts)
+            done = np.isfinite(value) & (err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
+        err += tail_err
+        rows = rows._replace(strip=None)
+    if done is not None:
+        # the rest are one smaller batch
+        live, failure = np.flatnonzero(~done), None
         if live.size:
             part = rows._replace(xi=rows.xi[live], eta=rows.eta[live])
             value[live], err[live], panels[live], failure = integrate_rows(part, window, tail_err, opts, envelope)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EVEN, UNKNOWN, Num, parity
+from .expr import EVEN, UNKNOWN, Num, band, parity
 from .geometry import CURVE_KINDS, Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
 from .quadrature import (
     QuadOpts,
@@ -59,22 +59,27 @@ class PointFailure(QuadratureError):
         self.point = point
 
 
-def _rows(measure: Measure, comp: int, xi: np.ndarray, eta: np.ndarray, offset) -> Rows:
+def _rows(measure: Measure, comp: int, xi: np.ndarray, eta: np.ndarray, offset, whole: bool) -> Rows:
     """One component's integrands at every point (xi_p, eta_p), on the curve shifted by ``offset``.
 
     A shifted coordinate keeps its parity if even, or odd with no offset.
+    Where the curve is closed and its window ``whole``, the rows carry its
+    strip growth, which a shift leaves as it is, and the density's band.
     """
     curve, ox, oy = measure.curve, offset[0], offset[1]
+    kind, density = CURVE_KINDS[curve.kind], measure.densities[comp]
 
     def xy(t: np.ndarray):
         x, y = curve.xy(comp, t)
         return x + ox, y + oy
 
-    px, py = CURVE_KINDS[curve.kind].parity(curve)
+    px, py = kind.parity(curve)
     pu = px if px == EVEN or ox == 0.0 else UNKNOWN
     pv = py if py == EVEN or oy == 0.0 else UNKNOWN
     deriv_sup = lambda lo, hi: curve.deriv_sup(comp, lo, hi)  # noqa: E731
-    return Rows(xi, eta, xy, measure.density(comp), deriv_sup, (pu, pv, parity(measure.densities[comp])))
+    strip = kind.strip if whole else None
+    periodic = band(density) if strip else None
+    return Rows(xi, eta, xy, measure.density(comp), deriv_sup, (pu, pv, parity(density)), periodic, strip)
 
 
 def _transform(
@@ -115,7 +120,7 @@ def _transform(
             # they did when the zero was integrated
             err[live] += tail
             continue
-        rows = _rows(measure, comp, xi[live], eta[live], offset)
+        rows = _rows(measure, comp, xi[live], eta[live], offset, window == interval)
         v, e, _, failed = integrate_rows(rows, window, tail, opts, measure.decay)
         if failed:
             first, failure = int(live[failed[0]]), failed[1]

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import random
 import struct
 
+import numpy as np
 import pytest
 
 from huplab import expr, quadrature, transform
@@ -13,6 +15,7 @@ from huplab.geometry import (
     GaussianDecay,
     Measure,
     ParamCurve,
+    TabulatedDensity,
     circle,
     expr_curve,
     hyperbola_full,
@@ -22,7 +25,13 @@ from huplab.geometry import (
 )
 from huplab.quadrature import QuadOpts
 from huplab.transform import mu_hat_at_points
-from huplab.witnesses import RESIDUAL_TOL, _quad_opts, all_annihilators, verify_certificate
+from huplab.witnesses import (
+    RESIDUAL_TOL,
+    _quad_opts,
+    all_annihilators,
+    circle_rational_lines_annihilator,
+    verify_certificate,
+)
 
 from conftest import reference_mu_hat
 
@@ -31,10 +40,12 @@ CASES = ["circle-line", "circle-lines", "circle-bessel", "hyperbola-line", "expc
 # evaluate_array calls per verify_certificate at 512 samples.  The batch makes
 # one per node set, and one per component for the roundoff floor of its null
 # rows; the per-point path made one per point and component, 513 for each
-# certificate here and 2,056 for fourlines.
+# certificate here and 2,056 for fourlines.  The circle rows take the
+# trapezoid rule, one node set per node count: circle-lines made 44 calls on
+# GK15 panels
 EVALUATE_ARRAY_CALLS_MAX = {
     "circle-line": 2,
-    "circle-lines": 44,
+    "circle-lines": 6,
     "circle-bessel": 1,
     "hyperbola-line": 2,
     "expcurve-vline": 2,
@@ -54,6 +65,17 @@ NULL_AT = {
 # the certificates whose Lambda is a grid, xi x {fiber heights}: their rows
 # share one pre-split (see test_exponentials_on_the_fourlines_lambda)
 SHARED = {"fourlines"}
+
+# the certificates on the circle, whose densities are trigonometric
+# polynomials: their rows take the trapezoid rule, not the reference's GK15
+# panels (see test_circle_certificate_rows_take_the_trapezoid_rule)
+TRAPEZOID = {"circle-line", "circle-lines", "circle-bessel"}
+
+# complex exponentials per verify_certificate at 512 samples, and on
+# circle-lines --j 300, all on trapezoid rows.  On GK15 panels they built
+# 266,160 (circle-lines, j = 3), 123,120 (circle-bessel, k = 0, n = 1) and
+# 10,388,640 (j = 300, 1,198 rows refined)
+TRAPEZOID_EXPONENTIALS_MAX = {"circle-line": 32, "circle-lines": 18_016, "circle-bessel": 16_416, "j300": 364_256}
 
 # the curves, densities and envelopes of the ft grids in perfbench, on a
 # coarser grid that keeps the corners, where the phase is fastest
@@ -134,8 +156,8 @@ def test_bit_identical_to_per_point_path_on_lambda(certificates, case):
     null = [k for k, point in enumerate(points) if NULL_AT[case](*point)]
     live = [k for k in range(len(points)) if k not in null]
     refs = {k: reference_mu_hat(cert.measure, *points[k], opts) for k in live}
-    if case in SHARED:
-        # other panels than the reference's: within both error bars
+    if case in SHARED | TRAPEZOID:
+        # other panels or nodes than the reference's: within both error bars
         for k in live:
             assert abs(got[k].value - refs[k].value) <= got[k].err_estimate + refs[k].err_estimate, points[k]
             assert got[k].truncation_window == refs[k].truncation_window
@@ -181,24 +203,32 @@ def _work(monkeypatch) -> dict:
     """Count the work of the ``integrate_rows`` calls to come.
 
     ``exponentials``: complex exponentials built, one per row and node of the
-    rows built alone, and one per u or v entry of a shared pre-split;
-    ``rows``: the rows built alone, by index among the rows of their call;
-    ``panels``: their panels, refined rows included; ``refined``: the rows
-    refined; ``factor nodes``: the nodes per panel of each shared pre-split's
-    u and v, as pairs.
+    rows built alone (trapezoid rows included), and one per u or v entry of
+    a shared pre-split; ``rows``: the rows built alone on GK15 panels, by
+    index among the rows of their call; ``panels``: their panels, refined
+    rows included; ``refined``: the rows refined; ``factor nodes``: the
+    nodes per panel of each shared pre-split's u and v, as pairs;
+    ``trapezoid nodes``: the nodes of the rows summed by the trapezoid rule.
     """
-    work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set()}
+    work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set(), "trapezoid nodes": 0}
     integrate_rows, values = quadrature.integrate_rows, quadrature._values
-    refine, factors = quadrature._refine, quadrature._factors
+    refine, factors, periodic_rows = quadrature._refine, quadrature._factors, quadrature._periodic_rows
     alone = {}  # the rows built alone, by the id of their Rows
+    trapezoid = {}  # the trapezoid rows among them, by the id of their Rows
 
     def counting_rows(rows, *args):
-        # the rows left after null rows are a call of their own
+        # the rows left after null rows, or after trapezoid rows, are a call of their own
         out = integrate_rows(rows, *args)
-        built = alone.pop(id(rows), set())
+        built = alone.pop(id(rows), set()) - trapezoid.pop(id(rows), set())
         work["rows"] |= built
         work["panels"] += int(out[2][sorted(built)].sum())
         return out
+
+    def counting_periodic_rows(rows, *args):
+        value, err, nodes = periodic_rows(rows, *args)
+        trapezoid[id(rows)] = set(np.flatnonzero(nodes).tolist())
+        work["trapezoid nodes"] += int(nodes.sum())
+        return value, err, nodes
 
     def counting_values(rows, r, x, y, g):
         if x is not None:
@@ -221,6 +251,7 @@ def _work(monkeypatch) -> dict:
     monkeypatch.setattr(quadrature, "_values", counting_values)
     monkeypatch.setattr(quadrature, "_factors", counting_factors)
     monkeypatch.setattr(quadrature, "_refine", counting_refine)
+    monkeypatch.setattr(quadrature, "_periodic_rows", counting_periodic_rows)
     return work
 
 
@@ -323,6 +354,39 @@ def test_exponentials_on_the_fourlines_lambda(certificates, monkeypatch):
     mu_hat_at_points(cert.measure, points, _quad_opts(RESIDUAL_TOL))
     assert work["exponentials"] <= EXPONENTIALS_MAX["fourlines"]
     assert work["panels"] == work["refined"] == 0
+
+
+@pytest.mark.parametrize("case", sorted(TRAPEZOID) + ["j300"])
+def test_circle_certificate_rows_take_the_trapezoid_rule(certificates, case, monkeypatch):
+    cert = certificates[case] if case in TRAPEZOID else circle_rational_lines_annihilator(300)
+    work = _work(monkeypatch)
+    assert verify_certificate(cert).ok
+    assert work["exponentials"] <= TRAPEZOID_EXPONENTIALS_MAX[case]
+    assert work["exponentials"] == work["trapezoid nodes"] > 0
+    assert work["rows"] == set() and work["panels"] == work["refined"] == 0
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        parse("sin(2.5*t)"),
+        parse("abs(sin(t))"),
+        parse("chi(-4,4)(t)*cos(t)"),  # 1 on the whole circle, so no jump to refine
+        TabulatedDensity(tuple(np.linspace(-math.pi, math.pi, 65)), tuple(np.cos(np.linspace(-4.0, 4.0, 65)) + 0j)),
+    ],
+    ids=["non-integer-k", "abs", "chi", "tabulated"],
+)
+def test_circle_rows_without_a_band_keep_the_gk15_bits(density, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row without a band took the trapezoid rule")
+
+    monkeypatch.setattr(quadrature, "_periodic_rows", refuse)
+    rng = random.Random(40)
+    # none at eta = 0, where sin(2.5 t) is null and the reference's error bar is measured on other panels
+    points = [(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(40)]
+    measure, opts = Measure(circle(), (density,)), QuadOpts()
+    got = mu_hat_at_points(measure, points, opts)
+    assert [_bits(ft) for ft in got] == [_bits(reference_mu_hat(measure, *point, opts)) for point in points]
 
 
 def test_null_row_is_decided_without_node_columns(monkeypatch):

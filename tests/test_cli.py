@@ -141,6 +141,24 @@ class TestFt:
             "in window (-2.0, 2.0, -2.0, 2.0), whose length is not finite\n"
         )
 
+    @pytest.mark.parametrize("kind", ["exp-curve", "parabola"])
+    def test_a_curve_lambda_samples_within_the_window_height(self, tmp_path, kind):
+        # the heights overflowed over the window's x range: a RuntimeWarning,
+        # then exit 2 with "CurveSet does not meet window".  The zero density
+        # is not integrated, so the frequencies up to 1e300 cost nothing
+        cfg = {
+            **LAMBDA_CONFIG,
+            "density": ["0"],
+            "lambda": {"kind": "curve", "curve": {"kind": kind}},
+            "window": [-1e200, 1e200, -1.0, 1e300],
+            "samples": 8,
+            "output": "json",
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert (res.returncode, res.stderr) == (0, "")
+        rows = json.loads(res.stdout)["rows"]
+        assert len(rows) == 8 and all(math.isfinite(row["eta"]) and row["eta"] <= 1e300 for row in rows)
+
     def test_lambda_sample_mode(self, tmp_path):
         cfg = {
             "curve": {"kind": "circle"},

@@ -22,6 +22,7 @@ from huplab.expr import (
     Num,
     Var,
     evaluate,
+    band,
     evaluate_array,
     parity,
     parse,
@@ -264,3 +265,82 @@ class TestParity:
         assert ev("sqrt(-4)", 0.0) == ev("sqrt(t)", -4.0) == 2j
         powers = evaluate_array(parse("(-(t^2)-1)^0.5"), np.array([2.0, -2.0]))
         assert powers[0] == powers[1]
+
+
+# trigonometric polynomials with their band: sin and cos of k t + c, e^{ikt}
+# and numbers, in sums, products, quotients by a number and integer powers
+_band_leaf = st.one_of(
+    st.builds(
+        lambda f, k, c: Call(f, BinOp("+", BinOp("*", Num(float(k)), Var()), Num(c))),
+        st.sampled_from(["sin", "cos"]),
+        st.integers(-4, 4),
+        st.floats(-2.0, 2.0),
+    ),
+    st.builds(lambda k: Call("exp", BinOp("*", BinOp("*", Num(float(k)), Const("i")), Var())), st.integers(-4, 4)),
+    st.builds(Num, st.floats(-3.0, 3.0)),
+)
+
+
+def _band_tree(children):
+    return st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*"]), children, children),
+        st.builds(Neg, children),
+        st.builds(lambda a, d: BinOp("/", a, Num(d)), children, st.floats(0.5, 3.0)),
+        st.builds(lambda a, n: BinOp("^", a, Num(float(n))), children, st.integers(0, 3)),
+    )
+
+
+class TestBand:
+    @pytest.mark.parametrize(
+        "text, degree",
+        [
+            ("3", 0),
+            ("pi", 0),
+            ("exp(0*i*t)", 0),
+            ("sin(t)", 1),
+            ("cos(3*t+1)", 3),
+            ("exp(-4*i*t)", 4),
+            ("exp(2+i*t*5)", 5),
+            ("sin(t)*cos(2*t)", 3),
+            ("sin(t)-cos(2*t)", 2),
+            ("sin(t)^3", 3),
+            ("-(sin(t)/2)", 1),
+            ("cos(t)^3*exp(2*i*t)", 5),
+            ("t", None),
+            ("sin(2.5*t)", None),
+            ("sin(t*t)", None),
+            ("sin(sin(t))", None),
+            ("abs(sin(t))", None),
+            ("sqrt(cos(t)+2)", None),
+            ("chi(-1,1)(t)", None),
+            ("cosh(i*t)", None),
+            ("exp(t)", None),
+            ("exp((1+i)*t)", None),
+            ("sin(t)/(2*pi)", None),
+            ("sin(t)/cos(t)", None),
+            ("sin(t)/0", None),
+            ("sin(t)^0.5", None),
+            ("sin(t)^-1", None),
+            ("sin(t)^t", None),
+        ],
+    )
+    def test_rules(self, text, degree):
+        got = band(parse(text))
+        assert (None if got is None else got.degree) == degree
+
+    def test_not_a_tree_has_none(self):
+        assert band(lambda t: np.sin(t)) is None
+
+    @given(st.recursive(_band_leaf, _band_tree, max_leaves=6))
+    @settings(max_examples=300, deadline=None)
+    def test_a_banded_tree_is_such_a_polynomial(self, tree):
+        # its coefficients, from the FFT of more than 2B samples, vanish above
+        # the degree, and their absolute sum is at most the norm
+        got = band(tree)
+        assert got is not None
+        n = 2 * got.degree + 2
+        coeffs = np.fft.fft(evaluate_array(tree, 2.0 * math.pi * np.arange(n) / n)) / n
+        k = np.fft.fftfreq(n, 1.0 / n)
+        scale = max(1.0, got.norm)
+        assert np.all(np.abs(coeffs[np.abs(k) > got.degree]) <= 1e-12 * scale)
+        assert np.abs(coeffs).sum() <= got.norm * (1.0 + 1e-9) + 1e-12 * scale

@@ -191,6 +191,25 @@ class TestSampleSet:
         ys = [y for _, y in pts]
         assert min(ys) == pytest.approx(lowest, abs=0.1) and max(ys) == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize(
+        "curve, height, reach",
+        [(parabola(), lambda t: t * t, math.sqrt(1e300)), (exp_curve(), lambda t: math.exp(t * t), 26.28)],
+        ids=["parabola", "exp-curve"],
+    )
+    def test_even_curve_set_samples_up_to_the_window_top(self, curve, height, reach):
+        # the parameter range was the window's x range: on [-1e200, 1e200] the
+        # heights overflowed, with a RuntimeWarning, and no point was found
+        window = (-1e200, 1e200, -1.0, 1e300)
+        pts = sample_set(CurveSet(curve), 9, window)
+        assert len(pts) == 9 and (0.0, height(0.0)) in pts
+        assert all(y == pytest.approx(height(x), rel=1e-12) and y <= 1e300 for x, y in pts)
+        assert max(x for x, _ in pts) == pytest.approx(reach, rel=1e-3)
+
+    @pytest.mark.parametrize("curve, top", [(parabola(), -0.5), (exp_curve(), 0.99)], ids=["parabola", "exp-curve"])
+    def test_even_curve_set_below_its_vertex_is_empty(self, curve, top):
+        with pytest.raises(EmptyIntersectionError):
+            sample_set(CurveSet(curve), 16, (-3.0, 3.0, -2.0, top))
+
     def test_hyperbola_set_left_of_its_vertex_is_empty(self):
         with pytest.raises(EmptyIntersectionError):
             sample_set(CurveSet(hyperbola_full()), 16, (-3.0, 0.9, -2.0, 2.0))

@@ -20,6 +20,7 @@ from huplab.geometry import (
     hyperbola_full,
     parabola,
     parallel_lines,
+    sample_set,
     spiral,
 )
 from huplab.quadrature import MissingEnvelopeError, NonconvergenceError, QuadOpts, QuadratureError, integrate
@@ -33,6 +34,13 @@ from huplab.transform import (
     substitution_identity,
     total_variation,
     translation_phase_check,
+)
+from huplab.witnesses import (
+    RESIDUAL_TOL,
+    _quad_opts,
+    circle_bessel_circle_annihilator,
+    circle_line_annihilator,
+    circle_rational_lines_annihilator,
 )
 
 from conftest import reference_mu_hat, simpson
@@ -351,17 +359,77 @@ def test_decay_law_tail_within_error_estimate(law, rate, amplitude, tol):
         assert abs(ft.value - exact(rate, amplitude, xi)) <= ft.err_estimate, (xi, eta)
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_circle_harmonic_within_error_estimate(k):
-    # integral of e^{-i pi r cos(t - phi)} e^{ikt} dt = 2 pi (-i)^k J_k(pi r) e^{ik phi}
+def _circle_exact(mpmath, coeffs: dict, point) -> complex:
+    """The transform of g = sum c_k e^{ikt} on the circle, from ``coeffs`` {k: c_k}.
+
+    The integral of e^{-i pi r cos(t - phi)} e^{ikt} dt is 2 pi (-i)^k J_k(pi r) e^{ik phi}.
+    """
+    r, phi = math.hypot(*point), math.atan2(point[1], point[0])
+    bessel = {k: float(mpmath.besselj(k, math.pi * r)) for k in coeffs}
+    return 2.0 * math.pi * sum(c * (-1j) ** k * bessel[k] * cmath.exp(1j * k * phi) for k, c in coeffs.items())
+
+
+def _circle_oracle(coeffs: dict, density: str, polar, opts: QuadOpts = OPTS) -> None:
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(10 + k)
-    polar = [(rng.uniform(0.0, 15.0), rng.uniform(-math.pi, math.pi)) for _ in range(60)]
     points = [(r * math.cos(phi), r * math.sin(phi)) for r, phi in polar]
-    m = Measure(circle(), (parse(f"exp({k}*i*t)"),))
-    for (r, phi), ft in zip(polar, mu_hat_at_points(m, points)):
-        exact = 2.0 * math.pi * (-1j) ** k * float(mpmath.besselj(k, math.pi * r)) * cmath.exp(1j * k * phi)
-        assert abs(ft.value - exact) <= ft.err_estimate, (k, r, phi)
+    for point, ft in zip(points, mu_hat_at_points(Measure(circle(), (parse(density),)), points, opts)):
+        assert abs(ft.value - _circle_exact(mpmath, coeffs, point)) <= ft.err_estimate, (density, point, opts)
+
+
+def _polar(rng: random.Random, r_max: float, n: int) -> list:
+    return [(rng.uniform(0.0, r_max), rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 30, 300])
+def test_circle_harmonic_within_error_estimate(k):
+    # the trapezoid rows of e^{ikt}, at radii up to 100 and, below 10, where
+    # the phase argument reaches 31 rad, at tolerance 1e-13
+    rng = random.Random(10 + k)
+    _circle_oracle({k: 1.0}, f"exp({k}*i*t)", _polar(rng, 15.0, 60))
+    _circle_oracle({k: 1.0}, f"exp({k}*i*t)", _polar(rng, 100.0, 20))
+    _circle_oracle({k: 1.0}, f"exp({k}*i*t)", _polar(rng, 10.0, 20), QuadOpts(abs_tol=1e-13, rel_tol=1e-13))
+
+
+# sin(jt) = (e^{ijt} - e^{-ijt}) / 2i
+def _sine(j: int) -> dict:
+    return {j: -0.5j, -j: 0.5j}
+
+
+# each density's coefficients and the largest radius of its points.  At
+# radius <= 1 the phase turns by at most pi per unit of t: nodes sized from
+# the phase alone alias sin(50 t) and sin(300 t), so that the sums on N and
+# N/2 of them agree and both are wrong
+_TRIG_DENSITIES = {
+    "sin(50*t)": (_sine(50), 1.0),
+    "sin(300*t)": (_sine(300), 1.0),
+    "sin(20*t)": (_sine(20), 15.0),
+    "cos(t)^3*exp(2*i*t)": ({3: 3 / 8, 1: 3 / 8, 5: 1 / 8, -1: 1 / 8}, 30.0),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("density", sorted(_TRIG_DENSITIES))
+def test_circle_trig_density_within_error_estimate(density, tol):
+    coeffs, r_max = _TRIG_DENSITIES[density]
+    _circle_oracle(coeffs, density, _polar(random.Random(50), r_max, 40), QuadOpts(abs_tol=tol, rel_tol=tol))
+
+
+@pytest.mark.parametrize(
+    "make, coeffs",
+    [
+        (circle_line_annihilator, _sine(1)),
+        (lambda: circle_rational_lines_annihilator(3), _sine(3)),
+        (lambda: circle_bessel_circle_annihilator(0, 1), {0: 1.0}),
+    ],
+    ids=["circle-line", "circle-lines", "circle-bessel"],
+)
+def test_circle_certificate_rows_within_error_estimate(make, coeffs):
+    # the 512 Lambda samples and the witness that verify_certificate evaluates
+    mpmath = pytest.importorskip("mpmath")
+    cert = make()
+    points = sample_set(cert.lam, 512, cert.window) + [cert.witness_point]
+    for point, ft in zip(points, mu_hat_at_points(cert.measure, points, _quad_opts(RESIDUAL_TOL))):
+        assert abs(ft.value - _circle_exact(mpmath, coeffs, point)) <= ft.err_estimate, point
 
 
 # err_estimate leaves out the rounding of the phase argument pi (x xi + y eta):
