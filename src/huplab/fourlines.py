@@ -229,7 +229,8 @@ def periodize(points: Sequence[tuple[float, float]]) -> list[Fiber]:
     """
     groups: dict[float, list[float]] = {}
     for xi, eta in points:
-        groups.setdefault(float(xi), []).append(float(eta) % 2.0)
+        # a height just below 0 leaves the remainder 2.0, the unit point of 0.0
+        groups.setdefault(float(xi), []).append(float(eta) % 2.0 % 2.0)
     fibers = []
     for xi in sorted(groups):
         etas = sorted(groups[xi])

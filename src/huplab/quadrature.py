@@ -178,11 +178,12 @@ class Rows(NamedTuple):
     (x, y) at the flat nodes ``t``, or None for no curve, where the one row
     (at frequency 0) is g itself.  ``g(t)`` is the density at the nodes, ``deriv_sup(lo, hi)``
     bounds |x'| and |y'| on [lo, hi], and ``parity`` gives x, y and g as
-    ``expr`` parities in t, read only on a folded window.  Where the window
-    is one whole period of a closed curve, ``strip(a)`` bounds
-    |Im (x, y)(t + ia)| on arrays of a (the curve kind's ``strip``), and
-    ``band`` is g's ``expr.band``, or None where g is not known to be a
-    trigonometric polynomial; otherwise both are None.
+    ``expr`` parities in t, read only on a folded window.  ``band`` is g's
+    ``expr.band``, or None where g is not known to be a trigonometric
+    polynomial.  On a closed curve ``strip(a)`` bounds |Im (x, y)(t + ia)|
+    on arrays of a (the curve kind's ``strip``); elsewhere it is None.
+    :func:`integrate_rows` reads the strip only where the window is the
+    whole interval, one period, and takes a band of ``Band(0, 0.0)`` as g = 0.
     """
 
     xi: np.ndarray
@@ -620,30 +621,38 @@ def _span_rows(rows: Rows, spans, counts: np.ndarray, folded: bool):
     return value, total_err
 
 
-def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opts: QuadOpts, envelope=None):
-    """Integrate every row of ``rows`` over one finite window.
+def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, envelope: Optional[Decay] = None):
+    """Integrate every row of ``rows`` over one component's ``interval``.
 
-    ``envelope`` is the decay the integrands declare, if any.  Row r's
-    phase turns on [lo, hi] at most at the rate
-    pi (|xi_r| sup |x'| + |eta_r| sup |y'|), or ``oscillation_hint`` where
-    that is larger.
+    The interval is truncated by the decay ``envelope``, if any (see
+    :func:`truncate_interval`), and every row's error includes the
+    :func:`truncation_error` of that window.  Where the envelope's support
+    misses the interval, the window is None and every row is 0 with error
+    0; an unbounded interval with no envelope is row 0's
+    :class:`MissingEnvelopeError`.  Row r's phase turns on [lo, hi] at most
+    at the rate pi (|xi_r| sup |x'| + |eta_r| sup |y'|), or
+    ``oscillation_hint`` where that is larger.
+
+    Where ``rows.band`` is ``Band(0, 0.0)``, g is a constant equal to 0:
+    every row is -0 with the truncation error, and no node is evaluated.
 
     On a folded window, where ``rows.parity`` shows g odd and the phase
     even in t (each coordinate even or meeting a zero frequency), a row is
-    exactly 0: its value is -0 and its error ``tail_err`` plus the roundoff
-    floor of ``null_err``, with no phase evaluated.
+    exactly 0: its value is -0 and its error the truncation error plus the
+    roundoff floor of ``null_err``, with no phase evaluated.
 
-    Where ``rows.strip`` and ``rows.band`` are set (the window is one whole
-    period of a closed curve and g a trigonometric polynomial of degree B),
-    a row is the trapezoid sum on N equispaced nodes instead, with N chosen
-    from the row alone (see ``_periodic_nodes``): the smallest multiple of
-    16 above 2B whose error bound, at the rate x = pi |(xi, eta)| (or
-    ``oscillation_hint`` where larger), is at most abs_tol/10.  Its error is
-    ``tail_err`` plus that bound plus (10 + theta) eps sum |g| w, where w is
-    the node weight and theta = pi (|xi| max |x| + |eta| max |y|) over the
-    nodes bounds the phase argument, whose rounding the sum carries too; its
-    panel count is 0.  A row that needs more than _PERIODIC_NODES_MAX nodes,
-    or misses tolerance, takes GK15 panels.
+    Where ``rows.strip`` and ``rows.band`` are set and the window is the
+    whole interval (one period of a closed curve, and g a trigonometric
+    polynomial of degree B), a row is the trapezoid sum on N equispaced
+    nodes instead, with N chosen from the row alone (see
+    ``_periodic_nodes``): the smallest multiple of 16 above 2B whose error
+    bound, at the rate x = pi |(xi, eta)| (or ``oscillation_hint`` where
+    larger), is at most abs_tol/10.  Its error is the truncation error plus
+    that bound plus (10 + theta) eps sum |g| w, where w is the node weight
+    and theta = pi (|xi| max |x| + |eta| max |y|) over the nodes bounds the
+    phase argument, whose rounding the sum carries too; its panel count is
+    0.  A row that needs more than _PERIODIC_NODES_MAX nodes, or misses
+    tolerance, takes GK15 panels, as do all rows on a clipped window.
 
     The other rows are integrated as one batch, as follows.
 
@@ -671,17 +680,31 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
     throughout: every nonfinite value shows in the sums, and refining its
     row names its node.
 
-    Returns each row's value, error estimate (``tail_err`` included) and
-    panel count (0 on trapezoid and null rows), and the first failure as
-    (row, QuadratureError), or None.
+    Returns each row's value, error estimate and panel count (0 on zero,
+    trapezoid and null rows), the first failure as (row, QuadratureError)
+    or None, and the window or None.
     It returns as soon as a row fails: that row's entries and all later ones
     are meaningless.
     """
-    n, folded = rows.xi.size, window[0] == -window[1] and window[1] > 0
+    n = rows.xi.size
+    value, err, panels = np.zeros(n, dtype=np.complex128), np.zeros(n), np.zeros(n, dtype=np.int64)
+    try:
+        window = truncate_interval(interval, envelope, opts)
+    except QuadratureError as exc:
+        return value, err, panels, (0, exc), None
+    if window is None:
+        return value, err, panels, None, None
+    window = (float(window[0]), float(window[1]))
+    tail_err = truncation_error(interval, window, envelope)
+    if rows.strip is not None and window != interval:
+        rows = rows._replace(strip=None)
+    folded = window[0] == -window[1] and window[1] > 0
     px, py, pg = rows.parity if folded else (UNKNOWN, UNKNOWN, UNKNOWN)
-    done, panels = None, np.zeros(n, dtype=np.int64)
-    if pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():
+    done = None
+    if rows.band == Band(0, 0.0):
         # -0 leaves a sum of components to the bit
+        value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err), np.ones(n, dtype=bool)
+    elif pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():
         value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err + null_err(rows.g, window[1])), null
     elif rows.strip is not None and rows.band is not None:
         # the rows summed by the trapezoid rule that meet tolerance; the others take GK15 panels
@@ -695,8 +718,8 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
         live, failure = np.flatnonzero(~done), None
         if live.size:
             part = rows._replace(xi=rows.xi[live], eta=rows.eta[live])
-            value[live], err[live], panels[live], failure = integrate_rows(part, window, tail_err, opts, envelope)
-        return value, err, panels, failure and (int(live[failure[0]]), failure[1])
+            value[live], err[live], panels[live], failure, _ = integrate_rows(part, interval, opts, envelope)
+        return value, err, panels, failure and (int(live[failure[0]]), failure[1]), window
     hint = opts.oscillation_hint or 0.0
     abs_xi, abs_eta = np.abs(rows.xi), np.abs(rows.eta)
 
@@ -722,8 +745,8 @@ def integrate_rows(rows: Rows, window: Tuple[float, float], tail_err: float, opt
             try:
                 value[r], err[r], panels[r] = _refine(rows, r, _edges(spans, counts[:, r]), folded, tail_err, opts)
             except QuadratureError as exc:
-                return value, err, panels, (r, exc)
-        return value, err, panels, None
+                return value, err, panels, (r, exc), window
+        return value, err, panels, None, window
 
 
 def integrate(
@@ -741,12 +764,8 @@ def integrate(
     This is :func:`integrate_rows` for one row at frequency 0 on no curve,
     so ``oscillation_hint`` is its rate.
     """
-    window = truncate_interval(interval, envelope, opts)
-    if window is None:
-        return QuadResult(0j, 0.0, (0.0, 0.0), 0)
-    tail_err = truncation_error(interval, window, envelope)
     rows = Rows(np.zeros(1), np.zeros(1), lambda t: None, f, lambda lo, hi: (0.0, 0.0), (UNKNOWN,) * 3)
-    value, err, panels, failure = integrate_rows(rows, window, tail_err, opts, envelope)
+    value, err, panels, failure, window = integrate_rows(rows, interval, opts, envelope)
     if failure:
         raise failure[1]
-    return QuadResult(complex(value[0]), float(err[0]), (float(window[0]), float(window[1])), int(panels[0]))
+    return QuadResult(complex(value[0]), float(err[0]), window or (0.0, 0.0), int(panels[0]))

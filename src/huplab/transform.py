@@ -18,17 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import EVEN, UNKNOWN, Num, band, parity
+from .expr import EVEN, UNKNOWN, band, parity
 from .geometry import CURVE_KINDS, Measure, density_fn, exp_curve, hyperbola_branch, hyperbola_full, spiral
-from .quadrature import (
-    QuadOpts,
-    QuadratureError,
-    Rows,
-    integrate,
-    integrate_rows,
-    truncate_interval,
-    truncation_error,
-)
+from .quadrature import QuadOpts, QuadratureError, Rows, integrate, integrate_rows, truncate_interval
 
 __all__ = [
     "FTValue",
@@ -59,12 +51,12 @@ class PointFailure(QuadratureError):
         self.point = point
 
 
-def _rows(measure: Measure, comp: int, xi: np.ndarray, eta: np.ndarray, offset, whole: bool) -> Rows:
+def _rows(measure: Measure, comp: int, xi: np.ndarray, eta: np.ndarray, offset) -> Rows:
     """One component's integrands at every point (xi_p, eta_p), on the curve shifted by ``offset``.
 
     A shifted coordinate keeps its parity if even, or odd with no offset.
-    Where the curve is closed and its window ``whole``, the rows carry its
-    strip growth, which a shift leaves as it is, and the density's band.
+    The rows carry the density's band and, on a closed curve, its strip
+    growth, which a shift leaves as it is.
     """
     curve, ox, oy = measure.curve, offset[0], offset[1]
     kind, density = CURVE_KINDS[curve.kind], measure.densities[comp]
@@ -77,9 +69,7 @@ def _rows(measure: Measure, comp: int, xi: np.ndarray, eta: np.ndarray, offset, 
     pu = px if px == EVEN or ox == 0.0 else UNKNOWN
     pv = py if py == EVEN or oy == 0.0 else UNKNOWN
     deriv_sup = lambda lo, hi: curve.deriv_sup(comp, lo, hi)  # noqa: E731
-    strip = kind.strip if whole else None
-    periodic = band(density) if strip else None
-    return Rows(xi, eta, xy, measure.density(comp), deriv_sup, (pu, pv, parity(density)), periodic, strip)
+    return Rows(xi, eta, xy, measure.density(comp), deriv_sup, (pu, pv, parity(density)), band(density), kind.strip)
 
 
 def _transform(
@@ -96,38 +86,20 @@ def _transform(
     if bad.size:
         raise ValueError(f"point (xi, eta) = ({xi[bad[0]]:.17g}, {eta[bad[0]]:.17g}) is not finite")
     value, err = np.zeros(n, dtype=np.complex128), np.zeros(n)
-    first, failure = n, None
-    lo, hi = math.inf, -math.inf
+    first, failure, windows = n, None, []
     for comp in range(measure.curve.n_components):
         # only the first failure in input order is reported: the points from it on stop
         live = np.arange(first)
         if not live.size:
             break
-        interval = measure.curve.domain(comp)
-        try:
-            window = truncate_interval(interval, measure.decay, opts)
-        except QuadratureError as exc:
-            first, failure = 0, exc
-            break
-        if window is None:
-            continue
-        window = (float(window[0]), float(window[1]))
-        lo, hi = min(lo, window[0]), max(hi, window[1])
-        tail = truncation_error(interval, window, measure.decay)
-        density = measure.densities[comp]
-        if isinstance(density, Num) and density.value == 0:
-            # contributes exactly 0; its tail bound and window still count, as
-            # they did when the zero was integrated
-            err[live] += tail
-            continue
-        rows = _rows(measure, comp, xi[live], eta[live], offset, window == interval)
-        v, e, _, failed = integrate_rows(rows, window, tail, opts, measure.decay)
+        rows = _rows(measure, comp, xi[live], eta[live], offset)
+        v, e, _, failed, window = integrate_rows(rows, measure.curve.domain(comp), opts, measure.decay)
         if failed:
             first, failure = int(live[failed[0]]), failed[1]
         value[live] += v
         err[live] += e
-    if lo > hi:
-        lo = hi = 0.0
+        windows += [window] if window else []
+    lo, hi = min((w[0] for w in windows), default=0.0), max((w[1] for w in windows), default=0.0)
     values = [FTValue(v, e, (lo, hi)) for v, e in zip(value.tolist(), err.tolist())]
     return values, None if failure is None else (first, failure)
 
@@ -166,12 +138,15 @@ def mu_hat_at_points(
     """The transform at many points, evaluated together.
 
     Each component is integrated for all points at once, as one
-    :class:`quadrature.Rows`, by :func:`quadrature.integrate_rows`, whose
-    docstring gives how the points share nodes, pre-splits and phase
-    factors, and its memory limits.  A component whose density is the
-    constant 0 is skipped, and so are the points where the parity of its
+    :class:`quadrature.Rows` over its whole domain, by
+    :func:`quadrature.integrate_rows`.  That engine truncates the domain by
+    the measure's decay, chooses the trapezoid rule on a whole period of a
+    closed curve, and returns without evaluating a node a component whose
+    density is the constant 0, and the points where the parity of its
     expression tree and of the curve show it to integrate to exactly 0;
-    tabulated and callable densities are never taken as odd.
+    tabulated and callable densities are never taken as odd.  Its docstring
+    gives how the points share nodes, pre-splits and phase factors, and its
+    memory limits.
     ``oscillation_hint``, if set, is a floor on every point's rate.
 
     Output order matches the input order.  A point's bits depend on the

@@ -213,26 +213,28 @@ def _work(monkeypatch) -> dict:
     work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set(), "trapezoid nodes": 0}
     integrate_rows, values = quadrature.integrate_rows, quadrature._values
     refine, factors, periodic_rows = quadrature._refine, quadrature._factors, quadrature._periodic_rows
-    alone = {}  # the rows built alone, by the id of their Rows
-    trapezoid = {}  # the trapezoid rows among them, by the id of their Rows
+    # a call's rows are keyed by the id of their xi array, which a Rows rebuilt
+    # by ``_replace`` within the call keeps
+    alone = {}  # the rows built alone, by call
+    trapezoid = {}  # the trapezoid rows among them, by call
 
     def counting_rows(rows, *args):
         # the rows left after null rows, or after trapezoid rows, are a call of their own
         out = integrate_rows(rows, *args)
-        built = alone.pop(id(rows), set()) - trapezoid.pop(id(rows), set())
+        built = alone.pop(id(rows.xi), set()) - trapezoid.pop(id(rows.xi), set())
         work["rows"] |= built
         work["panels"] += int(out[2][sorted(built)].sum())
         return out
 
     def counting_periodic_rows(rows, *args):
         value, err, nodes = periodic_rows(rows, *args)
-        trapezoid[id(rows)] = set(np.flatnonzero(nodes).tolist())
+        trapezoid[id(rows.xi)] = set(np.flatnonzero(nodes).tolist())
         work["trapezoid nodes"] += int(nodes.sum())
         return value, err, nodes
 
     def counting_values(rows, r, x, y, g):
         if x is not None:
-            alone.setdefault(id(rows), set()).update(r.tolist())
+            alone.setdefault(id(rows.xi), set()).update(r.tolist())
             work["exponentials"] += r.size * x.size
         return values(rows, r, x, y, g)
 

@@ -102,6 +102,12 @@ class TestValues:
                 worst = max(worst, (error, (twice_nu, x)))
         assert worst[0] <= 1e-12, worst
 
+    @pytest.mark.parametrize("order", [1000, "1999/2"])
+    def test_orders_far_above_x_underflow_to_zero(self, order):
+        # the downward recurrence from far above the order overflows twice
+        # over before it reaches it, unless rescaled: then the result was NaN
+        assert bessel_j(order, 13.0) == 0.0
+
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)

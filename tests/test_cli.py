@@ -356,6 +356,13 @@ class TestFourlines:
         res = run_cli("fourlines", "classify", "--p", "3")
         assert res.returncode == 2
 
+    def test_classify_points_just_below_zero(self, capsys, monkeypatch):
+        # the height -1e-17 reduced to 2.0 and exited 2: "height 2.0 outside [0, 2)"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"points": [[0, -1e-17], [0, 0.5]]})))
+        code, out, err = run_main(capsys, "fourlines", "classify", "--fibers", "-")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"] == [{"xi": 0.0, "sigma": [0.0, 0.5], "class": "P2", "witness": [0.0, 0.5]}]
+
 
 class TestExitCodes:
     def test_failed_verification_exits_4(self):
@@ -750,6 +757,11 @@ class TestConfigErrorsExit2:
         code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    def test_ft_line_direction_must_be_nonzero(self, capsys, tmp_path):
+        cfg = {**LAMBDA_CONFIG, "lambda": {"kind": "line", "point": [0.0, 0.0], "direction": [0.0, 0.0]}}
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (2, "", "config error: bad lambda: line direction must be nonzero\n")
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
     def test_annihilate_tol_must_be_finite_and_positive(self, capsys, tol):
         # inf printed "ok": true whatever the residual, nan failed with an empty
@@ -904,6 +916,31 @@ class TestConfigErrorsExit2:
         # inf was an OverflowError traceback with exit 1, nan a message about integers
         code, out, err = run_main(capsys, "bessel", verb, f"--x={x}")
         assert (code, out, err) == (2, "", f"config error: x must be finite, got {float(x)}\n")
+
+
+def test_ft_on_fibers_without_periodic2(capsys, tmp_path):
+    # only the height 0.25 of the fiber at 0.5 lies in the window, and once
+    fibers = [{"xi": 0.5, "sigma": [0.25, 1.5]}, {"xi": 3.0, "sigma": [0.5]}]
+    cfg = {**LAMBDA_CONFIG, "lambda": {"kind": "fibers", "fibers": fibers}, "window": [-1.0, 1.0, 0.0, 1.0]}
+    code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "xi,eta,re,im,abs,err" and len(rows) == 1
+    xi, eta, re_, im, _, e = map(float, rows[0].split(","))
+    assert (xi, eta) == (0.5, 0.25)
+    assert abs(complex(re_, im) - bessel.bessel_j(0, math.pi * math.hypot(xi, eta))) <= e
+
+
+def test_readme_library_quick_start(capsys):
+    # the block runs, and prints what its comments say
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, flags=re.S).group(1)
+    comments = re.findall(r"# (.*)", code)
+    assert comments == ["J_0(pi) = -0.304242...", "NotHUP", "True", "P3"]
+    exec(compile(code, "README.md", "exec"), {})
+    mu, *printed = capsys.readouterr().out.splitlines()
+    assert abs(complex(mu) - bessel.bessel_j(0, math.pi)) < 1e-10 and f"{complex(mu).real:.6f}" == "-0.304242"
+    assert printed == comments[1:]
 
 
 def test_readme_catalog_examples_run(tmp_path, monkeypatch, capsys):

@@ -280,6 +280,12 @@ class TestPeriodize:
     def test_negative_heights(self):
         assert periodize([(0.0, -0.5)]) == [Fiber(0.0, (1.5,))]
 
+    def test_heights_just_below_zero_are_zero(self):
+        # -1e-17 % 2.0 is 2.0, which no fiber takes: the same unit point as 0.0
+        fibers = periodize([(0.0, -1e-17), (0.0, 0.5)])
+        assert fibers == [Fiber(0.0, (0.0, 0.5))]
+        assert classify(fibers[0], FourLinesConfig(3)).tag == "P2"
+
     def test_groups_by_xi_sorted(self):
         fibers = periodize([(1.0, 0.1), (-1.0, 0.2), (1.0, 1.3)])
         assert [f.xi for f in fibers] == [-1.0, 1.0]
@@ -298,6 +304,10 @@ class TestFiberValidation:
     def test_near_coincident_rejected(self):
         with pytest.raises(ValueError):
             Fiber(0.0, (0.5, 0.5 + 1e-14))
+
+    def test_heights_coinciding_modulo_two_rejected(self):
+        with pytest.raises(ValueError, match=f"^heights {2.0 - 1e-13} and 0.0 coincide modulo 2$"):
+            Fiber(0.0, (0.0, 2.0 - 1e-13))
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
     def test_nonfinite_xi_rejected(self, xi):

@@ -141,6 +141,18 @@ class TestSampleSet:
         pts = sample_set(lam, 6, (-1.0, 1.0, -1.0, 1.0))
         assert len(pts) == 6
 
+    def test_lines_need_a_line(self):
+        with pytest.raises(ValueError, match="^need at least one line$"):
+            Lines(())
+
+    def test_fibers_without_periodic2_keep_their_heights_in_the_window(self):
+        # no height is repeated: 1.5 lies above the window and the fiber at 3 right of it
+        lam = FiberList((Fiber(0.5, (0.25, 1.5)), Fiber(-0.5, (0.0, 0.75)), Fiber(3.0, (0.5,))))
+        window = (-1.0, 1.0, 0.0, 1.0)
+        count, points = lam._plan(1, window)
+        assert count == 3 and points() == [(0.5, 0.25), (-0.5, 0.0), (-0.5, 0.75)]
+        assert sample_set(lam, 1, window) == points()
+
     def test_lines_take_two_samples_each_where_they_outnumber_n(self):
         # one sample a line was each line's midpoint, which for concurrent
         # lines is the common point: 12 lines gave 12 copies of the origin
@@ -355,6 +367,8 @@ class TestMeasure:
         assert vals == pytest.approx([0.0, 0.5 + 0.5j, 1.0 + 1j, 0.0])
         with pytest.raises(ValueError):
             TabulatedDensity((0.0, 0.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="^need matching ts/values with at least two samples$"):
+            TabulatedDensity((0.0, 1.0, 2.0), (1.0, 2.0))
 
     def test_envelope_check_accepts_valid(self):
         m = Measure(hyperbola_full(), (parse("sin(t)*exp(-(t^2))"),), GaussianDecay(1.0, 1.0))

@@ -307,7 +307,7 @@ def test_presplit_sized_by_local_rate():
     uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / math.pi)
     for deriv_sup, most in ((slow_start, 0.6 * uniform), (constant, uniform)):
         rows = Rows(xi, eta, lambda t: (t, t * t), np.ones_like, deriv_sup, NO_PARITY)
-        values, errs, panels, failures = integrate_rows(rows, (0.0, 4.0), 0.0, QuadOpts())
+        values, errs, panels, failures, _ = integrate_rows(rows, (0.0, 4.0), QuadOpts())
         assert not failures
         assert panels[0] <= most
         want = integrate(lambda t: np.exp(1j * 50.0 * t * t), (0.0, 4.0), QuadOpts(oscillation_hint=400.0))
@@ -342,11 +342,11 @@ def test_rows_before_the_first_failure_are_refined_as_if_alone():
         lambda lo, hi: (0.0, 0.0),
         NO_PARITY,
     )
-    value, err, panels, failure = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
-    alone = integrate_rows(_one(rows, 1), (0.0, 1.0), 0.0, OPTS)[3]
+    value, err, panels, failure, _ = integrate_rows(rows, (0.0, 1.0), OPTS)
+    alone = integrate_rows(_one(rows, 1), (0.0, 1.0), OPTS)[3]
     assert alone[0] == 0 and re.match(r"integrand returned a nonfinite value near t=0\.5", str(alone[1]))
     assert failure[0] == 1 and str(failure[1]) == str(alone[1])
-    want = integrate_rows(_one(rows, 0), (0.0, 1.0), 0.0, OPTS)
+    want = integrate_rows(_one(rows, 0), (0.0, 1.0), OPTS)
     assert want[2][0] > 8 and want[3] is None
     assert (value[0].tobytes(), err[0].tobytes(), panels[0]) == (want[0][0].tobytes(), want[1][0].tobytes(), want[2][0])
 
@@ -366,7 +366,7 @@ def _grid_rows_case(g) -> Rows:
 
 def _alone(rows: Rows):
     """``integrate_rows`` of each row of ``rows`` as a batch of its own, as one batch returns them."""
-    out = [integrate_rows(_one(rows, r), (0.0, 1.0), 0.0, OPTS) for r in range(rows.xi.size)]
+    out = [integrate_rows(_one(rows, r), (0.0, 1.0), OPTS) for r in range(rows.xi.size)]
     failure = next(((r, o[3][1]) for r, o in enumerate(out) if o[3]), None)
     return tuple(np.concatenate([o[i] for o in out]) for i in range(3)) + (failure,)
 
@@ -389,7 +389,7 @@ def test_grid_rows_that_miss_are_refined_from_their_own_presplits(monkeypatch):
     # one pre-split or not: the same bits either way, block-wise rows included
     rows = _grid_rows_case(lambda t: np.abs(t - 1.0 / np.pi))
     grid_rows, refined = _spy(monkeypatch, "_grid_rows"), _spy(monkeypatch, "_refine")
-    shared = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    shared = integrate_rows(rows, (0.0, 1.0), OPTS)
     assert len(grid_rows) == 1 and [args[1] for args in refined] == list(range(36))
     alone = _alone(rows)
     assert len(grid_rows) == 1 and [args[1] for args in refined[36:]] == [0] * 36
@@ -404,12 +404,12 @@ def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
     # block of as many panels as the last row's), with or without the grid.
     # Scoring the rows again on the shared pre-split would fail at row 0
     nodes = _spy(monkeypatch, "_edges")
-    assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), 0.0, OPTS)[3] is None
+    assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)[3] is None
     edges = quadrature._edges(*nodes[0])
     bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.GK15.nodes[4]
     rows = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
     alone = _alone(rows)[3]
-    shared = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)[3]
+    shared = integrate_rows(rows, (0.0, 1.0), OPTS)[3]
     message = f"integrand returned a nonfinite value near t={bad}"
     assert (shared[0], str(shared[1])) == (alone[0], str(alone[1])) == (29, message)
 
@@ -421,11 +421,11 @@ def test_rows_are_scored_at_most_a_chunk_at_a_time(monkeypatch):
     # make a diagonal, which fills no grid
     rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(8.0, 48.0, 36), eta=np.linspace(0.0, 20.0, 36))
     scored = _spy(monkeypatch, "_score")
-    want = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    want = integrate_rows(rows, (0.0, 1.0), OPTS)
     blocks = len(scored)
     scored.clear()
     monkeypatch.setattr(quadrature, "_CHUNK", 500)
-    got = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    got = integrate_rows(rows, (0.0, 1.0), OPTS)
     shapes = [np.shape(args[0]) for args in scored]
     assert all(rows * nodes <= 500 or rows == 1 for rows, nodes in shapes) and len(shapes) > blocks
     assert any(rows > 1 for rows, _ in shapes) and any(nodes > 500 for _, nodes in shapes)
@@ -439,7 +439,7 @@ def test_rows_of_uniform_and_block_wise_presplits_keep_their_bits_alone(monkeypa
     rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(8.0, 48.0, 36), eta=np.linspace(0.0, 20.0, 36))
     tables, presplits = [], quadrature._presplits
     monkeypatch.setattr(quadrature, "_presplits", lambda *args: tables.append(presplits(*args)) or tables[-1])
-    got = integrate_rows(rows, (0.0, 1.0), 0.0, OPTS)
+    got = integrate_rows(rows, (0.0, 1.0), OPTS)
     counts = tables[0][1]
     assert (counts[0] > 0).sum() == 25 and (counts[1:] > 0).all(axis=0).sum() == 11
     assert got[2].sum() == 1647 and got[3] is None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from huplab.bessel import bessel_j, bessel_zero
-from huplab import quadrature, transform
+from huplab import expr, quadrature, transform
 from huplab.expr import parse
 from huplab.geometry import (
     CompactSupport,
@@ -23,7 +23,15 @@ from huplab.geometry import (
     sample_set,
     spiral,
 )
-from huplab.quadrature import MissingEnvelopeError, NonconvergenceError, QuadOpts, QuadratureError, integrate
+from huplab.quadrature import (
+    MissingEnvelopeError,
+    NonconvergenceError,
+    QuadOpts,
+    QuadratureError,
+    integrate,
+    truncate_interval,
+    truncation_error,
+)
 from huplab.transform import (
     PointFailure,
     circle_coeff,
@@ -500,3 +508,30 @@ def test_support_disjoint_from_the_domain_gives_exact_zero():
     # the spiral's parameter domain is (0, inf); [-2, -1] misses it entirely
     ft = mu_hat(Measure(spiral(), (parse("1"),), CompactSupport(-2.0, -1.0)), 1.0, 2.0)
     assert (ft.value, ft.err_estimate, ft.truncation_window) == (0j, 0.0, (0.0, 0.0))
+
+
+def test_circle_clipped_by_its_support_takes_no_trapezoid_rows(monkeypatch):
+    # [-1, 1] is not a whole period: the trapezoid sum there is off by 2e-3
+    # at (1.5, -0.5), against an error bound of 4e-15
+    periodic, original = [], quadrature._periodic_rows
+    monkeypatch.setattr(quadrature, "_periodic_rows", lambda *args: periodic.append(args) or original(*args))
+    measure = Measure(circle(), (parse("cos(t)"),), CompactSupport(-1.0, 1.0))
+    points = [(0.0, 0.0), (1.5, -0.5), (4.0, 3.0)]
+    for (xi, eta), got in zip(points, mu_hat_at_points(measure, points)):
+        want = reference_mu_hat(measure, xi, eta, OPTS)
+        assert abs(got.value - want.value) <= got.err_estimate + want.err_estimate, (xi, eta)
+    assert periodic == []
+
+
+@pytest.mark.parametrize("density", ["0", "-0", "0*pi"])
+def test_zero_density_evaluates_no_node_and_keeps_its_tail(density, monkeypatch):
+    # a constant tree equal to 0 is exactly 0, with the truncation bound of its window
+    calls = []
+    monkeypatch.setattr(expr, "evaluate_array", lambda *args: calls.append(args))
+    decay = GaussianDecay(1.0, 1.0)
+    measure = Measure(parallel_lines([0.0]), (parse(density),), decay)
+    interval = measure.curve.domain(0)
+    window = truncate_interval(interval, decay, OPTS)
+    for ft in mu_hat_at_points(measure, [(0.0, 0.0), (3.0, 1.5)]):
+        assert (ft.value, ft.err_estimate, ft.truncation_window) == (0j, truncation_error(interval, window, decay), window)
+    assert calls == []
