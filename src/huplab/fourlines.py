@@ -5,13 +5,14 @@ with its image set of heights reduced mod 2 into [0, 2).  Each height eta
 maps to the unit-circle point a = e^{i pi eta}; the solvability of the
 four-term exponential sum at a fiber is controlled by small Vandermonde
 systems in those points.  This module provides the complete homogeneous
-symmetric polynomials H_k, the closed-form solutions of the degree-2/3/p
-coefficient systems, the discriminant used in the three-point analysis, the
-fiber classification P1-P4, periodization of raw points, and the polynomial
-lift that raises a degree-2 relation to higher degree.
+symmetric polynomials H_k by their defining recurrence, the degree-p
+coefficients tau as minus the remainder of x^p modulo (x - a)(x - b)(x - c),
+the closed forms of degree 2 and 3, the discriminant used in the three-point
+analysis, the fiber classification P1-P4, periodization of raw points, and
+the polynomial lift that raises a degree-2 relation to higher degree.
 
 The fourth-line height p is bounded, 3 <= p <= P_MAX = 1500, and checked
-before any work: ``classify`` makes two O(p) ``homog_sym`` calls for each
+before any work: ``classify`` makes one O(p) ``homog_sym`` call for each
 ordered 4-tuple of a fiber's heights.  ``FourLinesConfig``, ``solve_tau`` and
 ``lift_to_degree`` raise ``ValueError`` outside that range.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "P_MAX",
     "Classification",
     "homog_sym",
-    "elem_sym",
     "vandermonde3_det",
     "solve_tau",
     "solve_delta",
@@ -113,37 +113,21 @@ class Classification:
     witness: tuple[float, ...]
 
 
-def elem_sym(vals: Sequence[complex]) -> list[complex]:
-    """All elementary symmetric polynomials e_0..e_n of the inputs."""
-    n = len(vals)
-    e = [0j] * (n + 1)
-    e[0] = 1 + 0j
-    for v in vals:
-        for j in range(n, 0, -1):
-            e[j] = e[j] + complex(v) * e[j - 1]
-    return e
-
-
 def homog_sym(k: int, vals: Sequence[complex]) -> complex:
     """Complete homogeneous symmetric polynomial H_k of the inputs.
 
-    Computed through the Newton-style recurrence
-    H_k = sum_{i>=1} (-1)^{i-1} e_i H_{k-i}.
+    Adds one input x at a time through H_j(..., x) = H_j(...) + x H_{j-1}(..., x),
+    the sum of every degree-k monomial without cancellation: O(k) per input.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not vals:
         raise ValueError("vals must be nonempty")
-    if k == 0:
-        return 1 + 0j
-    e = elem_sym(vals)
-    n = len(vals)
-    h = [1 + 0j]
-    for kk in range(1, k + 1):
-        acc = 0j
-        for i in range(1, min(kk, n) + 1):
-            acc += (-1) ** (i - 1) * e[i] * h[kk - i]
-        h.append(acc)
+    h = [1 + 0j] + [0j] * k
+    for v in vals:
+        x = complex(v)
+        for j in range(1, k + 1):
+            h[j] += x * h[j - 1]
     return h[k]
 
 
@@ -161,17 +145,15 @@ def solve_tau(a: complex, b: complex, c: complex, p: int) -> tuple[complex, comp
     """Closed-form solution (tau0, tau1, tau2) of the degree-p system.
 
     The returned coefficients satisfy x^p + tau2 x^2 + tau1 x + tau0 = 0 at
-    each of the three (pairwise distinct) inputs.
+    each of the three (pairwise distinct) inputs: they are minus the
+    remainder of x^p modulo (x - a)(x - b)(x - c), tau2 = -H_{p-2},
+    tau1 = (a + b + c) H_{p-2} - H_{p-1} and tau0 = -abc H_{p-3}.
     """
     _check_p(p)
     _require_distinct3(a, b, c)
-    tau0 = -a * b * c * homog_sym(p - 3, (a, b, c))
-    powers = a ** (p - 1) + b ** (p - 1) + c ** (p - 1)
-    # the monomials a^l b^m c^n of degree p - 1 with l, m, n >= 1: abc H_{p-4}, none at p = 3
-    constrained = a * b * c * homog_sym(p - 4, (a, b, c)) if p > 3 else 0j
-    tau1 = homog_sym(p - 1, (a, b, c)) - powers + constrained
-    tau2 = -homog_sym(p - 2, (a, b, c))
-    return tau0, tau1, tau2
+    h2 = homog_sym(p - 2, (a, b, c))
+    tau1 = (a + b + c) * h2 - homog_sym(p - 1, (a, b, c))
+    return -a * b * c * homog_sym(p - 3, (a, b, c)), tau1, -h2
 
 
 def solve_delta(chi0: complex, chi1: complex) -> tuple[complex, complex]:
@@ -203,21 +185,19 @@ def classify(fiber: Fiber, cfg: FourLinesConfig) -> Classification:
 
     Singleton and two-point fibers are P1/P2.  A fiber with >= 3 points is
     P4 when some ordered 4-tuple of its distinct unit points (a0, a1, a2, a3)
-    separates H_{p-2}(a0, a1, a2) from H_{p-2}(a0, a1, a3); the first such
-    tuple (in index order) is recorded as the witness.  Otherwise P3.
+    separates H_{p-2}(a0, a1, a2) from H_{p-2}(a0, a1, a3).  Their difference
+    is the divided difference (a2 - a3) H_{p-3}(a0, a1, a2, a3), one O(p)
+    ``homog_sym`` call per tuple; the first separating tuple (in index order)
+    is recorded as the witness.  Otherwise P3.
     """
     sigma = fiber.sigma
-    if len(sigma) == 1:
-        return Classification("P1", sigma)
-    if len(sigma) == 2:
-        return Classification("P2", sigma)
+    if len(sigma) <= 2:
+        return Classification(f"P{len(sigma)}", sigma)
     points = [cmath.exp(1j * math.pi * s) for s in sigma]
-    if len(sigma) >= 4:
-        for i0, i1, i2, i3 in permutations(range(len(sigma)), 4):
-            h2 = homog_sym(cfg.p - 2, (points[i0], points[i1], points[i2]))
-            h3 = homog_sym(cfg.p - 2, (points[i0], points[i1], points[i3]))
-            if abs(h2 - h3) > WITNESS_TOL:
-                return Classification("P4", (sigma[i0], sigma[i1], sigma[i2], sigma[i3]))
+    for idx in permutations(range(len(sigma)), 4):
+        a0, a1, a2, a3 = (points[i] for i in idx)
+        if abs((a2 - a3) * homog_sym(cfg.p - 3, (a0, a1, a2, a3))) > WITNESS_TOL:
+            return Classification("P4", tuple(sigma[i] for i in idx))
     return Classification("P3", sigma[:3])
 
 

@@ -183,7 +183,7 @@ class Rows(NamedTuple):
     polynomial.  On a closed curve ``strip(a)`` bounds |Im (x, y)(t + ia)|
     on arrays of a (the curve kind's ``strip``); elsewhere it is None.
     :func:`integrate_rows` reads the strip only where the window is the
-    whole interval, one period, and takes a band of ``Band(0, 0.0)`` as g = 0.
+    whole interval, one period, and takes a band of norm 0 as g = 0.
     """
 
     xi: np.ndarray
@@ -633,8 +633,10 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     at the rate pi (|xi_r| sup |x'| + |eta_r| sup |y'|), or
     ``oscillation_hint`` where that is larger.
 
-    Where ``rows.band`` is ``Band(0, 0.0)``, g is a constant equal to 0:
-    every row is -0 with the truncation error, and no node is evaluated.
+    Where ``rows.band`` has norm 0, g is 0: sums, products and quotients
+    round monotonically, so a norm that rounds to 0 leaves every value of g
+    0.  Every row is then -0 with the truncation error, and no node is
+    evaluated.
 
     On a folded window, where ``rows.parity`` shows g odd and the phase
     even in t (each coordinate even or meeting a zero frequency), a row is
@@ -701,7 +703,7 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     folded = window[0] == -window[1] and window[1] > 0
     px, py, pg = rows.parity if folded else (UNKNOWN, UNKNOWN, UNKNOWN)
     done = None
-    if rows.band == Band(0, 0.0):
+    if rows.band is not None and rows.band.norm == 0.0:
         # -0 leaves a sum of components to the bit
         value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err), np.ones(n, dtype=bool)
     elif pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():

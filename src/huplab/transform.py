@@ -267,8 +267,6 @@ def substitution_identity(
         raise ValueError(f"substitution identity needs exp-curve or hyperbola-full, got {curve.kind}")
     g = measure.density(0)
     window = truncate_interval((-math.inf, math.inf), measure.decay, opts)
-    if window is None:
-        return 0j, 0j
     t_max = max(abs(window[0]), abs(window[1]))
 
     if curve == exp_curve():

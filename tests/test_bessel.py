@@ -163,6 +163,15 @@ class TestZeros:
         with pytest.raises(ValueError):
             bessel_zero(0, 0)
 
+    @pytest.mark.parametrize("order", [0, 1, "1/2"])
+    def test_zero_above_512_is_within_an_ulp(self, order):
+        # above 512 adjacent floats lie more than the bisection's tolerance
+        # apart, and the bisection stops when its midpoint is an endpoint
+        mpmath = pytest.importorskip("mpmath")
+        want = float(mpmath.besseljzero(mpmath.mpf(1) / 2 if order == "1/2" else order, 170))
+        got = bessel_zero(order, 170)
+        assert got > 512.0 and abs(got - want) <= math.ulp(want)
+
 
 class TestAllOrdersNonzero:
     def test_small_x_true(self):

@@ -392,6 +392,23 @@ class TestExitCodes:
         assert res.returncode == 2
 
 
+def test_cli_imports_no_third_party_package_but_numpy():
+    # every command pays the import of huplab.cli at start-up; mpmath and
+    # scipy may be installed, and an import of either would show there
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import huplab.cli\n"
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert {"huplab", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"huplab", "numpy"}
+
+
 def test_output_json_flag_accepted_everywhere():
     commands = [
         ("annihilate", "circle-line", "--samples", "16", "--output", "json"),
@@ -880,9 +897,9 @@ class TestConfigErrorsExit2:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 2.2 s at p = 2000 and 14.4 s at p = 6000: the double sum of solve_tau is O(p^2)
+            # 0.1 s at p = 100000: solve_tau is three O(p) homog_sym calls
             ("fourlines", "tau", "--etas", "0,0.5,1", "--p", "1501"),
-            # 8.5 s on one four-height fiber at p = 100000
+            # 1.2 s on one four-height fiber at p = 100000
             ("fourlines", "classify", "--p", "100000", "--fibers", "-"),
         ],
     )

@@ -331,6 +331,10 @@ class TestBand:
     def test_not_a_tree_has_none(self):
         assert band(lambda t: np.sin(t)) is None
 
+    @pytest.mark.parametrize("text", ["exp(800+i*t)", "(1e200*sin(t))^2"])
+    def test_overflowing_norm_is_inf(self, text):
+        assert band(parse(text)).norm == math.inf
+
     @given(st.recursive(_band_leaf, _band_tree, max_leaves=6))
     @settings(max_examples=300, deadline=None)
     def test_a_banded_tree_is_such_a_polynomial(self, tree):

@@ -46,6 +46,29 @@ def unit(eta):
     return cmath.exp(1j * math.pi * eta)
 
 
+# clustered heights, where H_k by Newton's signed recurrence through e_1..e_3
+# lost 5.9e-8 at k = 1000 on the first triple and 1.5e-9 at k = 1498 on the second
+ACCURACY_TRIPLES = [(0.03, 0.032, 0.12), (1.0, 1.003, 1.01)]
+
+
+def mp_homog(mpmath, k, vals):
+    """H_k of distinct inputs at 50 digits: sum_i x_i^{k+n-1} / prod_{j != i} (x_i - x_j)."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpc(v.real, v.imag) for v in vals]
+        total = mpmath.mpc(0)
+        for i, x in enumerate(xs):
+            total += x ** (k + len(xs) - 1) / mpmath.fprod(x - y for j, y in enumerate(xs) if j != i)
+        return complex(total)
+
+
+def mp_tau(mpmath, a, b, c, p):
+    """(tau0, tau1, tau2) from the 3x3 Vandermonde system solved at 50 digits."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpc(v.real, v.imag) for v in (a, b, c)]
+        tau = mpmath.lu_solve(mpmath.matrix([[1, x, x * x] for x in xs]), mpmath.matrix([-(x**p) for x in xs]))
+        return [complex(t) for t in tau]
+
+
 def random_unit_triple(rng, min_sep=1e-3):
     while True:
         pts = [unit(rng.uniform(0.0, 2.0)) for _ in range(3)]
@@ -74,6 +97,33 @@ class TestHomogSym:
                 got = homog_sym(k, vals)
                 want = homog_enumeration(k, vals)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1000, 1498])
+    def test_high_degree_matches_mpmath(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        for etas in ACCURACY_TRIPLES:
+            pts = [unit(e) for e in etas]
+            want = mp_homog(mpmath, k, pts)
+            assert abs(homog_sym(k, pts) - want) <= 1e-10 * max(1.0, abs(want)), etas
+
+    def test_divided_difference_identity(self):
+        # (a2 - a3) H_{p-3}(a0, a1, a2, a3) = H_{p-2}(a0, a1, a2) - H_{p-2}(a0, a1, a3),
+        # the identity classify scores a tuple by; a third of the points are
+        # roots of unity of order p (4 at p = 3), a third lie within 0.05 of each other
+        rng = random.Random(43)
+        for case in range(150):
+            p = rng.choice([3, 4, 5, 7, 11, 100, 1000, 1500])
+            if case % 3 == 0:
+                etas = rng.sample([2.0 * j / max(p, 4) for j in range(max(p, 4))], 4)
+            elif case % 3 == 1:
+                base = rng.uniform(0.0, 2.0)
+                etas = [base + rng.uniform(0.0, 0.05) for _ in range(4)]
+            else:
+                etas = [rng.uniform(0.0, 2.0) for _ in range(4)]
+            a0, a1, a2, a3 = (unit(e) for e in etas)
+            h2, h3 = homog_sym(p - 2, (a0, a1, a2)), homog_sym(p - 2, (a0, a1, a3))
+            got = (a2 - a3) * homog_sym(p - 3, (a0, a1, a2, a3))
+            assert abs(got - (h2 - h3)) <= 1e-10 * max(1.0, abs(h2), abs(h3)), (p, etas)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +189,22 @@ class TestSolveTau:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             solve_tau(1.0, 1.0 + 1e-15, 1j, 5)
+
+    @pytest.mark.parametrize("p", [1002, 1500])
+    def test_high_degree_matches_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        for etas in ACCURACY_TRIPLES:
+            pts = [unit(e) for e in etas]
+            for got, want in zip(solve_tau(*pts, p), mp_tau(mpmath, *pts, p)):
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), etas
+
+    def test_tau_is_three_homog_sym_calls(self, monkeypatch):
+        # minus the remainder of x^p modulo (x - a)(x - b)(x - c): H_{p-3}, H_{p-2} and H_{p-1}
+        calls, original = [], fourlines.homog_sym
+        monkeypatch.setattr(fourlines, "homog_sym", lambda k, vals: calls.append((k, vals)) or original(k, vals))
+        a, b, c = unit(0.1), unit(0.7), unit(1.9)
+        solve_tau(a, b, c, 7)
+        assert sorted(calls, key=lambda call: call[0]) == [(4, (a, b, c)), (5, (a, b, c)), (6, (a, b, c))]
 
 
 class TestSolveDelta:
@@ -259,6 +325,34 @@ class TestClassify:
                 continue
             assert classify(Fiber(0.0, tuple(etas)), FourLinesConfig(3)).tag == "P4"
 
+    def test_one_homog_sym_call_per_ordered_tuple(self, monkeypatch):
+        calls, original = [], fourlines.homog_sym
+        monkeypatch.setattr(fourlines, "homog_sym", lambda k, vals: calls.append((k, len(vals))) or original(k, vals))
+        assert classify(Fiber(0.0, (0.0, 0.5, 1.0, 1.5)), FourLinesConfig(6)).tag == "P3"
+        assert calls == [(3, 4)] * 24
+
+    def test_matches_the_two_h_test_on_seeded_fibers(self):
+        # the first ordered tuple whose H_{p-2}(a0, a1, a2) and H_{p-2}(a0, a1, a3)
+        # differ by more than WITNESS_TOL is the witness; a third of the fibers
+        # are p-th roots of unity, where many fibers are P3
+        rng = random.Random(47)
+        for case in range(60):
+            p = rng.choice([3, 4, 5, 6, 8, 12, 30])
+            n = rng.choice([3, 4, 5])
+            if case % 3 == 0:
+                etas = rng.sample([2.0 * j / p for j in range(p)], min(n, p))
+            else:
+                etas = [rng.uniform(0.0, 2.0) for _ in range(n)]
+            fiber = periodize([(0.0, e) for e in etas])[0]
+            sigma, pts = fiber.sigma, [unit(e) for e in fiber.sigma]
+            want = Classification("P3", sigma[:3])
+            for idx in permutations(range(len(sigma)), 4):
+                q = [pts[i] for i in idx]
+                if abs(homog_sym(p - 2, q[:3]) - homog_sym(p - 2, q[:2] + q[3:])) > fourlines.WITNESS_TOL:
+                    want = Classification("P4", tuple(sigma[i] for i in idx))
+                    break
+            assert classify(fiber, FourLinesConfig(p)) == want, (p, sigma)
+
     def test_permutation_and_mod2_invariance(self):
         etas = (0.2, 0.8, 1.1, 1.7)
         base = classify(Fiber(0.0, etas), FourLinesConfig(4)).tag
@@ -285,6 +379,10 @@ class TestPeriodize:
         fibers = periodize([(0.0, -1e-17), (0.0, 0.5)])
         assert fibers == [Fiber(0.0, (0.0, 0.5))]
         assert classify(fibers[0], FourLinesConfig(3)).tag == "P2"
+
+    def test_heights_just_below_two_are_zero(self):
+        # 2 - 1e-13 lies within the distinctness tolerance of 0.0 modulo 2, and is merged into it
+        assert periodize([(0, 0), (0, 2 - 1e-13), (0, 0.5)]) == [Fiber(0.0, (0.0, 0.5))]
 
     def test_groups_by_xi_sorted(self):
         fibers = periodize([(1.0, 0.1), (-1.0, 0.2), (1.0, 1.3)])
@@ -313,6 +411,11 @@ class TestFiberValidation:
     def test_nonfinite_xi_rejected(self, xi):
         with pytest.raises(ValueError, match=f"xi must be finite, got {xi}"):
             Fiber(xi, (0.5,))
+
+    def test_unit_points_in_height_order(self):
+        points = Fiber(0.0, (1.5, 0.5)).unit_points()
+        assert points == (UnitPoint(0.5), UnitPoint(1.5))
+        assert [p.a for p in points] == pytest.approx([1j, -1j])
 
     def test_unit_point_range(self):
         with pytest.raises(ValueError):

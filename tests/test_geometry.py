@@ -28,6 +28,7 @@ from huplab.geometry import (
     Lines,
     Measure,
     ParamCurve,
+    anti_spiral,
     circle,
     curve_point,
     exp_curve,
@@ -71,6 +72,9 @@ class TestCurvePoint:
     def test_fields_must_match_kind(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ParamCurve(**kwargs)
+
+    def test_anti_spiral_is_its_kind(self):
+        assert anti_spiral() == ParamCurve("anti-spiral")
 
     def test_parallel_lines_components(self):
         pl = parallel_lines([0.0, 1.0, 2.0, 5.0])

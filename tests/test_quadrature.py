@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from huplab import quadrature
-from huplab.expr import UNKNOWN
+from huplab.expr import UNKNOWN, Band
 from huplab.geometry import CompactSupport, ExpDecay, GaussianDecay
 from huplab.quadrature import (
     MissingEnvelopeError,
@@ -461,3 +461,10 @@ def test_refinement_names_the_node_where_the_fold_overflows():
         integrate(f, (-1.0, 1.0))
     assert not isinstance(info.value, NonconvergenceError)
 
+
+def test_band_past_the_node_limit_takes_no_trapezoid_nodes():
+    # a degree B needs more than 2B nodes, and 2 * 8192 is the limit itself
+    rows = Rows(np.zeros(2), np.ones(2), lambda t: (np.cos(t), np.sin(t)), np.cos, lambda lo, hi: (1.0, 1.0), NO_PARITY)
+    rows = rows._replace(band=Band(8192, 1.0), strip=np.sinh)
+    nodes, bound = quadrature._periodic_nodes(rows, np.array([math.pi, 10.0]), 1e-11)
+    assert nodes.tolist() == [0, 0] and bound.tolist() == [math.inf, math.inf]

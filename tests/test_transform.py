@@ -223,6 +223,10 @@ class TestLinesMuHat:
         with pytest.raises(ValueError):
             lines_mu_hat([lambda x: 0.0] * 4, 2, 0.0, 0.0)
 
+    def test_four_evaluators_required(self):
+        with pytest.raises(ValueError, match="need exactly four evaluators"):
+            lines_mu_hat([lambda x: 0.0] * 3, 3, 0.0, 0.0)
+
 
 class TestConvolutionIdentity:
     def test_hyperbola_indicator_at_zero(self):
@@ -236,6 +240,12 @@ class TestConvolutionIdentity:
         m = Measure(spiral(), (parse("0"),), ExpDecay(1.0))
         direct, conv = convolution_identity(m, 0.5)
         assert direct == 0 and conv == 0
+
+    @pytest.mark.parametrize("curve", [spiral(), hyperbola_branch()], ids=["spiral", "hyperbola-branch"])
+    def test_support_missing_the_domain_gives_zeros(self, curve):
+        # both domains are t >= 0, which the support (-3, -1) misses
+        m = Measure(curve, (parse("exp(-t)*cos(t)"),), CompactSupport(-3.0, -1.0))
+        assert convolution_identity(m, 0.5) == (0j, 0j)
 
     def test_spiral_exponential_density(self):
         m = Measure(spiral(), (parse("exp(-t)"),), ExpDecay(1.0))
@@ -523,9 +533,9 @@ def test_circle_clipped_by_its_support_takes_no_trapezoid_rows(monkeypatch):
     assert periodic == []
 
 
-@pytest.mark.parametrize("density", ["0", "-0", "0*pi"])
+@pytest.mark.parametrize("density", ["0", "-0", "0*pi", "0*sin(t)", "sin(t)*0", "0*exp(2*i*t)", "exp(-1000+i*t)"])
 def test_zero_density_evaluates_no_node_and_keeps_its_tail(density, monkeypatch):
-    # a constant tree equal to 0 is exactly 0, with the truncation bound of its window
+    # a band of norm 0 is exactly 0, with the truncation bound of its window
     calls = []
     monkeypatch.setattr(expr, "evaluate_array", lambda *args: calls.append(args))
     decay = GaussianDecay(1.0, 1.0)
