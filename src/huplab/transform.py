@@ -77,8 +77,9 @@ def _transform(
     points: Sequence[tuple[float, float]],
     opts: QuadOpts,
     offset: tuple[float, float] = (0.0, 0.0),
-) -> tuple[list[FTValue], Optional[tuple[int, QuadratureError]]]:
-    """The transform at every point, and the first failure in input order as (index, error), or None."""
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float], Optional[tuple[int, QuadratureError]]]:
+    """The transform's values and errors at every point as arrays, its truncation window,
+    and the first failure in input order as (index, error), or None."""
     n = len(points)
     xi = np.array([p[0] for p in points], dtype=float)
     eta = np.array([p[1] for p in points], dtype=float)
@@ -100,15 +101,14 @@ def _transform(
         err[live] += e
         windows += [window] if window else []
     lo, hi = min((w[0] for w in windows), default=0.0), max((w[1] for w in windows), default=0.0)
-    values = [FTValue(v, e, (lo, hi)) for v, e in zip(value.tolist(), err.tolist())]
-    return values, None if failure is None else (first, failure)
+    return value, err, (lo, hi), None if failure is None else (first, failure)
 
 
 def _one_point(measure: Measure, xi: float, eta: float, opts: QuadOpts, offset=(0.0, 0.0)) -> FTValue:
-    values, failure = _transform(measure, [(xi, eta)], opts, offset)
+    value, err, window, failure = _transform(measure, [(xi, eta)], opts, offset)
     if failure:
         raise failure[1]
-    return values[0]
+    return FTValue(value.item(), err.item(), window)
 
 
 def mu_hat(measure: Measure, xi: float, eta: float, opts: QuadOpts = QuadOpts()) -> FTValue:
@@ -128,6 +128,24 @@ def total_variation(measure: Measure, opts: QuadOpts = QuadOpts()) -> float:
         res = integrate(integrand, measure.curve.domain(comp), opts, envelope=measure.decay)
         tv += res.value.real
     return tv
+
+
+def mu_hat_columns(
+    measure: Measure,
+    points: Sequence[tuple[float, float]],
+    opts: QuadOpts = QuadOpts(),
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """:func:`mu_hat_at_points` as columns: the values (complex128) and the
+    error estimates (float64) in input order, and the truncation window.
+
+    For callers that reduce or print many points and need no object per
+    point.  Raises as :func:`mu_hat_at_points` does.
+    """
+    value, err, window, failure = _transform(measure, points, opts)
+    if failure:
+        first, exc = failure
+        raise PointFailure(points[first], exc) from exc
+    return value, err, window
 
 
 def mu_hat_at_points(
@@ -154,12 +172,11 @@ def mu_hat_at_points(
     and share one pre-split: then they depend on the set of points, but
     not on their order.  A quadrature failure is raised as a
     :class:`PointFailure` for the first failing point in input order.
+    The :class:`FTValue` list is built from the arrays that
+    :func:`mu_hat_columns` returns, so the two agree bit for bit.
     """
-    values, failure = _transform(measure, points, opts)
-    if failure:
-        first, exc = failure
-        raise PointFailure(points[first], exc) from exc
-    return values
+    value, err, window = mu_hat_columns(measure, points, opts)
+    return [FTValue(v, e, window) for v, e in zip(value.tolist(), err.tolist())]
 
 
 def circle_coeff(

@@ -43,7 +43,7 @@ from .geometry import (
     sample_set,
 )
 from .quadrature import QuadOpts
-from .transform import mu_hat_at_points
+from .transform import mu_hat_columns
 
 __all__ = [
     "Certificate",
@@ -117,9 +117,10 @@ def _measure_certificate(
     # one batch: a point's value is the same as in a batch of its own, unless
     # the points fill a grid that shares one pre-split (the fourlines Lambda,
     # xi x fiber heights): there it depends on the set of points, not their order
-    *on_lambda, witness = mu_hat_at_points(measure, points + [witness_point], _quad_opts(tol))
-    residual = max(abs(ft.value) for ft in on_lambda)
-    return Certificate(measure, lam, window, witness_point, residual, abs(witness.value), len(points), basis)
+    value, _, _ = mu_hat_columns(measure, points + [witness_point], _quad_opts(tol))
+    # Python's abs of each complex, as numpy's abs may differ in the last bit
+    *on_lambda, witness = map(abs, value.tolist())
+    return Certificate(measure, lam, window, witness_point, max(on_lambda), witness, len(points), basis)
 
 
 def circle_line_annihilator() -> Certificate:

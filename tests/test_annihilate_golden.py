@@ -32,7 +32,8 @@ CORPUS = (
 def test_annihilate_outputs_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in golden] == CORPUS
-    mismatched = [entry["argv"] for entry in golden if run(entry["argv"]) != entry]
+    # recorded before stderr was; every case writes none
+    mismatched = [entry["argv"] for entry in golden if run(entry["argv"]) != {**entry, "stderr": ""}]
     assert not mismatched
 
 

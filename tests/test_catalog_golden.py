@@ -1,10 +1,13 @@
-"""Byte-pinned outputs of the catalog commands: verdicts, fourlines, Bessel zeros and help.
+"""Byte-pinned outputs of the catalog commands: verdicts, fourlines, Bessel zeros, help and usage errors.
 
-``catalog_golden.json`` holds stdout and the exit code of every command line
-in ``CORPUS``.  It was recorded before the verdict catalog, the Bessel
-recurrence and the verb dispatch became tables, so the test shows that the
-rewrite changed no byte.  Regenerate it only for a deliberate change of
-output: ``PYTHONPATH=src python tests/test_catalog_golden.py``.
+``catalog_golden.json`` holds stdout, stderr and the exit code of every
+command line in ``CORPUS``.  It was recorded before the verdict catalog, the
+Bessel recurrence and the verb dispatch became tables, so the test shows that
+the rewrite changed no byte; the help of ``ft``, the usage errors and stderr
+were recorded before the parser was built once per process.  All of it runs
+in one process, so every line after the first parses with a parser that
+earlier lines used.  Regenerate it only for a deliberate change of output:
+``PYTHONPATH=src python tests/test_catalog_golden.py``.
 """
 
 import contextlib
@@ -123,20 +126,38 @@ def _bessel() -> list[list[str]]:
     return lines
 
 
-HELP = [["--help"], ["verdict", "--help"], ["fourlines", "--help"], ["bessel", "--help"], ["annihilate", "--help"]]
+HELP = [
+    ["--help"],
+    ["verdict", "--help"],
+    ["fourlines", "--help"],
+    ["bessel", "--help"],
+    ["annihilate", "--help"],
+    ["ft", "--help"],
+]
 
-CORPUS = _verdicts() + _fourlines() + _bessel() + HELP
+# argparse's own rejections: usage and message on stderr, exit 2; an
+# unrecognized argument is reported by the top level, with its usage
+USAGE_ERRORS = [
+    [],
+    ["nope"],
+    ["annihilate", "nope"],
+    ["bessel", "j", "--x", "abc"],
+    ["verdict"],
+    ["bessel", "j", "--bogus", "1"],
+]
+
+CORPUS = _verdicts() + _fourlines() + _bessel() + HELP + USAGE_ERRORS
 
 
 def run(argv: list[str]) -> dict:
-    """stdout and exit code of ``huplab ARGV`` run in-process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """stdout, stderr and exit code of ``huplab ARGV`` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # --help
+        except SystemExit as exc:  # --help and usage errors
             code = exc.code
-    return {"argv": argv, "code": code, "stdout": out.getvalue()}
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def _write_files(directory: Path) -> None:

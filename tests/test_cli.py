@@ -409,6 +409,64 @@ def test_cli_imports_no_third_party_package_but_numpy():
     assert loaded - set(sys.stdlib_module_names) == {"huplab", "numpy"}
 
 
+class TestParserPerCommand:
+    """``main`` gives the parser the arguments of the subcommand a command line starts with, and no others."""
+
+    def test_import_builds_no_parser(self):
+        # the benchmark's setup time includes this import
+        code = (
+            "import argparse, contextlib, io\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import huplab.cli\n"
+            "at_import = len(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    huplab.cli.main(['bessel', 'j', '--x', '2'])\n"
+            "print(at_import, len(built))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        at_import, after_main = map(int, res.stdout.split())
+        assert at_import == 0 and after_main > 0
+
+    def test_every_call_reads_as_with_the_full_parser(self, capsys, monkeypatch):
+        calls = [
+            ("annihilate", "fourlines", "--p", "5", "--eta0", "0.5", "--samples", "16"),
+            ("annihilate", "fourlines", "--samples", "16"),
+            ("bessel", "j", "--order", "3", "--x", "2"),
+            ("bessel", "j", "--x", "abc"),
+            ("bessel", "j", "--x", "2"),
+            ("bessel", "j", "--bogus"),
+            ("verdict", "circle-circle", "--radius", "1"),
+            ("verdict", "circle-circle"),
+            ("fourlines", "rho", "--etas", "0,0.5,1"),
+            ("ft", "--output", "xml"),
+            ("-h", "bessel"),
+            ("--", "bessel", "j"),
+        ]
+        per_command = [run_main(capsys, *argv) for argv in calls]
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert [run_main(capsys, *argv) for argv in calls] == per_command
+        heights = json.loads(per_command[1][1])["certificate"]["measure"]["curve"]["heights"]
+        assert heights == [0.0, 1.0, 2.0, 3.0]  # the default p = 3, not the 5 of the call before
+        assert json.loads(per_command[4][1])["order"] == "0"
+        assert per_command[3][0] == 2 and "invalid float value: 'abc'" in per_command[3][2]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_at_each_width_as_with_the_full_parser(self, capsys, monkeypatch, command):
+        full = cli.build_parser
+        helps = {}
+        for columns in ("80", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            helps[columns] = run_main(capsys, command, "--help")
+            with monkeypatch.context() as m:
+                m.setattr(cli, "build_parser", lambda command=None: full())
+                assert run_main(capsys, command, "--help") == helps[columns]
+        assert helps["80"][0] == 0 and helps["80"][1]
+
+
 def test_output_json_flag_accepted_everywhere():
     commands = [
         ("annihilate", "circle-line", "--samples", "16", "--output", "json"),
@@ -614,8 +672,11 @@ def test_load_rejects_malformed_descriptions(table, where, desc, message):
 
 
 def run_main(capsys, *argv):
-    """Exit code, stdout and stderr of ``huplab ARGV`` run in-process."""
-    code = cli.main(list(argv))
+    """Exit code, stdout and stderr of ``huplab ARGV`` run in-process, help and usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -628,6 +689,17 @@ LAMBDA_CONFIG = {
     "samples": 16,
 }
 
+
+
+@pytest.fixture
+def no_transform(monkeypatch):
+    """Fail the test if ``ft`` or a certificate evaluates the transform at any point."""
+
+    def refuse(*args):
+        raise AssertionError("no transform runs")
+
+    monkeypatch.setattr(cli, "mu_hat_columns", refuse)
+    monkeypatch.setattr(witnesses, "mu_hat_columns", refuse)
 
 
 def _with_grid(xi, eta):
@@ -720,18 +792,25 @@ class TestConfigErrorsExit2:
         ids=["grid", "samples", "lattice-cross", "periodic-fibers", "annihilate-samples", "annihilate-j"],
     )
     def test_more_points_than_the_bound_exit_2_before_any_transform(
-        self, capsys, monkeypatch, tmp_path, argv, cfg, message
+        self, capsys, no_transform, tmp_path, argv, cfg, message
     ):
         # each asks for one point more than POINTS_MAX; --j asks for 2 more,
         # as each of its lines takes 2 samples
-        def refuse(*args):
-            raise AssertionError("no transform runs on a point count over the bound")
-
-        monkeypatch.setattr(cli, "mu_hat_at_points", refuse)
-        monkeypatch.setattr(witnesses, "mu_hat_at_points", refuse)
         config = ("--config", write_config(tmp_path, cfg)) if cfg else ()
         code, out, err = run_main(capsys, *argv, *config)
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    def test_unknown_output_exit_2_before_any_transform(self, capsys, no_transform, tmp_path):
+        # this 200 x 200 grid ran its whole transform, 0.62 s, before the exit
+        cfg = {
+            "curve": {"kind": "parabola"},
+            "density": ["exp(-(t^2))"],
+            "decay": {"kind": "gaussian", "rate": 1.0},
+            "grid": {"xi": [-20.0, 20.0, 200], "eta": [-20.0, 20.0, 200]},
+            "output": "xml",
+        }
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out, err) == (2, "", "config error: unknown output format 'xml'\n")
 
     @pytest.mark.parametrize(
         "cfg, message",
@@ -821,13 +900,13 @@ class TestConfigErrorsExit2:
     @pytest.mark.parametrize("argv", [("--tol", "nan"), ("--samples", "0")])
     def test_annihilate_rejects_its_arguments_before_building(self, capsys, monkeypatch, argv):
         # the certificate of --j 5 took about 27 ms of quadrature before the rejection
-        calls, original = [], witnesses.mu_hat_at_points
+        calls, original = [], witnesses.mu_hat_columns
 
         def spying(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(witnesses, "mu_hat_at_points", spying)
+        monkeypatch.setattr(witnesses, "mu_hat_columns", spying)
         code, out, err = run_main(capsys, "annihilate", "circle-lines", "--j", "5", *argv)
         assert (code, out, calls) == (2, "", [])
         assert err.startswith("config error: ")

@@ -86,8 +86,8 @@ class TestCircleBesselCircle:
     def test_anti_certificate_transforms_only_its_own_points(self, monkeypatch):
         # it took the good certificate's measure and window by building that
         # certificate, a 257-point transform, first
-        calls, original = [], witnesses.mu_hat_at_points
-        monkeypatch.setattr(witnesses, "mu_hat_at_points", lambda *args: calls.append(args) or original(*args))
+        calls, original = [], witnesses.mu_hat_columns
+        monkeypatch.setattr(witnesses, "mu_hat_columns", lambda *args: calls.append(args) or original(*args))
         anti = anti_certificate_midpoint_radius(3, 3)
         good = circle_bessel_circle_annihilator(3, 3)
         assert len(calls) == 2 and (anti.measure, anti.window) == (good.measure, good.window)
