@@ -352,6 +352,7 @@ def _classify(args: argparse.Namespace) -> dict:
             raise ConfigError("fibers JSON must contain 'points' or 'fibers'")
     except TypeError as exc:  # a value of the wrong JSON type; other bad values raise ValueError
         raise ConfigError(f"bad fibers JSON: {exc}") from None
+    fl.check_heights(fibers)
     results = []
     for fiber in fibers:
         cls = fl.classify(fiber, cfg)

@@ -14,13 +14,18 @@ the polynomial lift that raises a degree-2 relation to higher degree.
 The fourth-line height p is bounded, 3 <= p <= P_MAX = 1500, and checked
 before any work: ``classify`` makes one O(p) ``homog_sym`` call for each
 ordered 4-tuple of a fiber's heights.  ``FourLinesConfig``, ``solve_tau`` and
-``lift_to_degree`` raise ``ValueError`` outside that range.
+``lift_to_degree`` raise ``ValueError`` outside that range.  A fiber has at
+most HEIGHTS_MAX = 8 distinct heights, at most 1,680 ordered 4-tuples:
+``check_heights`` raises ``ValueError`` past that, and ``classify`` checks
+its fiber.  The slowest fiber accepted, eight heights of a P3 fiber at
+p = 1500, where every tuple is tried, takes about 1.7 s.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
@@ -41,6 +46,7 @@ __all__ = [
     "rho",
     "delta_bound",
     "classify",
+    "check_heights",
     "periodize",
     "lift_relation",
     "lift_to_degree",
@@ -48,7 +54,9 @@ __all__ = [
 
 DISTINCT_TOL = 1e-12
 WITNESS_TOL = 1e-10
+WITNESS_EPS = 32
 P_MAX = 1500
+HEIGHTS_MAX = 8
 
 
 def _check_p(p: int) -> None:
@@ -180,6 +188,15 @@ def delta_bound(p0: UnitPoint, p1: UnitPoint) -> float:
     return abs(p0.a + p1.a)
 
 
+def check_heights(fibers: Sequence[Fiber]) -> None:
+    """Raise ``ValueError`` if some fiber has more than HEIGHTS_MAX distinct heights."""
+    for fiber in fibers:
+        if len(fiber.sigma) > HEIGHTS_MAX:
+            raise ValueError(
+                f"fiber at xi = {fiber.xi} has {len(fiber.sigma)} distinct heights, more than {HEIGHTS_MAX}"
+            )
+
+
 def classify(fiber: Fiber, cfg: FourLinesConfig) -> Classification:
     """Sort a fiber into P1-P4.
 
@@ -187,16 +204,25 @@ def classify(fiber: Fiber, cfg: FourLinesConfig) -> Classification:
     P4 when some ordered 4-tuple of its distinct unit points (a0, a1, a2, a3)
     separates H_{p-2}(a0, a1, a2) from H_{p-2}(a0, a1, a3).  Their difference
     is the divided difference (a2 - a3) H_{p-3}(a0, a1, a2, a3), one O(p)
-    ``homog_sym`` call per tuple; the first separating tuple (in index order)
-    is recorded as the witness.  Otherwise P3.
+    ``homog_sym`` call per tuple.  On unit points each partial derivative of
+    H_{p-2} of three points is at most C(p, 3), so moving the four points by
+    d moves the difference by up to 6 C(p, 3) d, and rounding a height and
+    its exponential moves a point by about 4 eps.  A tuple separates where
+    the difference exceeds max(WITNESS_TOL, WITNESS_EPS eps C(p, 3)): 1e-10
+    up to p = 44 and 4e-6 at p = 1500, where a smaller difference is within
+    the rounding of the heights.  The first separating tuple
+    (in index order) is recorded as the witness.  Otherwise P3.  A fiber with
+    more than HEIGHTS_MAX heights raises ``ValueError``.
     """
+    check_heights((fiber,))
     sigma = fiber.sigma
     if len(sigma) <= 2:
         return Classification(f"P{len(sigma)}", sigma)
     points = [cmath.exp(1j * math.pi * s) for s in sigma]
+    tol = max(WITNESS_TOL, WITNESS_EPS * sys.float_info.epsilon * math.comb(cfg.p, 3))
     for idx in permutations(range(len(sigma)), 4):
         a0, a1, a2, a3 = (points[i] for i in idx)
-        if abs((a2 - a3) * homog_sym(cfg.p - 3, (a0, a1, a2, a3))) > WITNESS_TOL:
+        if abs((a2 - a3) * homog_sym(cfg.p - 3, (a0, a1, a2, a3))) > tol:
             return Classification("P4", tuple(sigma[i] for i in idx))
     return Classification("P3", sigma[:3])
 

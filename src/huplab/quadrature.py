@@ -34,7 +34,11 @@ as e^{-i pi xi x} e^{-i pi eta y} and scored for all rows by one matmul per
 block of panels: then they depend on the set of rows in the batch, but not
 on their order.  On a folded window a factor of known parity is built at
 the nodes t >= 0 only, and an even factor lets the fold be summed before
-the matmul, over half the nodes.
+the matmul, over half the nodes.  Along an equispaced frequency axis a
+factor is built by recurrence, directly at every _ANCHOR-th value and as
+the value before times e^{-i pi delta x} between; its drift from the direct
+exponentials is bounded, added to every row's error, and allowed only where
+that term is at most abs_tol/10.  Elsewhere each entry is one exponential.
 
 On a window that is one whole period of a closed curve, a row whose density
 is a trigonometric polynomial (``expr.band``) takes no panels: it is the
@@ -253,6 +257,11 @@ _NULL_PANELS = 64
 _PERIODIC_STEP = 16
 _PERIODIC_NODES_MAX = 1 << 14
 _TINY = 1e-300
+# on a shared grid, a factor along an equispaced frequency axis is built
+# directly at every _ANCHOR-th value and by recurrence between (``_powers``);
+# an axis is equispaced within _EQUISPACED_ULPS ulps of its largest |value|
+_ANCHOR = 16
+_EQUISPACED_ULPS = 4
 # for an integrand of amplitude A whose phase turns by theta over a panel of
 # width h, the Gauss error model of GK15 is about c A h theta^order; blocks ask
 # _SAFETY times less of it than their share of abs_tol, since g and a curving
@@ -497,11 +506,44 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     return spans, counts, fastest
 
 
-def _factors(xs: np.ndarray, cu: np.ndarray, ys: np.ndarray, cv: np.ndarray):
-    """The u = e^{-i pi xs x} (panels x #xs x k) and v = e^{-i pi ys y} (panels x k x #ys) at x = cu and y = cv."""
-    u = np.multiply(-1j * math.pi, xs[:, None] * cu[:, None, :])
-    v = np.multiply(-1j * math.pi, cv[:, :, None] * ys)
-    return np.exp(u, out=u), np.exp(v, out=v)
+def _powers(s: np.ndarray, step: float, c: np.ndarray) -> np.ndarray:
+    """e^{-i pi s_j c} (#s x panels x k) at the coordinates c along the equispaced axis s.
+
+    Every _ANCHOR-th entry is built directly, bit for bit as ``_factors``
+    builds it, and each entry between is the one before times
+    R = e^{-i pi step c}: ceil(#s / _ANCHOR) + 1 exponentials a node, not #s.
+    Each power is one contiguous panels x k slab.
+    """
+    out = np.empty(s.shape + c.shape, dtype=np.complex128)
+    anchors = out[::_ANCHOR]
+    np.multiply(-1j * math.pi, s[::_ANCHOR, None, None] * c, out=anchors)
+    np.exp(anchors, out=anchors)
+    ratio = np.multiply(-1j * math.pi, step * c)
+    np.exp(ratio, out=ratio)
+    for m in range(1, min(_ANCHOR, s.size)):
+        np.multiply(out[m - 1 : -1 : _ANCHOR], ratio, out=out[m::_ANCHOR])
+    return out
+
+
+def _factors(xs: np.ndarray, cu: np.ndarray, ys: np.ndarray, cv: np.ndarray, steps):
+    """The u = e^{-i pi xs x} (panels x #xs x k) and v = e^{-i pi ys y} (panels x k x #ys) at x = cu and y = cv.
+
+    An axis whose entry of ``steps`` is a step is built by ``_powers`` and
+    given as a transposed view of its powers; an axis whose entry is None
+    takes one exponential an entry.
+    """
+    sx, sy = steps
+    if sx is None:
+        u = np.multiply(-1j * math.pi, xs[:, None] * cu[:, None, :])
+        np.exp(u, out=u)
+    else:
+        u = _powers(xs, sx, cu).transpose(1, 0, 2)
+    if sy is None:
+        v = np.multiply(-1j * math.pi, cv[:, :, None] * ys)
+        np.exp(v, out=v)
+    else:
+        v = _powers(ys, sy, cv).transpose(1, 2, 0)
+    return u, v
 
 
 def _halves(f: np.ndarray, parity: int, axis: int):
@@ -521,6 +563,38 @@ def _distinct(v: np.ndarray):
     return s[keep], np.searchsorted(s[keep], v)
 
 
+def _step(s: np.ndarray):
+    """(delta, gap) where the sorted distinct values s are an equispaced axis, else None.
+
+    delta is (s_last - s_0) / (#s - 1), and gap the largest
+    |s_j - (s_a + (j - a) delta)| over j, with a the multiple of _ANCHOR
+    at or below j: how far ``_powers`` puts its s_j.  The axis is
+    equispaced where gap is at most _EQUISPACED_ULPS ulps of max |s| and
+    #s >= 3; with two values the recurrence would build as many
+    exponentials as it saves.
+    """
+    if s.size < 3:
+        return None
+    delta, j = (s[-1] - s[0]) / (s.size - 1), np.arange(s.size)
+    past = j % _ANCHOR
+    gap = float(np.abs(s - (s[j - past] + past * delta)).max())
+    return (float(delta), gap) if gap <= _EQUISPACED_ULPS * np.spacing(np.abs(s).max()) else None
+
+
+def _drift(s: np.ndarray, step, c_max: float) -> float:
+    """A bound on |entry - direct exponential| of ``_powers`` on the axis s of ``step`` (see ``_step``).
+
+    An entry is at most m = min(_ANCHOR, #s) - 1 steps past its anchor.  At
+    |c| <= c_max, pi c_max (gap + 4 eps (max |s| + m |delta|)) covers the
+    gap and the rounding of the phase arguments of the anchor, of R carried
+    over m steps and of the direct exponential; 4 (m + 1) eps covers the
+    exponentials' own rounding and that of m complex multiplies.  As
+    |u| = |v| = 1, a row's value moves by at most this times sum |g| w h.
+    """
+    (delta, gap), m = step, min(_ANCHOR, s.size) - 1
+    return math.pi * c_max * (gap + 4.0 * _EPS * (float(np.abs(s).max()) + m * abs(delta))) + 4 * (m + 1) * _EPS
+
+
 def _shares(grid, panels: np.ndarray, fastest: np.ndarray) -> bool:
     """Whether all rows take the fastest row's pre-split rather than their own.
 
@@ -528,14 +602,16 @@ def _shares(grid, panels: np.ndarray, fastest: np.ndarray) -> bool:
     it when the distinct rows fill at least half of the #xi x #eta grid and
     (#xi + #eta) times its panels is less than the sum of the distinct
     rows' own panels: the factors cost #xi + #eta exponentials per node, a
-    row alone one.
+    row alone one.  An axis that ``_grid_rows`` builds by recurrence costs
+    fewer, but the model counts #xi + #eta, so whether a batch shares its
+    pre-split does not depend on the recurrence.
     """
     (xs, iu), (ys, iv) = grid
     _, distinct = np.unique(iu * ys.size + iv, return_index=True)
     return 2 * distinct.size >= xs.size * ys.size and (xs.size + ys.size) * fastest.sum() < panels[distinct].sum()
 
 
-def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
+def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool, abs_tol: float):
     """Each row's value and quadrature error on the shared panels between ``edges``, and its panel count.
 
     The phase factors as u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shares``).
@@ -551,16 +627,30 @@ def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
     goes against the v over all nodes, t and -t side by side.  The roundoff
     floor 10 eps sum (|g+| + |g-|) w h is the same for every row, as
     |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
+
+    An axis that ``_step`` finds equispaced is built by ``_powers``, one
+    anchor every _ANCHOR values and one ratio per node, where its drift
+    bound (``_drift`` at the largest |coordinate| over the panels) times
+    sum |g| w h, the same for every row, is at most ``abs_tol``/10; that term
+    is then added to every row's error.  Elsewhere, a NaN bound included,
+    the axis takes one exponential an entry, with the bits it had before
+    the recurrence.  The weighted u of both rules are written into one
+    buffer, allocated once.
     """
     (xs, iu), (ys, iv) = grid
     t, h = _nodes(edges[:-1], edges[1:], folded)
     x, y, g = _at(rows, t.ravel())
     g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
     nk = len(GK15.nodes)
-    floor = 10.0 * _EPS * math.fsum((np.abs(g) @ np.tile(GK15.weights, t.shape[1] // nk)).tolist())
+    mass = math.fsum((np.abs(g) @ np.tile(GK15.weights, t.shape[1] // nk)).tolist())
+    floor = 10.0 * _EPS * mass
     pu, pv = rows.parity[:2] if folded else (UNKNOWN, UNKNOWN)
     # each coordinate where its factor is built: at t >= 0 where its parity is known
     cu, cv = (c.reshape(t.shape)[:, : nk if p != UNKNOWN else None] for c, p in ((x, pu), (y, pv)))
+    steps, drift = [None, None], 0.0
+    for i, (s, c) in enumerate(((xs, cu), (ys, cv))):
+        if (axis := _step(s)) and (term := mass * _drift(s, axis, float(np.abs(c).max()))) <= abs_tol / 10.0:
+            steps[i], drift = axis[0], drift + term
     # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
     fold = EVEN in (pu, pv)
     k = nk if fold else t.shape[1]
@@ -571,9 +661,11 @@ def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
     # most at every node of t) and the matmul's result, hold at most _CHUNK
     # entries unless one panel needs more
     step = max(1, _CHUNK // max(2 * n_u * k, n_v * t.shape[1], 2 * n_u * n_v))
+    weighted = np.empty((min(step, len(h)), 2 * n_u, k), dtype=np.complex128)
     for start in range(0, len(h), step):
         panels = slice(start, start + step)
-        u, v = _factors(xs, cu[panels], ys, cv[panels])
+        u, v = _factors(xs, cu[panels], ys, cv[panels], steps)
+        scaled = weighted[: len(h[panels])]
         if fold:
             gp, gm = np.split(g[panels], 2, axis=1)
             if pu == EVEN:
@@ -582,16 +674,18 @@ def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool):
             else:
                 up, um = _halves(u, pu, 2)
                 u = up * gp[:, None] + um * gm[:, None]
-            u = np.concatenate([u * wk, u * wd], axis=1)
+            np.multiply(u, wk, out=scaled[:, :n_u])
+            np.multiply(u, wd, out=scaled[:, n_u:])
         else:
             gh = g[panels, None, :]
             u = np.concatenate(_halves(u, pu, 2), axis=2) if pu == ODD else u
             v = np.concatenate(_halves(v, pv, 1), axis=1) if pv == ODD else v
-            u = np.concatenate([u * (gh * wk), u * (gh * wd)], axis=1)
-        both = np.matmul(u, v)
+            np.multiply(u, gh * wk, out=scaled[:, :n_u])
+            np.multiply(u, gh * wd, out=scaled[:, n_u:])
+        both = np.matmul(scaled, v)
         sums += both[:, :n_u].sum(axis=0)
         diffs += np.abs(both[:, n_u:]).sum(axis=0)
-    return sums[iu, iv], diffs[iu, iv] + floor, len(h)
+    return sums[iu, iv], diffs[iu, iv] + (floor + drift), len(h)
 
 
 def _span_rows(rows: Rows, spans, counts: np.ndarray, folded: bool):
@@ -673,6 +767,13 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     matmul per block of at most _CHUNK entries (see ``_grid_rows``), over
     the GK15 nodes t >= 0 of each panel where the window is folded and a
     factor is even.  The rows' own columns then only count their panels.
+    A factor along an equispaced axis of 3 or more distinct xi (or eta) is
+    built by recurrence, e^{-i pi xi_j x} = e^{-i pi xi_{j-1} x}
+    e^{-i pi delta x}, re-anchored by a direct exponential every _ANCHOR
+    values.  An axis takes it only where the bound of ``_drift`` times
+    sum |g| w h is at most abs_tol/10, and every row's error then includes
+    that term.  Elsewhere, and on axes that are not equispaced, the
+    factors keep one exponential an entry, bit for bit.
 
     Either way, a row that misses tolerance or is not finite is then refined
     alone from its own column, by bisecting its worst panels first, in row
@@ -736,7 +837,7 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
         # a row alone costs one exponential a node; sharing costs two
         grid = (_distinct(rows.xi), _distinct(rows.eta)) if n > 1 else None
         if grid and _shares(grid, panels, fastest):
-            value, total_err, size = _grid_rows(rows, grid, _edges(spans, fastest), folded)
+            value, total_err, size = _grid_rows(rows, grid, _edges(spans, fastest), folded, opts.abs_tol)
             panels = np.full(n, size)
         else:
             value, total_err = _span_rows(rows, spans, counts, folded)

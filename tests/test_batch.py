@@ -87,13 +87,18 @@ GRIDS = {
 
 # complex exponentials built per mu_hat_at_points call on each GRIDS measure's
 # 7x7 grid and on the fourlines certificate's Lambda (sample_set at 512 and the
-# witness point).  Each takes one shared pre-split, sized for its fastest row,
-# and builds #xi + #eta exponentials per node.  The hyperbola, parabola and
-# fourlines windows are folded, and each coordinate there is even or odd, so
-# the factors are built at the nodes t >= 0 only: building them at -t too
-# took 148,200, 174,300 and 40,200.  With a pre-split per row and one
-# exponential per row and node they built 299,280, 354,180, 41,640 and 256,440
-EXPONENTIALS_MAX = {"hyperbola": 74_100, "parabola": 87_150, "spiral": 14_700, "fourlines": 20_100}
+# witness point).  Each takes one shared pre-split, sized for its fastest row.
+# An equispaced axis takes ceil(#values / 16) + 1 exponentials per node, its
+# anchors' and the ratio's (2 on a 7-value axis), and the others #values:
+# the hyperbola's eta axis lacks its null row at eta = 0, and the fourlines
+# fiber heights are not equispaced.  With
+# #xi + #eta exponentials per node they built 74,100, 87,150, 14,700 and
+# 20,100.  The hyperbola, parabola and fourlines windows are folded, and each
+# coordinate there is even or odd, so the factors are built at the nodes
+# t >= 0 only: building them at -t too took 148,200, 174,300 and 40,200.
+# With a pre-split per row and one exponential per row and node they built
+# 299,280, 354,180, 41,640 and 256,440
+EXPONENTIALS_MAX = {"hyperbola": 45_600, "parabola": 24_900, "spiral": 4_200, "fourlines": 4_500}
 
 # panels of the rows that take their own pre-split, refined rows included,
 # and rows refined, on each GRIDS measure's 7x7 grid: none, as all rows share
@@ -203,8 +208,10 @@ def _work(monkeypatch) -> dict:
     """Count the work of the ``integrate_rows`` calls to come.
 
     ``exponentials``: complex exponentials built, one per row and node of the
-    rows built alone (trapezoid rows included), and one per u or v entry of
-    a shared pre-split; ``rows``: the rows built alone on GK15 panels, by
+    rows built alone (trapezoid rows included), and on a shared pre-split
+    the entries of every ``np.exp`` that ``_factors`` calls: the anchors and
+    ratios of an axis built by recurrence, one per u or v entry of the
+    others; ``rows``: the rows built alone on GK15 panels, by
     index among the rows of their call; ``panels``: their panels, refined
     rows included; ``refined``: the rows refined; ``factor nodes``: the
     nodes per panel of each shared pre-split's u and v, as pairs;
@@ -238,9 +245,21 @@ def _work(monkeypatch) -> dict:
             work["exponentials"] += r.size * x.size
         return values(rows, r, x, y, g)
 
+    class CountingNumpy:
+        # numpy, whose exp counts the entries it computes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, z, *args, **kwargs):
+            work["exponentials"] += np.size(z)
+            return np.exp(z, *args, **kwargs)
+
     def counting_factors(*args):
-        u, v = factors(*args)
-        work["exponentials"] += u.size + v.size
+        quadrature.np = CountingNumpy()
+        try:
+            u, v = factors(*args)
+        finally:
+            quadrature.np = np
         work["factor nodes"].add((u.shape[2], v.shape[1]))
         return u, v
 

@@ -992,6 +992,26 @@ class TestConfigErrorsExit2:
         p = argv[argv.index("--p") + 1]
         assert (code, out, err) == (2, "", f"config error: p must be at most 1500, got {p}\n")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the second fiber has nine heights; the first is classified only after every fiber is checked
+            {"fibers": [{"xi": 0.0, "sigma": [0, 0.5, 1, 1.5]}, {"xi": 1.0, "sigma": [0.2 * j for j in range(9)]}]},
+            # nine heights after reduction mod 2 and merging: 2.2 is 0.2, and 0.0 is given twice
+            {"points": [[0.0, 0.0], [0.0, 2.2]] + [[1.0, 0.0]] + [[1.0, 0.2 * j] for j in range(9)] + [[1.0, 0.0]]},
+        ],
+        ids=["fibers", "points"],
+    )
+    def test_fourlines_heights_per_fiber_are_bounded_before_any_work(self, capsys, monkeypatch, doc):
+        def refuse(*args):
+            raise AssertionError("a fiber was classified before every fiber's heights were checked")
+
+        monkeypatch.setattr(fourlines, "homog_sym", refuse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_main(capsys, "fourlines", "classify", "--p", "1500", "--fibers", "-")
+        message = f"fiber at xi = 1.0 has 9 distinct heights, more than {fourlines.HEIGHTS_MAX}"
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     def test_numeric_failure_prints_one_stderr_line(self, capsys, monkeypatch):
         # the exp-curve's y = e^{t^2} overflows past t = 26.6: seven numpy
         # RuntimeWarnings reached stderr before the message

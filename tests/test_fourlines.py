@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import re
+import sys
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -59,6 +61,11 @@ def mp_homog(mpmath, k, vals):
         for i, x in enumerate(xs):
             total += x ** (k + len(xs) - 1) / mpmath.fprod(x - y for j, y in enumerate(xs) if j != i)
         return complex(total)
+
+
+def witness_tol(p):
+    """The separation threshold of ``classify``: 1e-10, or 32 eps C(p, 3) above p = 44."""
+    return max(fourlines.WITNESS_TOL, fourlines.WITNESS_EPS * sys.float_info.epsilon * math.comb(p, 3))
 
 
 def mp_tau(mpmath, a, b, c, p):
@@ -333,7 +340,7 @@ class TestClassify:
 
     def test_matches_the_two_h_test_on_seeded_fibers(self):
         # the first ordered tuple whose H_{p-2}(a0, a1, a2) and H_{p-2}(a0, a1, a3)
-        # differ by more than WITNESS_TOL is the witness; a third of the fibers
+        # differ by more than the witness tolerance is the witness; a third of the fibers
         # are p-th roots of unity, where many fibers are P3
         rng = random.Random(47)
         for case in range(60):
@@ -345,13 +352,82 @@ class TestClassify:
                 etas = [rng.uniform(0.0, 2.0) for _ in range(n)]
             fiber = periodize([(0.0, e) for e in etas])[0]
             sigma, pts = fiber.sigma, [unit(e) for e in fiber.sigma]
-            want = Classification("P3", sigma[:3])
+            want, tol = Classification("P3", sigma[:3]), witness_tol(p)
             for idx in permutations(range(len(sigma)), 4):
                 q = [pts[i] for i in idx]
-                if abs(homog_sym(p - 2, q[:3]) - homog_sym(p - 2, q[:2] + q[3:])) > fourlines.WITNESS_TOL:
+                if abs(homog_sym(p - 2, q[:3]) - homog_sym(p - 2, q[:2] + q[3:])) > tol:
                     want = Classification("P4", tuple(sigma[i] for i in idx))
                     break
             assert classify(fiber, FourLinesConfig(p)) == want, (p, sigma)
+
+    def test_clustered_roots_of_unity_at_p1500_are_p3(self):
+        # a^p = 1 at every height, so every divided difference is 0; at
+        # p = 1500 the tuple (1.116, 1.6933..., 1.1173..., 1.848) rounded to
+        # 1.7e-10, above an absolute tolerance of 1e-10, and was taken as a
+        # P4 witness
+        sigma = (1.116, 1.1173333333333333, 1.6933333333333334, 1.848, 1.9826666666666666)
+        assert all(abs(cmath.exp(1j * math.pi * s * 1500) - 1.0) < 1e-9 for s in sigma)
+        assert classify(Fiber(0.0, sigma), FourLinesConfig(1500)) == Classification("P3", sigma[:3])
+
+    @pytest.mark.parametrize("p", [200, 1500])
+    def test_neighbouring_roots_of_unity_are_p3(self, p):
+        # the heights 2k/p round, and the divided differences of the rounded
+        # heights of four neighbours reach 1.3 eps C(p, 3) at p = 1500 for
+        # start = p - 3, the largest of all starts; the tolerance is 32 eps C(p, 3)
+        for start in (0, p // 7, p // 2, p - 3):
+            sigma = tuple(sorted(2.0 * ((start + j) % p) / p for j in range(4)))
+            assert classify(Fiber(0.0, sigma), FourLinesConfig(p)) == Classification("P3", sigma[:3])
+
+    @pytest.mark.parametrize("p, offset", [(100, 1e-8), (1500, 1e-5)])
+    def test_p4_just_off_the_roots_of_unity(self, p, offset):
+        # three heights are p-th roots of unity and the fourth is moved by
+        # offset: every divided difference is nonzero at 50 digits, at least
+        # 100 times the tolerance, yet below 1e-10 C(p, 3), which read them as P3
+        mpmath = pytest.importorskip("mpmath")
+        sigma = (0.0, 0.5, 1.0, 1.5 + offset)
+        pts = [unit(e) for e in sigma]
+        exact = [abs((pts[i2] - pts[i3]) * mp_homog(mpmath, p - 3, [pts[i] for i in (i0, i1, i2, i3)]))
+                 for i0, i1, i2, i3 in permutations(range(4), 4)]
+        assert 100 * witness_tol(p) < min(exact) <= max(exact) < fourlines.WITNESS_TOL * math.comb(p, 3)
+        assert classify(Fiber(0.0, sigma), FourLinesConfig(p)) == Classification("P4", sigma)
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 100, 1500])
+    def test_matches_mpmath_on_seeded_fibers(self, p):
+        # the tag and witness of the divided differences at 50 digits against
+        # the same tolerance: random heights, p-th roots of unity (P3), roots
+        # of unity clustered as neighbours, where rounding is largest, and
+        # roots of unity with one height moved a little, near the P3/P4 line
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(p)
+        fibers = [[rng.uniform(0.0, 2.0) for _ in range(rng.choice([3, 4, 5]))] for _ in range(3)]
+        fibers.append([2.0 * j / p for j in rng.sample(range(p), min(p, 5))])
+        start = rng.randrange(p)
+        fibers.append([2.0 * ((start + j) % p) / p for j in {0, 1, 2, p // 3, p // 3 + 1}])
+        moved = [2.0 * j / p for j in rng.sample(range(p), min(p, 4))]
+        fibers.append(moved[:-1] + [moved[-1] + rng.choice([1e-9, 1e-7, 1e-5])])
+        tol = witness_tol(p)
+        for etas in fibers:
+            fiber = periodize([(0.0, e) for e in etas])[0]
+            sigma, pts = fiber.sigma, [unit(e) for e in fiber.sigma]
+            want = Classification("P3", sigma[:3])
+            for idx in permutations(range(len(sigma)), 4):
+                q = [pts[i] for i in idx]
+                if abs((q[2] - q[3]) * mp_homog(mpmath, p - 3, q)) > tol:
+                    want = Classification("P4", tuple(sigma[i] for i in idx))
+                    break
+            assert classify(fiber, FourLinesConfig(p)) == want, (p, sigma)
+
+    def test_heights_are_bounded_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a fiber past HEIGHTS_MAX was classified")
+
+        sigma = tuple(0.2 * j for j in range(fourlines.HEIGHTS_MAX + 1))
+        monkeypatch.setattr(fourlines, "homog_sym", refuse)
+        message = f"fiber at xi = 0.5 has {len(sigma)} distinct heights, more than {fourlines.HEIGHTS_MAX}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify(Fiber(0.5, sigma), FourLinesConfig(3))
+        monkeypatch.undo()
+        assert classify(Fiber(0.5, sigma[1:]), FourLinesConfig(3)).tag == "P4"
 
     def test_permutation_and_mod2_invariance(self):
         etas = (0.2, 0.8, 1.1, 1.7)

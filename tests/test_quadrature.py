@@ -21,6 +21,10 @@ from huplab.quadrature import (
     truncate_interval,
 )
 
+from huplab.geometry import sample_set
+from huplab.transform import mu_hat_at_points
+from huplab.witnesses import RESIDUAL_TOL, _quad_opts, fourlines_annihilator
+
 from conftest import bessel_series, reference_integrate
 
 OPTS = QuadOpts()
@@ -468,3 +472,87 @@ def test_band_past_the_node_limit_takes_no_trapezoid_nodes():
     rows = rows._replace(band=Band(8192, 1.0), strip=np.sinh)
     nodes, bound = quadrature._periodic_nodes(rows, np.array([math.pi, 10.0]), 1e-11)
     assert nodes.tolist() == [0, 0] and bound.tolist() == [math.inf, math.inf]
+
+
+def _equispaced(lo: float, hi: float, n: int) -> np.ndarray:
+    """An axis as ``cli`` makes a grid's: lo + (hi - lo) i / (n - 1)."""
+    return np.array([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 17, 20, 57])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recurrence_entries_within_their_drift_bound(n, seed):
+    # every power built by recurrence is within the bound its grid adds to
+    # each row's err of the direct exponential, at |c| up to 100; the anchors
+    # are the direct exponentials to the bit
+    rng = np.random.default_rng(100 * seed + n)
+    s = _equispaced(rng.uniform(-60.0, 0.0), rng.uniform(0.0, 60.0), n)
+    c = rng.uniform(-100.0, 100.0, (40, 15))
+    delta = (s[-1] - s[0]) / (n - 1)
+    past = np.arange(n) % quadrature._ANCHOR
+    step = (delta, float(np.abs(s - (s[np.arange(n) - past] + past * delta)).max()))
+    # two values are never taken as an axis of the recurrence, which would save no exponential
+    assert quadrature._step(s) == (step if n >= 3 else None)
+    got = quadrature._powers(s, delta, c)
+    want = np.exp(np.multiply(-1j * math.pi, s[:, None, None] * c))
+    assert (got[:: quadrature._ANCHOR] == want[:: quadrature._ANCHOR]).all()
+    assert np.abs(got - want).max() <= quadrature._drift(s, step, float(np.abs(c).max()))
+
+
+def _recurrence_off(monkeypatch):
+    """Find no equispaced axis, as before the recurrence: every factor one exponential an entry."""
+    monkeypatch.setattr(quadrature, "_step", lambda s: None)
+
+
+def test_recurrence_adds_its_drift_to_every_rows_err(monkeypatch):
+    # both axes of the 6x6 grid take the recurrence: every row's err is the
+    # err of one exponential an entry plus both drift bounds times
+    # sum |g| w h, here the integral of |cos t| over [0, 1], sin 1; the
+    # Kronrod - Gauss differences of the two builds differ by 4e-16 at most
+    drifts, drift = [], quadrature._drift
+    monkeypatch.setattr(quadrature, "_drift", lambda *args: drifts.append(drift(*args)) or drifts[-1])
+    value, err, panels, failure, _ = integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)
+    assert failure is None and len(drifts) == 2 and (panels == panels[0]).all()
+    _recurrence_off(monkeypatch)
+    want = integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)
+    assert np.abs(value - want[0]).max() <= 1e-13
+    assert err - want[1] == pytest.approx(np.full(36, sum(drifts) * math.sin(1.0)), rel=1e-2, abs=0.0)
+
+
+def test_an_axis_off_by_1e_9_keeps_the_exponentials(monkeypatch):
+    # one value of each axis moved by 1e-9 is far more than a few ulps: the
+    # grid takes one exponential an entry, with the bits of the grid before
+    # the recurrence; unmoved, both axes take the recurrence
+    factors = _spy(monkeypatch, "_factors")
+    integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)
+    assert all(None not in args[4] for args in factors)
+    rows = _grid_rows_case(np.cos)
+    rows = rows._replace(xi=np.where(rows.xi == 24.0, 24.0 + 1e-9, rows.xi))
+    rows = rows._replace(eta=np.where(rows.eta == 8.0, 8.0 + 1e-9, rows.eta))
+    assert all(quadrature._step(quadrature._distinct(v)[0]) is None for v in (rows.xi, rows.eta))
+    got = integrate_rows(rows, (0.0, 1.0), OPTS)
+    _recurrence_off(monkeypatch)
+    want = integrate_rows(rows, (0.0, 1.0), OPTS)
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]] and got[3] is want[3] is None
+
+
+def test_fourlines_fiber_heights_keep_the_exponentials(monkeypatch):
+    # the certificate's Lambda is xi x {fiber heights}: its xi axis is
+    # equispaced and takes the recurrence, its heights are not, and their
+    # factor has the bits of the grid before the recurrence
+    cert = fourlines_annihilator(4, 0.7)
+    points = sample_set(cert.lam, 512, cert.window) + [cert.witness_point]
+    eta = np.array([point[1] for point in points])
+    assert quadrature._step(quadrature._distinct(np.array([point[0] for point in points]))[0]) is not None
+    assert quadrature._step(quadrature._distinct(eta)[0]) is None
+    runs, original = [], quadrature._factors
+    monkeypatch.setattr(quadrature, "_factors", lambda *args: runs[-1].append(original(*args)) or runs[-1][-1])
+    powers = _spy(monkeypatch, "_powers")
+    for off in (False, True):
+        if off:
+            _recurrence_off(monkeypatch)
+        runs.append([])
+        mu_hat_at_points(cert.measure, points, _quad_opts(RESIDUAL_TOL))
+    assert len(runs[0]) == len(runs[1]) == len(powers) > 0
+    assert all(a[1].tobytes() == b[1].tobytes() for a, b in zip(*runs))
+    assert all(args[0].size == u.shape[1] for args, (u, _) in zip(powers, runs[0]))

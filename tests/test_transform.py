@@ -350,6 +350,46 @@ def test_parabola_gaussian_grid_within_error_estimate(tol, monkeypatch):
     assert len(shared) == 1 and shared[0] is not None
 
 
+def _parabola_true(xi: float, eta: float) -> complex:
+    # integral of e^{-i pi (t xi + t^2 eta)} e^{-t^2} dt, a = 1 + i pi eta
+    a = 1.0 + 1j * math.pi * eta
+    return cmath.sqrt(math.pi / a) * cmath.exp(-((math.pi * xi) ** 2) / (4.0 * a))
+
+
+def _grid_run(monkeypatch, points, opts):
+    """Values, errs and rows refined of ``mu_hat_at_points`` on the parabola's Gaussian, and the factors' steps."""
+    refined, steps = [], []
+    refine, factors = quadrature._refine, quadrature._factors
+    monkeypatch.setattr(quadrature, "_refine", lambda *args: refined.append(args[1]) or refine(*args))
+    monkeypatch.setattr(quadrature, "_factors", lambda *args: steps.append(args[4]) or factors(*args))
+    m = Measure(parabola(), (parse("exp(-(t^2))"),), GaussianDecay(1.0))
+    got = mu_hat_at_points(m, points, opts)
+    return [(ft.value, ft.err_estimate) for ft in got], refined, steps
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("n", [7, 20, 57])
+def test_parabola_grids_within_error_estimate_with_the_recurrence(n, tol, monkeypatch):
+    # an ft grid's axes are equispaced, and its factors are built by
+    # recurrence where the drift it adds to err fits abs_tol/10; at 1e-13 it
+    # does not, and the grid keeps the bits and the refined rows of one
+    # exponential an entry
+    axis = [-20.0 + 40.0 * i / (n - 1) for i in range(n)]
+    points, opts = [(xi, eta) for xi in axis for eta in axis], QuadOpts(abs_tol=tol, rel_tol=tol)
+    got, refined, steps = _grid_run(monkeypatch, points, opts)
+    for (xi, eta), (value, err) in zip(points, got):
+        assert abs(value - _parabola_true(xi, eta)) <= err, (xi, eta)
+    if tol > 1e-13:
+        assert steps and all(None not in step for step in steps)
+        return
+    assert steps and all(step == [None, None] for step in steps)
+    monkeypatch.undo()
+    monkeypatch.setattr(quadrature, "_step", lambda s: None)
+    want, want_refined, _ = _grid_run(monkeypatch, points, opts)
+    assert [(v.real, v.imag, e) for v, e in got] == [(v.real, v.imag, e) for v, e in want]
+    assert refined == want_refined
+
+
 # each decay law's density on the line y = 0 against its closed form; at
 # xi = 0 the truncated mass equals the law's tail bound, so a tail bound that
 # shrinks fails the gate there
