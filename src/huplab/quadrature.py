@@ -1,9 +1,14 @@
 """Adaptive complex-valued integration.
 
-Every panel is scored with the :class:`Rule` ``GK15``: its ``weights`` give
-the panel's value, and their difference from its embedded ``gauss`` weights
-plus a roundoff floor the panel error estimate.  Refinement bisects the
-worst panels first (ties broken by position, so results are
+Every panel is scored with a :class:`Rule`: its ``weights`` give the
+panel's value, and their difference from its embedded ``gauss`` weights
+plus a roundoff floor the panel error estimate.  A row of its own takes
+``GK15`` panels; a grid of rows sharing one pre-split takes ``GK41``
+panels, each spanning ``GK41.phase`` where a GK15 panel spans
+``GK15.phase``, 8 times as much (QUADPACK's dqk41: Piessens et al.,
+*QUADPACK*, 1983; its nodes derived as in Laurie, "Calculation of
+Gauss-Kronrod quadrature rules", Math. Comp. 66, 1997).  Refinement
+bisects the worst panels first (ties broken by position, so results are
 bit-reproducible).  When the caller supplies an oscillation rate w, the
 interval is pre-split before adaptivity begins, which keeps highly
 oscillatory phases resolved from the start.  A panel spans at most
@@ -29,16 +34,19 @@ of panel counts (spans x rows): the rows with the same count on a span
 share its nodes.  A row that misses tolerance or is not finite is refined
 alone, from its own column of that table.  A row's bits do not depend on
 the other rows of its batch, unless the rows fill a grid of frequencies
-and share one pre-split sized for the fastest of them, the phase factored
-as e^{-i pi xi x} e^{-i pi eta y} and scored for all rows by one matmul per
-block of panels: then they depend on the set of rows in the batch, but not
-on their order.  On a folded window a factor of known parity is built at
-the nodes t >= 0 only, and an even factor lets the fold be summed before
-the matmul, over half the nodes.  Along an equispaced frequency axis a
-factor is built by recurrence, directly at every _ANCHOR-th value and as
-the value before times e^{-i pi delta x} between; its drift from the direct
-exponentials is bounded, added to every row's error, and allowed only where
-that term is at most abs_tol/10.  Elsewhere each entry is one exponential.
+and share one pre-split of GK41 panels sized for the fastest of them, the
+phase factored as e^{-i pi xi x} e^{-i pi eta y} and scored for all rows
+by one matmul per block of panels: then they depend on the set of rows in
+the batch, but not on their order; a row that misses tolerance there is
+refined from its own GK15 column.  On a
+folded window a factor of known parity is built at the nodes t >= 0 only,
+and an even factor lets the fold be summed before the matmul, over half the
+nodes.  Along an equispaced frequency axis, or one on an equispaced lattice
+with holes, a factor is built by recurrence, directly at every _ANCHOR-th
+lattice value and as the value before times e^{-i pi delta x} between; its
+drift from the direct exponentials is bounded, added to every row's error,
+and allowed only where that term is at most abs_tol/10.  Elsewhere each
+entry is one exponential.
 
 On a window that is one whole period of a closed curve, a row whose density
 is a trigonometric polynomial (``expr.band``) takes no panels: it is the
@@ -120,6 +128,53 @@ GK15 = Rule(
     order=14,
     phase=math.pi,
     phase_max=4.0 * math.pi,
+)
+
+# the 41-point Kronrod extension of the 20-point Gauss-Legendre rule (QUADPACK's
+# dqk41), derived at 120 digits: the zeros of P_20 and of the Stieltjes
+# polynomial E_21, and the weights that integrate P_0, ..., P_40 exactly.  Its
+# pre-split is the GK15 one with each span's count scaled by GK15.phase /
+# GK41.phase, so its phase_max is GK15's scaled alike
+GK41 = Rule(
+    nodes=_mirror(
+        [-0.998859031588277663838315576545863, -0.9931285991850949247861223884713203,
+         -0.9815078774502502591933429947202169, -0.9639719272779137912676661311972772,
+         -0.9408226338317547535199827222124434, -0.9122344282513259058677524412032981,
+         -0.8782768112522819760774429951130785, -0.8391169718222188233945290617015207,
+         -0.7950414288375511983506388332727879, -0.7463319064601507926143050703556416,
+         -0.6932376563347513848054907118459315, -0.6360536807265150254528366962262859,
+         -0.5751404468197103153429460365864251, -0.510867001950827098004364050955251,
+         -0.4435931752387251031999922134926401, -0.3737060887154195606725481770249272,
+         -0.3016278681149130043205553568585923, -0.2277858511416450780804961953685746,
+         -0.1526054652409226755052202410226775, -0.07652652113349733375464040939883821],
+        center=0.0,
+        odd=True,
+    ),
+    weights=_mirror(
+        [0.003073583718520531501218293246030987, 0.008600269855642942198661787950102347,
+         0.01462616925697125298378796030886836, 0.02038837346126652359801023143275471,
+         0.02588213360495115883450506709615314, 0.03128730677703279895854311932380074,
+         0.03660016975820079803055724070721101, 0.04166887332797368626378830593689474,
+         0.04643482186749767472023188092610752, 0.05094457392372869193270767005034495,
+         0.05519510534828599474483237241977733, 0.05911140088063957237496722064859422,
+         0.06265323755478116802587012217425498, 0.06583459713361842211156355696939794,
+         0.0686486729285216193456234118853678, 0.07105442355344406830579036172321017,
+         0.07303069033278666749518941765891311, 0.07458287540049918898658141836248753,
+         0.07570449768455667465954277537661656, 0.076377867672080736705502835038061],
+        0.07660071191799965644504990153010174,
+    ),
+    gauss=_mirror(
+        [0.0, 0.01761400713915211831186196235185282, 0.0, 0.04060142980038694133103995227493211,
+         0.0, 0.06267204833410906356950653518704161, 0.0, 0.08327674157670474872475814322204621,
+         0.0, 0.1019301198172404350367501354803499, 0.0, 0.1181945319615184173123773777113823,
+         0.0, 0.1316886384491766268984944997481631, 0.0, 0.1420961093183820513292983250671649,
+         0.0, 0.1491729864726037467878287370019694, 0.0, 0.1527533871307258506980843319550976],
+        0.0,
+    ),
+    error_constant=math.factorial(20) ** 4 / (41 * math.factorial(40) ** 3),
+    order=40,
+    phase=8.0 * math.pi,
+    phase_max=32.0 * math.pi,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -262,6 +317,9 @@ _TINY = 1e-300
 # an axis is equispaced within _EQUISPACED_ULPS ulps of its largest |value|
 _ANCHOR = 16
 _EQUISPACED_ULPS = 4
+# a shared pre-split takes at least this many GK41 panels: 123 nodes, as
+# many as the 120 of GK15's floor of 8 panels
+_GRID_PANELS_MIN = 3
 # for an integrand of amplitude A whose phase turns by theta over a panel of
 # width h, the Gauss error model of GK15 is about c A h theta^order; blocks ask
 # _SAFETY times less of it than their share of abs_tol, since g and a curving
@@ -269,14 +327,14 @@ _EQUISPACED_ULPS = 4
 _SAFETY = 1e3
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray, folded: bool):
-    """The GK15 nodes of the panels [lo_j, hi_j] and the panels' half-widths.
+def _nodes(lo: np.ndarray, hi: np.ndarray, folded: bool, rule: Rule = GK15):
+    """The ``rule`` nodes of the panels [lo_j, hi_j] and the panels' half-widths.
 
-    The nodes are panels x k for the k ``GK15.nodes``, or panels x 2k where
+    The nodes are panels x k for the k ``rule.nodes``, or panels x 2k where
     ``folded``: each panel's k nodes, then their mirror images.
     """
     h = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi)[:, None] + h[:, None] * GK15.nodes
+    x = 0.5 * (lo + hi)[:, None] + h[:, None] * rule.nodes
     return (np.concatenate([x, -x], axis=1) if folded else x), h
 
 
@@ -506,31 +564,34 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     return spans, counts, fastest
 
 
-def _powers(s: np.ndarray, step: float, c: np.ndarray) -> np.ndarray:
-    """e^{-i pi s_j c} (#s x panels x k) at the coordinates c along the equispaced axis s.
+def _powers(s: np.ndarray, axis, c: np.ndarray) -> np.ndarray:
+    """e^{-i pi s_j c} (#s x panels x k) at the coordinates c along the axis s on its lattice (see ``_step``).
 
-    Every _ANCHOR-th entry is built directly, bit for bit as ``_factors``
-    builds it, and each entry between is the one before times
-    R = e^{-i pi step c}: ceil(#s / _ANCHOR) + 1 exponentials a node, not #s.
-    Each power is one contiguous panels x k slab.
+    The powers are built over the whole lattice, its holes included: every
+    _ANCHOR-th entry directly, bit for bit as ``_factors`` builds it, and
+    each entry between as the one before times R = e^{-i pi delta c}, so a
+    lattice of L values takes ceil(L / _ANCHOR) + 1 exponentials a node,
+    not #s.  Each power is one contiguous panels x k slab; the holes' are
+    dropped.
     """
-    out = np.empty(s.shape + c.shape, dtype=np.complex128)
+    delta, _, lattice, j = axis
+    out = np.empty(lattice.shape + c.shape, dtype=np.complex128)
     anchors = out[::_ANCHOR]
-    np.multiply(-1j * math.pi, s[::_ANCHOR, None, None] * c, out=anchors)
+    np.multiply(-1j * math.pi, lattice[::_ANCHOR, None, None] * c, out=anchors)
     np.exp(anchors, out=anchors)
-    ratio = np.multiply(-1j * math.pi, step * c)
+    ratio = np.multiply(-1j * math.pi, delta * c)
     np.exp(ratio, out=ratio)
-    for m in range(1, min(_ANCHOR, s.size)):
+    for m in range(1, min(_ANCHOR, lattice.size)):
         np.multiply(out[m - 1 : -1 : _ANCHOR], ratio, out=out[m::_ANCHOR])
-    return out
+    return out if lattice.size == s.size else out[j]
 
 
 def _factors(xs: np.ndarray, cu: np.ndarray, ys: np.ndarray, cv: np.ndarray, steps):
     """The u = e^{-i pi xs x} (panels x #xs x k) and v = e^{-i pi ys y} (panels x k x #ys) at x = cu and y = cv.
 
-    An axis whose entry of ``steps`` is a step is built by ``_powers`` and
-    given as a transposed view of its powers; an axis whose entry is None
-    takes one exponential an entry.
+    An axis whose entry of ``steps`` is its ``_step`` is built by
+    ``_powers`` and given as a transposed view of its powers; an axis whose
+    entry is None takes one exponential an entry.
     """
     sx, sy = steps
     if sx is None:
@@ -564,34 +625,47 @@ def _distinct(v: np.ndarray):
 
 
 def _step(s: np.ndarray):
-    """(delta, gap) where the sorted distinct values s are an equispaced axis, else None.
+    """(delta, gap, lattice, j) where the sorted distinct values s lie on an equispaced lattice, else None.
 
-    delta is (s_last - s_0) / (#s - 1), and gap the largest
-    |s_j - (s_a + (j - a) delta)| over j, with a the multiple of _ANCHOR
-    at or below j: how far ``_powers`` puts its s_j.  The axis is
-    equispaced where gap is at most _EQUISPACED_ULPS ulps of max |s| and
-    #s >= 3; with two values the recurrence would build as many
-    exponentials as it saves.
+    The lattice is s_0 + i delta for i = 0, ..., L - 1, from s_0 to s_last:
+    L - 1 is (s_last - s_0) over the least difference of successive values,
+    rounded, and delta is (s_last - s_0) / (L - 1).  j is each value's
+    index on it, and the lattice holds s_j there and s_0 + i delta at its
+    holes, where values are missing; L is at most 2 #s.  gap is the largest
+    |s_j - (l_a + (j - a) delta)| over the values, with a the multiple of
+    _ANCHOR at or below j and l_a the lattice's value there: how far
+    ``_powers`` puts its s_j.  The axis is equispaced where gap is at most
+    _EQUISPACED_ULPS ulps of max |s| and #s >= 3; with two values the
+    recurrence would build as many exponentials as it saves.
     """
     if s.size < 3:
         return None
-    delta, j = (s[-1] - s[0]) / (s.size - 1), np.arange(s.size)
+    span = s[-1] - s[0]
+    n = np.rint(span / np.diff(s).min())
+    if not n < 2 * s.size:  # NaN included
+        return None
+    delta = span / int(n)
+    j = np.rint((s - s[0]) / delta).astype(np.int64)
+    lattice = s[0] + np.arange(int(n) + 1) * delta
+    lattice[j] = s
     past = j % _ANCHOR
-    gap = float(np.abs(s - (s[j - past] + past * delta)).max())
-    return (float(delta), gap) if gap <= _EQUISPACED_ULPS * np.spacing(np.abs(s).max()) else None
+    gap = float(np.abs(s - (lattice[j - past] + past * delta)).max())
+    return (float(delta), gap, lattice, j) if gap <= _EQUISPACED_ULPS * np.spacing(np.abs(s).max()) else None
 
 
-def _drift(s: np.ndarray, step, c_max: float) -> float:
-    """A bound on |entry - direct exponential| of ``_powers`` on the axis s of ``step`` (see ``_step``).
+def _drift(s: np.ndarray, axis, c_max: float) -> float:
+    """A bound on |entry - direct exponential| of ``_powers`` on the axis s of ``_step`` ``axis``.
 
-    An entry is at most m = min(_ANCHOR, #s) - 1 steps past its anchor.  At
-    |c| <= c_max, pi c_max (gap + 4 eps (max |s| + m |delta|)) covers the
-    gap and the rounding of the phase arguments of the anchor, of R carried
-    over m steps and of the direct exponential; 4 (m + 1) eps covers the
-    exponentials' own rounding and that of m complex multiplies.  As
-    |u| = |v| = 1, a row's value moves by at most this times sum |g| w h.
+    An entry is at most m = min(_ANCHOR, L) - 1 steps past its anchor, on a
+    lattice of L values.  At |c| <= c_max, pi c_max (gap + 4 eps (max |s| +
+    m |delta|)) covers the gap and the rounding of the phase arguments of
+    the anchor, of R carried over m steps and of the direct exponential;
+    4 (m + 1) eps covers the exponentials' own rounding and that of m
+    complex multiplies.  As |u| = |v| = 1, a row's value moves by at most
+    this times sum |g| w h.
     """
-    (delta, gap), m = step, min(_ANCHOR, s.size) - 1
+    delta, gap, lattice, _ = axis
+    m = min(_ANCHOR, lattice.size) - 1
     return math.pi * c_max * (gap + 4.0 * _EPS * (float(np.abs(s).max()) + m * abs(delta))) + 4 * (m + 1) * _EPS
 
 
@@ -611,38 +685,47 @@ def _shares(grid, panels: np.ndarray, fastest: np.ndarray) -> bool:
     return 2 * distinct.size >= xs.size * ys.size and (xs.size + ys.size) * fastest.sum() < panels[distinct].sum()
 
 
-def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool, abs_tol: float):
-    """Each row's value and quadrature error on the shared panels between ``edges``, and its panel count.
+def _grid_rows(rows: Rows, grid, spans, fastest: np.ndarray, folded: bool, abs_tol: float):
+    """Each row's value and quadrature error on one shared pre-split of GK41 panels, and its panel count.
 
-    The phase factors as u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shares``).
+    The pre-split is the fastest row's column ``fastest`` over ``spans``
+    (see ``_presplits``), each span's count c of GK15 panels made
+    ceil(c GK15.phase / GK41.phase) GK41 panels, and at least
+    _GRID_PANELS_MIN in all.  The phase factors as
+    u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shares``).
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
-    difference at once, by one matmul of the u, weighted by either rule,
-    with the v.  On a folded window an even coordinate's factor at -t is its
-    value at t, an odd one's the conjugate of it: a factor of known parity
-    is built at the nodes t >= 0 only.  The integrand is u+ v+ g+ + u- v- g-,
-    the signs marking the nodes t and -t, with h in g; where a factor is
-    even it is folded before the matmul, over a panel's GK15 nodes t >= 0:
-    u even: u+ against v+ g+ + v- g-; else v even: u+ g+ + u- g- against v+.
-    Otherwise, and on windows that are not folded, the u weighted by g h
-    goes against the v over all nodes, t and -t side by side.  The roundoff
-    floor 10 eps sum (|g+| + |g-|) w h is the same for every row, as
-    |u| = |v| = 1.  A nonfinite g makes every row's sums nonfinite.
+    difference at once, by one matmul of the u, weighted by either rule of
+    GK41, with the v.  On a folded window an even coordinate's factor at -t
+    is its value at t, an odd one's the conjugate of it: a factor of known
+    parity is built at the nodes t >= 0 only.  The integrand is
+    u+ v+ g+ + u- v- g-, the signs marking the nodes t and -t, with h in g;
+    where a factor is even it is folded before the matmul, over a panel's
+    GK41 nodes t >= 0: u even: u+ against v+ g+ + v- g-; else v even:
+    u+ g+ + u- g- against v+.  Otherwise, and on windows that are not
+    folded, the u weighted by g h goes against the v over all nodes, t and
+    -t side by side.  The roundoff floor 10 eps sum (|g+| + |g-|) w h is the
+    same for every row, as |u| = |v| = 1.  A nonfinite g makes every row's
+    sums nonfinite.
 
-    An axis that ``_step`` finds equispaced is built by ``_powers``, one
-    anchor every _ANCHOR values and one ratio per node, where its drift
-    bound (``_drift`` at the largest |coordinate| over the panels) times
-    sum |g| w h, the same for every row, is at most ``abs_tol``/10; that term
-    is then added to every row's error.  Elsewhere, a NaN bound included,
-    the axis takes one exponential an entry, with the bits it had before
-    the recurrence.  The weighted u of both rules are written into one
-    buffer, allocated once.
+    An axis that ``_step`` finds on an equispaced lattice is built by
+    ``_powers``, one anchor every _ANCHOR lattice values and one ratio per
+    node, where its drift bound (``_drift`` at the largest |coordinate| over
+    the panels) times sum |g| w h, the same for every row, is at most
+    ``abs_tol``/10; that term is then added to every row's error.
+    Elsewhere, a NaN bound included, the axis takes one exponential an
+    entry, with the bits it had before the recurrence.  The weighted u of
+    both rules are written into one buffer, allocated once.
     """
     (xs, iu), (ys, iv) = grid
-    t, h = _nodes(edges[:-1], edges[1:], folded)
+    counts = np.ceil(fastest * (GK15.phase / GK41.phase)).astype(np.int64)
+    if counts.sum() < _GRID_PANELS_MIN:  # a uniform column: a block-wise one has a panel on each block
+        counts[0] = _GRID_PANELS_MIN
+    edges = _edges(spans, counts)
+    t, h = _nodes(edges[:-1], edges[1:], folded, GK41)
     x, y, g = _at(rows, t.ravel())
     g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
-    nk = len(GK15.nodes)
-    mass = math.fsum((np.abs(g) @ np.tile(GK15.weights, t.shape[1] // nk)).tolist())
+    nk = len(GK41.nodes)
+    mass = math.fsum((np.abs(g) @ np.tile(GK41.weights, t.shape[1] // nk)).tolist())
     floor = 10.0 * _EPS * mass
     pu, pv = rows.parity[:2] if folded else (UNKNOWN, UNKNOWN)
     # each coordinate where its factor is built: at t >= 0 where its parity is known
@@ -650,17 +733,19 @@ def _grid_rows(rows: Rows, grid, edges: np.ndarray, folded: bool, abs_tol: float
     steps, drift = [None, None], 0.0
     for i, (s, c) in enumerate(((xs, cu), (ys, cv))):
         if (axis := _step(s)) and (term := mass * _drift(s, axis, float(np.abs(c).max()))) <= abs_tol / 10.0:
-            steps[i], drift = axis[0], drift + term
+            steps[i], drift = axis, drift + term
     # the nodes of the matmul: t >= 0 where an even factor folds the integrand, else all of t
     fold = EVEN in (pu, pv)
     k = nk if fold else t.shape[1]
-    wk, wd = np.tile(GK15.weights, k // nk), np.tile(GK15.weights - GK15.gauss, k // nk)
+    wk, wd = np.tile(GK41.weights, k // nk), np.tile(GK41.weights - GK41.gauss, k // nk)
     n_u, n_v = xs.size, ys.size
+    # the values each factor is built at: its lattice's where it takes the recurrence
+    l_u, l_v = (s.size if a is None else a[2].size for s, a in zip((xs, ys), steps))
     sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
-    # a block's largest arrays, the weighted u of both rules, the v (built at
-    # most at every node of t) and the matmul's result, hold at most _CHUNK
-    # entries unless one panel needs more
-    step = max(1, _CHUNK // max(2 * n_u * k, n_v * t.shape[1], 2 * n_u * n_v))
+    # a block's largest arrays, the weighted u of both rules, the factors (the
+    # v built at most at every node of t) and the matmul's result, hold at
+    # most _CHUNK entries unless one panel needs more
+    step = max(1, _CHUNK // max(2 * n_u * k, l_u * cu.shape[1], l_v * t.shape[1], 2 * n_u * n_v))
     weighted = np.empty((min(step, len(h)), 2 * n_u, k), dtype=np.complex128)
     for start in range(0, len(h), step):
         panels = slice(start, start + step)
@@ -763,25 +848,30 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     When a batch of more than one row fills at least half of the grid of
     its distinct xi and eta, and the fastest row's column, sized in the
     same pass, costs fewer exponentials than the rows' own (see
-    ``_shares``), every row is scored on that one pre-split instead, by one
-    matmul per block of at most _CHUNK entries (see ``_grid_rows``), over
-    the GK15 nodes t >= 0 of each panel where the window is folded and a
-    factor is even.  The rows' own columns then only count their panels.
-    A factor along an equispaced axis of 3 or more distinct xi (or eta) is
-    built by recurrence, e^{-i pi xi_j x} = e^{-i pi xi_{j-1} x}
-    e^{-i pi delta x}, re-anchored by a direct exponential every _ANCHOR
-    values.  An axis takes it only where the bound of ``_drift`` times
-    sum |g| w h is at most abs_tol/10, and every row's error then includes
-    that term.  Elsewhere, and on axes that are not equispaced, the
-    factors keep one exponential an entry, bit for bit.
+    ``_shares``), every row is scored on that one pre-split instead, in
+    GK41 panels: each span's count c of GK15 panels becomes
+    ceil(c GK15.phase / GK41.phase), and at least _GRID_PANELS_MIN in all.
+    They are scored by one matmul per block of at most _CHUNK entries (see
+    ``_grid_rows``), over the GK41 nodes t >= 0 of each panel where the
+    window is folded and a factor is even, and each row's panel count is
+    then the GK41 panels'.  The rows' own columns of GK15 panels are kept
+    for refinement.  A factor along an axis of 3 or more distinct xi (or
+    eta) on an equispaced lattice, holes allowed, of at most twice as many
+    values (see ``_step``), is built by recurrence over the lattice,
+    e^{-i pi xi_j x} = e^{-i pi xi_{j-1} x} e^{-i pi delta x}, re-anchored
+    by a direct exponential every _ANCHOR values.  An axis takes it only
+    where the bound of ``_drift`` times sum |g| w h is at most abs_tol/10,
+    and every row's error then includes that term.  Elsewhere, and on axes
+    that are not equispaced, the factors keep one exponential an entry,
+    bit for bit.
 
-    Either way, a row that misses tolerance or is not finite is then refined
-    alone from its own column, by bisecting its worst panels first, in row
-    order (see ``_refine``).  So a row's bits do not depend on its batch,
-    except on a shared pre-split: there they depend on the set of rows in
-    the batch, but not on their order.  numpy's warnings are silenced
-    throughout: every nonfinite value shows in the sums, and refining its
-    row names its node.
+    Either way, a row that misses tolerance or is not finite is then
+    refined alone from its own column of GK15 panels, by bisecting its
+    worst panels first, in row order (see ``_refine``).  So a row's bits
+    do not depend on its batch, except on a shared pre-split: there they
+    depend on the set of rows in the batch, but not on their order.
+    numpy's warnings are silenced throughout: every nonfinite value shows
+    in the sums, and refining its row names its node.
 
     Returns each row's value, error estimate and panel count (0 on zero,
     trapezoid and null rows), the first failure as (row, QuadratureError)
@@ -837,7 +927,7 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
         # a row alone costs one exponential a node; sharing costs two
         grid = (_distinct(rows.xi), _distinct(rows.eta)) if n > 1 else None
         if grid and _shares(grid, panels, fastest):
-            value, total_err, size = _grid_rows(rows, grid, _edges(spans, fastest), folded, opts.abs_tol)
+            value, total_err, size = _grid_rows(rows, grid, spans, fastest, folded, opts.abs_tol)
             panels = np.full(n, size)
         else:
             value, total_err = _span_rows(rows, spans, counts, folded)

@@ -88,25 +88,33 @@ def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
     assert integrate(f, (-3.0, 3.0), opts) == want
 
 
-def test_gk15_against_an_independent_source():
-    rule = quadrature.GK15
-    # the embedded rule is numpy's 7-point Gauss-Legendre rule, on every other node
-    x, w = np.polynomial.legendre.leggauss(7)
+@pytest.mark.parametrize("name", ["GK15", "GK41"])
+def test_gk15_against_an_independent_source(name):
+    rule = getattr(quadrature, name)
+    n = rule.order // 2
+    # the embedded rule is numpy's n-point Gauss-Legendre rule, on every other
+    # node; numpy's 20-point weights are off by up to 1.2e-15
+    x, w = np.polynomial.legendre.leggauss(n)
     on = np.flatnonzero(rule.gauss)
-    assert on.tolist() == list(range(1, 15, 2)) and rule.order == 2 * x.size
-    np.testing.assert_allclose(rule.nodes[on], x, rtol=0, atol=4e-16)
-    np.testing.assert_allclose(rule.gauss[on], w, rtol=0, atol=4e-16)
+    assert on.tolist() == list(range(1, 2 * n + 1, 2)) and rule.nodes.size == 2 * n + 1
+    atol = 4e-16 if n == 7 else 2e-15
+    np.testing.assert_allclose(rule.nodes[on], x, rtol=0, atol=atol)
+    np.testing.assert_allclose(rule.gauss[on], w, rtol=0, atol=atol)
 
     def error(weights, d):
         return abs((weights * rule.nodes**d).sum() - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
 
-    # Kronrod: exact to degree 3 * 7 + 1 = 22 (23 by symmetry), not 24; Gauss: below its order
-    assert max(error(rule.weights, d) for d in range(23)) < 1e-15 < 1e-12 < error(rule.weights, 24)
+    # Kronrod: exact to degree 3n + 1 (3n + 2 by symmetry); Gauss: below its order.  GK15
+    # fails at 24; GK41's error past degree 62 stays below float64's roundoff until about 80
+    assert max(error(rule.weights, d) for d in range(3 * n + 2)) < 1e-15
+    if n == 7:
+        assert error(rule.weights, 24) > 1e-12
     assert max(error(rule.gauss, d) for d in range(rule.order)) < 1e-15 < 1e-12 < error(rule.gauss, rule.order)
-    # (7!)^4 / (15 (14!)^3), and the Gauss error on t^14 over [-1, 1]: c 2^15 14!
-    assert rule.error_constant == float(Fraction(math.factorial(7) ** 4, 15 * math.factorial(14) ** 3))
+    # (n!)^4 / ((2n + 1) ((2n)!)^3), and the Gauss error on t^2n over [-1, 1]:
+    # c 2^(2n + 1) (2n)!, 2.8e-12 for GK41, whose sum rounds by about 1e-17
+    assert rule.error_constant == float(Fraction(math.factorial(n) ** 4, (2 * n + 1) * math.factorial(2 * n) ** 3))
     want = rule.error_constant * 2.0 ** (rule.order + 1) * math.factorial(rule.order)
-    assert error(rule.gauss, rule.order) == pytest.approx(want, rel=1e-10)
+    assert error(rule.gauss, rule.order) == pytest.approx(want, rel=1e-10 if n == 7 else 1e-4)
 
 
 def test_refinement_bisects_the_lowest_of_equal_errors_first():
@@ -402,20 +410,24 @@ def test_grid_rows_that_miss_are_refined_from_their_own_presplits(monkeypatch):
 
 
 def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
-    # g is NaN at one node of the shared pre-split, the last row's own: every
-    # row's sums on it are NaN, and every row is scored again on its own
-    # pre-split.  Row 29 is the first whose own pre-split has that node (in a
-    # block of as many panels as the last row's), with or without the grid.
-    # Scoring the rows again on the shared pre-split would fail at row 0
+    # g is NaN at one GK41 node of the shared pre-split, in the 16 panels of
+    # its 16 blocks: every row's sums on it are NaN, and every row is scored
+    # again, and refined, on its own pre-split of GK15 panels.  None of those
+    # has that node, so no row fails, as none fails alone, and each row is
+    # within both error bars of itself alone.  Scoring the rows again on the
+    # shared pre-split would fail at row 0
     nodes = _spy(monkeypatch, "_edges")
     assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)[3] is None
     edges = quadrature._edges(*nodes[0])
-    bad = 0.5 * (edges[40] + edges[41]) + 0.5 * (edges[41] - edges[40]) * quadrature.GK15.nodes[4]
+    assert edges.size == 17
+    bad = 0.5 * (edges[10] + edges[11]) + 0.5 * (edges[11] - edges[10]) * quadrature.GK41.nodes[4]
     rows = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
-    alone = _alone(rows)[3]
-    shared = integrate_rows(rows, (0.0, 1.0), OPTS)[3]
-    message = f"integrand returned a nonfinite value near t={bad}"
-    assert (shared[0], str(shared[1])) == (alone[0], str(alone[1])) == (29, message)
+    refined = _spy(monkeypatch, "_refine")
+    shared = integrate_rows(rows, (0.0, 1.0), OPTS)
+    assert [args[1] for args in refined] == list(range(36))
+    alone = _alone(rows)
+    assert shared[3] is None and alone[3] is None
+    assert (np.abs(shared[0] - alone[0]) <= shared[1] + alone[1]).all()
 
 
 def test_rows_are_scored_at_most_a_chunk_at_a_time(monkeypatch):
@@ -489,14 +501,52 @@ def test_recurrence_entries_within_their_drift_bound(n, seed):
     s = _equispaced(rng.uniform(-60.0, 0.0), rng.uniform(0.0, 60.0), n)
     c = rng.uniform(-100.0, 100.0, (40, 15))
     delta = (s[-1] - s[0]) / (n - 1)
-    past = np.arange(n) % quadrature._ANCHOR
-    step = (delta, float(np.abs(s - (s[np.arange(n) - past] + past * delta)).max()))
+    j = np.arange(n)
+    past = j % quadrature._ANCHOR
+    step = (delta, float(np.abs(s - (s[j - past] + past * delta)).max()), s, j)
+    axis = quadrature._step(s)
     # two values are never taken as an axis of the recurrence, which would save no exponential
-    assert quadrature._step(s) == (step if n >= 3 else None)
-    got = quadrature._powers(s, delta, c)
+    if n < 3:
+        assert axis is None
+        axis = step
+    else:
+        assert axis[:2] == step[:2] and axis[2].tolist() == s.tolist() and axis[3].tolist() == j.tolist()
+    got = quadrature._powers(s, axis, c)
     want = np.exp(np.multiply(-1j * math.pi, s[:, None, None] * c))
     assert (got[:: quadrature._ANCHOR] == want[:: quadrature._ANCHOR]).all()
-    assert np.abs(got - want).max() <= quadrature._drift(s, step, float(np.abs(c).max()))
+    assert np.abs(got - want).max() <= quadrature._drift(s, axis, float(np.abs(c).max()))
+
+
+@pytest.mark.parametrize(
+    "n, holes",
+    [(7, [3]), (20, [0, 19]), (20, [5, 6, 7]), (57, [16, 17, 40]), (8, [1, 2, 3, 5])],
+    ids=["centre", "ends", "run", "anchors", "half"],
+)
+def test_recurrence_across_holes_within_drift_bound(n, holes):
+    # values missing from an equispaced axis leave holes in its lattice: the
+    # powers are built over the whole lattice and the holes dropped.  The
+    # values at anchors are the direct exponentials to the bit, and every
+    # power is within the drift bound of a lattice of n values; the ends are
+    # the axis's own, so a hole there shortens the lattice
+    rng = np.random.default_rng(n)
+    lattice = _equispaced(rng.uniform(-60.0, 0.0), rng.uniform(0.0, 60.0), n)
+    kept = np.setdiff1d(np.arange(n), holes)
+    s, c = lattice[kept], rng.uniform(-100.0, 100.0, (40, 15))
+    axis = quadrature._step(s)
+    assert axis[3].tolist() == (kept - kept[0]).tolist() and axis[2].size == kept[-1] - kept[0] + 1
+    got = quadrature._powers(s, axis, c)
+    want = np.exp(np.multiply(-1j * math.pi, s[:, None, None] * c))
+    anchors = axis[3] % quadrature._ANCHOR == 0
+    assert got.shape == want.shape and (got[anchors] == want[anchors]).all()
+    assert np.abs(got - want).max() <= quadrature._drift(s, axis, float(np.abs(c).max()))
+
+
+def test_a_lattice_more_than_twice_the_axis_is_not_taken():
+    # 4 values on a lattice of 8 are taken, on one of 9 they are not: the
+    # lattice's exponentials would be as many as the values'
+    assert quadrature._step(np.array([0.0, 1.0, 2.0, 7.0]))[3].tolist() == [0, 1, 2, 7]
+    assert quadrature._step(np.array([0.0, 1.0, 2.0, 8.0])) is None
+    assert quadrature._step(np.array([0.0, 1.0, 2.5, 7.0])) is None
 
 
 def _recurrence_off(monkeypatch):
