@@ -9,6 +9,7 @@ is the only truncation authority for downstream quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union, get_args
 
@@ -98,6 +99,8 @@ class _DecayLaw:
     def __post_init__(self):
         if not (0 < self.rate < INF and 0 < self.amplitude < INF):
             raise ValueError(f"rate and amplitude must be finite and positive, got {self.rate} and {self.amplitude}")
+        if not math.isfinite(self.cutoff(0.0)):  # the furthest any tolerance truncates
+            raise ValueError(f"rate {self.rate} is too small: the envelope's cutoff is not finite")
 
     def sample_range(self) -> tuple[float, float]:
         reach = 16.0 * self.e_fold()
@@ -149,8 +152,10 @@ class GaussianDecay(_DecayLaw):
     def cutoff(self, budget: float) -> float:
         t = 1.0
         for _ in range(8):
-            inner = self.amplitude / (2.0 * self.rate * max(t, 1.0) * max(budget, 1e-300))
-            t = math.sqrt(max(math.log(max(inner, 2.0)), 1.0) / self.rate)
+            scale = 2.0 * self.rate * max(t, 1.0) * max(budget, 1e-300)
+            if scale == 0.0:  # underflow: the rate is too small to reckon a cutoff with
+                return INF
+            t = math.sqrt(max(math.log(max(self.amplitude / scale, 2.0)), 1.0) / self.rate)
         return max(t, 1.0)
 
 
@@ -229,7 +234,10 @@ def _hyperbola(domain: tuple[float, float]) -> CurveKind:
 
     def deriv_sup(c, k, lo, hi):
         m = max(abs(lo), abs(hi))
-        return math.sinh(m), math.cosh(m)
+        try:
+            return math.sinh(m), math.cosh(m)
+        except OverflowError:
+            raise ValueError(f"the hyperbola's coordinates overflow on a window out to |t| = {m:.6g}") from None
 
     def window_range(c, k, w):
         xmin, xmax, ymin, ymax = w
@@ -411,6 +419,15 @@ _ENVELOPE_SAMPLES = 4096
 _ENVELOPE_SLACK = 1e-12
 
 
+def _spaced(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, _ENVELOPE_SAMPLES) over [lo, hi] clipped to +-max/2, so that no sample overflows.
+
+    It runs on the halves of lo and hi, so hi - lo cannot overflow; for normal lo and hi the bits are np.linspace's.
+    """
+    reach = 0.5 * sys.float_info.max
+    return 2.0 * np.linspace(0.5 * max(lo, -reach), 0.5 * min(hi, reach), _ENVELOPE_SAMPLES)
+
+
 def density_fn(density: Density) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(density, get_args(Expr)):
         return lambda t: expr_mod.evaluate_array(density, t)
@@ -455,11 +472,11 @@ class Measure:
                 raise ValueError(f"the {self.curve.kind} curve is unbounded: it needs a decay envelope")
             return
         grid_lo, grid_hi = decay.sample_range()
-        samples = [np.linspace(max(lo, grid_lo), min(hi, grid_hi), _ENVELOPE_SAMPLES) for lo, hi in domains]
+        samples = [_spaced(max(lo, grid_lo), min(hi, grid_hi)) for lo, hi in domains]
         if not isinstance(decay, CompactSupport):  # a support's windows lie inside its sample range
             reach = decay.cutoff(0.0)  # cutoff floors its budget: no tolerance truncates further out
             for lo, hi in domains:
-                ts = np.linspace(-reach if math.isinf(lo) else lo, reach if math.isinf(hi) else hi, _ENVELOPE_SAMPLES)
+                ts = _spaced(-reach if math.isinf(lo) else lo, reach if math.isinf(hi) else hi)
                 samples.append(ts[(ts < grid_lo) | (ts > grid_hi)])
         for k, ts in enumerate(samples):
             comp = k % len(domains)  # every component's grid first, then every window

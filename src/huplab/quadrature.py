@@ -1,18 +1,16 @@
 """Adaptive complex-valued integration.
 
-Every panel is scored with a :class:`Rule`: its ``weights`` give the
-panel's value, and their difference from its embedded ``gauss`` weights
-plus a roundoff floor the panel error estimate.  A row of its own takes
-``GK15`` panels; a grid of rows sharing one pre-split takes ``GK41``
-panels, each spanning ``GK41.phase`` where a GK15 panel spans
-``GK15.phase``, 8 times as much (QUADPACK's dqk41: Piessens et al.,
-*QUADPACK*, 1983; its nodes derived as in Laurie, "Calculation of
-Gauss-Kronrod quadrature rules", Math. Comp. 66, 1997).  Refinement
+Every panel is scored with one :class:`Rule`, ``GK41``, the 41-point
+Kronrod extension of the 20-point Gauss rule (QUADPACK's dqk41: Piessens
+et al., *QUADPACK*, 1983; its nodes derived as in Laurie, "Calculation of
+Gauss-Kronrod quadrature rules", Math. Comp. 66, 1997): its ``weights``
+give the panel's value, and their difference from its embedded ``gauss``
+weights plus a roundoff floor the panel error estimate.  Refinement
 bisects the worst panels first (ties broken by position, so results are
 bit-reproducible).  When the caller supplies an oscillation rate w, the
 interval is pre-split before adaptivity begins, which keeps highly
 oscillatory phases resolved from the start.  A panel spans at most
-``GK15.phase`` of phase, or up to ``GK15.phase_max`` where a declared decay
+``GK41.phase`` of phase, or up to ``GK41.phase_max`` where a declared decay
 envelope is so small that the rule's Gauss error model allows it; long
 pre-splits are sized block by block from the local rate.  The envelope only
 picks the first panels: every error estimate is the panels' own.
@@ -34,19 +32,17 @@ of panel counts (spans x rows): the rows with the same count on a span
 share its nodes.  A row that misses tolerance or is not finite is refined
 alone, from its own column of that table.  A row's bits do not depend on
 the other rows of its batch, unless the rows fill a grid of frequencies
-and share one pre-split of GK41 panels sized for the fastest of them, the
-phase factored as e^{-i pi xi x} e^{-i pi eta y} and scored for all rows
-by one matmul per block of panels: then they depend on the set of rows in
-the batch, but not on their order; a row that misses tolerance there is
-refined from its own GK15 column.  On a
-folded window a factor of known parity is built at the nodes t >= 0 only,
-and an even factor lets the fold be summed before the matmul, over half the
-nodes.  Along an equispaced frequency axis, or one on an equispaced lattice
-with holes, a factor is built by recurrence, directly at every _ANCHOR-th
-lattice value and as the value before times e^{-i pi delta x} between; its
-drift from the direct exponentials is bounded, added to every row's error,
-and allowed only where that term is at most abs_tol/10.  Elsewhere each
-entry is one exponential.
+and share one pre-split, the fastest row's column, the phase factored as
+e^{-i pi xi x} e^{-i pi eta y} and scored for all rows by one matmul per
+block of panels: then they depend on the set of rows in the batch, but not
+on their order.  On a folded window a factor of known parity is built at
+the nodes t >= 0 only, and an even factor lets the fold be summed before
+the matmul, over half the nodes.  Along an equispaced frequency axis, or
+one on an equispaced lattice with holes, a factor is built by recurrence,
+directly at every _ANCHOR-th lattice value and as the value before times
+e^{-i pi delta x} between; its drift from the direct exponentials is
+bounded, added to every row's error, and allowed only where that term is at
+most abs_tol/10.  Elsewhere each entry is one exponential.
 
 On a window that is one whole period of a closed curve, a row whose density
 is a trigonometric polynomial (``expr.band``) takes no panels: it is the
@@ -81,7 +77,8 @@ __all__ = [
     "truncate_interval",
 ]
 
-_PRESPLIT_CAP = 8192
+# a uniform pre-split takes at most this many panels, 8192 pi of phase
+_PRESPLIT_CAP = 1024
 
 
 class Rule(NamedTuple):
@@ -102,39 +99,9 @@ def _mirror(left, center: float, odd: bool = False) -> np.ndarray:
     return np.concatenate([left, [center], (-left if odd else left)[::-1]])
 
 
-# the 15-point Kronrod extension of the 7-point Gauss-Legendre rule
-GK15 = Rule(
-    nodes=_mirror(
-        [-0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
-         -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
-         -0.586087235467691130294144838258730, -0.405845151377397166906606412076961,
-         -0.207784955007898467600689403773245],
-        center=0.0,
-        odd=True,
-    ),
-    weights=_mirror(
-        [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-         0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-         0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-         0.204432940075298892414161999234649],
-        0.209482141084727828012999174891714,
-    ),
-    gauss=_mirror(
-        [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-         0.0, 0.381830050505118944950369775488975, 0.0],
-        0.417959183673469387755102040816327,
-    ),
-    error_constant=math.factorial(7) ** 4 / (15 * math.factorial(14) ** 3),
-    order=14,
-    phase=math.pi,
-    phase_max=4.0 * math.pi,
-)
-
 # the 41-point Kronrod extension of the 20-point Gauss-Legendre rule (QUADPACK's
 # dqk41), derived at 120 digits: the zeros of P_20 and of the Stieltjes
-# polynomial E_21, and the weights that integrate P_0, ..., P_40 exactly.  Its
-# pre-split is the GK15 one with each span's count scaled by GK15.phase /
-# GK41.phase, so its phase_max is GK15's scaled alike
+# polynomial E_21, and the weights that integrate P_0, ..., P_40 exactly
 GK41 = Rule(
     nodes=_mirror(
         [-0.998859031588277663838315576545863, -0.9931285991850949247861223884713203,
@@ -206,11 +173,12 @@ class QuadOpts:
     window by it; the transforms (``mu_hat``, ``mu_hat_at_points``) take it
     as a floor on each point's own phase rate, so a large hint only adds
     panels, or trapezoid nodes.  It is None or finite and >= 0.
+    ``max_subdivisions`` caps a row's panels, 41 nodes each.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 1 << 16
+    max_subdivisions: int = 1 << 14
     oscillation_hint: Optional[float] = None
 
     def __post_init__(self):
@@ -299,15 +267,16 @@ def truncation_error(interval: Tuple[float, float], window: Tuple[float, float],
 # of a batch does not grow with its number of rows; 2^16-entry blocks ran no
 # faster and raised the peak memory of a certificate 2 MB more
 _CHUNK = 1 << 14
-# a pre-split of more than _BLOCKWISE_PANELS panels is sized block by block
-# from the oscillation rate and the envelope on each of _RATE_BLOCKS equal blocks
-_BLOCKWISE_PANELS = 64
+# a pre-split takes the fewest panels that hold at least _NODES_MIN nodes: 3
+_NODES_MIN = 120
+# a pre-split of more panels than _RATE_BLOCKS, one a block, is sized block by
+# block from the oscillation rate and the envelope on each of as many equal blocks
 _RATE_BLOCKS = 16
 # the roundoff floor of a null integrand is measured on this many equal panels
-_NULL_PANELS = 64
+_NULL_PANELS = 8
 # a trapezoid row takes a multiple of _PERIODIC_STEP nodes, at most
 # _PERIODIC_NODES_MAX, so that one row's values fit one block of _CHUNK entries;
-# a row that needs more takes GK15 panels.  _TINY floors the frequency radius,
+# a row that needs more takes panels.  _TINY floors the frequency radius,
 # so that the strip half-width a stays finite at frequency 0
 _PERIODIC_STEP = 16
 _PERIODIC_NODES_MAX = 1 << 14
@@ -317,24 +286,22 @@ _TINY = 1e-300
 # an axis is equispaced within _EQUISPACED_ULPS ulps of its largest |value|
 _ANCHOR = 16
 _EQUISPACED_ULPS = 4
-# a shared pre-split takes at least this many GK41 panels: 123 nodes, as
-# many as the 120 of GK15's floor of 8 panels
-_GRID_PANELS_MIN = 3
 # for an integrand of amplitude A whose phase turns by theta over a panel of
-# width h, the Gauss error model of GK15 is about c A h theta^order; blocks ask
-# _SAFETY times less of it than their share of abs_tol, since g and a curving
-# phase add to the derivative
-_SAFETY = 1e3
+# width h, the rule's Gauss error model is about c A h theta^order.  It bounds
+# the rule's |K - G| on a plane wave with room to spare, 9 times at 12 pi, 52
+# at 16 pi and 580 at 20 pi, so blocks ask _SLACK times their share of abs_tol
+# of it: on the test grids no row then misses tolerance from 1e-6 to 1e-13
+_SLACK = 1e2
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray, folded: bool, rule: Rule = GK15):
-    """The ``rule`` nodes of the panels [lo_j, hi_j] and the panels' half-widths.
+def _nodes(lo: np.ndarray, hi: np.ndarray, folded: bool):
+    """The nodes of the panels [lo_j, hi_j] and the panels' half-widths.
 
-    The nodes are panels x k for the k ``rule.nodes``, or panels x 2k where
+    The nodes are panels x k for the k ``GK41.nodes``, or panels x 2k where
     ``folded``: each panel's k nodes, then their mirror images.
     """
     h = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi)[:, None] + h[:, None] * rule.nodes
+    x = 0.5 * (lo + hi)[:, None] + h[:, None] * GK41.nodes
     return (np.concatenate([x, -x], axis=1) if folded else x), h
 
 
@@ -345,7 +312,7 @@ def _score(fs, h: np.ndarray, folded: bool):
     of half-widths ``h``.  What the fold and sums make of a nonfinite value
     shows as a nonfinite value and error; the caller silences numpy's warnings.
     """
-    k = len(GK15.nodes)
+    k = len(GK41.nodes)
     fs = np.asarray(fs, dtype=np.complex128).reshape(len(fs), h.size, -1)
     if folded:
         fx = fs[..., :k] + fs[..., k:]
@@ -353,10 +320,10 @@ def _score(fs, h: np.ndarray, folded: bool):
         raw += np.abs(fs[..., k:])
     else:
         fx, raw = fs, np.abs(fs)
-    kronrod = (fx * GK15.weights).sum(axis=-1) * h
-    gauss = (fx * GK15.gauss).sum(axis=-1) * h
+    kronrod = (fx * GK41.weights).sum(axis=-1) * h
+    gauss = (fx * GK41.gauss).sum(axis=-1) * h
     # roundoff floor scales with the unfolded magnitudes
-    return kronrod, np.abs(kronrod - gauss) + 10.0 * _EPS * (raw * GK15.weights).sum(axis=-1) * h
+    return kronrod, np.abs(kronrod - gauss) + 10.0 * _EPS * (raw * GK41.weights).sum(axis=-1) * h
 
 
 def _at(rows: Rows, t: np.ndarray):
@@ -386,7 +353,7 @@ def _score_row(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     its lowest node.
     """
     t, h = _nodes(lo, hi, folded)
-    k = len(GK15.nodes)
+    k = len(GK41.nodes)
     with np.errstate(invalid="ignore", over="ignore"):
         fs = np.asarray(f(t.ravel()), dtype=np.complex128).reshape(1, -1)
         fx = fs.reshape(t.shape)
@@ -504,18 +471,20 @@ def _periodic_rows(rows: Rows, window: Tuple[float, float], opts: QuadOpts):
 def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, width: float, abs_tol: float) -> float:
     """The phase a panel of the block [lo, hi] of a range ``width`` long may span.
 
-    The largest theta in [``GK15.phase``, ``GK15.phase_max``] for which the
+    The largest theta in [``GK41.phase``, ``GK41.phase_max``] for which the
     Gauss error model c A w theta^order of the block's w stays within
-    w/width of abs_tol, with _SAFETY to spare; c is ``GK15.error_constant``
+    _SLACK w/width of abs_tol; c is ``GK41.error_constant``
     and A the envelope's sup on the block, doubled when the range is folded.
-    Without a decaying envelope theta is ``GK15.phase``.
+    Without a decaying envelope theta is ``GK41.phase``.
     """
     if envelope is None or isinstance(envelope, CompactSupport):
-        return GK15.phase
+        return GK41.phase
     near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     amplitude = envelope.amplitude * (2.0 if folded else 1.0)
-    log_bound = math.log(abs_tol / (width * _SAFETY * GK15.error_constant * amplitude)) + envelope.exponent(near)
-    return max(GK15.phase, math.exp(min(log_bound / GK15.order, math.log(GK15.phase_max))))
+    # in logs: c A underflows where the amplitude is tiny
+    log_bound = math.log(_SLACK * abs_tol / width) - math.log(GK41.error_constant) - math.log(amplitude)
+    log_bound += envelope.exponent(near)
+    return max(GK41.phase, math.exp(min(log_bound / GK41.order, math.log(GK41.phase_max))))
 
 
 def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: QuadOpts):
@@ -524,26 +493,27 @@ def _presplits(rate, window: Tuple[float, float], folded: bool, envelope, opts: 
     Returns the spans, the counts (spans x rows) and the fastest row's
     column of counts; a row's pre-split is ``counts[s]`` equal panels on
     each span s, in t order, and none where that is 0 (see ``_edges``).
-    Span 0 is the whole range; where some row's n0 exceeds
-    _BLOCKWISE_PANELS, spans 1 to _RATE_BLOCKS are its equal blocks.  A
-    row's rate over the whole window asks for n0 panels of ``GK15.phase``
-    each (at least 8, at most _PRESPLIT_CAP and ``max_subdivisions``) on
-    span 0: the uniform pre-split sized for the fastest oscillation anywhere
-    in the range.  Where n0 exceeds _BLOCKWISE_PANELS, each block instead
-    gets panels spanning at most theta of phase at the row's rate on that
-    block, when that takes fewer panels in all.  theta is ``GK15.phase``, or
-    up to ``GK15.phase_max`` where the declared envelope is small enough for
-    the rule's Gauss error model (see ``_panel_phase``).  The fastest row's
-    column is the same sizing at the largest rate: on each block the largest
-    count of any row (ceil and the scaling are monotone), or the largest n0
-    on span 0 where that is no more panels.
+    Span 0 is the whole range; where some row's n0 exceeds _RATE_BLOCKS,
+    spans 1 to _RATE_BLOCKS are its equal blocks.  A row's rate over the
+    whole window asks for n0 panels of ``GK41.phase`` each (at least the
+    panels of _NODES_MIN nodes, at most _PRESPLIT_CAP and
+    ``max_subdivisions``) on span 0: the uniform pre-split sized for the
+    fastest oscillation anywhere in the range.  Where n0 exceeds
+    _RATE_BLOCKS, so that a pre-split of at least a panel a block may take
+    fewer, each block instead gets panels spanning at most theta of phase
+    at the row's rate on that block, when that takes fewer panels in all.
+    theta is ``GK41.phase``, or up to ``GK41.phase_max`` where the declared
+    envelope is small enough for the rule's Gauss error model (see
+    ``_panel_phase``).  The fastest row's column is the same sizing at the
+    largest rate: on each block the largest count of any row (ceil is
+    monotone), or the largest n0 on span 0 where that is no more panels.
     """
     a, b = (0.0 if folded else window[0]), window[1]
-    hint = rate(*window)
-    n0 = np.minimum(np.maximum(8.0, np.ceil((b - a) * hint / GK15.phase)), _PRESPLIT_CAP)
-    n0 = np.minimum(np.where(hint > 0, n0, 8.0), opts.max_subdivisions).astype(np.int64)
+    hint, least = rate(*window), -(-_NODES_MIN // len(GK41.nodes))
+    n0 = np.minimum(np.maximum(least, np.ceil((b - a) * hint / GK41.phase)), _PRESPLIT_CAP)
+    n0 = np.minimum(np.where(hint > 0, n0, least), opts.max_subdivisions).astype(np.int64)
     spans, counts, peak = [(a, b)], n0[None], None
-    wide = n0 > _BLOCKWISE_PANELS
+    wide = n0 > _RATE_BLOCKS
     if wide.any():
         blocks = np.linspace(a, b, _RATE_BLOCKS + 1).tolist()
         spans += zip(blocks[:-1], blocks[1:])
@@ -686,21 +656,19 @@ def _shares(grid, panels: np.ndarray, fastest: np.ndarray) -> bool:
 
 
 def _grid_rows(rows: Rows, grid, spans, fastest: np.ndarray, folded: bool, abs_tol: float):
-    """Each row's value and quadrature error on one shared pre-split of GK41 panels, and its panel count.
+    """Each row's value and quadrature error on one shared pre-split, and its panel count.
 
     The pre-split is the fastest row's column ``fastest`` over ``spans``
-    (see ``_presplits``), each span's count c of GK15 panels made
-    ceil(c GK15.phase / GK41.phase) GK41 panels, and at least
-    _GRID_PANELS_MIN in all.  The phase factors as
+    (see ``_presplits``).  The phase factors as
     u v = e^{-i pi xs x} e^{-i pi ys y} over ``grid`` (see ``_shares``).
     Each block of panels gives every row's Kronrod sum and Kronrod - Gauss
-    difference at once, by one matmul of the u, weighted by either rule of
-    GK41, with the v.  On a folded window an even coordinate's factor at -t
+    difference at once, by one matmul of the u, weighted by either set of
+    weights, with the v.  On a folded window an even coordinate's factor at -t
     is its value at t, an odd one's the conjugate of it: a factor of known
     parity is built at the nodes t >= 0 only.  The integrand is
     u+ v+ g+ + u- v- g-, the signs marking the nodes t and -t, with h in g;
     where a factor is even it is folded before the matmul, over a panel's
-    GK41 nodes t >= 0: u even: u+ against v+ g+ + v- g-; else v even:
+    nodes t >= 0: u even: u+ against v+ g+ + v- g-; else v even:
     u+ g+ + u- g- against v+.  Otherwise, and on windows that are not
     folded, the u weighted by g h goes against the v over all nodes, t and
     -t side by side.  The roundoff floor 10 eps sum (|g+| + |g-|) w h is the
@@ -713,15 +681,12 @@ def _grid_rows(rows: Rows, grid, spans, fastest: np.ndarray, folded: bool, abs_t
     the panels) times sum |g| w h, the same for every row, is at most
     ``abs_tol``/10; that term is then added to every row's error.
     Elsewhere, a NaN bound included, the axis takes one exponential an
-    entry, with the bits it had before the recurrence.  The weighted u of
-    both rules are written into one buffer, allocated once.
+    entry, with the bits it had before the recurrence.  The u under both
+    weights are written into one buffer, allocated once.
     """
     (xs, iu), (ys, iv) = grid
-    counts = np.ceil(fastest * (GK15.phase / GK41.phase)).astype(np.int64)
-    if counts.sum() < _GRID_PANELS_MIN:  # a uniform column: a block-wise one has a panel on each block
-        counts[0] = _GRID_PANELS_MIN
-    edges = _edges(spans, counts)
-    t, h = _nodes(edges[:-1], edges[1:], folded, GK41)
+    edges = _edges(spans, fastest)
+    t, h = _nodes(edges[:-1], edges[1:], folded)
     x, y, g = _at(rows, t.ravel())
     g = np.asarray(g, dtype=np.complex128).reshape(t.shape) * h[:, None]
     nk = len(GK41.nodes)
@@ -742,7 +707,7 @@ def _grid_rows(rows: Rows, grid, spans, fastest: np.ndarray, folded: bool, abs_t
     # the values each factor is built at: its lattice's where it takes the recurrence
     l_u, l_v = (s.size if a is None else a[2].size for s, a in zip((xs, ys), steps))
     sums, diffs = np.zeros((n_u, n_v), dtype=np.complex128), np.zeros((n_u, n_v))
-    # a block's largest arrays, the weighted u of both rules, the factors (the
+    # a block's largest arrays, the u under both weights, the factors (the
     # v built at most at every node of t) and the matmul's result, hold at
     # most _CHUNK entries unless one panel needs more
     step = max(1, _CHUNK // max(2 * n_u * k, l_u * cu.shape[1], l_v * t.shape[1], 2 * n_u * n_v))
@@ -833,14 +798,14 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     and theta = pi (|xi| max |x| + |eta| max |y|) over the nodes bounds the
     phase argument, whose rounding the sum carries too; its panel count is
     0.  A row that needs more than _PERIODIC_NODES_MAX nodes, or misses
-    tolerance, takes GK15 panels, as do all rows on a clipped window.
+    tolerance, takes panels, as do all rows on a clipped window.
 
     The other rows are integrated as one batch, as follows.
 
     Each row gets a pre-split from its rate and ``envelope``, as one column
     of a table of panel counts over spans of the window: the whole range,
-    or its equal blocks, each panel spanning ``GK15.phase``, or up to
-    ``GK15.phase_max`` where the envelope is small (see ``_presplits``).
+    or its equal blocks, each panel spanning ``GK41.phase``, or up to
+    ``GK41.phase_max`` where the envelope is small (see ``_presplits``).
     The envelope only picks the first panels; every error estimate comes
     from the panels' Kronrod sums.  The rows with the same count on a span share its nodes,
     and each adds up its spans' sums in t order (see ``_span_rows``).
@@ -848,16 +813,14 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     When a batch of more than one row fills at least half of the grid of
     its distinct xi and eta, and the fastest row's column, sized in the
     same pass, costs fewer exponentials than the rows' own (see
-    ``_shares``), every row is scored on that one pre-split instead, in
-    GK41 panels: each span's count c of GK15 panels becomes
-    ceil(c GK15.phase / GK41.phase), and at least _GRID_PANELS_MIN in all.
-    They are scored by one matmul per block of at most _CHUNK entries (see
-    ``_grid_rows``), over the GK41 nodes t >= 0 of each panel where the
-    window is folded and a factor is even, and each row's panel count is
-    then the GK41 panels'.  The rows' own columns of GK15 panels are kept
-    for refinement.  A factor along an axis of 3 or more distinct xi (or
-    eta) on an equispaced lattice, holes allowed, of at most twice as many
-    values (see ``_step``), is built by recurrence over the lattice,
+    ``_shares``), every row is scored on that one pre-split instead, by one
+    matmul per block of at most _CHUNK entries (see ``_grid_rows``), over
+    the nodes t >= 0 of each panel where the window is folded and a factor
+    is even, and each row's panel count is then the shared one.  The rows'
+    own columns are kept for refinement.  A factor along an axis of 3 or
+    more distinct xi (or eta) on an equispaced lattice, holes allowed, of at
+    most twice as many values (see ``_step``), is built by recurrence over
+    the lattice,
     e^{-i pi xi_j x} = e^{-i pi xi_{j-1} x} e^{-i pi delta x}, re-anchored
     by a direct exponential every _ANCHOR values.  An axis takes it only
     where the bound of ``_drift`` times sum |g| w h is at most abs_tol/10,
@@ -866,8 +829,8 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     bit for bit.
 
     Either way, a row that misses tolerance or is not finite is then
-    refined alone from its own column of GK15 panels, by bisecting its
-    worst panels first, in row order (see ``_refine``).  So a row's bits
+    refined alone from its own column, by bisecting its worst panels
+    first, in row order (see ``_refine``).  So a row's bits
     do not depend on its batch, except on a shared pre-split: there they
     depend on the set of rows in the batch, but not on their order.
     numpy's warnings are silenced throughout: every nonfinite value shows
@@ -900,7 +863,7 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     elif pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():
         value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err + null_err(rows.g, window[1])), null
     elif rows.strip is not None and rows.band is not None:
-        # the rows summed by the trapezoid rule that meet tolerance; the others take GK15 panels
+        # the rows summed by the trapezoid rule that meet tolerance; the others take panels
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             value, err, _ = _periodic_rows(rows, window, opts)
             done = np.isfinite(value) & (err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from huplab.quadrature import (
-    GK15,
+    GK41,
     NonconvergenceError,
     QuadratureError,
     QuadResult,
@@ -55,7 +55,7 @@ def simpson(f, a: float, b: float, n: int = 2048) -> complex:
 def _reference_panels(f, lo, hi, folded):
     center = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    x = center + half * GK15.nodes[None, :]
+    x = center + half * GK41.nodes[None, :]
     if folded:
         flat = x.ravel()
         both = np.asarray(f(np.concatenate([flat, -flat])), dtype=np.complex128)
@@ -70,15 +70,16 @@ def _reference_panels(f, lo, hi, folded):
         bad = np.argwhere(~np.isfinite(fx))
         raise QuadratureError(f"integrand returned a nonfinite value near t={x[tuple(bad[0])]}")
     h = half[:, 0]
-    i15 = (fx * GK15.weights).sum(axis=1) * h
-    i7 = (fx * GK15.gauss).sum(axis=1) * h
-    err = np.abs(i15 - i7) + 10.0 * _EPS * (raw * GK15.weights).sum(axis=1) * h
-    return i15, err
+    kronrod = (fx * GK41.weights).sum(axis=1) * h
+    gauss = (fx * GK41.gauss).sum(axis=1) * h
+    err = np.abs(kronrod - gauss) + 10.0 * _EPS * (raw * GK41.weights).sum(axis=1) * h
+    return kronrod, err
 
 
 def reference_integrate(f, interval, opts, envelope=None, hint=None) -> QuadResult:
-    """One adaptive integration: a uniform pre-split of panels no wider than
-    pi/hint, then bisection of the worst panels."""
+    """One adaptive integration: a uniform pre-split of at least 3 panels (123
+    nodes), none wider than 8 pi/hint and at most 1,024 of them, then
+    bisection of the worst panels."""
     window = truncate_interval(interval, envelope, opts)
     if window is None:
         return QuadResult(0j, 0.0, (0.0, 0.0), 0)
@@ -87,9 +88,9 @@ def reference_integrate(f, interval, opts, envelope=None, hint=None) -> QuadResu
     folded = a == -b and b > 0
     if folded:
         a = 0.0
-    n0 = 8
+    n0 = 3
     if hint:
-        n0 = int(min(max(8, math.ceil((b - a) * hint / math.pi)), 8192))
+        n0 = int(min(max(3, math.ceil((b - a) * hint / (8.0 * math.pi))), 1024))
     n0 = min(n0, opts.max_subdivisions)
     edges = np.linspace(a, b, n0 + 1)
     values, errs = _reference_panels(f, edges[:-1], edges[1:], folded)

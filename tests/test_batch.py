@@ -42,7 +42,7 @@ CASES = ["circle-line", "circle-lines", "circle-bessel", "hyperbola-line", "expc
 # rows; the per-point path made one per point and component, 513 for each
 # certificate here and 2,056 for fourlines.  The circle rows take the
 # trapezoid rule, one node set per node count: circle-lines made 44 calls on
-# GK15 panels
+# panels of 15 nodes
 EVALUATE_ARRAY_CALLS_MAX = {
     "circle-line": 2,
     "circle-lines": 6,
@@ -67,12 +67,12 @@ NULL_AT = {
 SHARED = {"fourlines"}
 
 # the certificates on the circle, whose densities are trigonometric
-# polynomials: their rows take the trapezoid rule, not the reference's GK15
-# panels (see test_circle_certificate_rows_take_the_trapezoid_rule)
+# polynomials: their rows take the trapezoid rule, not the reference's panels
+# (see test_circle_certificate_rows_take_the_trapezoid_rule)
 TRAPEZOID = {"circle-line", "circle-lines", "circle-bessel"}
 
 # complex exponentials per verify_certificate at 512 samples, and on
-# circle-lines --j 300, all on trapezoid rows.  On GK15 panels they built
+# circle-lines --j 300, all on trapezoid rows.  On panels of 15 nodes they built
 # 266,160 (circle-lines, j = 3), 123,120 (circle-bessel, k = 0, n = 1) and
 # 10,388,640 (j = 300, 1,198 rows refined)
 TRAPEZOID_EXPONENTIALS_MAX = {"circle-line": 32, "circle-lines": 18_016, "circle-bessel": 16_416, "j300": 364_256}
@@ -85,18 +85,20 @@ GRIDS = {
     "spiral": (Measure(spiral(), (parse("exp(-t)*cos(t)"),), ExpDecay(1.0)), 10.0),
 }
 
-# the nodes per panel of a shared pre-split, which takes the grid rule's panels
+# the nodes per panel
 GRID_NODES = len(quadrature.GK41.nodes)
 
 # complex exponentials built per mu_hat_at_points call on each GRIDS measure's
 # 7x7 grid and on the fourlines certificate's Lambda (sample_set at 512 and the
-# witness point).  Each takes one shared pre-split of GK41 panels, sized for
-# its fastest row.  An axis on an equispaced lattice takes
-# ceil(#lattice / 16) + 1 exponentials per node, its anchors' and the
-# ratio's (2 on a 7-value axis), and the others #values: the hyperbola's eta
-# axis lacks its null row at eta = 0, a hole in its lattice, and the
-# fourlines fiber heights are not equispaced.  On GK15 panels they built
-# 45,600, 24,900, 4,200 and 4,500, and the hyperbola's eta axis took one
+# witness point).  Each takes one shared pre-split, the fastest row's.  An
+# axis on an equispaced lattice takes ceil(#lattice / 16) + 1 exponentials
+# per node, its anchors' and the ratio's (2 on a 7-value axis), and the
+# others #values: the hyperbola's eta axis lacks its null row at eta = 0, a
+# hole in its lattice, and the fourlines fiber heights are not equispaced.
+# With the blocks' 41-node panels sized by the error model of a 15-node rule,
+# its counts scaled by 1/8, they built 9,020, 10,004, 3,608 and 3,690; on
+# 15-node panels they built 45,600, 24,900, 4,200 and 4,500, and the
+# hyperbola's eta axis took one
 # exponential an entry for lack of its null row.  With
 # #xi + #eta exponentials per node they built 74,100, 87,150, 14,700 and
 # 20,100.  The hyperbola, parabola and fourlines windows are folded, and each
@@ -104,7 +106,7 @@ GRID_NODES = len(quadrature.GK41.nodes)
 # t >= 0 only: building them at -t too took 148,200, 174,300 and 40,200.
 # With a pre-split per row and one exponential per row and node they built
 # 299,280, 354,180, 41,640 and 256,440
-EXPONENTIALS_MAX = {"hyperbola": 9_020, "parabola": 10_004, "spiral": 3_608, "fourlines": 3_690}
+EXPONENTIALS_MAX = {"hyperbola": 8_364, "parabola": 8_200, "spiral": 3_116, "fourlines": 3_690}
 
 # panels of the rows that take their own pre-split, refined rows included,
 # and rows refined, on each GRIDS measure's 7x7 grid: none, as all rows share
@@ -217,7 +219,7 @@ def _work(monkeypatch) -> dict:
     rows built alone (trapezoid rows included), and on a shared pre-split
     the entries of every ``np.exp`` that ``_factors`` calls: the anchors and
     ratios of an axis built by recurrence, one per u or v entry of the
-    others; ``rows``: the rows built alone on GK15 panels, by
+    others; ``rows``: the rows built alone on their own panels, by
     index among the rows of their call; ``panels``: their panels, refined
     rows included; ``refined``: the rows refined; ``factor nodes``: the
     nodes per panel of each shared pre-split's u and v, as pairs;
@@ -336,7 +338,7 @@ def test_panels_and_refined_rows_on_grids(name, monkeypatch):
 @pytest.mark.parametrize("name", GRIDS)
 def test_20x20_grids_at_1e_13_refine_no_row(name, monkeypatch):
     # the benchmark's 20x20 grids: at abs_tol 1e-13 every row meets
-    # tolerance on the shared GK41 pre-split.  On GK15 panels the spiral's
+    # tolerance on the shared pre-split.  On 15-node panels the spiral's
     # grid refined 154 rows and built 338,850 exponentials
     work = _work(monkeypatch)
     measure, half = GRIDS[name]
@@ -437,7 +439,7 @@ def test_null_row_is_decided_without_node_columns(monkeypatch):
     measure, half = GRIDS["hyperbola"]
     live, null = mu_hat_at_points(measure, [(half, half), (half, 0.0)], QuadOpts())
     assert work["rows"] == {0}  # the live point only, as row 0 of the rows integrated
-    assert work["exponentials"] > quadrature._BLOCKWISE_PANELS * 15 * 2  # Kronrod nodes and their mirror images
+    assert work["exponentials"] > quadrature._RATE_BLOCKS * GRID_NODES * 2  # Kronrod nodes and their mirror images
     assert null.value == 0j and live.value != 0j
     want = reference_mu_hat(measure, half, 0.0, QuadOpts())
     assert abs(want.value) <= want.err_estimate

@@ -115,6 +115,46 @@ class TestFt:
         assert res.returncode == 2
         assert "decay" in res.stderr
 
+    def test_hyperbola_window_past_cosh_overflow_exits_2(self, tmp_path):
+        # cosh overflows beyond |t| = 710.5: deriv_sup raised OverflowError, exit 1
+        cfg = {
+            "curve": {"kind": "hyperbola-full"},
+            "density": ["exp(-(t^2))"],
+            "decay": {"kind": "compact", "lo": -1000, "hi": 1000},
+            "grid": {"xi": [-1.0, 1.0, 3], "eta": [-1.0, 1.0, 3]},
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "config error: the hyperbola's coordinates overflow on a window out to |t| = 1000\n"
+
+    def test_gaussian_rate_too_small_for_a_cutoff_exits_2(self, tmp_path):
+        # 2 rate t budget underflowed to 0 in GaussianDecay.cutoff: ZeroDivisionError, exit 1
+        cfg = {
+            "curve": {"kind": "parabola"},
+            "density": ["exp(-(t^2))"],
+            "decay": {"kind": "gaussian", "rate": 1e-300},
+            "grid": {"xi": [-1.0, 1.0, 3], "eta": [-1.0, 1.0, 3]},
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "rate 1e-300 is too small" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("lo, hi", [(-3.5, 1e308), (-1.7e308, 1.7e308)], ids=["wide", "widest"])
+    def test_support_too_wide_to_sample_fails_without_a_warning(self, tmp_path, lo, hi):
+        # check_envelope's np.linspace over [-3.5 - 5e307, 1.5e308] overflowed in
+        # subtract, and over the widest support's sample range, [-inf, inf], it
+        # made NaN: RuntimeWarnings that run_cli's PYTHONWARNINGS=error makes
+        # exit 1.  The density then overflows at t ~ 1e308, a numeric failure
+        cfg = {
+            "curve": {"kind": "parabola"},
+            "density": ["exp(-(t^2))"],
+            "decay": {"kind": "compact", "lo": lo, "hi": hi},
+            "grid": {"xi": [-1.0, 1.0, 3], "eta": [-1.0, 1.0, 3]},
+        }
+        res = run_cli("ft", "--config", write_config(tmp_path, cfg))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.startswith("numeric failure: ") and "Warning" not in res.stderr
+
     def test_a_lattice_axis_outside_the_window_costs_nothing(self, tmp_path):
         # beta = 1e-7 took 9.9 s to walk the y-axis's 2e8 indices, none of them
         # in the window, and 1e-300 never ended

@@ -88,33 +88,29 @@ def test_same_as_per_point_algorithm(f, hint, max_subdivisions):
     assert integrate(f, (-3.0, 3.0), opts) == want
 
 
-@pytest.mark.parametrize("name", ["GK15", "GK41"])
-def test_gk15_against_an_independent_source(name):
-    rule = getattr(quadrature, name)
+def test_gk41_against_an_independent_source():
+    rule = quadrature.GK41
     n = rule.order // 2
     # the embedded rule is numpy's n-point Gauss-Legendre rule, on every other
     # node; numpy's 20-point weights are off by up to 1.2e-15
     x, w = np.polynomial.legendre.leggauss(n)
     on = np.flatnonzero(rule.gauss)
     assert on.tolist() == list(range(1, 2 * n + 1, 2)) and rule.nodes.size == 2 * n + 1
-    atol = 4e-16 if n == 7 else 2e-15
-    np.testing.assert_allclose(rule.nodes[on], x, rtol=0, atol=atol)
-    np.testing.assert_allclose(rule.gauss[on], w, rtol=0, atol=atol)
+    np.testing.assert_allclose(rule.nodes[on], x, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(rule.gauss[on], w, rtol=0, atol=2e-15)
 
     def error(weights, d):
         return abs((weights * rule.nodes**d).sum() - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
 
-    # Kronrod: exact to degree 3n + 1 (3n + 2 by symmetry); Gauss: below its order.  GK15
-    # fails at 24; GK41's error past degree 62 stays below float64's roundoff until about 80
+    # Kronrod: exact to degree 3n + 1 (3n + 2 by symmetry), and its error past
+    # degree 62 stays below float64's roundoff until about 80; Gauss: below its order
     assert max(error(rule.weights, d) for d in range(3 * n + 2)) < 1e-15
-    if n == 7:
-        assert error(rule.weights, 24) > 1e-12
     assert max(error(rule.gauss, d) for d in range(rule.order)) < 1e-15 < 1e-12 < error(rule.gauss, rule.order)
     # (n!)^4 / ((2n + 1) ((2n)!)^3), and the Gauss error on t^2n over [-1, 1]:
-    # c 2^(2n + 1) (2n)!, 2.8e-12 for GK41, whose sum rounds by about 1e-17
+    # c 2^(2n + 1) (2n)!, 2.8e-12, whose sum rounds by about 1e-17
     assert rule.error_constant == float(Fraction(math.factorial(n) ** 4, (2 * n + 1) * math.factorial(2 * n) ** 3))
     want = rule.error_constant * 2.0 ** (rule.order + 1) * math.factorial(rule.order)
-    assert error(rule.gauss, rule.order) == pytest.approx(want, rel=1e-10 if n == 7 else 1e-4)
+    assert error(rule.gauss, rule.order) == pytest.approx(want, rel=1e-4)
 
 
 def test_refinement_bisects_the_lowest_of_equal_errors_first():
@@ -146,7 +142,7 @@ def test_null_err_is_the_roundoff_floor_of_an_odd_integrand():
     # evaluated once, on its nodes and their mirror images
     calls = []
     null_err(lambda t: calls.append(t.size) or np.sin(t) + 0j, 3.0)
-    assert calls == [64 * 15 * 2]
+    assert calls == [8 * 41 * 2]
 
 
 def test_relative_tolerance_stops_refinement():
@@ -160,8 +156,9 @@ def test_relative_tolerance_stops_refinement():
 
 
 def test_nonfinite_integrand_names_its_lowest_node():
-    # NaN from t = 1 on: the 204-panel pre-split meets it first in its 32nd
-    # panel, and the error names the lowest node there, as does the reference
+    # NaN from t = 1 on: the 26-panel pre-split meets it first in its 5th
+    # panel, and the error names the lowest node there, 1.0044, as does the
+    # reference
     def f(t):
         return np.where(t < 1.0, 1.0 + 0j, complex("nan"))
 
@@ -290,10 +287,10 @@ def test_max_subdivisions_must_be_an_integer(value):
 
 @pytest.mark.parametrize("hint", [math.nan, -5.0, math.inf, -math.inf])
 def test_oscillation_hint_must_be_none_or_finite_and_nonnegative(hint):
-    # nan and -5 gave the 8 panels of no hint, and inf the 8,192-panel cap
+    # nan and -5 gave the 3 panels of no hint, and inf the 1,024-panel cap
     with pytest.raises(ValueError, match=re.escape(f"oscillation_hint must be None or finite and >= 0, got {hint}")):
         QuadOpts(oscillation_hint=hint)
-    assert integrate(np.cos, (0.0, 1.0), QuadOpts(oscillation_hint=0.0)).panels == 8
+    assert integrate(np.cos, (0.0, 1.0), QuadOpts(oscillation_hint=0.0)).panels == 3
 
 
 def test_degenerate_interval():
@@ -312,12 +309,15 @@ def test_nonfinite_integrand_reported():
 def test_presplit_sized_by_local_rate():
     # e^{i w t^2} on [0, 4], as eta = -w / pi on the curve (t, t^2): the rate
     # 2 w t is highest at t = 4, so blocks near 0 need fewer panels than the
-    # uniform pre-split sized for t = 4
+    # uniform pre-split sized for t = 4: the 16 blocks of width 1/4 turn by
+    # 6.25 k radians, k = 1, ..., 16, and take ceil(6.25 k / (8 pi)) panels
     xi, eta = np.zeros(2), np.full(2, -50.0 / math.pi)
     slow_start = lambda lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi)))  # noqa: E731
     constant = lambda lo, hi: (1.0, 2.0 * 4.0)  # noqa: E731
-    uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / math.pi)
-    for deriv_sup, most in ((slow_start, 0.6 * uniform), (constant, uniform)):
+    uniform = math.ceil(4.0 * 2.0 * 50.0 * 4.0 / (8.0 * math.pi))
+    local = sum(math.ceil(6.25 * k / (8.0 * math.pi)) for k in range(1, 17))
+    assert (local, uniform) == (40, 64)
+    for deriv_sup, most in ((slow_start, local), (constant, uniform)):
         rows = Rows(xi, eta, lambda t: (t, t * t), np.ones_like, deriv_sup, NO_PARITY)
         values, errs, panels, failures, _ = integrate_rows(rows, (0.0, 4.0), QuadOpts())
         assert not failures
@@ -327,14 +327,24 @@ def test_presplit_sized_by_local_rate():
         assert abs(values[0] - want.value) <= errs[0] + want.err_estimate
 
 
+def test_panel_phase_of_a_tiny_envelope_does_not_underflow():
+    # c A = 1.6e-72 x 1e-300 underflows to 0, and dividing by it raised
+    # ZeroDivisionError: an envelope that small lets a panel span phase_max,
+    # as exp(log(phase_max))
+    envelope = GaussianDecay(1e-10, 1e-300)
+    theta = quadrature._panel_phase(envelope, 0.0, 1.0, False, 1.0, 1e-10)
+    assert theta == pytest.approx(quadrature.GK41.phase_max, rel=1e-15, abs=0.0)
+
+
 def test_nonfinite_value_met_during_bisection_is_raised():
     # the pre-split nodes miss the NaN hole around 0.3; bisecting the kink there reaches it
     def integrand(t):
         return np.where(np.abs(t - 0.3) < 1e-7, np.nan, np.sqrt(np.abs(t - 0.3))) + 0j
 
-    with pytest.raises(QuadratureError, match="nonfinite value near t=0.3") as info:
+    with pytest.raises(QuadratureError, match="nonfinite value near t=") as info:
         integrate(integrand, (0.0, 1.0), QuadOpts(abs_tol=1e-13, rel_tol=1e-13))
     assert not isinstance(info.value, NonconvergenceError)
+    assert abs(float(re.search(r"t=(\S+)", str(info.value)).group(1)) - 0.3) < 1e-7
 
 
 def _one(rows: Rows, r: int) -> Rows:
@@ -364,15 +374,15 @@ def test_rows_before_the_first_failure_are_refined_as_if_alone():
 
 
 def _grid_rows_case(g) -> Rows:
-    """36 rows e^{-i pi (xi t + eta t^2)} g(t) on [0, 1], xi in 8, ..., 48 and eta in 0, ..., 20.
+    """36 rows e^{-i pi (xi t + eta t^2)} g(t) on [0, 1], xi in 64, ..., 384 and eta in 0, ..., 160.
 
     The rows fill the grid of those frequencies on the curve (t, t^2).  The
-    fastest row, the last, takes 76 panels in 16 block-wise segments, and
-    one pre-split sized for it is shared by the grid: 12 x 76 exponentials a
-    node, against the rows' own 1,600 panels or so.
+    fastest row, the last, takes 78 panels in 16 block-wise segments, and
+    one pre-split sized for it is shared by the grid: 12 x 78 exponentials a
+    node, against the rows' own 1,593 panels.
     """
     iu, iv = np.divmod(np.arange(36), 6)
-    xi, eta = 8.0 * (iu + 1.0), 4.0 * iv
+    xi, eta = 64.0 * (iu + 1.0), 32.0 * iv
     return Rows(xi, eta, lambda t: (t, t * t), g, lambda lo, hi: (1.0, 2.0 * max(abs(lo), abs(hi))), NO_PARITY)
 
 
@@ -410,55 +420,56 @@ def test_grid_rows_that_miss_are_refined_from_their_own_presplits(monkeypatch):
 
 
 def test_nonfinite_grid_rows_fail_as_on_their_own_presplits(monkeypatch):
-    # g is NaN at one GK41 node of the shared pre-split, in the 16 panels of
-    # its 16 blocks: every row's sums on it are NaN, and every row is scored
-    # again, and refined, on its own pre-split of GK15 panels.  None of those
-    # has that node, so no row fails, as none fails alone, and each row is
-    # within both error bars of itself alone.  Scoring the rows again on the
-    # shared pre-split would fail at row 0
+    # g is NaN at one node of the shared pre-split, in the 78 panels of its
+    # 16 blocks: every row's sums on it are NaN, and every row is scored
+    # again, and refined, on its own pre-split.  The first row whose own
+    # pre-split has that node, one of the fastest, fails there, as it fails
+    # alone, and each row before it is within both error bars of itself
+    # alone.  Scoring the rows again on the shared pre-split would fail at row 0
     nodes = _spy(monkeypatch, "_edges")
     assert integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)[3] is None
     edges = quadrature._edges(*nodes[0])
-    assert edges.size == 17
+    assert edges.size == 79
     bad = 0.5 * (edges[10] + edges[11]) + 0.5 * (edges[11] - edges[10]) * quadrature.GK41.nodes[4]
     rows = _grid_rows_case(lambda t: np.where(t == bad, np.nan, np.cos(t)))
     refined = _spy(monkeypatch, "_refine")
     shared = integrate_rows(rows, (0.0, 1.0), OPTS)
-    assert [args[1] for args in refined] == list(range(36))
+    first = shared[3][0]
+    assert first >= 30 and [args[1] for args in refined] == list(range(first + 1))
     alone = _alone(rows)
-    assert shared[3] is None and alone[3] is None
-    assert (np.abs(shared[0] - alone[0]) <= shared[1] + alone[1]).all()
+    assert alone[3][0] == first and str(alone[3][1]) == str(shared[3][1])
+    assert (np.abs(shared[0] - alone[0]) <= shared[1] + alone[1])[:first].all()
 
 
 def test_rows_are_scored_at_most_a_chunk_at_a_time(monkeypatch):
     # the rows of a segment are built and scored as many at a time as fit
-    # 500 integrand values, and one at a time where one row has more; the
+    # 1,000 integrand values, and one at a time where one row has more; the
     # bits are those of the default blocks.  The rows' distinct xi and eta
     # make a diagonal, which fills no grid
-    rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(8.0, 48.0, 36), eta=np.linspace(0.0, 20.0, 36))
+    rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(64.0, 384.0, 36), eta=np.linspace(0.0, 160.0, 36))
     scored = _spy(monkeypatch, "_score")
     want = integrate_rows(rows, (0.0, 1.0), OPTS)
     blocks = len(scored)
     scored.clear()
-    monkeypatch.setattr(quadrature, "_CHUNK", 500)
+    monkeypatch.setattr(quadrature, "_CHUNK", 1000)
     got = integrate_rows(rows, (0.0, 1.0), OPTS)
     shapes = [np.shape(args[0]) for args in scored]
-    assert all(rows * nodes <= 500 or rows == 1 for rows, nodes in shapes) and len(shapes) > blocks
-    assert any(rows > 1 for rows, _ in shapes) and any(nodes > 500 for _, nodes in shapes)
+    assert all(rows * nodes <= 1000 or rows == 1 for rows, nodes in shapes) and len(shapes) > blocks
+    assert any(rows > 1 for rows, _ in shapes) and any(nodes > 1000 for _, nodes in shapes)
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]] and got[3] is None
 
 
 def test_rows_of_uniform_and_block_wise_presplits_keep_their_bits_alone(monkeypatch):
-    # the diagonal fills no grid, and its rows split into 25 uniform pre-splits
-    # and 11 block-wise ones.  Each row adds up its own spans in t order,
+    # the diagonal fills no grid, and its rows split into 15 uniform pre-splits
+    # and 21 block-wise ones.  Each row adds up its own spans in t order,
     # whatever rows share a span, so it has the bits of a batch of its own
-    rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(8.0, 48.0, 36), eta=np.linspace(0.0, 20.0, 36))
+    rows = _grid_rows_case(np.cos)._replace(xi=np.linspace(64.0, 384.0, 36), eta=np.linspace(0.0, 160.0, 36))
     tables, presplits = [], quadrature._presplits
     monkeypatch.setattr(quadrature, "_presplits", lambda *args: tables.append(presplits(*args)) or tables[-1])
     got = integrate_rows(rows, (0.0, 1.0), OPTS)
     counts = tables[0][1]
-    assert (counts[0] > 0).sum() == 25 and (counts[1:] > 0).all(axis=0).sum() == 11
-    assert got[2].sum() == 1647 and got[3] is None
+    assert (counts[0] > 0).sum() == 15 and (counts[1:] > 0).all(axis=0).sum() == 21
+    assert got[2].sum() == 1618 and got[3] is None
     alone = _alone(rows)
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in alone[:3]] and alone[3] is None
 
@@ -466,11 +477,11 @@ def test_rows_of_uniform_and_block_wise_presplits_keep_their_bits_alone(monkeypa
 def test_refinement_names_the_node_where_the_fold_overflows():
     # f is finite everywhere, but f(t) + f(-t) overflows for |t| > 0.5 on the
     # folded window: the row's sums are not finite, and refining it names the
-    # lowest node of its 8-panel pre-split of [0, 1] where the fold overflows
+    # lowest node of its 3-panel pre-split of [0, 1] where the fold overflows
     def f(t):
         return np.where(np.abs(t) > 0.5, 1e308, 1.0) + 0j
 
-    edges = np.linspace(0.0, 1.0, 9)
+    edges = np.linspace(0.0, 1.0, 4)
     x, _ = quadrature._nodes(edges[:-1], edges[1:], False)
     lowest = x[x > 0.5].min()
     with pytest.raises(QuadratureError, match=re.escape(f"nonfinite value near t={lowest}")) as info:
@@ -577,8 +588,8 @@ def test_an_axis_off_by_1e_9_keeps_the_exponentials(monkeypatch):
     integrate_rows(_grid_rows_case(np.cos), (0.0, 1.0), OPTS)
     assert all(None not in args[4] for args in factors)
     rows = _grid_rows_case(np.cos)
-    rows = rows._replace(xi=np.where(rows.xi == 24.0, 24.0 + 1e-9, rows.xi))
-    rows = rows._replace(eta=np.where(rows.eta == 8.0, 8.0 + 1e-9, rows.eta))
+    rows = rows._replace(xi=np.where(rows.xi == 192.0, 192.0 + 1e-9, rows.xi))
+    rows = rows._replace(eta=np.where(rows.eta == 64.0, 64.0 + 1e-9, rows.eta))
     assert all(quadrature._step(quadrature._distinct(v)[0]) is None for v in (rows.xi, rows.eta))
     got = integrate_rows(rows, (0.0, 1.0), OPTS)
     _recurrence_off(monkeypatch)
