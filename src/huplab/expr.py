@@ -203,10 +203,11 @@ _widest = _bands(lambda node, p, q: Band(max(p.degree, q.degree), p.norm + q.nor
 
 
 def _over_constant(node: BinOp, p: Band, q: Band) -> Optional[Band]:
-    # a quotient is a polynomial only by a constant leaf, and one that is not 0
-    if not isinstance(node.right, (Num, Const)) or _constant(node.right) == 0:
+    # a quotient is a polynomial only by a constant, a tree of the affine form 0 t + c, and one that is not 0
+    divisor = _affine(node.right)
+    if divisor is None or divisor[0] != 0 or divisor[1] == 0:
         return None
-    return Band(p.degree, p.norm / abs(_constant(node.right)))
+    return Band(p.degree, p.norm / abs(divisor[1]))
 
 
 def _integer_power(node: BinOp, p: Band, q: Band) -> Optional[Band]:
@@ -476,11 +477,12 @@ def band(node) -> Optional[Band]:
     Constants have degree 0.  sin and cos of k t + c with a real integer k,
     and exp of i k t + c, have degree |k|.  A sum has the larger degree of
     its terms, a product the sum of its factors', a quotient by a constant
-    leaf (a number or a named constant) its dividend's, and a power with a
-    number exponent n, an integer >= 0, n times its base's.  t itself, chi,
-    the other functions and anything but a tree have none.  ``norm`` bounds
-    sum |c_k| by the same rules: the triangle inequality for sums and
-    sum |c_k| of a product at most the product of its factors' sums.
+    that is not 0 (a tree of numbers and named constants, such as 2*pi) its
+    dividend's, and a power with a number exponent n, an integer >= 0, n
+    times its base's.  t itself, chi, the other functions and anything but
+    a tree have none.  ``norm`` bounds sum |c_k| by the same rules: the
+    triangle inequality for sums and sum |c_k| of a product at most the
+    product of its factors' sums.
     """
     if isinstance(node, (Num, Const)):
         return Band(0, abs(_constant(node)))

@@ -107,7 +107,9 @@ class _DecayLaw:
         return -reach, reach
 
     def bound(self, t: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-self.exponent(t))
+        # an exponent that overflows to inf bounds |g| by 0, its limit
+        with np.errstate(over="ignore"):
+            return self.amplitude * np.exp(-self.exponent(t))
 
 
 @dataclass(frozen=True)

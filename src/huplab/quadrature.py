@@ -22,34 +22,39 @@ its class in ``geometry``.  Exactly symmetric intervals [-b, b] are folded
 to [0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
 pointwise and integrates to zero regardless of how wild its phase is.
 
-:func:`integrate_rows` runs these stages for the rows
-e^{-i pi (xi x(t) + eta y(t))} g(t) of a :class:`Rows`, one per frequency
-point on one curve; :func:`integrate` is its batch of one, a row at
-frequency 0 on no curve.  A row whose parities show it to be odd on a
-folded window is taken as 0, with the roundoff floor of :func:`null_err`.
-The rest are summed panel by panel with array operations, from one table
-of panel counts (spans x rows): the rows with the same count on a span
-share its nodes.  A row that misses tolerance or is not finite is refined
-alone, from its own column of that table.  A row's bits do not depend on
-the other rows of its batch, unless the rows fill a grid of frequencies
-and share one pre-split, the fastest row's column, the phase factored as
-e^{-i pi xi x} e^{-i pi eta y} and scored for all rows by one matmul per
-block of panels: then they depend on the set of rows in the batch, but not
-on their order.  On a folded window a factor of known parity is built at
-the nodes t >= 0 only, and an even factor lets the fold be summed before
-the matmul, over half the nodes.  Along an equispaced frequency axis, or
-one on an equispaced lattice with holes, a factor is built by recurrence,
-directly at every _ANCHOR-th lattice value and as the value before times
-e^{-i pi delta x} between; its drift from the direct exponentials is
-bounded, added to every row's error, and allowed only where that term is at
-most abs_tol/10.  Elsewhere each entry is one exponential.
+:func:`integrate_rows` integrates the rows e^{-i pi (xi x(t) + eta y(t))} g(t)
+of a :class:`Rows`, one per frequency point on one curve; :func:`integrate`
+is its batch of one, a row at frequency 0 on no curve.  After truncation it
+settles each row once, in the first of these stages that takes it:
 
-On a window that is one whole period of a closed curve, a row whose density
-is a trigonometric polynomial (``expr.band``) takes no panels: it is the
-trapezoid sum on N equispaced nodes, which converges geometrically for a
-periodic integrand analytic in a strip, and N is chosen for each row in
-advance from a bound on that error (Trefethen and Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
+1. zero density: where g is 0 by its expression tree, every row is 0;
+2. parity-null: on a folded window, a row whose parities show it to be odd
+   is 0, with the roundoff floor of :func:`null_err`;
+3. trapezoid: on a window that is one whole period of a closed curve, a row
+   whose density is a trigonometric polynomial (``expr.band``) is the
+   trapezoid sum on N equispaced nodes, which converges geometrically for a
+   periodic integrand analytic in a strip, and N is chosen for each row in
+   advance from a bound on that error (Trefethen and Weideman, "The
+   exponentially convergent trapezoidal rule", SIAM Review 56, 2014); a row
+   that needs too many nodes, or misses tolerance, goes on to
+4. panels: the rest are summed panel by panel with array operations, from
+   one table of panel counts (spans x rows): the rows with the same count
+   on a span share its nodes.  A row that misses tolerance or is not finite
+   is refined alone, from its own column of that table.
+
+A row's bits do not depend on the other rows of its batch, unless the rows
+fill a grid of frequencies and share one pre-split, the fastest row's
+column, the phase factored as e^{-i pi xi x} e^{-i pi eta y} and scored for
+all rows by one matmul per block of panels: then they depend on the set of
+rows in the batch, but not on their order.  On a folded window a factor of
+known parity is built at the nodes t >= 0 only, and an even factor lets the
+fold be summed before the matmul, over half the nodes.  Along an
+equispaced frequency axis, or one on an equispaced lattice with holes, a
+factor is built by recurrence, directly at every _ANCHOR-th lattice value
+and as the value before times e^{-i pi delta x} between; its drift from the
+direct exponentials is bounded, added to every row's error, and allowed
+only where that term is at most abs_tol/10.  Elsewhere each entry is one
+exponential.
 """
 
 from __future__ import annotations
@@ -447,9 +452,14 @@ def _periodic_nodes(rows: Rows, x: np.ndarray, tol: float):
 def _periodic_rows(rows: Rows, window: Tuple[float, float], opts: QuadOpts):
     """Each row's trapezoid value and error over the window, one whole period, and its node count N.
 
-    The rows with the same N share the nodes, and their values are built
-    for at most _CHUNK entries at a time; ``integrate_rows`` gives N and the
-    error.  A row past _PERIODIC_NODES_MAX has N = 0, value -0 and error inf.
+    N is ``_periodic_nodes``' at the rate x = pi |(xi, eta)|, or
+    ``oscillation_hint`` where larger, and tolerance abs_tol/10.  The error
+    is that bound plus (10 + theta) eps sum |g| w, where w is the node
+    weight and theta = pi (|xi| max |x| + |eta| max |y|) over the nodes
+    bounds the phase argument, whose rounding the sum carries too.  The
+    rows with the same N share the nodes, and their values are built for at
+    most _CHUNK entries at a time.  A row past _PERIODIC_NODES_MAX has
+    N = 0, value -0 and error inf.
     """
     x = np.maximum(math.pi * np.hypot(rows.xi, rows.eta), max(opts.oscillation_hint or 0.0, _TINY))
     nodes, err = _periodic_nodes(rows, x, opts.abs_tol / 10.0)
@@ -777,70 +787,35 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     at the rate pi (|xi_r| sup |x'| + |eta_r| sup |y'|), or
     ``oscillation_hint`` where that is larger.
 
-    Where ``rows.band`` has norm 0, g is 0: sums, products and quotients
-    round monotonically, so a norm that rounds to 0 leaves every value of g
-    0.  Every row is then -0 with the truncation error, and no node is
-    evaluated.
+    Each row is then settled once, by the first of these stages that takes
+    it, in row order within a stage:
 
-    On a folded window, where ``rows.parity`` shows g odd and the phase
-    even in t (each coordinate even or meeting a zero frequency), a row is
-    exactly 0: its value is -0 and its error the truncation error plus the
-    roundoff floor of ``null_err``, with no phase evaluated.
+    1. where ``rows.band`` has norm 0, g is 0 (sums, products and quotients
+       round monotonically, so a norm that rounds to 0 leaves every value
+       of g 0): every row is -0, and no node is evaluated;
+    2. on a folded window, where ``rows.parity`` shows g odd and the phase
+       even in t (each coordinate even or meeting a zero frequency), a row
+       is exactly -0, with ``null_err``'s roundoff floor added to its error
+       and no phase evaluated;
+    3. where ``rows.strip`` and ``rows.band`` are set and the window is the
+       whole interval, one period, a row is its trapezoid sum (see
+       ``_periodic_rows``) where that is finite and meets tolerance;
+    4. the rest take panels: one pre-split each (see ``_presplits``), or
+       one shared pre-split for the batch where that costs fewer
+       exponentials (see ``_shares`` and ``_grid_rows``), and a row that
+       misses tolerance or is not finite is refined alone from its own
+       pre-split (see ``_refine``).
 
-    Where ``rows.strip`` and ``rows.band`` are set and the window is the
-    whole interval (one period of a closed curve, and g a trigonometric
-    polynomial of degree B), a row is the trapezoid sum on N equispaced
-    nodes instead, with N chosen from the row alone (see
-    ``_periodic_nodes``): the smallest multiple of 16 above 2B whose error
-    bound, at the rate x = pi |(xi, eta)| (or ``oscillation_hint`` where
-    larger), is at most abs_tol/10.  Its error is the truncation error plus
-    that bound plus (10 + theta) eps sum |g| w, where w is the node weight
-    and theta = pi (|xi| max |x| + |eta| max |y|) over the nodes bounds the
-    phase argument, whose rounding the sum carries too; its panel count is
-    0.  A row that needs more than _PERIODIC_NODES_MAX nodes, or misses
-    tolerance, takes panels, as do all rows on a clipped window.
+    So a row's bits do not depend on its batch, except on a shared
+    pre-split: there they depend on the set of rows in the panel stage, but
+    not on their order.  numpy's warnings are silenced throughout: every
+    nonfinite value shows in the sums, and refining its row names its node.
 
-    The other rows are integrated as one batch, as follows.
-
-    Each row gets a pre-split from its rate and ``envelope``, as one column
-    of a table of panel counts over spans of the window: the whole range,
-    or its equal blocks, each panel spanning ``GK41.phase``, or up to
-    ``GK41.phase_max`` where the envelope is small (see ``_presplits``).
-    The envelope only picks the first panels; every error estimate comes
-    from the panels' Kronrod sums.  The rows with the same count on a span share its nodes,
-    and each adds up its spans' sums in t order (see ``_span_rows``).
-
-    When a batch of more than one row fills at least half of the grid of
-    its distinct xi and eta, and the fastest row's column, sized in the
-    same pass, costs fewer exponentials than the rows' own (see
-    ``_shares``), every row is scored on that one pre-split instead, by one
-    matmul per block of at most _CHUNK entries (see ``_grid_rows``), over
-    the nodes t >= 0 of each panel where the window is folded and a factor
-    is even, and each row's panel count is then the shared one.  The rows'
-    own columns are kept for refinement.  A factor along an axis of 3 or
-    more distinct xi (or eta) on an equispaced lattice, holes allowed, of at
-    most twice as many values (see ``_step``), is built by recurrence over
-    the lattice,
-    e^{-i pi xi_j x} = e^{-i pi xi_{j-1} x} e^{-i pi delta x}, re-anchored
-    by a direct exponential every _ANCHOR values.  An axis takes it only
-    where the bound of ``_drift`` times sum |g| w h is at most abs_tol/10,
-    and every row's error then includes that term.  Elsewhere, and on axes
-    that are not equispaced, the factors keep one exponential an entry,
-    bit for bit.
-
-    Either way, a row that misses tolerance or is not finite is then
-    refined alone from its own column, by bisecting its worst panels
-    first, in row order (see ``_refine``).  So a row's bits
-    do not depend on its batch, except on a shared pre-split: there they
-    depend on the set of rows in the batch, but not on their order.
-    numpy's warnings are silenced throughout: every nonfinite value shows
-    in the sums, and refining its row names its node.
-
-    Returns each row's value, error estimate and panel count (0 on zero,
-    trapezoid and null rows), the first failure as (row, QuadratureError)
-    or None, and the window or None.
-    It returns as soon as a row fails: that row's entries and all later ones
-    are meaningless.
+    Returns each row's value, error estimate and panel count (0 outside the
+    panel stage), the first failing row of the panel stage as (row,
+    QuadratureError) or None, and the window or None.  It returns as soon
+    as a row fails: the panel stage's entries from that row on are
+    meaningless.
     """
     n = rows.xi.size
     value, err, panels = np.zeros(n, dtype=np.complex128), np.zeros(n), np.zeros(n, dtype=np.int64)
@@ -852,30 +827,25 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
         return value, err, panels, None, None
     window = (float(window[0]), float(window[1]))
     tail_err = truncation_error(interval, window, envelope)
-    if rows.strip is not None and window != interval:
-        rows = rows._replace(strip=None)
+    # -0 leaves a sum of components to the bit
+    value, err = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err)
     folded = window[0] == -window[1] and window[1] > 0
     px, py, pg = rows.parity if folded else (UNKNOWN, UNKNOWN, UNKNOWN)
-    done = None
-    if rows.band is not None and rows.band.norm == 0.0:
-        # -0 leaves a sum of components to the bit
-        value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err), np.ones(n, dtype=bool)
-    elif pg == ODD and (null := ((rows.xi == 0.0) | (px == EVEN)) & ((rows.eta == 0.0) | (py == EVEN))).any():
-        value, err, done = np.full(n, complex(-0.0, -0.0)), np.full(n, tail_err + null_err(rows.g, window[1])), null
-    elif rows.strip is not None and rows.band is not None:
-        # the rows summed by the trapezoid rule that meet tolerance; the others take panels
+    # the rows no stage has settled yet, in input order
+    live = np.arange(n if rows.band is None or rows.band.norm != 0.0 else 0)
+    if pg == ODD and (null := ((rows.xi[live] == 0.0) | (px == EVEN)) & ((rows.eta[live] == 0.0) | (py == EVEN))).any():
+        err[live[null]] += null_err(rows.g, window[1])
+        live = live[~null]
+    if rows.strip is not None and rows.band is not None and window == interval and live.size:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            value, err, _ = _periodic_rows(rows, window, opts)
-            done = np.isfinite(value) & (err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
-        err += tail_err
-        rows = rows._replace(strip=None)
-    if done is not None:
-        # the rest are one smaller batch
-        live, failure = np.flatnonzero(~done), None
-        if live.size:
-            part = rows._replace(xi=rows.xi[live], eta=rows.eta[live])
-            value[live], err[live], panels[live], failure, _ = integrate_rows(part, interval, opts, envelope)
-        return value, err, panels, failure and (int(live[failure[0]]), failure[1]), window
+            v, e, _ = _periodic_rows(rows._replace(xi=rows.xi[live], eta=rows.eta[live]), window, opts)
+            met = np.isfinite(v) & (e <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(v.real, v.imag)))
+        value[live[met]], err[live[met]] = v[met], e[met] + tail_err
+        live = live[~met]
+    if not live.size:
+        return value, err, panels, None, window
+    # the panel stage's rows are the live ones
+    rows = rows._replace(xi=rows.xi[live], eta=rows.eta[live])
     hint = opts.oscillation_hint or 0.0
     abs_xi, abs_eta = np.abs(rows.xi), np.abs(rows.eta)
 
@@ -886,22 +856,22 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
 
     with np.errstate(invalid="ignore", over="ignore"):
         spans, counts, fastest = _presplits(rate, window, folded, envelope, opts)
-        panels = counts.sum(axis=0)
+        panels[live] = counts.sum(axis=0)
         # a row alone costs one exponential a node; sharing costs two
-        grid = (_distinct(rows.xi), _distinct(rows.eta)) if n > 1 else None
-        if grid and _shares(grid, panels, fastest):
-            value, total_err, size = _grid_rows(rows, grid, spans, fastest, folded, opts.abs_tol)
-            panels = np.full(n, size)
+        grid = (_distinct(rows.xi), _distinct(rows.eta)) if live.size > 1 else None
+        if grid and _shares(grid, panels[live], fastest):
+            v, total_err, panels[live] = _grid_rows(rows, grid, spans, fastest, folded, opts.abs_tol)
         else:
-            value, total_err = _span_rows(rows, spans, counts, folded)
-        err = tail_err + total_err
+            v, total_err = _span_rows(rows, spans, counts, folded)
+        value[live], err[live] = v, tail_err + total_err
         # hypot is abs() of one complex to the bit; np.abs of an array is not
-        met = np.isfinite(value) & (total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(value.real, value.imag)))
-        for r in (~met).nonzero()[0].tolist():
+        met = np.isfinite(v) & (total_err <= np.fmax(opts.abs_tol, opts.rel_tol * np.hypot(v.real, v.imag)))
+        # row r of the panel stage is row i of the batch
+        for r, i in zip(np.flatnonzero(~met).tolist(), live[~met].tolist()):
             try:
-                value[r], err[r], panels[r] = _refine(rows, r, _edges(spans, counts[:, r]), folded, tail_err, opts)
+                value[i], err[i], panels[i] = _refine(rows, r, _edges(spans, counts[:, r]), folded, tail_err, opts)
             except QuadratureError as exc:
-                return value, err, panels, (r, exc), window
+                return value, err, panels, (i, exc), window
         return value, err, panels, None, window
 
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from huplab.quadrature import (
     GK41,
@@ -24,6 +25,10 @@ from huplab.quadrature import (
     truncation_error,
 )
 from huplab.transform import FTValue
+
+# ``--hypothesis-profile=cli-fuzz`` runs test_cli_fuzz's larger sweep: 400
+# examples for each of its five commands
+settings.register_profile("cli-fuzz", max_examples=400)
 
 _EPS = float(np.finfo(np.float64).eps)
 

@@ -219,39 +219,46 @@ def _work(monkeypatch) -> dict:
     rows built alone (trapezoid rows included), and on a shared pre-split
     the entries of every ``np.exp`` that ``_factors`` calls: the anchors and
     ratios of an axis built by recurrence, one per u or v entry of the
-    others; ``rows``: the rows built alone on their own panels, by
-    index among the rows of their call; ``panels``: their panels, refined
-    rows included; ``refined``: the rows refined; ``factor nodes``: the
-    nodes per panel of each shared pre-split's u and v, as pairs;
-    ``trapezoid nodes``: the nodes of the rows summed by the trapezoid rule.
+    others; ``rows``: the rows built alone on their own panels, by index
+    among the rows of their call's panel stage (the rows that no earlier
+    stage settled); ``panels``: their panels, refined rows included;
+    ``refined``: the rows refined; ``factor nodes``: the nodes per panel of
+    each shared pre-split's u and v, as pairs; ``trapezoid nodes``: the nodes
+    of the rows summed by the trapezoid rule.
     """
     work = {"exponentials": 0, "rows": set(), "panels": 0, "refined": 0, "factor nodes": set(), "trapezoid nodes": 0}
-    integrate_rows, values = quadrature.integrate_rows, quadrature._values
+    integrate_rows, values, span_rows = quadrature.integrate_rows, quadrature._values, quadrature._span_rows
     refine, factors, periodic_rows = quadrature._refine, quadrature._factors, quadrature._periodic_rows
-    # a call's rows are keyed by the id of their xi array, which a Rows rebuilt
-    # by ``_replace`` within the call keeps
-    alone = {}  # the rows built alone, by call
-    trapezoid = {}  # the trapezoid rows among them, by call
+    # a call's panel stage: the rows built alone, and each row's panels as they stand
+    alone, panels = set(), {}
+    trapezoid = []  # the trapezoid stage's rows while it builds them
 
     def counting_rows(rows, *args):
-        # the rows left after null rows, or after trapezoid rows, are a call of their own
         out = integrate_rows(rows, *args)
-        built = alone.pop(id(rows.xi), set()) - trapezoid.pop(id(rows.xi), set())
-        work["rows"] |= built
-        work["panels"] += int(out[2][sorted(built)].sum())
+        work["rows"] |= alone
+        work["panels"] += sum(panels[r] for r in alone)
+        alone.clear()
+        panels.clear()
         return out
 
     def counting_periodic_rows(rows, *args):
-        value, err, nodes = periodic_rows(rows, *args)
-        trapezoid[id(rows.xi)] = set(np.flatnonzero(nodes).tolist())
+        trapezoid.append(rows)
+        try:
+            value, err, nodes = periodic_rows(rows, *args)
+        finally:
+            trapezoid.clear()
         work["trapezoid nodes"] += int(nodes.sum())
         return value, err, nodes
 
     def counting_values(rows, r, x, y, g):
         if x is not None:
-            alone.setdefault(id(rows.xi), set()).update(r.tolist())
+            alone.update([] if trapezoid else r.tolist())
             work["exponentials"] += r.size * x.size
         return values(rows, r, x, y, g)
+
+    def counting_span_rows(rows, spans, counts, folded):
+        panels.update(enumerate(counts.sum(axis=0).tolist()))
+        return span_rows(rows, spans, counts, folded)
 
     class CountingNumpy:
         # numpy, whose exp counts the entries it computes
@@ -271,13 +278,15 @@ def _work(monkeypatch) -> dict:
         work["factor nodes"].add((u.shape[2], v.shape[1]))
         return u, v
 
-    def counting_refine(*args):
+    def counting_refine(rows, r, *args):
         work["refined"] += 1
-        return refine(*args)
+        panels[r] = (out := refine(rows, r, *args))[2]
+        return out
 
     monkeypatch.setattr(transform, "integrate_rows", counting_rows)
     monkeypatch.setattr(quadrature, "integrate_rows", counting_rows)
     monkeypatch.setattr(quadrature, "_values", counting_values)
+    monkeypatch.setattr(quadrature, "_span_rows", counting_span_rows)
     monkeypatch.setattr(quadrature, "_factors", counting_factors)
     monkeypatch.setattr(quadrature, "_refine", counting_refine)
     monkeypatch.setattr(quadrature, "_periodic_rows", counting_periodic_rows)
@@ -455,3 +464,35 @@ def test_no_point_past_a_failing_null_row_is_integrated(monkeypatch):
     with pytest.raises(EvalDomainError, match="nonfinite value in 'exp"):
         mu_hat_at_points(measure, [(0.5, 0.0), (0.5, 0.5)], QuadOpts())
     assert work["exponentials"] == 0
+
+
+def test_one_circle_batch_through_every_stage(monkeypatch):
+    # sin(3t) is odd and a trigonometric polynomial: the points at eta = 0 are
+    # null, the others trapezoid rows, except where pi |(xi, eta)| needs more
+    # than _PERIODIC_NODES_MAX nodes and the row takes panels
+    calls = []
+    integrate_rows = quadrature.integrate_rows
+
+    def counting(*args):
+        calls.append(out := integrate_rows(*args))
+        return out
+
+    monkeypatch.setattr(transform, "integrate_rows", counting)
+    monkeypatch.setattr(quadrature, "integrate_rows", counting)
+    measure = Measure(circle(), (parse("sin(3*t)"),))
+    points = [(1.5, 2.0), (2.0, 0.0), (6000.0, 0.5), (-3.0, 1.0), (0.0, 0.0), (0.5, -6000.0)]
+    assert math.pi * math.hypot(*points[2]) > quadrature._PERIODIC_NODES_MAX
+    got = mu_hat_at_points(measure, points, QuadOpts())
+    assert len(calls) == 1  # one component, settled in one pass
+    assert (calls[0][2] > 0).tolist() == [False, False, True, False, False, True]  # panels for the fast rows only
+    assert [ft.value == 0 for ft in got] == [False, True, False, False, True, False]
+    assert [_bits(ft) for ft in got] == [_bits(mu_hat_at_points(measure, [point])[0]) for point in points]
+
+    # the panel rows fail at 8 panels: the first in input order is reported, as it is alone
+    opts = QuadOpts(max_subdivisions=8)
+    with pytest.raises(transform.PointFailure) as batch:
+        mu_hat_at_points(measure, points, opts)
+    with pytest.raises(quadrature.NonconvergenceError) as alone:
+        transform.mu_hat(measure, *points[2], opts)
+    assert batch.value.point == points[2]
+    assert str(batch.value.__cause__) == str(alone.value)

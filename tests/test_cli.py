@@ -155,6 +155,22 @@ class TestFt:
         assert (res.returncode, res.stdout) == (3, "")
         assert res.stderr.startswith("numeric failure: ") and "Warning" not in res.stderr
 
+    def test_an_envelope_whose_exponent_overflows_bounds_by_0_without_a_warning(self, tmp_path, capsys):
+        # on a bounded domain out to 1.3e154, check_envelope sampled the gaussian
+        # envelope where rate t^2 overflows: a RuntimeWarning, which warnings as
+        # errors made exit 1.  Found by test_cli_fuzz
+        cfg = {
+            "curve": {"kind": "expr", "x": "0.0", "y": "t", "domain": [0.0, 1.3407807929942597e154]},
+            "density": ["0"],
+            "decay": {"kind": "gaussian", "rate": 1.0},
+            "lambda": {"kind": "circle", "radius": 1.0},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+            "samples": 1,
+        }
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["1,0,0,0,0,0"]
+
     def test_a_lattice_axis_outside_the_window_costs_nothing(self, tmp_path):
         # beta = 1e-7 took 9.9 s to walk the y-axis's 2e8 indices, none of them
         # in the window, and 1e-300 never ended

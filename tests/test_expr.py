@@ -12,6 +12,7 @@ from huplab.expr import (
     FUNCTIONS,
     ODD,
     UNKNOWN,
+    Band,
     BinOp,
     Call,
     Chi,
@@ -268,7 +269,8 @@ class TestParity:
 
 
 # trigonometric polynomials with their band: sin and cos of k t + c, e^{ikt}
-# and numbers, in sums, products, quotients by a number and integer powers
+# and numbers, in sums, products, quotients by a number or by a multiple of pi
+# and integer powers
 _band_leaf = st.one_of(
     st.builds(
         lambda f, k, c: Call(f, BinOp("+", BinOp("*", Num(float(k)), Var()), Num(c))),
@@ -286,6 +288,7 @@ def _band_tree(children):
         st.builds(BinOp, st.sampled_from(["+", "-", "*"]), children, children),
         st.builds(Neg, children),
         st.builds(lambda a, d: BinOp("/", a, Num(d)), children, st.floats(0.5, 3.0)),
+        st.builds(lambda a, d: BinOp("/", a, BinOp("*", Num(d), Const("pi"))), children, st.floats(0.5, 3.0)),
         st.builds(lambda a, n: BinOp("^", a, Num(float(n))), children, st.integers(0, 3)),
     )
 
@@ -316,7 +319,9 @@ class TestBand:
             ("cosh(i*t)", None),
             ("exp(t)", None),
             ("exp((1+i)*t)", None),
-            ("sin(t)/(2*pi)", None),
+            ("sin(t)/(2*pi)", 1),
+            ("1/(2*pi)", 0),
+            ("sin(t)/(pi-pi)", None),
             ("sin(t)/cos(t)", None),
             ("sin(t)/0", None),
             ("sin(t)^0.5", None),
@@ -327,6 +332,10 @@ class TestBand:
     def test_rules(self, text, degree):
         got = band(parse(text))
         assert (None if got is None else got.degree) == degree
+
+    @pytest.mark.parametrize("text, degree", [("sin(t)/(2*pi)", 1), ("1/(2*pi)", 0), ("sin(t)/(pi*(2+0*i))", 1)])
+    def test_a_quotient_by_a_compound_constant_divides_the_norm(self, text, degree):
+        assert band(parse(text)) == Band(degree, 1.0 / (2.0 * math.pi))
 
     def test_not_a_tree_has_none(self):
         assert band(lambda t: np.sin(t)) is None

@@ -111,24 +111,39 @@ class TestMuHat:
         assert str(exc.value.__cause__) == str(alone.value)
 
     def test_oscillation_hint_is_a_floor_on_each_points_rate(self, monkeypatch):
-        panels = []
-        integrate_rows = transform.integrate_rows
+        panels, nodes = [], []
+        integrate_rows, periodic_rows = transform.integrate_rows, quadrature._periodic_rows
 
         def counting(*args):
             out = integrate_rows(*args)
             panels.append(out[2].tolist())
             return out
 
+        def counting_nodes(*args):
+            out = periodic_rows(*args)
+            nodes.append(out[2].tolist())
+            return out
+
         monkeypatch.setattr(transform, "integrate_rows", counting)
-        plain = mu_hat(UNIFORM_CIRCLE, 1.0, 0.0)
+        monkeypatch.setattr(quadrature, "_periodic_rows", counting_nodes)
+        # chi is 1 on the whole circle and has no band, so its rows take panels
+        measure = Measure(circle(), (parse("chi(-4,4)(t)/(2*pi)"),))
+        plain = mu_hat(measure, 1.0, 0.0)
         hinted = QuadOpts(oscillation_hint=1e4)
-        one = mu_hat(UNIFORM_CIRCLE, 1.0, 0.0, hinted)
-        both = mu_hat_at_points(UNIFORM_CIRCLE, [(1.0, 0.0), (0.0, 0.0)], hinted)
+        one = mu_hat(measure, 1.0, 0.0, hinted)
+        both = mu_hat_at_points(measure, [(1.0, 0.0), (0.0, 0.0)], hinted)
         assert panels[0] == [3]
         assert panels[1][0] > 1000 and panels[2][0] == panels[1][0]
         assert panels[2][1] > 1000  # a floor for every point, even one whose rate is 0
         assert abs(one.value - plain.value) <= one.err_estimate + plain.err_estimate
         assert both[0] == one
+        # on UNIFORM_CIRCLE, whose density has a band, it floors the trapezoid node count instead
+        assert nodes == []
+        plain = mu_hat(UNIFORM_CIRCLE, 1.0, 0.0)
+        both = mu_hat_at_points(UNIFORM_CIRCLE, [(1.0, 0.0), (0.0, 0.0)], hinted)
+        assert panels[3:] == [[0], [0, 0]]
+        assert nodes[0][0] < 100 and min(nodes[1]) > 1e4
+        assert abs(both[0].value - plain.value) <= both[0].err_estimate + plain.err_estimate
 
     def test_total_mass(self):
         assert mu_hat(UNIFORM_CIRCLE, 0.0, 0.0).value == pytest.approx(1.0, abs=1e-12)
