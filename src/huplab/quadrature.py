@@ -231,38 +231,44 @@ class Rows(NamedTuple):
 def truncate_interval(
     interval: Tuple[float, float], envelope: Optional[Decay], opts: QuadOpts
 ) -> Optional[Tuple[float, float]]:
-    """Finite integration window for a possibly unbounded interval.
+    """Finite integration window for an interval, bounded or not.
 
-    Returns None when the interval and the envelope's support are disjoint
-    (the integral is exactly zero).
+    A decay law clips each end that lies past its cutoff, bounded or not,
+    so that a long domain is integrated where its density lives; the tails
+    it leaves out sum to at most abs_tol / 10.  Returns None when the
+    interval and the envelope's support are disjoint (the integral is
+    exactly zero) or the interval lies wholly past the cutoff.
     """
     a, b = interval
     if a >= b:
         raise ValueError(f"degenerate interval {interval}")
-    unbounded = math.isinf(a) or math.isinf(b)
     if isinstance(envelope, CompactSupport):
         a, b = envelope.clip(a, b)
         return None if a >= b else (a, b)
-    if not unbounded:
-        return (a, b)
     if envelope is None:
-        raise MissingEnvelopeError(f"interval {interval} is unbounded and no decay envelope was declared")
+        if math.isinf(a) or math.isinf(b):
+            raise MissingEnvelopeError(f"interval {interval} is unbounded and no decay envelope was declared")
+        return (a, b)
     budget = opts.abs_tol / 10.0
-    if math.isinf(a) and math.isinf(b):
+    if a < 0.0 < b:  # both ends may be clipped
         budget /= 2.0
     t = envelope.cutoff(budget)
-    lo = a if not math.isinf(a) else -t
-    hi = b if not math.isinf(b) else t
+    lo, hi = max(a, -t), min(b, t)
     return None if lo >= hi else (lo, hi)
 
 
-def truncation_error(interval: Tuple[float, float], window: Tuple[float, float], envelope: Optional[Decay]) -> float:
+def truncation_error(
+    interval: Tuple[float, float], window: Optional[Tuple[float, float]], envelope: Optional[Decay]
+) -> float:
+    """The decay law's bound on the tails of ``interval`` that ``window`` clipped (None: all of it)."""
     if envelope is None or isinstance(envelope, CompactSupport):
         return 0.0
+    if window is None:  # the interval lies wholly past the cutoff, on one side of 0
+        return envelope.tail(min(abs(interval[0]), abs(interval[1])))
     err = 0.0
-    if math.isinf(interval[0]):
+    if interval[0] < window[0]:
         err += envelope.tail(abs(window[0]))
-    if math.isinf(interval[1]):
+    if window[1] < interval[1]:
         err += envelope.tail(window[1])
     return err
 
@@ -781,8 +787,9 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     The interval is truncated by the decay ``envelope``, if any (see
     :func:`truncate_interval`), and every row's error includes the
     :func:`truncation_error` of that window.  Where the envelope's support
-    misses the interval, the window is None and every row is 0 with error
-    0; an unbounded interval with no envelope is row 0's
+    misses the interval, or the interval lies wholly past its cutoff, the
+    window is None and every row is 0 with the error of that tail (0 for a
+    compact support); an unbounded interval with no envelope is row 0's
     :class:`MissingEnvelopeError`.  Row r's phase turns on [lo, hi] at most
     at the rate pi (|xi_r| sup |x'| + |eta_r| sup |y'|), or
     ``oscillation_hint`` where that is larger.
@@ -824,7 +831,7 @@ def integrate_rows(rows: Rows, interval: Tuple[float, float], opts: QuadOpts, en
     except QuadratureError as exc:
         return value, err, panels, (0, exc), None
     if window is None:
-        return value, err, panels, None, None
+        return value, np.full(n, truncation_error(interval, window, envelope)), panels, None, None
     window = (float(window[0]), float(window[1]))
     tail_err = truncation_error(interval, window, envelope)
     # -0 leaves a sum of components to the bit

@@ -169,7 +169,28 @@ class TestFt:
         }
         code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
         assert (code, err) == (0, "")
-        assert out.splitlines()[1:] == ["1,0,0,0,0,0"]
+        # a zero density keeps the tail bound of the window the envelope clips
+        assert out.splitlines()[1:] == ["1,0,0,0,0,1.0000000000034904e-11"]
+
+    @pytest.mark.parametrize("end", [1e3, 1e7, 1e12])
+    def test_a_long_bounded_domain_is_clipped_by_its_envelope(self, tmp_path, capsys, end):
+        # the window of a bounded domain was the whole domain, pre-split by the
+        # phase rate alone: on [0, 1e7] this printed 0 with err 0
+        cfg = {
+            "curve": {"kind": "expr", "x": "0", "y": "t", "domain": [0.0, end]},
+            "density": ["exp(-(t^2))"],
+            "decay": {"kind": "gaussian", "rate": 1.0},
+            "lambda": {"kind": "circle", "radius": 1.0},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+            "samples": 1,
+            "output": "json",
+        }
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, err) == (0, "")
+        (point,) = json.loads(out)["rows"]
+        # at (1, 0) the phase is 1: the integral of exp(-t^2) over [0, inf) is sqrt(pi)/2
+        assert 0 < point["err"] <= 1e-10
+        assert abs(complex(point["re"], point["im"]) - math.sqrt(math.pi) / 2) <= point["err"]
 
     def test_a_lattice_axis_outside_the_window_costs_nothing(self, tmp_path):
         # beta = 1e-7 took 9.9 s to walk the y-axis's 2e8 indices, none of them
@@ -466,25 +487,36 @@ def test_cli_imports_no_third_party_package_but_numpy():
 
 
 class TestParserPerCommand:
-    """``main`` gives the parser the arguments of the subcommand a command line starts with, and no others."""
+    """``main`` builds one parser, for the subcommand a command line names, and reads it as the full parser does."""
 
     def test_import_builds_no_parser(self):
-        # the benchmark's setup time includes this import
+        # the benchmark's setup time includes this import; wall time is not asserted, the count is
         code = (
             "import argparse, contextlib, io\n"
             "built, init = [], argparse.ArgumentParser.__init__\n"
             "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
             "import huplab.cli\n"
-            "at_import = len(built)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    huplab.cli.main(['bessel', 'j', '--x', '2'])\n"
-            "print(at_import, len(built))\n"
+            "counts = [len(built)]\n"
+            "for argv in (['bessel', 'j', '--x', '2'], ['bessel', 'j', '--bogus', '1']):\n"
+            "    del built[:]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            huplab.cli.main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert res.returncode == 0, res.stderr
-        at_import, after_main = map(int, res.stdout.split())
-        assert at_import == 0 and after_main > 0
+        # none at import, the subcommand's own parser for a line it reads, and for an
+        # unrecognized argument that parser plus the full one (its top level and 5 subparsers)
+        assert list(map(int, res.stdout.split())) == [0, 1, 1 + 1 + len(cli._COMMANDS)]
+
+    @staticmethod
+    def _full_parser(monkeypatch):
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
 
     def test_every_call_reads_as_with_the_full_parser(self, capsys, monkeypatch):
         calls = [
@@ -494,31 +526,48 @@ class TestParserPerCommand:
             ("bessel", "j", "--x", "abc"),
             ("bessel", "j", "--x", "2"),
             ("bessel", "j", "--bogus"),
+            ("bessel", "j", "--bogus", "1"),
+            ("bessel", "j", "--x", "2", "extra"),
+            ("bessel", "j", "--x=2"),
+            ("bessel", "j", "-h"),
+            ("bessel", "--", "j"),
+            ("bessel", "j", "--", "--x", "2"),
+            ("annihilate", "circle-line", "--sam", "16"),
             ("verdict", "circle-circle", "--radius", "1"),
             ("verdict", "circle-circle"),
             ("fourlines", "rho", "--etas", "0,0.5,1"),
             ("ft", "--output", "xml"),
+            ("ft", "--config"),
             ("-h", "bessel"),
             ("--", "bessel", "j"),
+            ("nosuch", "j"),
+            (),
         ]
         per_command = [run_main(capsys, *argv) for argv in calls]
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        self._full_parser(monkeypatch)
         assert [run_main(capsys, *argv) for argv in calls] == per_command
         heights = json.loads(per_command[1][1])["certificate"]["measure"]["curve"]["heights"]
         assert heights == [0.0, 1.0, 2.0, 3.0]  # the default p = 3, not the 5 of the call before
         assert json.loads(per_command[4][1])["order"] == "0"
         assert per_command[3][0] == 2 and "invalid float value: 'abc'" in per_command[3][2]
+        extra = per_command[7]
+        assert extra[0] == 2 and extra[2].splitlines() == [
+            "usage: huplab [-h] {ft,annihilate,fourlines,bessel,verdict} ...",
+            "huplab: error: unrecognized arguments: extra",
+        ]
+        assert per_command[8][0] == 0 and json.loads(per_command[8][1])["x"] == 2.0
+        assert per_command[9][0] == 0 and per_command[9][1].startswith("usage: huplab bessel ")
+        assert per_command[12][0] == 0 and json.loads(per_command[12][1])["verification"]["samples_used"] == 16
+        assert per_command[17][0] == 2 and "argument --config: expected one argument" in per_command[17][2]
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_help_at_each_width_as_with_the_full_parser(self, capsys, monkeypatch, command):
-        full = cli.build_parser
         helps = {}
         for columns in ("80", "120"):
             monkeypatch.setenv("COLUMNS", columns)
             helps[columns] = run_main(capsys, command, "--help")
             with monkeypatch.context() as m:
-                m.setattr(cli, "build_parser", lambda command=None: full())
+                self._full_parser(m)
                 assert run_main(capsys, command, "--help") == helps[columns]
         assert helps["80"][0] == 0 and helps["80"][1]
 
