@@ -86,6 +86,28 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+# the loaders of the values inside config objects check their JSON type alone:
+# a number's finiteness is left to the constructor, whose message names the key
+
+
+def _real(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _list(value: Any) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a JSON list")
+    return value
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
+
+
 def _count(value: Any, where: str) -> int:
     """The integral JSON number ``value`` of the config key ``where``."""
     if not _number(value, where).is_integer():
@@ -113,7 +135,7 @@ class _Field:
     """One JSON key, the constructor argument and attribute it maps to, and its conversions."""
 
     key: str
-    load: Callable[[Any], Any] = float
+    load: Callable[[Any], Any] = _real
     dump: Callable[[Any], Any] = lambda value: value
     attr: str = ""  # defaults to ``key``
     optional: bool = False  # when absent, the constructor's default applies
@@ -124,12 +146,12 @@ class _Field:
 
 
 def _pair(value: Any) -> tuple[float, float]:
-    x, y = map(float, value)
+    x, y = map(_real, _list(value))
     return x, y
 
 
 def _floats(value: Any) -> tuple[float, ...]:
-    return tuple(map(float, value))
+    return tuple(map(_real, _list(value)))
 
 
 def _load_fields(
@@ -167,7 +189,7 @@ def _dump(table: dict, obj: Any) -> dict:
 def _list_of(ctor: Callable, fields: tuple[_Field, ...], where: str) -> tuple[Callable, Callable]:
     """Load and dump conversions for a JSON list of objects without a kind."""
     return (
-        lambda items: tuple(_load_fields(ctor, fields, item, where) for item in items),
+        lambda items: tuple(_load_fields(ctor, fields, item, where) for item in _list(items)),
         lambda objs: [_dump_fields(obj, fields) for obj in objs],
     )
 
@@ -195,7 +217,7 @@ _LAMBDAS = {
     "circle": (CircleSet, (_Field("radius"),)),
     "lattice-cross": (LatticeCross, (_Field("alpha"), _Field("beta"))),
     "curve": (CurveSet, (_Field("curve", lambda d: _load(_CURVES, d, "curve"), partial(_dump, _CURVES)),)),
-    "fibers": (FiberList, (_FIBERS, _Field("periodic2", bool, optional=True))),
+    "fibers": (FiberList, (_FIBERS, _Field("periodic2", _flag, optional=True))),
 }
 _QUAD = (_Field("abs_tol", optional=True), _Field("rel_tol", optional=True))
 
@@ -347,7 +369,7 @@ def _classify(args: argparse.Namespace) -> dict:
     doc = _read_json(args.fibers, "fibers")
     try:
         if isinstance(doc, dict) and "points" in doc:
-            fibers = fl.periodize([_pair(point) for point in doc["points"]])
+            fibers = fl.periodize([_pair(point) for point in _list(doc["points"])])
         elif isinstance(doc, dict) and "fibers" in doc:
             fibers = _FIBERS.load(doc["fibers"])
         else:

@@ -3,7 +3,9 @@
 Curves are closed-form parametrizations; densities live against the
 parameter (d mu = g(t) dt), so any arc-length Jacobian is already absorbed
 into g.  Measures on unbounded curves must declare a decay envelope, which
-is the only truncation authority for downstream quadrature.
+is the only truncation authority for downstream quadrature: its
+``window(a, b, budget)`` is the one truncation rule, which the quadrature
+integrates and ``Measure.check_envelope`` samples.
 """
 
 from __future__ import annotations
@@ -62,12 +64,21 @@ INF = math.inf
 # decay envelopes
 
 
+# Every envelope states what the quadrature reads from it: ``window(a, b, budget)``,
+# the part of [a, b] to integrate so that the rest weighs at most ``budget`` (None
+# when that part is empty), ``tail(T)``, a bound on what it leaves past a window
+# end T, and ``amplitude`` and ``exponent(t)``, with |g(t)| <= amplitude *
+# exp(-exponent(t)) inside the window.  ``sample_range()`` and ``bound(t)`` are
+# what ``Measure.check_envelope`` samples and checks |g| against.
+
+
 @dataclass(frozen=True)
 class CompactSupport:
-    """g(t) = 0 outside the open interval (lo, hi)."""
+    """g(t) = 0 outside the open interval (lo, hi); inside it, |g| is not bounded."""
 
     lo: float
     hi: float
+    amplitude = INF  # so a quadrature panel spans GK41.phase, as for no envelope
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -75,9 +86,16 @@ class CompactSupport:
         if not self.lo < self.hi:
             raise ValueError(f"empty support ({self.lo}, {self.hi})")
 
-    def clip(self, a: float, b: float) -> tuple[float, float]:
-        """The part of [a, b] where g may be nonzero; empty (lo >= hi) when there is none."""
-        return max(a, self.lo), min(b, self.hi)
+    def window(self, a: float, b: float, budget: float) -> Optional[tuple[float, float]]:
+        """[a, b] clipped to the support, whatever the budget: nothing is left out."""
+        lo, hi = max(a, self.lo), min(b, self.hi)
+        return None if lo >= hi else (lo, hi)
+
+    def tail(self, t: float) -> float:
+        return 0.0
+
+    def exponent(self, t):
+        return 0.0
 
     def sample_range(self) -> tuple[float, float]:
         span = self.hi - self.lo
@@ -101,6 +119,16 @@ class _DecayLaw:
             raise ValueError(f"rate and amplitude must be finite and positive, got {self.rate} and {self.amplitude}")
         if not math.isfinite(self.cutoff(0.0)):  # the furthest any tolerance truncates
             raise ValueError(f"rate {self.rate} is too small: the envelope's cutoff is not finite")
+
+    def window(self, a: float, b: float, budget: float) -> Optional[tuple[float, float]]:
+        """[a, b], bounded or not, clipped to +-cutoff(budget), the budget halved when both ends may be clipped.
+
+        ``cutoff`` floors its budget, so the window of budget 0 is the widest
+        that any tolerance integrates.
+        """
+        t = self.cutoff(budget / 2.0 if a < 0.0 < b else budget)
+        lo, hi = max(a, -t), min(b, t)
+        return None if lo >= hi else (lo, hi)
 
     def sample_range(self) -> tuple[float, float]:
         reach = 16.0 * self.e_fold()
@@ -459,13 +487,15 @@ class Measure:
         return density_fn(self.densities[component])
 
     def check_envelope(self) -> None:
-        """Spot-check |g(t)| <= envelope(t) on _ENVELOPE_SAMPLES points of the decay's sample range.
+        """Spot-check |g(t)| <= envelope(t) on _ENVELOPE_SAMPLES points of the decay's sample range in each domain.
 
-        Once every component passes, the rest of its widest truncation window,
-        out to the decay law's ``cutoff(0)``, is checked on as many points.
-        Raises ValueError on the first violating component, or when a
-        component domain is unbounded and no decay is declared.  With a
-        compact support the density must vanish outside it.
+        Once every component passes, each is checked on as many points, past
+        that range, of ``decay.window(lo, hi, 0.0)``, the widest window that
+        the quadrature integrates at any tolerance, and then, on a bounded
+        domain that window does not cover, of the whole domain.  Raises
+        ValueError on the first violating component, or when a component
+        domain is unbounded and no decay is declared.  With a compact
+        support the density must vanish outside it.
         """
         decay = self.decay
         domains = [self.curve.domain(comp) for comp in range(self.curve.n_components)]
@@ -474,14 +504,15 @@ class Measure:
                 raise ValueError(f"the {self.curve.kind} curve is unbounded: it needs a decay envelope")
             return
         grid_lo, grid_hi = decay.sample_range()
-        samples = [_spaced(max(lo, grid_lo), min(hi, grid_hi)) for lo, hi in domains]
-        if not isinstance(decay, CompactSupport):  # a support's windows lie inside its sample range
-            reach = decay.cutoff(0.0)  # cutoff floors its budget: no tolerance truncates further out
-            for lo, hi in domains:
-                ts = _spaced(-reach if math.isinf(lo) else lo, reach if math.isinf(hi) else hi)
-                samples.append(ts[(ts < grid_lo) | (ts > grid_hi)])
-        for k, ts in enumerate(samples):
-            comp = k % len(domains)  # every component's grid first, then every window
+        ranges = [(comp, max(lo, grid_lo), min(hi, grid_hi)) for comp, (lo, hi) in enumerate(domains)]
+        samples = [(comp, _spaced(lo, hi)) for comp, lo, hi in ranges if lo <= hi]  # a domain may miss the range
+        for comp, (lo, hi) in enumerate(domains):
+            window = decay.window(lo, hi, 0.0)
+            rest = (lo, hi) if window != (lo, hi) and math.isfinite(lo) and math.isfinite(hi) else None
+            for span in filter(None, (window, rest)):
+                ts = _spaced(*span)
+                samples.append((comp, ts[(ts < grid_lo) | (ts > grid_hi)]))
+        for comp, ts in samples:
             excess = np.abs(self.density(comp)(ts)) - decay.bound(ts)
             if np.any(excess > _ENVELOPE_SLACK):
                 idx = int(np.argmax(excess))

@@ -16,9 +16,11 @@ pre-splits are sized block by block from the local rate.  The envelope only
 picks the first panels: every error estimate is the panels' own.
 
 Unbounded intervals are truncated from declared decay envelopes only, never
-from sampling: the cutoff T is chosen so the envelope's tail integral is
-below abs_tol/10.  Each decay law states its exponent, tail and cutoff in
-its class in ``geometry``.  Exactly symmetric intervals [-b, b] are folded
+from sampling: the window is the envelope's ``window(a, b, abs_tol/10)``,
+whose clipped tails weigh below abs_tol/10.  Each envelope class in
+``geometry`` states that rule for itself, with the tail, amplitude and
+exponent read here; ``Measure.check_envelope`` samples the same rule's
+widest window.  Exactly symmetric intervals [-b, b] are folded
 to [0, b] with integrand f(t) + f(-t); an odd integrand therefore vanishes
 pointwise and integrates to zero regardless of how wild its phase is.
 
@@ -67,7 +69,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .expr import EVEN, ODD, UNKNOWN, Band
-from .geometry import CompactSupport, Decay
+from .geometry import Decay
 
 __all__ = [
     "QuadOpts",
@@ -231,46 +233,37 @@ class Rows(NamedTuple):
 def truncate_interval(
     interval: Tuple[float, float], envelope: Optional[Decay], opts: QuadOpts
 ) -> Optional[Tuple[float, float]]:
-    """Finite integration window for an interval, bounded or not.
+    """Finite integration window for an interval, bounded or not: ``envelope.window(a, b, abs_tol / 10)``.
 
-    A decay law clips each end that lies past its cutoff, bounded or not,
-    so that a long domain is integrated where its density lives; the tails
-    it leaves out sum to at most abs_tol / 10.  Returns None when the
-    interval and the envelope's support are disjoint (the integral is
-    exactly zero) or the interval lies wholly past the cutoff.
+    A compact support clips the interval to itself; a decay law clips each
+    end that lies past its cutoff, bounded or not, so that a long domain is
+    integrated where its density lives and the tails it leaves out sum to
+    at most abs_tol / 10.  Returns None when the interval and the support
+    are disjoint (the integral is exactly zero) or the interval lies wholly
+    past the cutoff.  With no envelope the interval must be bounded, and is
+    its own window.
     """
     a, b = interval
     if a >= b:
         raise ValueError(f"degenerate interval {interval}")
-    if isinstance(envelope, CompactSupport):
-        a, b = envelope.clip(a, b)
-        return None if a >= b else (a, b)
     if envelope is None:
         if math.isinf(a) or math.isinf(b):
             raise MissingEnvelopeError(f"interval {interval} is unbounded and no decay envelope was declared")
         return (a, b)
-    budget = opts.abs_tol / 10.0
-    if a < 0.0 < b:  # both ends may be clipped
-        budget /= 2.0
-    t = envelope.cutoff(budget)
-    lo, hi = max(a, -t), min(b, t)
-    return None if lo >= hi else (lo, hi)
+    return envelope.window(a, b, opts.abs_tol / 10.0)
 
 
 def truncation_error(
     interval: Tuple[float, float], window: Optional[Tuple[float, float]], envelope: Optional[Decay]
 ) -> float:
-    """The decay law's bound on the tails of ``interval`` that ``window`` clipped (None: all of it)."""
-    if envelope is None or isinstance(envelope, CompactSupport):
+    """The envelope's bound on the tails of ``interval`` that ``window`` clipped (None: all of it); 0 for a support."""
+    if envelope is None:
         return 0.0
     if window is None:  # the interval lies wholly past the cutoff, on one side of 0
         return envelope.tail(min(abs(interval[0]), abs(interval[1])))
-    err = 0.0
-    if interval[0] < window[0]:
-        err += envelope.tail(abs(window[0]))
-    if window[1] < interval[1]:
-        err += envelope.tail(window[1])
-    return err
+    lo_tail = envelope.tail(abs(window[0])) if interval[0] < window[0] else 0.0
+    hi_tail = envelope.tail(window[1]) if window[1] < interval[1] else 0.0
+    return lo_tail + hi_tail
 
 
 # the integrand values of a batch are built and scored in blocks of at most
@@ -491,9 +484,10 @@ def _panel_phase(envelope: Optional[Decay], lo: float, hi: float, folded: bool, 
     Gauss error model c A w theta^order of the block's w stays within
     _SLACK w/width of abs_tol; c is ``GK41.error_constant``
     and A the envelope's sup on the block, doubled when the range is folded.
-    Without a decaying envelope theta is ``GK41.phase``.
+    Without an envelope, or with a compact support, whose amplitude is inf,
+    theta is ``GK41.phase``.
     """
-    if envelope is None or isinstance(envelope, CompactSupport):
+    if envelope is None:
         return GK41.phase
     near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     amplitude = envelope.amplitude * (2.0 if folded else 1.0)

@@ -357,6 +357,31 @@ class TestFt:
         assert (code, out) == (2, "")
         assert err.startswith("config error: component 0 density exceeds its declared envelope near t=17.")
 
+    @pytest.mark.parametrize(
+        "curve, density, decay, near",
+        [
+            # printed sqrt(pi)/2 = 0.886226925442962 with err 1e-11, leaving out the bump's 0.001: the
+            # check sampled all of [0, 1e7], and none of its points fell in the window (16, 26.3]
+            (
+                {"kind": "expr", "x": "0", "y": "t", "domain": [0, 1e7]},
+                "exp(-(t^2))+0.001*chi(20,21)(t)",
+                {"kind": "gaussian", "rate": 1},
+                "20.0058",
+            ),
+            # printed 1.9999999999999996 with err 4.8e-15, leaving out the mass 0.5 past the support:
+            # the check sampled the support's range (-2, 2) alone
+            ({"kind": "circle"}, "chi(-1,1)(t)+chi(2.5,3)(t)", {"kind": "compact", "lo": -1, "hi": 1}, "2.50023"),
+        ],
+        ids=["decay-law-on-a-long-bounded-domain", "mass-outside-a-compact-support"],
+    )
+    def test_density_above_its_envelope_where_the_check_did_not_sample_exits_2(
+        self, capsys, tmp_path, curve, density, decay, near
+    ):
+        cfg = {"curve": curve, "density": [density], "decay": decay, "grid": {"xi": [0, 0, 1], "eta": [0, 0, 1]}}
+        code, out, err = run_main(capsys, "ft", "--config", write_config(tmp_path, cfg))
+        assert (code, out) == (2, "")
+        assert err == f"config error: component 0 density exceeds its declared envelope near t={near}\n"
+
     def test_key_foreign_to_kind_rejected(self, tmp_path):
         cfg = {
             "curve": {"kind": "circle"},
@@ -811,6 +836,80 @@ def _with_grid(xi, eta):
     return {**CIRCLE_GRID_CONFIG, "grid": {"xi": xi, "eta": eta}}
 
 
+# valid documents for ``ft --config -`` and ``fourlines classify --fibers -``: between them,
+# every loader of a number inside a config object, and the top-level grid, window and samples
+_TYPED_DOCS = [
+    (
+        ("ft", "--config", "-"),
+        {
+            "curve": {"kind": "parallel-lines", "heights": [0, 1.5]},
+            "density": ["exp(-abs(t))", "exp(-abs(t))"],
+            "decay": {"kind": "exp", "rate": 1, "amplitude": 1.0},
+            "grid": {"xi": [0, 1, 2], "eta": [0.5, 0.5, 1]},
+            "quad": {"abs_tol": 1e-8, "rel_tol": 1e-8},
+        },
+    ),
+    (
+        ("ft", "--config", "-"),
+        {
+            "curve": {"kind": "expr", "x": "t", "y": "0", "domain": [-1, 1]},
+            "density": ["exp(-(t^2))"],
+            "decay": {"kind": "gaussian", "rate": 1.0, "amplitude": 2},
+            "lambda": {"kind": "line", "point": [0, 0.5], "direction": [1, 0]},
+            "window": [-1, 1, -1, 1],
+            "samples": 2,
+        },
+    ),
+    (
+        ("ft", "--config", "-"),
+        {
+            **LAMBDA_CONFIG,
+            "density": ["chi(-1,1)(t)"],
+            "decay": {"kind": "compact", "lo": -1, "hi": 1.0},
+            "lambda": {"kind": "lines", "lines": [{"point": [0, 0.5], "direction": [1, 0]}]},
+        },
+    ),
+    (("ft", "--config", "-"), {**LAMBDA_CONFIG, "lambda": {"kind": "circle", "radius": 0.5}}),
+    (
+        ("ft", "--config", "-"),
+        {
+            **LAMBDA_CONFIG,
+            "lambda": {"kind": "curve", "curve": {"kind": "expr", "x": "t", "y": "t", "domain": [-1, 1]}},
+        },
+    ),
+    (
+        ("ft", "--config", "-"),
+        {**LAMBDA_CONFIG, "lambda": {"kind": "fibers", "fibers": [{"xi": 0.5, "sigma": [0.25]}], "periodic2": True}},
+    ),
+    (("fourlines", "classify", "--fibers", "-"), {"fibers": [{"xi": 0.5, "sigma": [0, 1.25]}]}),
+    (("fourlines", "classify", "--fibers", "-"), {"points": [[0.5, 0], [0.5, 1.0]]}),
+]
+
+_TYPED_IDS = [f"{argv[0]}-{i}" for i, (argv, _) in enumerate(_TYPED_DOCS)]
+
+
+def _numbers(doc, path=()):
+    """The path of keys and indices to every number in the JSON document ``doc``."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _numbers(value, (*path, key))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
 class TestConfigErrorsExit2:
     @pytest.mark.parametrize(
         "cfg, message",
@@ -969,6 +1068,58 @@ class TestConfigErrorsExit2:
         # message, and -1 failed verification
         code, out, err = run_main(capsys, "annihilate", "circle-line", "--samples", "16", f"--tol={tol}")
         assert (code, out, err) == (2, "", f"config error: tol must be finite and positive, got {float(tol)}\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {**CIRCLE_GRID_CONFIG, "curve": {"kind": "parallel-lines", "heights": "0123"}},
+                "bad curve: '0123' is not a JSON list",  # read as the 4 lines at heights 0, 1, 2 and 3
+            ),
+            (
+                {**LAMBDA_CONFIG, "lambda": {"kind": "line", "point": "03", "direction": [1, 0]}},
+                "bad lambda: '03' is not a JSON list",  # read as the line through (0, 3)
+            ),
+            (
+                {
+                    **LAMBDA_CONFIG,
+                    "lambda": {"kind": "fibers", "fibers": [{"xi": 0.5, "sigma": [0]}], "periodic2": "false"},
+                },
+                "bad lambda: 'false' is not true or false",  # expanded the fiber periodically
+            ),
+            ({**LAMBDA_CONFIG, "lambda": {"kind": "circle", "radius": True}}, "bad lambda: True is not a JSON number"),
+            ({**CIRCLE_GRID_CONFIG, "quad": {"abs_tol": "1e-9"}}, "bad quad: '1e-9' is not a JSON number"),
+            ({"fibers": [{"xi": "0.5", "sigma": [0]}]}, "bad fiber: '0.5' is not a JSON number"),
+            ({"fibers": [{"xi": 0.5, "sigma": "01"}]}, "bad fiber: '01' is not a JSON list"),  # read as class P2
+            ({"points": ["05"]}, "bad fibers JSON: '05' is not a JSON list"),  # read as the point (0, 5)
+            # exited 2 too, but blamed its first character: "fiber must be a JSON object"
+            ({"fibers": "ab"}, "bad fibers JSON: 'ab' is not a JSON list"),
+        ],
+        ids=["heights", "point", "periodic2", "radius", "abs-tol", "xi", "sigma", "points", "fibers"],
+    )
+    def test_json_values_of_the_wrong_type_are_not_coerced(self, capsys, monkeypatch, doc, message):
+        # all but the last exited 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        argv = ("ft", "--config", "-") if "curve" in doc else ("fourlines", "classify", "--fibers", "-")
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv, doc", _TYPED_DOCS, ids=_TYPED_IDS)
+    def test_every_number_of_a_valid_document_must_be_a_json_number(self, capsys, monkeypatch, argv, doc):
+        # the document exits 0; with any one of its numbers replaced by its string form or by
+        # true, it exits 2 with a config error that quotes the replacement
+        def run(doc):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            return run_main(capsys, *argv)
+
+        assert run(doc)[0] == 0
+        accepted = []
+        for path in _numbers(doc):
+            for new in (str(_at(doc, path)), True):
+                code, out, err = run(_replaced(doc, path, new))
+                if not (code == 2 and out == "" and err.startswith("config error: ") and repr(new) in err):
+                    accepted.append((path, new, code, err))
+        assert accepted == []
 
     def test_solver_without_etas(self, capsys):
         code, out, err = run_main(capsys, "fourlines", "tau")

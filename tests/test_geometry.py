@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from huplab import geometry
 from huplab.expr import parse
 from huplab.fourlines import Fiber
+from huplab.quadrature import QuadOpts, truncate_interval
 from huplab.geometry import (
     POINTS_MAX,
     CircleSet,
@@ -384,6 +385,12 @@ class TestMeasure:
         )
         windowed.check_envelope()
 
+    def test_envelope_check_samples_no_point_outside_the_domain(self):
+        # (100, 200) misses the sample range (-16, 16): the check sampled [16, 100] instead,
+        # where log(t - 99) is not defined, and raised EvalDomainError (exit 3 from ft)
+        curve = expr_curve(parse("t"), parse("0"), (100.0, 200.0))
+        Measure(curve, (parse("exp(-t)*log(t-99)"),), ExpDecay(1.0, 10.0)).check_envelope()
+
     def test_envelope_check_rejects_violations(self):
         too_small = Measure(hyperbola_full(), (parse("3*exp(-(t^2))"),), GaussianDecay(1.0, 1.0))
         with pytest.raises(ValueError, match="envelope"):
@@ -400,7 +407,8 @@ class TestMeasure:
             (spiral(), "chi(17,30)", "17"),
             # inside only the windows of abs_tol below 4e-43
             (spiral(), "chi(100,120)", "100"),
-            # past cutoff(0) = 690.8, inside a bounded domain that the quadrature integrates whole
+            # past cutoff(0) = 690.8, the end of the widest window that the quadrature integrates,
+            # inside the rest of the bounded domain, which is sampled too
             (expr_curve(parse("t"), parse("t"), (0.0, 1000.0)), "chi(800,900)", "800"),
         ],
     )
@@ -408,6 +416,42 @@ class TestMeasure:
         measure = Measure(curve, (parse(f"exp(-t)+0.001*{bump}(t)"),), ExpDecay(1.0))
         with pytest.raises(ValueError, match=f"component 0 density exceeds its declared envelope near t={near}"):
             measure.check_envelope()
+
+    @pytest.mark.parametrize(
+        "decay",
+        [ExpDecay(1.0), ExpDecay(0.5, 3.0), GaussianDecay(1.0), GaussianDecay(0.05, 2.0)],
+        ids=["exp", "exp-wide", "gaussian", "gaussian-wide"],
+    )
+    @pytest.mark.parametrize(
+        "domain",
+        [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0), (-3.0, 40.0), (0.0, 1e7), (-1e7, 2.0)],
+        # the last two are longer than cutoff(0)
+        ids=["unbounded", "right-half", "left-half", "bounded", "long-right", "long-left"],
+    )
+    def test_envelope_check_reaches_the_far_end_of_the_quadratures_window(self, decay, domain):
+        # a bump the quadrature integrates at abs_tol 1e-13, just inside the end of its window
+        # farthest from 0; on (0, 1e7) and (-1e7, 2) the check missed it, sampling the domain
+        # every 2,442 instead of the window
+        window = truncate_interval(domain, decay, QuadOpts(abs_tol=1e-13))
+        end = max(window, key=abs)
+        lo, hi = sorted((end, 0.95 * end))
+        measure = Measure(expr_curve(parse("t"), parse("0"), domain), (parse(f"0.001*chi({lo!r},{hi!r})(t)"),), decay)
+        with pytest.raises(ValueError, match="component 0 density exceeds its declared envelope near t="):
+            measure.check_envelope()
+
+    @pytest.mark.parametrize(
+        "curve, support, bump",
+        [
+            # the circle's mass on (2.5, 3) was accepted: the check sampled (-2, 2) alone
+            (circle(), (-1.0, 1.0), "chi(2.5,3)"),
+            (expr_curve(parse("t"), parse("0"), (0.0, 100.0)), (0.0, 1.0), "chi(50,51)"),
+        ],
+        ids=["circle", "expr"],
+    )
+    def test_envelope_check_reaches_mass_past_a_supports_sample_range(self, curve, support, bump):
+        density = parse(f"chi({support[0]!r},{support[1]!r})(t)+0.001*{bump}(t)")
+        with pytest.raises(ValueError, match="component 0 density exceeds its declared envelope near t="):
+            Measure(curve, (density,), CompactSupport(*support)).check_envelope()
 
     def test_envelope_check_needs_decay_only_on_unbounded_domains(self):
         Measure(circle(), (parse("1"),)).check_envelope()
